@@ -1,8 +1,9 @@
 """Line-oriented run configuration: `section.key = value`, `#` comments.
 
 Parsing is strict: unknown keys and duplicate keys fail before any
-computation starts, and every error names the offending line.  All keys have
-documented defaults, so the empty string is a valid config.
+computation starts, and every error names the offending line.  Numbers must
+be finite; "inf" is accepted only where it disables a reaction constant.  All
+keys have documented defaults, so the empty string is a valid config.
 
 Sections and keys (defaults in parentheses):
 
@@ -106,9 +107,18 @@ class RunConfig:
 
 
 def _to_float(raw):
-    if raw.lower() in ("inf", "+inf", "infinity"):
-        return math.inf
-    return float(raw)
+    v = float(raw)
+    if not math.isfinite(v):
+        raise ValueError(f"must be finite, got {raw!r}")
+    return v
+
+
+def _to_rate(raw):
+    """A reaction constant: a number, or inf to switch the reaction off."""
+    v = float(raw)
+    if math.isnan(v):
+        raise ValueError(f"must be a number or inf, got {raw!r}")
+    return v
 
 
 def _to_int(raw):
@@ -142,8 +152,8 @@ _SCHEMA = {
     "model.delta_omega": (_to_float, 1.0),
     "model.delta_gamma": (_to_float, 1.0),
     "model.delta_gamma_prime": (_to_float, 1.0),
-    "model.delta_k": (_to_float, 1.0),
-    "model.delta_k_prime": (_to_float, 1.0),
+    "model.delta_k": (_to_rate, 1.0),
+    "model.delta_k_prime": (_to_rate, 1.0),
     "model.nonlinearity": (_to_str, "mass_action"),
     "model.equilibrium_mode": (_to_str, "rate_balance"),
     "time.t_final": (_to_float, 1.0),
@@ -230,10 +240,8 @@ def parse_config(text: str) -> RunConfig:
         fail("mesh.n_theta", f"must be >= 8, got {n_theta}")
     mesh = MeshBlock(n_r=n_r, n_theta=n_theta)
 
-    for k in ("model.delta_omega", "model.delta_gamma", "model.delta_gamma_prime"):
-        if not (get(k) > 0 and math.isfinite(get(k))):
-            fail(k, f"must be finite and > 0, got {get(k)}")
-    for k in ("model.delta_k", "model.delta_k_prime"):
+    for k in ("model.delta_omega", "model.delta_gamma", "model.delta_gamma_prime",
+              "model.delta_k", "model.delta_k_prime"):
         if not get(k) > 0:
             fail(k, f"must be > 0, got {get(k)}")
     nonlin = get("model.nonlinearity")

@@ -272,12 +272,6 @@ class EvolvingGeometry:
         return self.kind is not GeometryKind.BREATHING
 
     @property
-    def bulk_slip_active(self):
-        """Whether J_Omega can be nonzero; V_Omega rides with V_p (or both
-        vanish) in every preset of this family, so the answer is no."""
-        return False
-
-    @property
     def surface_slip_active(self):
         """Whether J_Gamma can be nonzero."""
         return self.kind is GeometryKind.SURFACE_WIND

@@ -14,8 +14,11 @@ are conserved by construction, up to the linear-solver residual.
 Scheme summary (both steppers are first order in time):
 
   * diffusion: two-point fluxes through mapped faces, implicit,
-  * advection of the relative fluxes J_Omega, J_Gamma: donor-cell upwind,
-    explicit in the IMEX stepper and implicit in the backward-Euler stepper,
+  * advection of the relative surface flux J_Gamma: donor-cell upwind,
+    explicit in the IMEX stepper and implicit in the backward-Euler stepper.
+    The bulk species ride with the grid in every preset (V_Omega = V_p, so
+    J_Omega = 0) and no bulk advection is assembled; it returns only with a
+    preset that has bulk slip,
   * bulk-surface exchange: the combined boundary flux (diffusive plus slip)
     on the inner circle is imposed directly as the reaction rate times the
     face arc, with the bulk trace taken as the innermost cell value; the
@@ -26,8 +29,8 @@ Scheme summary (both steppers are first order in time):
     z / delta_K' is implicit in z, gains are carried by those same implicit
     flux values.  u and z are then unconditionally nonnegative (the coupled
     matrix restricted to them is an M-matrix) and w is nonnegative under the
-    step bound dt <= delta_K * min(cell/arc) / max(u), which is folded into
-    the CFL check,
+    step bound dt <= delta_K / max(u trace), which is folded into the CFL
+    check,
   * no flux is assembled at the fixed outer wall.
 
 The outer-boundary condition is homogeneous no-flux: the only choice
@@ -53,6 +56,9 @@ from .mesh import (ReferenceMesh, build_mesh, moving_bulk_measures,
 from .model import MassAction, ModelParams
 
 _RESIDUAL_TOL = 1e-10
+# a CFL-adaptive run stops when the step it may take falls below this
+# fraction of time.dt: past it the run would take millions of steps
+_MIN_CFL_STEP = 1e-6
 
 
 @dataclasses.dataclass
@@ -98,7 +104,6 @@ class DiscreteOperators:
     surf_stiffness_z: sp.csr_matrix    # includes delta_Gamma_prime
     bulk_measures: np.ndarray
     surf_measures: np.ndarray          # also the coupling arcs, index-aligned
-    boundary_cells: np.ndarray         # flat indices of the innermost ring
 
 
 def _check_jacobian(geom: EvolvingGeometry, mesh: ReferenceMesh, t: float):
@@ -164,44 +169,10 @@ def assemble_operators(geom: EvolvingGeometry, mesh: ReferenceMesh,
         surf_stiffness_z=lz,
         bulk_measures=moving_bulk_measures(mesh, geom, t),
         surf_measures=moving_surface_measures(mesh, geom, t),
-        boundary_cells=np.arange(mesh.n_theta),
     )
 
 
 # -- advection ----------------------------------------------------------------
-
-
-def _bulk_face_velocities(geom, mesh, t):
-    """Normal J_Omega sweep rates through internal bulk faces.
-
-    Returns (q_rad (n_r-1, n_theta), q_ang (n_r, n_theta)) in units of
-    area/time; q_rad > 0 sweeps outward in r, q_ang > 0 counterclockwise.
-    """
-    nt = mesh.n_theta
-    slope = geom.radial_slope(t)
-    theta = mesh.theta_centers
-
-    q_rad = np.zeros((mesh.n_r - 1, nt))
-    for i in range(1, mesh.n_r):
-        r_f = mesh.r_faces[i]
-        x_ref = np.stack([r_f * np.cos(theta), r_f * np.sin(theta)], axis=-1)
-        y = geom.flow_map(t, x_ref)
-        jo = geom.v_bulk(t, y) - geom.v_parametrization(t, y)
-        rho = np.sqrt(y[:, 0] ** 2 + y[:, 1] ** 2)
-        e_r = y / rho[:, None]
-        q_rad[i - 1] = np.sum(jo * e_r, axis=-1) * (rho * mesh.dtheta)
-
-    q_ang = np.zeros((mesh.n_r, nt))
-    theta_f = mesh.theta_faces[1:]
-    for i in range(mesh.n_r):
-        r_c = mesh.r_centers[i]
-        x_ref = np.stack([r_c * np.cos(theta_f), r_c * np.sin(theta_f)], axis=-1)
-        y = geom.flow_map(t, x_ref)
-        jo = geom.v_bulk(t, y) - geom.v_parametrization(t, y)
-        rho = np.sqrt(y[:, 0] ** 2 + y[:, 1] ** 2)
-        e_t = np.stack([-y[:, 1], y[:, 0]], axis=-1) / rho[:, None]
-        q_ang[i] = np.sum(jo * e_t, axis=-1) * (slope * mesh.dr)
-    return q_rad, q_ang
 
 
 def _surface_face_velocities(geom, mesh, t):
@@ -215,23 +186,6 @@ def _surface_face_velocities(geom, mesh, t):
     return np.sum(jg * tau, axis=-1)
 
 
-def bulk_advection(geom, mesh, t, field):
-    """Net upwind J_Omega inflow per bulk cell (mass per time)."""
-    u = np.asarray(field, dtype=float).reshape(mesh.n_r, mesh.n_theta)
-    q_rad, q_ang = _bulk_face_velocities(geom, mesh, t)
-    net = np.zeros_like(u)
-    donor_out = np.where(q_rad >= 0.0, u[:-1, :], u[1:, :])
-    flux = q_rad * donor_out
-    net[1:, :] += flux
-    net[:-1, :] -= flux
-    up = np.roll(u, -1, axis=1)
-    donor = np.where(q_ang >= 0.0, u, up)
-    flux = q_ang * donor
-    net += np.roll(flux, 1, axis=1)
-    net -= flux
-    return net.ravel()
-
-
 def surface_advection(geom, mesh, t, field):
     """Net upwind J_Gamma inflow per surface cell."""
     w = np.asarray(field, dtype=float)
@@ -239,31 +193,6 @@ def surface_advection(geom, mesh, t, field):
     donor = np.where(q >= 0.0, w, np.roll(w, -1))
     flux = q * donor
     return np.roll(flux, 1) - flux
-
-
-def _bulk_advection_matrix(geom, mesh, t):
-    q_rad, q_ang = _bulk_face_velocities(geom, mesh, t)
-    nt = mesh.n_theta
-    n = mesh.n_bulk
-    rows, cols, vals = [], [], []
-    k = np.arange(nt)
-    for i in range(mesh.n_r - 1):
-        q = q_rad[i]
-        donor = np.where(q >= 0.0, i * nt + k, (i + 1) * nt + k)
-        rows.extend([(i + 1) * nt + k, i * nt + k])
-        cols.extend([donor, donor])
-        vals.extend([q, -q])
-    kp = (k + 1) % nt
-    for i in range(mesh.n_r):
-        q = q_ang[i]
-        donor = np.where(q >= 0.0, i * nt + k, i * nt + kp)
-        rows.extend([i * nt + kp, i * nt + k])
-        cols.extend([donor, donor])
-        vals.extend([q, -q])
-    if not rows:
-        return sp.csr_matrix((n, n))
-    return sp.coo_matrix((np.concatenate(vals),
-                          (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)).tocsr()
 
 
 def _surface_advection_matrix(geom, mesh, t):
@@ -285,27 +214,13 @@ def cfl_bound(geom: EvolvingGeometry, mesh: ReferenceMesh, params: ModelParams,
               state: State) -> float:
     """Largest dt the IMEX stepper accepts at this state.
 
-    Advective part: min over faces of center distance / |J . n|.  Reaction
-    part (mass action): dt <= delta_K * min(cell / arc) / max trace of u,
-    which keeps the receptor update nonnegative.  Infinite when nothing
-    constrains the step.
+    Advective part: min over surface faces of arc length / |J_Gamma . tau|.
+    Reaction part (mass action): dt <= delta_K / max trace of u, which keeps
+    the receptor update nonnegative (surface cell and coupling arc coincide,
+    so their ratio drops out).  Infinite when nothing constrains the step.
     """
     t = state.t
     bound = math.inf
-    if geom.bulk_slip_active:
-        q_rad, q_ang = _bulk_face_velocities(geom, mesh, t)
-        slope = geom.radial_slope(t)
-        rho_c = geom.radius_map(t, mesh.r_centers)
-        rho_f = geom.radius_map(t, mesh.r_faces)
-        if q_rad.size:
-            # sweep rate / face length = normal speed; centers sit slope*dr apart
-            speed = np.max(np.abs(q_rad) / (rho_f[1:-1, None] * mesh.dtheta))
-            if speed > 0:
-                bound = min(bound, slope * mesh.dr / speed)
-        if q_ang.size:
-            speed = np.max(np.abs(q_ang) / (slope * mesh.dr))
-            if speed > 0:
-                bound = min(bound, float(np.min(rho_c)) * mesh.dtheta / speed)
     if geom.surface_slip_active:
         qs = np.abs(_surface_face_velocities(geom, mesh, t))
         if qs.size and np.max(qs) > 0:
@@ -314,16 +229,36 @@ def cfl_bound(geom: EvolvingGeometry, mesh: ReferenceMesh, params: ModelParams,
     if math.isfinite(params.delta_k):
         u_tr = np.max(state.u_hat[: mesh.n_theta])
         if u_tr > 0:
-            cells = moving_surface_measures(mesh, geom, t)
-            arcs = cells  # arcs and surface cell measures coincide on the ring
-            bound = min(bound, params.delta_k * float(np.min(cells / arcs)) / float(u_tr))
+            bound = min(bound, params.delta_k / float(u_tr))
     return bound
 
 
-def _require_finite(state: State):
+def _check_step(state: State, dt: float, geom, mesh, params, check_cfl: bool):
+    """Preconditions of every step: positive dt, a finite state and, when
+    check_cfl is set, dt within cfl_bound."""
+    if dt <= 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
     if not (np.all(np.isfinite(state.u_hat)) and np.all(np.isfinite(state.w_hat))
             and np.all(np.isfinite(state.z_hat))):
         raise NonfiniteField(f"state at t = {state.t:g} contains non-finite values")
+    if check_cfl:
+        bound = cfl_bound(geom, mesh, params, state)
+        if dt > bound:
+            raise CflViolation(f"dt = {dt:g} exceeds stability bound {bound:g} at t = {state.t:g}")
+
+
+def _row_norm(a) -> float:
+    return float(np.max(np.abs(a).sum(axis=1)))
+
+
+def _check_backward_error(residual, x, rhs, row_norm: float, what: str):
+    """Normwise backward error max|A x - b| / (||A|| max|x| + max|b|) of a
+    solve, given its residual and the row-sum norm of A; never silent on a
+    bad factorization."""
+    scale = row_norm * float(np.max(np.abs(x))) + float(np.max(np.abs(rhs)))
+    err = float(np.max(np.abs(residual))) / max(scale, 1e-300)
+    if not math.isfinite(err) or err > _RESIDUAL_TOL:
+        raise LinearSolveFailure(f"{what} backward error {err:.3e} exceeds {_RESIDUAL_TOL:g}")
 
 
 def _solve_sparse(a_csr, rhs):
@@ -332,29 +267,81 @@ def _solve_sparse(a_csr, rhs):
         x = lu.solve(rhs)
     except RuntimeError as exc:  # singular factorization
         raise LinearSolveFailure(f"sparse LU failed: {exc}") from exc
-    # normwise backward error; never silent on a bad factorization
-    scale = float(np.max(np.abs(a_csr).sum(axis=1))) * float(np.max(np.abs(x))) \
-        + float(np.max(np.abs(rhs)))
-    resid = float(np.max(np.abs(a_csr @ x - rhs))) / max(scale, 1e-300)
-    if not math.isfinite(resid) or resid > _RESIDUAL_TOL:
-        raise LinearSolveFailure(f"linear solve backward error {resid:.3e} exceeds {_RESIDUAL_TOL:g}")
+    _check_backward_error(a_csr @ x - rhs, x, rhs, _row_norm(a_csr), "linear solve")
     return x
 
 
-def _source_arrays(sources, mesh, t):
-    su = sw = sz = g = None
-    if sources is not None:
-        r = mesh.cell_r
-        th = mesh.cell_theta
-        if sources.bulk is not None:
-            su = np.asarray(sources.bulk(t, r, th), dtype=float)
-        if sources.surface_w is not None:
-            sw = np.asarray(sources.surface_w(t, mesh.theta_centers), dtype=float)
-        if sources.surface_z is not None:
-            sz = np.asarray(sources.surface_z(t, mesh.theta_centers), dtype=float)
-        if sources.robin is not None:
-            g = np.asarray(sources.robin(t, mesh.theta_centers), dtype=float)
-    return su, sw, sz, g
+# -- step assembly over the stacked unknowns (u, w, z) ------------------------------
+
+
+def _slot_slices(mesh: ReferenceMesh):
+    """Positions of the u trace (innermost bulk ring), w and z in the stacked
+    vector; entry k of each belongs to surface slot k."""
+    nb, ns = mesh.n_bulk, mesh.n_surf
+    return slice(0, ns), slice(nb, nb + ns), slice(nb + ns, nb + 2 * ns)
+
+
+def _exchange(flux):
+    """Equation rows (u trace, w, z) of one exchange flux per surface slot.
+
+    The flux is a gain for the u trace and for w and a loss for z; entering
+    all three with the same value is what conserves m1 and m2.  flux holds
+    per-slot coefficients of the slot unknowns (u trace, w, z), None where
+    the flux does not depend on one.
+    """
+    return flux, flux, tuple(None if c is None else -c for c in flux)
+
+
+def _slot_matrix(mesh: ReferenceMesh, rows):
+    """Sparse matrix over the stacked unknowns holding the per-slot
+    coefficients rows[i][j] at equation i and unknown j of every surface
+    slot, i and j running over (u trace, w, z); None entries are skipped."""
+    n = mesh.n_bulk + 2 * mesh.n_surf
+    idx = [np.arange(s.start, s.stop) for s in _slot_slices(mesh)]
+    entries = [(idx[i], idx[j], coeff) for i, row in enumerate(rows)
+               for j, coeff in enumerate(row) if coeff is not None]
+    r, c, v = (np.concatenate(part) for part in zip(*entries))
+    return sp.coo_matrix((v, (r, c)), shape=(n, n))
+
+
+def _step_matrix(ops: DiscreteOperators, dt: float):
+    """Moving measures at t + dt minus dt times the stiffness operators."""
+    ms = ops.surf_measures
+    return (sp.diags(np.concatenate([ops.bulk_measures, ms, ms]))
+            - dt * sp.block_diag([ops.bulk_stiffness, ops.surf_stiffness_w,
+                                  ops.surf_stiffness_z], format="coo"))
+
+
+def _mass_rhs(state: State, dt: float, mesh: ReferenceMesh, m0, m1,
+              sources: Sources | None):
+    """Cell masses at t plus dt times the injected sources at t + dt; m0 and
+    m1 are the (bulk, surface) measures at t and t + dt."""
+    (m0b, m0s), (m1b, m1s) = m0, m1
+    rhs = np.concatenate([m0b * state.u_hat, m0s * state.w_hat, m0s * state.z_hat])
+    if sources is None:
+        return rhs
+    t1 = state.t + dt
+    th = mesh.theta_centers
+    trace, at_w, at_z = _slot_slices(mesh)
+    for density, at, args, measure in (
+            (sources.bulk, slice(0, mesh.n_bulk), (t1, mesh.cell_r, mesh.cell_theta), m1b),
+            (sources.surface_w, at_w, (t1, th), m1s),
+            (sources.surface_z, at_z, (t1, th), m1s),
+            (sources.robin, trace, (t1, th), m1s)):
+        if density is not None:
+            rhs[at] += dt * np.asarray(density(*args), dtype=float) * measure
+    return rhs
+
+
+def _imex_rhs(state: State, dt: float, geom: EvolvingGeometry, mesh: ReferenceMesh,
+              m0, m1, sources: Sources | None):
+    """_mass_rhs plus the explicit upwind surface advection at t."""
+    rhs = _mass_rhs(state, dt, mesh, m0, m1, sources)
+    if geom.surface_slip_active:
+        _, at_w, at_z = _slot_slices(mesh)
+        rhs[at_w] += dt * surface_advection(geom, mesh, state.t, state.w_hat)
+        rhs[at_z] += dt * surface_advection(geom, mesh, state.t, state.z_hat)
+    return rhs
 
 
 def step_imex(state: State, dt: float, geom: EvolvingGeometry, mesh: ReferenceMesh,
@@ -368,65 +355,27 @@ def step_imex(state: State, dt: float, geom: EvolvingGeometry, mesh: ReferenceMe
     the linear-solver residual.  Custom nonlinearities are integrated with a
     fully explicit reaction.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    _require_finite(state)
-    if check_cfl:
-        bound = cfl_bound(geom, mesh, params, state)
-        if dt > bound:
-            raise CflViolation(f"dt = {dt:g} exceeds stability bound {bound:g} at t = {state.t:g}")
+    _check_step(state, dt, geom, mesh, params, check_cfl)
     t0, t1 = state.t, state.t + dt
     ops = assemble_operators(geom, mesh, params, t1)
-    m0b = moving_bulk_measures(mesh, geom, t0)
-    m0s = moving_surface_measures(mesh, geom, t0)
-    m1b, m1s = ops.bulk_measures, ops.surf_measures
-    nb, ns = mesh.n_bulk, mesh.n_surf
-    n = nb + 2 * ns
-    ou, ow, oz = 0, nb, nb + ns
-
-    rhs = np.concatenate([m0b * state.u_hat, m0s * state.w_hat, m0s * state.z_hat])
-    if geom.bulk_slip_active:
-        rhs[:nb] += dt * bulk_advection(geom, mesh, t0, state.u_hat)
-    if geom.surface_slip_active:
-        rhs[ow:ow + ns] += dt * surface_advection(geom, mesh, t0, state.w_hat)
-        rhs[oz:oz + ns] += dt * surface_advection(geom, mesh, t0, state.z_hat)
-    su, sw, sz, g = _source_arrays(sources, mesh, t1)
-    if su is not None:
-        rhs[ou:ou + nb] += dt * su * m1b
-    if sw is not None:
-        rhs[ow:ow + ns] += dt * sw * m1s
-    if sz is not None:
-        rhs[oz:oz + ns] += dt * sz * m1s
-    if g is not None:
-        rhs[ops.boundary_cells] += dt * g * m1s
-
-    blocks = sp.block_diag([ops.bulk_stiffness, ops.surf_stiffness_w, ops.surf_stiffness_z],
-                           format="coo")
-    diag = sp.diags(np.concatenate([m1b, m1s, m1s]))
-
+    m0 = (moving_bulk_measures(mesh, geom, t0), moving_surface_measures(mesh, geom, t0))
+    arcs = ops.surf_measures
+    rhs = _imex_rhs(state, dt, geom, mesh, m0, (ops.bulk_measures, arcs), sources)
+    a = _step_matrix(ops, dt)
     if getattr(spec, "is_mass_action", False):
-        arcs = m1s
+        ns = mesh.n_surf
         k_bind = arcs * state.w_hat / params.delta_k if math.isfinite(params.delta_k) \
             else np.zeros(ns)
         k_unbind = arcs / params.delta_k_prime if math.isfinite(params.delta_k_prime) \
             else np.zeros(ns)
-        bnd = ops.boundary_cells
-        ks = np.arange(ns)
-        rows = np.concatenate([bnd, bnd, ow + ks, ow + ks, oz + ks, oz + ks])
-        cols = np.concatenate([bnd, oz + ks, bnd, oz + ks, oz + ks, bnd])
-        vals = np.concatenate([k_bind, -k_unbind, k_bind, -k_unbind, k_unbind, -k_bind])
-        reaction = sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
-        a = (diag - dt * blocks + dt * reaction).tocsr()
+        a = a + dt * _slot_matrix(mesh, _exchange((k_bind, None, -k_unbind)))
     else:
-        u_tr = state.u_hat[ops.boundary_cells]
-        arcs = m1s
-        rhs[ops.boundary_cells] += dt * np.asarray(spec.f1(u_tr, state.w_hat, state.z_hat)) * arcs
-        rhs[ow:ow + ns] += dt * np.asarray(spec.f2(u_tr, state.w_hat, state.z_hat)) * arcs
-        rhs[oz:oz + ns] += dt * np.asarray(spec.f3(u_tr, state.w_hat, state.z_hat)) * arcs
-        a = (diag - dt * blocks).tocsr()
-
-    x = _solve_sparse(a, rhs)
-    return State(t1, x[ou:ou + nb], x[ow:ow + ns], x[oz:oz + ns])
+        u_tr = state.u_hat[: mesh.n_surf]
+        for at, f in zip(_slot_slices(mesh), (spec.f1, spec.f2, spec.f3)):
+            rhs[at] += dt * np.asarray(f(u_tr, state.w_hat, state.z_hat)) * arcs
+    x = _solve_sparse(a.tocsr(), rhs)
+    _, at_w, at_z = _slot_slices(mesh)
+    return State(t1, x[: mesh.n_bulk], x[at_w], x[at_z])
 
 
 class ImexStepper:
@@ -446,95 +395,52 @@ class ImexStepper:
         if not self.fast:
             return
         ops = assemble_operators(geom, mesh, params, 0.0)
-        nb, ns = mesh.n_bulk, mesh.n_surf
-        n = nb + 2 * ns
-        self.nb, self.ns = nb, ns
-        self.ow, self.oz = nb, nb + ns
-        self.mb, self.ms = ops.bulk_measures, ops.surf_measures
-        self.bnd = ops.boundary_cells
-        k_unbind = self.ms / params.delta_k_prime if math.isfinite(params.delta_k_prime) \
-            else np.zeros(ns)
-        ks = np.arange(ns)
-        rows = np.concatenate([self.bnd, self.ow + ks, self.oz + ks])
-        cols = np.concatenate([self.oz + ks] * 3)
-        vals = np.concatenate([-k_unbind, -k_unbind, k_unbind])
-        unbind = sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
-        blocks = sp.block_diag([ops.bulk_stiffness, ops.surf_stiffness_w,
-                                ops.surf_stiffness_z], format="coo")
-        a0 = (sp.diags(np.concatenate([self.mb, self.ms, self.ms]))
-              - dt * blocks + dt * unbind).tocsc()
+        ns = mesh.n_surf
+        self.measures = (ops.bulk_measures, ops.surf_measures)
+        k_unbind = ops.surf_measures / params.delta_k_prime \
+            if math.isfinite(params.delta_k_prime) else np.zeros(ns)
+        unbind = _slot_matrix(mesh, _exchange((None, None, -k_unbind)))
+        a0 = (_step_matrix(ops, dt) + dt * unbind).tocsc()
         self.a0 = a0.tocsr()
         self.lu = spla.splu(a0, permc_spec="MMD_AT_PLUS_A")
         # binding update: A = A0 + U diag(dt k_bind) V^T, V^T x = trace of u
-        u_cols = np.zeros((n, ns))
-        u_cols[self.bnd, ks] = 1.0
-        u_cols[self.ow + ks, ks] = 1.0
-        u_cols[self.oz + ks, ks] = -1.0
-        self.ainv_u = self.lu.solve(u_cols)
+        self.u = _slot_matrix(mesh, _exchange((np.ones(ns), None, None))).tocsr()[:, :ns]
+        self.ainv_u = self.lu.solve(self.u.toarray())
         self.w_cap = self.ainv_u[: ns, :]  # V^T A0^{-1} U
-        self.row_norm = float(np.max(np.abs(self.a0).sum(axis=1)))
+        self.row_norm = _row_norm(self.a0)
 
     def step(self, state, check_cfl=True, sources=None):
         if not self.fast:
             return step_imex(state, self.dt, self.geom, self.mesh, self.params, self.spec,
                              sources=sources, check_cfl=check_cfl)
-        dt = self.dt
-        _require_finite(state)
-        if check_cfl:
-            bound = cfl_bound(self.geom, self.mesh, self.params, state)
-            if dt > bound:
-                raise CflViolation(
-                    f"dt = {dt:g} exceeds stability bound {bound:g} at t = {state.t:g}")
-        t0 = state.t
-        nb, ns = self.nb, self.ns
-        rhs = np.concatenate([self.mb * state.u_hat, self.ms * state.w_hat,
-                              self.ms * state.z_hat])
-        if self.geom.surface_slip_active:
-            rhs[self.ow:self.ow + ns] += dt * surface_advection(self.geom, self.mesh, t0,
-                                                                state.w_hat)
-            rhs[self.oz:self.oz + ns] += dt * surface_advection(self.geom, self.mesh, t0,
-                                                                state.z_hat)
-        if sources is not None:
-            su, sw, sz, g = _source_arrays(sources, self.mesh, t0 + dt)
-            if su is not None:
-                rhs[:nb] += dt * su * self.mb
-            if sw is not None:
-                rhs[self.ow:self.ow + ns] += dt * sw * self.ms
-            if sz is not None:
-                rhs[self.oz:self.oz + ns] += dt * sz * self.ms
-            if g is not None:
-                rhs[self.bnd] += dt * g * self.ms
+        dt, mesh = self.dt, self.mesh
+        _check_step(state, dt, self.geom, mesh, self.params, check_cfl)
+        rhs = _imex_rhs(state, dt, self.geom, mesh, self.measures, self.measures, sources)
         y0 = self.lu.solve(rhs)
+        ns = mesh.n_surf
         if math.isfinite(self.params.delta_k):
-            d = dt * self.ms * state.w_hat / self.params.delta_k
+            _, arcs = self.measures
+            d = dt * arcs * state.w_hat / self.params.delta_k
             cap = np.eye(ns) + d[:, None] * self.w_cap
             xi = np.linalg.solve(cap, d * y0[: ns])
             x = y0 - self.ainv_u @ xi
         else:
             d = np.zeros(ns)
             x = y0
-        # backward-error check of the corrected solve against the full matrix
-        ax = self.a0 @ x
-        bind = d * x[: ns]
-        ax[self.bnd] += bind
-        ax[self.ow + np.arange(ns)] += bind
-        ax[self.oz + np.arange(ns)] -= bind
-        scale = self.row_norm * float(np.max(np.abs(x))) + float(np.max(np.abs(rhs)))
-        resid = float(np.max(np.abs(ax - rhs))) / max(scale, 1e-300)
-        if not math.isfinite(resid) or resid > _RESIDUAL_TOL:
-            raise LinearSolveFailure(
-                f"cached-step backward error {resid:.3e} exceeds {_RESIDUAL_TOL:g}")
-        return State(t0 + dt, x[:nb], x[self.ow:self.ow + ns], x[self.oz:self.oz + ns])
+        # backward error of the corrected solve against A0 + U diag(d) V^T
+        _check_backward_error(self.a0 @ x + self.u @ (d * x[: ns]) - rhs, x, rhs,
+                              self.row_norm, "cached-step")
+        _, at_w, at_z = _slot_slices(mesh)
+        return State(state.t + dt, x[: mesh.n_bulk], x[at_w], x[at_z])
 
 
-def _reaction_jacobian_columns(spec, u_tr, w, z, eps=1e-7):
-    """(df/du, df/dw, df/dz) for f1, f2, f3 at the trace points."""
+def _reaction_jacobian_rows(spec, u_tr, w, z, eps=1e-7):
+    """Rows (df1, df2, df3), each the derivatives by (u trace, w, z)."""
     if getattr(spec, "is_mass_action", False):
         dk, dkp = spec.params.delta_k, spec.params.delta_k_prime
         inv_k = 1.0 / dk if math.isfinite(dk) else 0.0
         inv_kp = 1.0 / dkp if math.isfinite(dkp) else 0.0
-        d1 = (-w * inv_k, -u_tr * inv_k, np.full_like(w, inv_kp))
-        return d1, d1, tuple(-c for c in d1)
+        return _exchange((-w * inv_k, -u_tr * inv_k, np.full_like(w, inv_kp)))
     out = []
     for f in (spec.f1, spec.f2, spec.f3):
         base = np.asarray(f(u_tr, w, z), dtype=float)
@@ -557,52 +463,29 @@ def step_implicit(state: State, dt: float, geom: EvolvingGeometry, mesh: Referen
     measured against the equation scale (backward-error style).  With
     return_info=True the result is (state, {"iterations", "residuals"}).
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    _require_finite(state)
+    _check_step(state, dt, geom, mesh, params, check_cfl=False)
     t0, t1 = state.t, state.t + dt
     ops = assemble_operators(geom, mesh, params, t1)
-    m0b = moving_bulk_measures(mesh, geom, t0)
-    m0s = moving_surface_measures(mesh, geom, t0)
-    m1b, m1s = ops.bulk_measures, ops.surf_measures
-    nb, ns = mesh.n_bulk, mesh.n_surf
-    n = nb + 2 * ns
-    ou, ow, oz = 0, nb, nb + ns
-    bnd = ops.boundary_cells
-    arcs = m1s
+    m0 = (moving_bulk_measures(mesh, geom, t0), moving_surface_measures(mesh, geom, t0))
+    arcs = ops.surf_measures
+    slots = _slot_slices(mesh)
+    trace, at_w, at_z = slots
 
-    adv_b = _bulk_advection_matrix(geom, mesh, t1)
+    # upwind surface advection enters implicitly, next to surface diffusion
     adv_s = _surface_advection_matrix(geom, mesh, t1)
-    fixed = (sp.diags(np.concatenate([m1b, m1s, m1s]))
-             - dt * sp.block_diag([ops.bulk_stiffness + adv_b,
-                                   ops.surf_stiffness_w + adv_s,
-                                   ops.surf_stiffness_z + adv_s], format="csr")).tocsr()
-
-    base = np.concatenate([m0b * state.u_hat, m0s * state.w_hat, m0s * state.z_hat])
-    su, sw, sz, g = _source_arrays(sources, mesh, t1)
-    if su is not None:
-        base[ou:ou + nb] += dt * su * m1b
-    if sw is not None:
-        base[ow:ow + ns] += dt * sw * m1s
-    if sz is not None:
-        base[oz:oz + ns] += dt * sz * m1s
-    if g is not None:
-        base[bnd] += dt * g * arcs
+    ops = dataclasses.replace(ops, surf_stiffness_w=ops.surf_stiffness_w + adv_s,
+                              surf_stiffness_z=ops.surf_stiffness_z + adv_s)
+    fixed = _step_matrix(ops, dt).tocsr()
+    base = _mass_rhs(state, dt, mesh, m0, (ops.bulk_measures, arcs), sources)
 
     x = np.concatenate([state.u_hat, state.w_hat, state.z_hat])
-    row_norm = float(np.max(np.abs(fixed).sum(axis=1)))
+    row_norm = _row_norm(fixed)
     history = []
     for iteration in range(max_newton + 1):
-        u_tr = x[bnd]
-        w = x[ow:ow + ns]
-        z = x[oz:oz + ns]
-        f1 = np.asarray(spec.f1(u_tr, w, z), dtype=float)
-        f2 = np.asarray(spec.f2(u_tr, w, z), dtype=float)
-        f3 = np.asarray(spec.f3(u_tr, w, z), dtype=float)
+        u_tr, w, z = x[trace], x[at_w], x[at_z]
         resid = fixed @ x - base
-        resid[bnd] -= dt * f1 * arcs
-        resid[ow:ow + ns] -= dt * f2 * arcs
-        resid[oz:oz + ns] -= dt * f3 * arcs
+        for at, f in zip(slots, (spec.f1, spec.f2, spec.f3)):
+            resid[at] -= dt * np.asarray(f(u_tr, w, z), dtype=float) * arcs
         # residual measured against the equation scale (backward-error style)
         scale = max(1.0, row_norm * float(np.max(np.abs(x))), float(np.max(np.abs(base))))
         norm = float(np.max(np.abs(resid))) / scale
@@ -610,23 +493,13 @@ def step_implicit(state: State, dt: float, geom: EvolvingGeometry, mesh: Referen
         if not math.isfinite(norm):
             raise NewtonDivergence(f"non-finite Newton residual at t = {t1:g}", history)
         if norm < newton_tol:
-            out = State(t1, x[ou:ou + nb], x[ow:ow + ns], x[oz:oz + ns])
+            out = State(t1, x[: mesh.n_bulk], x[at_w], x[at_z])
             if return_info:
                 return out, {"iterations": iteration, "residuals": history}
             return out
-        d1, d2, d3 = _reaction_jacobian_columns(spec, u_tr, w, z)
-        ks = np.arange(ns)
-        rows, cols, vals = [], [], []
-        for row_off, dd in ((0, d1), (ow, d2), (oz, d3)):
-            rr = bnd if row_off == 0 else row_off + ks
-            for col_off, comp in ((0, dd[0]), (ow, dd[1]), (oz, dd[2])):
-                cc = bnd if col_off == 0 else col_off + ks
-                rows.append(rr)
-                cols.append(cc)
-                vals.append(-dt * arcs * comp)
-        jac_r = sp.coo_matrix((np.concatenate(vals),
-                               (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
-        x = x - _solve_sparse((fixed + jac_r).tocsr(), resid)
+        rows = [[-dt * arcs * c for c in row]
+                for row in _reaction_jacobian_rows(spec, u_tr, w, z)]
+        x = x - _solve_sparse((fixed + _slot_matrix(mesh, rows)).tocsr(), resid)
     raise NewtonDivergence(
         f"Newton did not reach {newton_tol:g} in {max_newton} iterations at t = {t1:g} "
         f"(last residual {history[-1]:.3e})", history)
@@ -948,15 +821,22 @@ def run(cfg, on_record=None, on_snapshot=None) -> RunResult:
             emit(out_idx)
         return RunResult(state, records, eq, snapshots)
 
+    steps = 0
     for out_idx in range(1, n_out + 1):
         t_target = out_idx * tcfg.output_interval
         while state.t < t_target - 1e-12:
-            dt = min(tcfg.dt, 0.9 * cfl_bound(geom, mesh, params, state),
-                     t_target - state.t)
+            bound = cfl_bound(geom, mesh, params, state)
+            if 0.9 * bound < _MIN_CFL_STEP * tcfg.dt:
+                raise CflViolation(
+                    f"step {steps + 1} at t = {state.t:g}: stability bound {bound:g} leaves "
+                    f"a step below {_MIN_CFL_STEP:g} x time.dt, the run would not finish")
+            # dt <= 0.9 * bound here, so step_imex need not evaluate the bound again
+            dt = min(tcfg.dt, 0.9 * bound, t_target - state.t)
             if tcfg.stepper == "imex":
-                state = step_imex(state, dt, geom, mesh, params, spec)
+                state = step_imex(state, dt, geom, mesh, params, spec, check_cfl=False)
             else:
                 state = step_implicit(state, dt, geom, mesh, params, spec)
+            steps += 1
         state.t = t_target
         emit(out_idx)
     return RunResult(state, records, eq, snapshots)

@@ -2,6 +2,7 @@
 
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -60,6 +61,15 @@ class TestParseConfig:
     def test_inf_sentinel_accepted(self):
         cfg = parse_config("model.delta_k = inf")
         assert math.isinf(cfg.model.params.delta_k)
+
+    @pytest.mark.parametrize("line", ["time.dt = nan", "time.t_final = nan",
+                                      "time.t_final = inf", "geometry.omega = nan"])
+    def test_nonfinite_value_exits_one_naming_the_key(self, line, tmp_path, capsys):
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text("geometry.kind = rotation\nmesh.n_r = 8\nmesh.n_theta = 16\n"
+                            f"{line}\noutput.directory = {tmp_path}/out\n")
+        assert cli.main(["run", str(cfg_path)]) == 1
+        assert line.split(" = ")[0] in capsys.readouterr().err
 
     def test_time_grid_alignment_enforced(self):
         with pytest.raises(ValidationError):
@@ -223,6 +233,21 @@ class TestCli:
         cli.main(["run", str(cfg_path)])
         lines = (tmp_path / "out" / "diagnostics.csv").read_text().strip().splitlines()
         assert len(lines) >= 2  # header and the t = 0 record survived the failure
+
+    def test_collapsed_cfl_bound_stops_the_run(self, tmp_path, capsys):
+        # the wind caps the step near 4e-10, which would take billions of steps
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(
+            "mesh.n_r = 8\nmesh.n_theta = 16\n"
+            "geometry.kind = surface_wind\ngeometry.wind_speed = 1e9\ntime.cfl = true\n"
+            f"output.directory = {tmp_path}/out\n")
+        start = time.perf_counter()
+        assert cli.main(["run", str(cfg_path)]) == 2
+        assert time.perf_counter() - start < 20.0
+        err = capsys.readouterr().err
+        assert "CflViolation" in err and "step 1 at t = 0" in err
+        lines = (tmp_path / "out" / "diagnostics.csv").read_text().strip().splitlines()
+        assert len(lines) == 2 and lines[1].startswith("0,")
 
     def test_check_assumptions_subcommand(self, tmp_path, capsys):
         code = cli.main(["check-assumptions", "--n", "2000", "--out", str(tmp_path)])

@@ -102,6 +102,20 @@ class TestVelocities:
         assert s.j == pytest.approx(0.0, abs=1e-14)
         assert np.allclose(s.j_omega, 0.0) and np.allclose(s.j_gamma, 0.0)
 
+    def test_bulk_rides_with_the_grid_in_every_preset(self):
+        # J_Omega = V_Omega - V_p vanishes identically: the solver assembles
+        # no bulk advection on the strength of this
+        for kind, kw in [("fixed", {}), ("rotation", dict(omega=1.3, delta=0.4)),
+                         ("breathing", dict(amplitude=0.2, omega=1.0, delta=0.3)),
+                         ("surface_wind", dict(wind_speed=0.5, delta=0.2))]:
+            geom = build_geometry(preset(kind, **kw))
+            for t in (0.0, 0.45, 1.7, 6.0):
+                for r_ref in (1.1, 1.5, 1.9):
+                    rho = float(geom.radius_map(t, r_ref))
+                    for th in (0.2, 2.5, 4.4):
+                        x = np.array([rho * math.cos(th), rho * math.sin(th)])
+                        assert np.all(velocities_at(geom, t, x).j_omega == 0.0)
+
     def test_flux_definitions(self):
         geom = build_geometry(preset("rotation", omega=1.0, delta=0.5))
         x = np.array([1.4, 0.7])

@@ -14,7 +14,7 @@ from bulksurf.mesh import (build_mesh, integrate_bulk, integrate_surface,
                            moving_surface_measures)
 from bulksurf.model import MassAction, ModelParams
 from bulksurf.solver import (ImexStepper, Sources, State, TransportKind,
-                             assemble_operators, bulk_advection, cfl_bound,
+                             assemble_operators, cfl_bound,
                              manufactured_solution_error, step_imex, step_implicit,
                              surface_advection, transport_identity_residual)
 from bulksurf.equilibrium import conserved_masses
@@ -63,45 +63,12 @@ class TestOperators:
         rhs = opsF.surf_stiffness_w.toarray() / opsF.surf_measures[:, None] / rad ** 2
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
-    def test_relative_fluxes_vanish_for_every_preset(self):
-        for kind, kw in [("fixed", {}), ("rotation", dict(omega=1.0)),
-                         ("breathing", dict(amplitude=0.2, omega=1.0))]:
-            geom, mesh, _, _ = make(kind, **kw)
-            field = np.linspace(1.0, 2.0, mesh.n_bulk)
-            assert np.max(np.abs(bulk_advection(geom, mesh, 0.7, field))) == 0.0
-
     def test_surface_wind_upwind_is_conservative(self):
         geom, mesh, _, _ = make("surface_wind", wind_speed=0.5, delta=0.0)
         field = 1.0 + 0.5 * np.sin(mesh.theta_centers)
         net = surface_advection(geom, mesh, 0.3, field)
         assert abs(np.sum(net)) < 1e-14
         assert np.max(np.abs(net)) > 0.0
-
-    def test_bulk_advection_matrix_matches_apply(self):
-        # no preset carries a bulk slip, so drive both code paths with a
-        # synthetic material velocity and compare them entrywise
-        from bulksurf.solver import _bulk_advection_matrix
-
-        geom, mesh, _, _ = make()
-
-        class Slipped(type(geom)):
-            bulk_slip_active = True
-
-            def v_bulk(self, t, y):
-                y = np.asarray(y, dtype=float)
-                out = np.empty_like(y)
-                out[..., 0] = 0.3 * y[..., 1] + 0.1
-                out[..., 1] = -0.2 * y[..., 0]
-                return out
-
-        slipped = Slipped(geom.preset)
-        rng = np.random.default_rng(17)
-        field = rng.random(mesh.n_bulk)
-        direct = bulk_advection(slipped, mesh, 0.4, field)
-        via_matrix = _bulk_advection_matrix(slipped, mesh, 0.4) @ field
-        assert np.max(np.abs(direct - via_matrix)) < 1e-13
-        assert np.max(np.abs(direct)) > 0.0
-        assert abs(np.sum(direct)) < 1e-12  # interior faces telescope
 
 
 class TestStepImex:
