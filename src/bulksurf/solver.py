@@ -31,7 +31,10 @@ Scheme summary (both steppers are first order in time):
     matrix restricted to them is an M-matrix) and w is nonnegative under the
     step bound dt <= delta_K / max(u trace), which is folded into the CFL
     check,
-  * no flux is assembled at the fixed outer wall.
+  * no flux is assembled at the fixed outer wall,
+  * the IMEX step is solved by an rFFT in theta, one radial tridiagonal
+    system per mode (every preset is rotationally symmetric), plus a Woodbury
+    update for the binding term; Newton steps use sparse LU.
 
 The outer-boundary condition is homogeneous no-flux: the only choice
 consistent with conservation of m1 when the outer wall is fixed.
@@ -41,10 +44,12 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import math
 from typing import Callable, Optional
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -113,34 +118,20 @@ def _check_jacobian(geom: EvolvingGeometry, mesh: ReferenceMesh, t: float):
 
 
 def _bulk_stiffness(geom, mesh, t, delta):
-    nt = mesh.n_theta
-    rows, cols, vals = [], [], []
-
-    def add_face(a, b, trans):
-        rows.extend([a, a, b, b])
-        cols.extend([b, a, a, b])
-        vals.extend([trans, -trans, trans, -trans])
-
+    nt, n = mesh.n_theta, mesh.n_bulk
     slope = geom.radial_slope(t)
-    rho_faces = geom.radius_map(t, mesh.r_faces)
-    rho_centers = geom.radius_map(t, mesh.r_centers)
-    k = np.arange(nt)
     # radial internal faces: arc of length rho_f * dtheta, centers slope*dr apart
-    for i in range(1, mesh.n_r):
-        trans = delta * (rho_faces[i] * mesh.dtheta) / (slope * mesh.dr)
-        a = (i - 1) * nt + k
-        b = i * nt + k
-        add_face(a, b, np.full(nt, trans))
+    radial = delta * (geom.radius_map(t, mesh.r_faces[1:-1]) * mesh.dtheta) / (slope * mesh.dr)
     # angular faces: radial extent slope*dr, centers rho_c*dtheta apart
-    kp = (k + 1) % nt
-    for i in range(mesh.n_r):
-        trans = delta * (slope * mesh.dr) / (rho_centers[i] * mesh.dtheta)
-        a = i * nt + k
-        b = i * nt + kp
-        add_face(a, b, np.full(nt, trans))
-    n = mesh.n_bulk
-    return sp.coo_matrix((np.concatenate(vals),
-                          (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)).tocsr()
+    angular = delta * (slope * mesh.dr) / (geom.radius_map(t, mesh.r_centers) * mesh.dtheta)
+    inward, outward = np.r_[0.0, radial], np.r_[radial, 0.0]
+    # the diagonal adds a cell's faces radial first, as a face-by-face sum does
+    diag = np.repeat(-(((inward + outward) + angular) + angular), nt)
+    k, ang, rad = np.arange(n) % nt, np.repeat(angular, nt), np.repeat(radial, nt)
+    inside = np.where(k < nt - 1, ang, 0.0)[:-1]       # face (k, k + 1) of a ring
+    wrap = np.where(k == 0, ang, 0.0)[:n - nt + 1]     # face (n_theta - 1, 0)
+    return sp.diags([rad, wrap, inside, diag, inside, wrap, rad],
+                    [-nt, 1 - nt, -1, 0, 1, nt - 1, nt], shape=(n, n), format="csr")
 
 
 def _surface_stiffness(geom, mesh, t, delta):
@@ -254,7 +245,7 @@ def _row_norm(a) -> float:
 def _check_backward_error(residual, x, rhs, row_norm: float, what: str):
     """Normwise backward error max|A x - b| / (||A|| max|x| + max|b|) of a
     solve, given its residual and the row-sum norm of A; never silent on a
-    bad factorization."""
+    bad factorization or a step matrix the Fourier solve does not fit."""
     scale = row_norm * float(np.max(np.abs(x))) + float(np.max(np.abs(rhs)))
     err = float(np.max(np.abs(residual))) / max(scale, 1e-300)
     if not math.isfinite(err) or err > _RESIDUAL_TOL:
@@ -344,6 +335,90 @@ def _imex_rhs(state: State, dt: float, geom: EvolvingGeometry, mesh: ReferenceMe
     return rhs
 
 
+class _FourierSolve:
+    """The IMEX step matrix at t + dt, A = A0 + U diag(d) V^T, and its solve.
+
+    A0 is _step_matrix plus, for mass action, the unbinding implicit in z;
+    the binding term has d = dt arcs w / delta_K, V^T x = u trace and U adds
+    d * trace to the exchange rows (+u trace, +w, -z) of each slot.
+    A0 commutes with rotations in theta (every preset is rotationally
+    symmetric), so an rFFT splits A0 x = b into n_theta // 2 + 1 systems
+    (Hockney), tridiagonal in the order (w, z, u rings outward) and solved
+    by one LAPACK gtsv call; their eigenvalues are read off the slot-0 rows
+    of A0.  The binding term enters by Woodbury with the circulant
+    capacitance matrix W = V^T A0^{-1} U (Buzbee, Dorr, George and Golub).
+    Every step is checked against the assembled A, so a matrix that broke
+    the symmetry fails.
+    """
+
+    def __init__(self, ops: DiscreteOperators, dt: float, mesh: ReferenceMesh,
+                 params: ModelParams, spec):
+        self.dt, self.mesh, self.params, self.spec = dt, mesh, params, spec
+        self.measures = (ops.bulk_measures, ops.surf_measures)
+        a0 = _step_matrix(ops, dt)
+        if getattr(spec, "is_mass_action", False) and math.isfinite(params.delta_k_prime):
+            k_unbind = ops.surf_measures / params.delta_k_prime
+            a0 = a0 + dt * _slot_matrix(mesh, _exchange((None, None, -k_unbind)))
+        self.a0 = a0 = a0.tocsr()
+        self.abs_rows = np.asarray(abs(a0).sum(axis=1)).ravel()
+        nr, nt = mesh.n_r, mesh.n_theta
+        self.order = np.r_[nr, nr + 1, 0:nr]
+        self.back = np.argsort(self.order)
+        slot0 = a0[self.order * nt].tocoo()
+        ring, k = np.divmod(slot0.col, nt)
+        band = self.back[ring] - slot0.row + 1
+        keep = (band >= 0) & (band <= 2)
+        rows = np.zeros((3, nr + 2, nt))
+        np.add.at(rows, (band[keep], slot0.row[keep], k[keep]), slot0.data[keep])
+        # symmetric blocks have real eigenvalues; laid out one mode after another
+        eig = np.fft.rfft(rows, axis=2).real.transpose(0, 2, 1).reshape(3, -1)
+        self.bands = (eig[0, 1:], eig[1], eig[2, :-1])  # lower, diagonal, upper
+
+    def solve(self, b):
+        """x with A0 x = b."""
+        nt, rings = self.mesh.n_theta, len(self.order)
+        modes = np.fft.rfft(b.reshape(rings, nt)[self.order], axis=1)
+        # real and imaginary parts are two right-hand sides of the real system
+        y = sla.lapack.dgtsv(*self.bands, modes.T.copy().view(float).reshape(-1, 2),
+                             overwrite_b=1)[3]
+        modes = np.ascontiguousarray(y).view(complex).reshape(-1, rings).T
+        return np.fft.irfft(modes, n=nt, axis=1)[self.back].ravel()
+
+    @functools.cached_property
+    def capacitance(self):
+        """W and the rFFT in theta of A0^{-1} U e_0, ring by ring."""
+        unit = np.zeros(self.a0.shape[0])
+        unit[[s.start for s in _slot_slices(self.mesh)]] = (1.0, 1.0, -1.0)
+        g = self.solve(unit).reshape(-1, self.mesh.n_theta)
+        return sla.circulant(g[0]), np.fft.rfft(g, axis=1)
+
+    def step(self, state: State, geom: EvolvingGeometry, m0, sources: Sources | None):
+        """The state at t + dt, from the (bulk, surface) measures m0 at t."""
+        dt, mesh, params, spec, ns = self.dt, self.mesh, self.params, self.spec, self.mesh.n_surf
+        slots = _slot_slices(mesh)
+        rhs = _imex_rhs(state, dt, geom, mesh, m0, self.measures, sources)
+        arcs = self.measures[1]
+        d = np.zeros(ns)
+        if not getattr(spec, "is_mass_action", False):
+            for at, f in zip(slots, (spec.f1, spec.f2, spec.f3)):
+                rhs[at] += dt * np.asarray(f(state.u_hat[:ns], state.w_hat, state.z_hat)) * arcs
+        elif math.isfinite(params.delta_k):
+            d = dt * arcs * state.w_hat / params.delta_k
+        x = self.solve(rhs)
+        if d.any():
+            w_cap, g_modes = self.capacitance
+            xi = np.linalg.solve(np.eye(ns) + d[:, None] * w_cap, d * x[:ns])
+            x = x - np.fft.irfft(g_modes * np.fft.rfft(xi), n=ns, axis=1).ravel()
+        # backward error against the assembled A, whose row sums grow by |d|
+        residual = self.a0 @ x - rhs
+        row_abs = self.abs_rows.copy()
+        for at, sign in zip(slots, (1.0, 1.0, -1.0)):
+            residual[at] += sign * d * x[:ns]
+            row_abs[at] += np.abs(d)
+        _check_backward_error(residual, x, rhs, float(np.max(row_abs)), "IMEX step")
+        return State(state.t + dt, x[: mesh.n_bulk], x[slots[1]], x[slots[2]])
+
+
 def step_imex(state: State, dt: float, geom: EvolvingGeometry, mesh: ReferenceMesh,
               params: ModelParams, spec, sources: Sources | None = None,
               check_cfl: bool = True) -> State:
@@ -356,82 +431,27 @@ def step_imex(state: State, dt: float, geom: EvolvingGeometry, mesh: ReferenceMe
     fully explicit reaction.
     """
     _check_step(state, dt, geom, mesh, params, check_cfl)
-    t0, t1 = state.t, state.t + dt
-    ops = assemble_operators(geom, mesh, params, t1)
-    m0 = (moving_bulk_measures(mesh, geom, t0), moving_surface_measures(mesh, geom, t0))
-    arcs = ops.surf_measures
-    rhs = _imex_rhs(state, dt, geom, mesh, m0, (ops.bulk_measures, arcs), sources)
-    a = _step_matrix(ops, dt)
-    if getattr(spec, "is_mass_action", False):
-        ns = mesh.n_surf
-        k_bind = arcs * state.w_hat / params.delta_k if math.isfinite(params.delta_k) \
-            else np.zeros(ns)
-        k_unbind = arcs / params.delta_k_prime if math.isfinite(params.delta_k_prime) \
-            else np.zeros(ns)
-        a = a + dt * _slot_matrix(mesh, _exchange((k_bind, None, -k_unbind)))
-    else:
-        u_tr = state.u_hat[: mesh.n_surf]
-        for at, f in zip(_slot_slices(mesh), (spec.f1, spec.f2, spec.f3)):
-            rhs[at] += dt * np.asarray(f(u_tr, state.w_hat, state.z_hat)) * arcs
-    x = _solve_sparse(a.tocsr(), rhs)
-    _, at_w, at_z = _slot_slices(mesh)
-    return State(t1, x[: mesh.n_bulk], x[at_w], x[at_z])
+    m0 = (moving_bulk_measures(mesh, geom, state.t), moving_surface_measures(mesh, geom, state.t))
+    ops = assemble_operators(geom, mesh, params, state.t + dt)
+    return _FourierSolve(ops, dt, mesh, params, spec).step(state, geom, m0, sources)
 
 
 class ImexStepper:
-    """IMEX stepping with a cached factorization for static-metric presets.
-
-    For mass-action runs on geometries whose measures and transmissibilities
-    do not depend on t, the step matrix is a fixed operator plus a rank
-    n_theta reaction update (the binding coefficients follow w^n).  The fixed
-    part is factorized once and every step costs one back-substitution plus a
-    small dense solve (Woodbury identity); results agree with step_imex to
-    rounding.  Anything else falls back to step_imex.
-    """
+    """IMEX stepping at a fixed dt; on static-metric presets the step matrix
+    and its Fourier solve are set up once, agreeing with step_imex to
+    rounding.  Moving metrics step through step_imex."""
 
     def __init__(self, geom, mesh, params, spec, dt):
         self.geom, self.mesh, self.params, self.spec, self.dt = geom, mesh, params, spec, dt
-        self.fast = geom.metric_is_static and getattr(spec, "is_mass_action", False)
-        if not self.fast:
-            return
-        ops = assemble_operators(geom, mesh, params, 0.0)
-        ns = mesh.n_surf
-        self.measures = (ops.bulk_measures, ops.surf_measures)
-        k_unbind = ops.surf_measures / params.delta_k_prime \
-            if math.isfinite(params.delta_k_prime) else np.zeros(ns)
-        unbind = _slot_matrix(mesh, _exchange((None, None, -k_unbind)))
-        a0 = (_step_matrix(ops, dt) + dt * unbind).tocsc()
-        self.a0 = a0.tocsr()
-        self.lu = spla.splu(a0, permc_spec="MMD_AT_PLUS_A")
-        # binding update: A = A0 + U diag(dt k_bind) V^T, V^T x = trace of u
-        self.u = _slot_matrix(mesh, _exchange((np.ones(ns), None, None))).tocsr()[:, :ns]
-        self.ainv_u = self.lu.solve(self.u.toarray())
-        self.w_cap = self.ainv_u[: ns, :]  # V^T A0^{-1} U
-        self.row_norm = _row_norm(self.a0)
+        self.system = _FourierSolve(assemble_operators(geom, mesh, params, 0.0), dt, mesh,
+                                    params, spec) if geom.metric_is_static else None
 
     def step(self, state, check_cfl=True, sources=None):
-        if not self.fast:
+        if self.system is None:
             return step_imex(state, self.dt, self.geom, self.mesh, self.params, self.spec,
                              sources=sources, check_cfl=check_cfl)
-        dt, mesh = self.dt, self.mesh
-        _check_step(state, dt, self.geom, mesh, self.params, check_cfl)
-        rhs = _imex_rhs(state, dt, self.geom, mesh, self.measures, self.measures, sources)
-        y0 = self.lu.solve(rhs)
-        ns = mesh.n_surf
-        if math.isfinite(self.params.delta_k):
-            _, arcs = self.measures
-            d = dt * arcs * state.w_hat / self.params.delta_k
-            cap = np.eye(ns) + d[:, None] * self.w_cap
-            xi = np.linalg.solve(cap, d * y0[: ns])
-            x = y0 - self.ainv_u @ xi
-        else:
-            d = np.zeros(ns)
-            x = y0
-        # backward error of the corrected solve against A0 + U diag(d) V^T
-        _check_backward_error(self.a0 @ x + self.u @ (d * x[: ns]) - rhs, x, rhs,
-                              self.row_norm, "cached-step")
-        _, at_w, at_z = _slot_slices(mesh)
-        return State(state.t + dt, x[: mesh.n_bulk], x[at_w], x[at_z])
+        _check_step(state, self.dt, self.geom, self.mesh, self.params, check_cfl)
+        return self.system.step(state, self.geom, self.system.measures, sources)
 
 
 def _reaction_jacobian_rows(spec, u_tr, w, z, eps=1e-7):
@@ -454,7 +474,7 @@ def _reaction_jacobian_rows(spec, u_tr, w, z, eps=1e-7):
 def step_implicit(state: State, dt: float, geom: EvolvingGeometry, mesh: ReferenceMesh,
                   params: ModelParams, spec, newton_tol: float = 1e-11,
                   max_newton: int = 25, sources: Sources | None = None,
-                  return_info: bool = False):
+                  return_info: bool = False, ops: DiscreteOperators | None = None):
     """Backward-Euler step solved by Newton; stiff-robust alternative.
 
     Everything (diffusion, advection, reaction) is evaluated at the new time
@@ -462,19 +482,20 @@ def step_implicit(state: State, dt: float, geom: EvolvingGeometry, mesh: Referen
     the conservation contract matches the IMEX stepper.  newton_tol is
     measured against the equation scale (backward-error style).  With
     return_info=True the result is (state, {"iterations", "residuals"}).
+    ops, the operators at t + dt, may be given once for all steps of a static metric.
     """
     _check_step(state, dt, geom, mesh, params, check_cfl=False)
     t0, t1 = state.t, state.t + dt
-    ops = assemble_operators(geom, mesh, params, t1)
+    if ops is None:
+        ops = assemble_operators(geom, mesh, params, t1)
     m0 = (moving_bulk_measures(mesh, geom, t0), moving_surface_measures(mesh, geom, t0))
     arcs = ops.surf_measures
-    slots = _slot_slices(mesh)
-    trace, at_w, at_z = slots
-
-    # upwind surface advection enters implicitly, next to surface diffusion
-    adv_s = _surface_advection_matrix(geom, mesh, t1)
-    ops = dataclasses.replace(ops, surf_stiffness_w=ops.surf_stiffness_w + adv_s,
-                              surf_stiffness_z=ops.surf_stiffness_z + adv_s)
+    trace, at_w, at_z = slots = _slot_slices(mesh)
+    if geom.surface_slip_active:
+        # upwind surface advection enters implicitly, next to surface diffusion
+        adv_s = _surface_advection_matrix(geom, mesh, t1)
+        ops = dataclasses.replace(ops, surf_stiffness_w=ops.surf_stiffness_w + adv_s,
+                                  surf_stiffness_z=ops.surf_stiffness_z + adv_s)
     fixed = _step_matrix(ops, dt).tocsr()
     base = _mass_rhs(state, dt, mesh, m0, (ops.bulk_measures, arcs), sources)
 
@@ -806,17 +827,19 @@ def run(cfg, on_record=None, on_snapshot=None) -> RunResult:
         return RunResult(state, records, eq, snapshots)
 
     n_out = int(round(tcfg.t_final / tcfg.output_interval))
+    static_ops = assemble_operators(geom, mesh, params, 0.0) \
+        if tcfg.stepper == "implicit" and geom.metric_is_static else None
     if not tcfg.cfl:
         # fixed dt: counted sub-steps (config guarantees divisibility)
         per_interval = int(round(tcfg.output_interval / tcfg.dt))
-        cached = ImexStepper(geom, mesh, params, spec, tcfg.dt) \
-            if tcfg.stepper == "imex" else None
+        if tcfg.stepper == "imex":
+            advance = ImexStepper(geom, mesh, params, spec, tcfg.dt).step
+        else:
+            advance = functools.partial(step_implicit, dt=tcfg.dt, geom=geom, mesh=mesh,
+                                        params=params, spec=spec, ops=static_ops)
         for out_idx in range(1, n_out + 1):
             for _ in range(per_interval):
-                if cached is not None:
-                    state = cached.step(state)
-                else:
-                    state = step_implicit(state, tcfg.dt, geom, mesh, params, spec)
+                state = advance(state)
             state.t = out_idx * tcfg.output_interval  # kill time roundoff
             emit(out_idx)
         return RunResult(state, records, eq, snapshots)
@@ -835,7 +858,7 @@ def run(cfg, on_record=None, on_snapshot=None) -> RunResult:
             if tcfg.stepper == "imex":
                 state = step_imex(state, dt, geom, mesh, params, spec, check_cfl=False)
             else:
-                state = step_implicit(state, dt, geom, mesh, params, spec)
+                state = step_implicit(state, dt, geom, mesh, params, spec, ops=static_ops)
             steps += 1
         state.t = t_target
         emit(out_idx)

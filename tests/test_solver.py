@@ -6,17 +6,21 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st_
 from scipy.integrate import solve_ivp
 
+from bulksurf import solver
+from bulksurf.config import parse_config
 from bulksurf.errors import CflViolation, NewtonDivergence, UnknownCase
 from bulksurf.geometry import GeometryKind, GeometryPreset, build_geometry
 from bulksurf.mesh import (build_mesh, integrate_bulk, integrate_surface,
-                           moving_surface_measures)
-from bulksurf.model import MassAction, ModelParams
-from bulksurf.solver import (ImexStepper, Sources, State, TransportKind,
-                             assemble_operators, cfl_bound,
-                             manufactured_solution_error, step_imex, step_implicit,
-                             surface_advection, transport_identity_residual)
+                           moving_bulk_measures, moving_surface_measures)
+from bulksurf.model import CUSTOM_NONLINEARITIES, MassAction, ModelParams
+from bulksurf.solver import (ImexStepper, Sources, State, TransportKind, _exchange,
+                             _imex_rhs, _slot_matrix, _step_matrix, assemble_operators,
+                             cfl_bound, manufactured_solution_error, step_imex,
+                             step_implicit, surface_advection, transport_identity_residual)
 from bulksurf.equilibrium import conserved_masses
 
 
@@ -34,6 +38,11 @@ def random_state(mesh, seed=0, base=1.0, spread=0.5):
                  base + spread * rng.random(mesh.n_bulk),
                  base + spread * rng.random(mesh.n_surf),
                  base + spread * rng.random(mesh.n_surf))
+
+
+PRESETS = {"fixed": {}, "rotation": dict(omega=1.0, delta=0.5),
+           "breathing": dict(amplitude=0.15, omega=1.0, delta=0.2),
+           "surface_wind": dict(wind_speed=0.4, delta=0.5)}
 
 
 class TestOperators:
@@ -62,6 +71,31 @@ class TestOperators:
         lhs = opsB.surf_stiffness_w.toarray() / opsB.surf_measures[:, None]
         rhs = opsF.surf_stiffness_w.toarray() / opsF.surf_measures[:, None] / rad ** 2
         assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+    @pytest.mark.parametrize("kind", sorted(PRESETS))
+    def test_bulk_stiffness_matches_face_by_face(self, kind):
+        geom = build_geometry(GeometryPreset(GeometryKind(kind), 1.0, 2.0, **PRESETS[kind]))
+        mesh = build_mesh(8, 16, 1.0, 2.0)
+        nt, delta = mesh.n_theta, 0.7
+        for t in (0.0, 0.8):
+            slope = geom.radial_slope(t)
+            ref = np.zeros((mesh.n_bulk, mesh.n_bulk))
+
+            def face(p, q, trans):
+                ref[[p, q], [q, p]] += trans
+                ref[[p, q], [p, q]] -= trans
+
+            for i in range(mesh.n_r):
+                rho_c = geom.radius_map(t, mesh.r_centers[i])
+                for k in range(nt):
+                    cell = i * nt + k
+                    face(cell, i * nt + (k + 1) % nt,
+                         delta * slope * mesh.dr / (rho_c * mesh.dtheta))
+                    if i > 0:
+                        rho_f = geom.radius_map(t, mesh.r_faces[i])
+                        face(cell - nt, cell, delta * rho_f * mesh.dtheta / (slope * mesh.dr))
+            got = solver._bulk_stiffness(geom, mesh, t, delta).toarray()
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_surface_wind_upwind_is_conservative(self):
         geom, mesh, _, _ = make("surface_wind", wind_speed=0.5, delta=0.0)
@@ -158,14 +192,106 @@ class TestStepImex:
             hi.append(np.max(st.u_hat))
         assert all(hi[i + 1] <= hi[i] + 1e-13 for i in range(len(hi) - 1))
 
-    def test_cached_stepper_matches_plain(self):
-        geom, mesh, params, spec = make("surface_wind", wind_speed=0.3, delta=0.4)
-        st = random_state(mesh, seed=9)
-        fast = ImexStepper(geom, mesh, params, spec, 0.01).step(st)
-        slow = step_imex(st, 0.01, geom, mesh, params, spec)
-        assert np.max(np.abs(fast.u_hat - slow.u_hat)) < 1e-12
-        assert np.max(np.abs(fast.w_hat - slow.w_hat)) < 1e-12
-        assert np.max(np.abs(fast.z_hat - slow.z_hat)) < 1e-12
+
+def superlu_step(st, dt, geom, mesh, params, spec):
+    """The plain IMEX step: the full step matrix, binding term included,
+    assembled as one sparse matrix and solved by SuperLU."""
+    ops = assemble_operators(geom, mesh, params, st.t + dt)
+    m0 = (moving_bulk_measures(mesh, geom, st.t), moving_surface_measures(mesh, geom, st.t))
+    arcs, ns, nb = ops.surf_measures, mesh.n_surf, mesh.n_bulk
+    rhs = _imex_rhs(st, dt, geom, mesh, m0, (ops.bulk_measures, arcs), None)
+    a = _step_matrix(ops, dt)
+    if spec.is_mass_action:
+        dk, dkp = params.delta_k, params.delta_k_prime
+        k_bind = arcs * st.w_hat / dk if math.isfinite(dk) else np.zeros(ns)
+        k_unbind = arcs / dkp if math.isfinite(dkp) else np.zeros(ns)
+        a = a + dt * _slot_matrix(mesh, _exchange((k_bind, None, -k_unbind)))
+    else:
+        for at, f in zip((slice(0, ns), slice(nb, nb + ns), slice(nb + ns, None)),
+                         (spec.f1, spec.f2, spec.f3)):
+            rhs[at] += dt * f(st.u_hat[:ns], st.w_hat, st.z_hat) * arcs
+    x = spla.spsolve(a.tocsc(), rhs)
+    return State(st.t + dt, x[:nb], x[nb:nb + ns], x[nb + ns:])
+
+
+def assert_same_state(got, ref, rtol=1e-12):
+    x = np.concatenate([got.u_hat, got.w_hat, got.z_hat])
+    y = np.concatenate([ref.u_hat, ref.w_hat, ref.z_hat])
+    assert got.t == ref.t
+    assert np.max(np.abs(x - y)) <= rtol * np.max(np.abs(y))
+
+
+REACTIONS = {"mass_action": (1.0, 0.5), "no_binding": (math.inf, 0.7),
+             "no_unbinding": (0.3, math.inf), "saturating_binding": (1.0, 1.0)}
+
+
+def reaction_spec(name, params):
+    if name == "saturating_binding":
+        return CUSTOM_NONLINEARITIES[name](params)
+    return MassAction(params)
+
+
+class TestFourierSolve:
+    """The Fourier IMEX step against SuperLU on the same assembled matrix."""
+
+    @pytest.mark.parametrize("n_theta", [16, 17])
+    @pytest.mark.parametrize("reaction", sorted(REACTIONS))
+    @pytest.mark.parametrize("kind", sorted(PRESETS))
+    def test_matches_superlu(self, kind, reaction, n_theta):
+        geom = build_geometry(GeometryPreset(GeometryKind(kind), 1.0, 2.0, **PRESETS[kind]))
+        mesh = build_mesh(6, n_theta, 1.0, 2.0)
+        params = ModelParams(1.0, 0.7, 1.3, *REACTIONS[reaction])
+        spec = reaction_spec(reaction, params)
+        # fixed dt through the stepper that keeps its set-up between steps
+        stepper = ImexStepper(geom, mesh, params, spec, 0.02)
+        st = random_state(mesh, seed=4)
+        for _ in range(3):
+            ref = superlu_step(st, 0.02, geom, mesh, params, spec)
+            st = stepper.step(st)
+            assert_same_state(st, ref)
+        # CFL-adaptive dt through step_imex
+        for _ in range(3):
+            dt = min(0.05, 0.9 * cfl_bound(geom, mesh, params, st))
+            ref = superlu_step(st, dt, geom, mesh, params, spec)
+            st = step_imex(st, dt, geom, mesh, params, spec)
+            assert_same_state(st, ref)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(kind=st_.sampled_from(sorted(PRESETS)), n_r=st_.integers(4, 9),
+           n_theta=st_.integers(8, 21), seed=st_.integers(0, 2 ** 16),
+           dt=st_.floats(1e-3, 0.2), delta=st_.tuples(*[st_.floats(0.05, 5.0)] * 5))
+    def test_one_step_agrees_and_conserves(self, kind, n_r, n_theta, seed, dt, delta):
+        geom = build_geometry(GeometryPreset(GeometryKind(kind), 1.0, 2.0, **PRESETS[kind]))
+        mesh = build_mesh(n_r, n_theta, 1.0, 2.0)
+        params = ModelParams(*delta)
+        spec = MassAction(params)
+        st0 = random_state(mesh, seed=seed, base=0.2, spread=2.0)
+        dt = min(dt, 0.9 * cfl_bound(geom, mesh, params, st0))
+        st1 = step_imex(st0, dt, geom, mesh, params, spec)
+        assert_same_state(st1, superlu_step(st0, dt, geom, mesh, params, spec))
+        for before, after in zip(conserved_masses(st0, geom, mesh),
+                                 conserved_masses(st1, geom, mesh)):
+            assert abs(after - before) <= 1e-12 * (1 + abs(before))
+        assert min(st1.u_hat.min(), st1.w_hat.min(), st1.z_hat.min()) >= -1e-12
+
+    def test_backward_error_check_is_live(self, monkeypatch):
+        from bulksurf.errors import LinearSolveFailure
+        geom, mesh, params, spec = make("rotation", omega=1.0, delta=0.5)
+        st = random_state(mesh, seed=1)
+        stepper = ImexStepper(geom, mesh, params, spec, 0.01)
+        fourier = solver._FourierSolve.solve
+
+        def perturbed(self, b):
+            x = fourier(self, b)
+            x[len(x) // 2] += 1e-6 * np.max(np.abs(x))
+            return x
+
+        monkeypatch.setattr(solver._FourierSolve, "solve", perturbed)
+        with pytest.raises(LinearSolveFailure):
+            stepper.step(st)
+        geom, mesh, params, spec = make("breathing", amplitude=0.15, omega=1.0)
+        with pytest.raises(LinearSolveFailure):
+            step_imex(st, 0.01, geom, mesh, params, spec)
 
 
 class TestStepImplicit:
@@ -213,6 +339,32 @@ class TestStepImplicit:
             errs.append(max(abs(g - o) for g, o in zip(got, ref)))
         slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
         assert slope >= 0.9
+
+    @pytest.mark.parametrize("kind", ["fixed", "rotation", "surface_wind"])
+    def test_static_metric_assembles_once(self, kind, monkeypatch):
+        text = "\n".join([f"geometry.kind = {kind}", "geometry.omega = 1.0",
+                          "geometry.wind_speed = 0.4", "geometry.delta = 0.5",
+                          "mesh.n_r = 6", "mesh.n_theta = 12", "model.delta_k = 0.05",
+                          "time.stepper = implicit", "time.t_final = 0.06", "time.dt = 0.01",
+                          "time.output_interval = 0.02", "ic.profile = perturbed_equilibrium",
+                          "ic.amplitude = 0.3"])
+        cfg = parse_config(text)
+        calls = []
+        assemble = solver.assemble_operators
+        monkeypatch.setattr(solver, "assemble_operators",
+                            lambda *args: calls.append(args) or assemble(*args))
+        final = solver.run(cfg).final_state
+        assert len(calls) == 1
+        # the same steps, each assembling its own operators
+        geom = build_geometry(cfg.geometry)
+        mesh = build_mesh(6, 12, 1.0, 2.0)
+        st = solver.initial_state(cfg, geom, mesh, cfg.model.params)
+        for _ in range(6):
+            st = step_implicit(st, 0.01, geom, mesh, cfg.model.params,
+                               cfg.model.make_nonlinearity())
+        for a, b in ((final.u_hat, st.u_hat), (final.w_hat, st.w_hat), (final.z_hat, st.z_hat)):
+            assert np.array_equal(a, b)
+        assert len(calls) == 7
 
     def test_newton_divergence_surfaces(self):
         geom, mesh, params, spec = make()
