@@ -32,9 +32,9 @@ Scheme summary (both steppers are first order in time):
     step bound dt <= delta_K / max(u trace), which is folded into the CFL
     check,
   * no flux is assembled at the fixed outer wall,
-  * the IMEX step is solved by an rFFT in theta, one radial tridiagonal
+  * every linear system is solved by an rFFT in theta, one radial tridiagonal
     system per mode (every preset is rotationally symmetric), plus a Woodbury
-    update for the binding term; Newton steps use sparse LU.
+    update over the surface slots for the binding term or Newton's Jacobian.
 
 The outer-boundary condition is homogeneous no-flux: the only choice
 consistent with conservation of m1 when the outer wall is fixed.
@@ -51,7 +51,6 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import (CflViolation, LinearSolveFailure, NewtonDivergence,
                      NonfiniteField, SingularJacobian, UnknownCase)
@@ -109,6 +108,7 @@ class DiscreteOperators:
     surf_stiffness_z: sp.csr_matrix    # includes delta_Gamma_prime
     bulk_measures: np.ndarray
     surf_measures: np.ndarray          # also the coupling arcs, index-aligned
+    newton: Optional["_FourierSolve"] = dataclasses.field(default=None, init=False, repr=False)
 
 
 def _check_jacobian(geom: EvolvingGeometry, mesh: ReferenceMesh, t: float):
@@ -177,13 +177,13 @@ def _surface_face_velocities(geom, mesh, t):
     return np.sum(jg * tau, axis=-1)
 
 
-def surface_advection(geom, mesh, t, field):
-    """Net upwind J_Gamma inflow per surface cell."""
+def surface_advection(geom, mesh, t, field, q=None):
+    """Net upwind J_Gamma inflow per surface cell (of each row of field)."""
     w = np.asarray(field, dtype=float)
-    q = _surface_face_velocities(geom, mesh, t)
-    donor = np.where(q >= 0.0, w, np.roll(w, -1))
+    q = _surface_face_velocities(geom, mesh, t) if q is None else q
+    donor = np.where(q >= 0.0, w, np.roll(w, -1, axis=-1))
     flux = q * donor
-    return np.roll(flux, 1) - flux
+    return np.roll(flux, 1, axis=-1) - flux
 
 
 def _surface_advection_matrix(geom, mesh, t):
@@ -202,18 +202,19 @@ def _surface_advection_matrix(geom, mesh, t):
 
 
 def cfl_bound(geom: EvolvingGeometry, mesh: ReferenceMesh, params: ModelParams,
-              state: State) -> float:
+              state: State, q=None) -> float:
     """Largest dt the IMEX stepper accepts at this state.
 
     Advective part: min over surface faces of arc length / |J_Gamma . tau|.
     Reaction part (mass action): dt <= delta_K / max trace of u, which keeps
     the receptor update nonnegative (surface cell and coupling arc coincide,
     so their ratio drops out).  Infinite when nothing constrains the step.
+    q, the surface face velocities at t, may be passed in.
     """
     t = state.t
     bound = math.inf
     if geom.surface_slip_active:
-        qs = np.abs(_surface_face_velocities(geom, mesh, t))
+        qs = np.abs(_surface_face_velocities(geom, mesh, t) if q is None else q)
         if qs.size and np.max(qs) > 0:
             arc = float(np.min(geom.surface_stretch(t, mesh.theta_faces[1:]))) * mesh.dtheta
             bound = min(bound, arc / float(np.max(qs)))
@@ -224,22 +225,21 @@ def cfl_bound(geom: EvolvingGeometry, mesh: ReferenceMesh, params: ModelParams,
     return bound
 
 
-def _check_step(state: State, dt: float, geom, mesh, params, check_cfl: bool):
+def _check_step(state: State, dt: float, geom, mesh, params, check_cfl: bool, q=None):
     """Preconditions of every step: positive dt, a finite state and, when
-    check_cfl is set, dt within cfl_bound."""
+    check_cfl is set, dt within cfl_bound; returns q as used for the bound."""
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     if not (np.all(np.isfinite(state.u_hat)) and np.all(np.isfinite(state.w_hat))
             and np.all(np.isfinite(state.z_hat))):
         raise NonfiniteField(f"state at t = {state.t:g} contains non-finite values")
     if check_cfl:
-        bound = cfl_bound(geom, mesh, params, state)
+        if q is None and geom.surface_slip_active:
+            q = _surface_face_velocities(geom, mesh, state.t)
+        bound = cfl_bound(geom, mesh, params, state, q)
         if dt > bound:
             raise CflViolation(f"dt = {dt:g} exceeds stability bound {bound:g} at t = {state.t:g}")
-
-
-def _row_norm(a) -> float:
-    return float(np.max(np.abs(a).sum(axis=1)))
+    return q
 
 
 def _check_backward_error(residual, x, rhs, row_norm: float, what: str):
@@ -252,16 +252,6 @@ def _check_backward_error(residual, x, rhs, row_norm: float, what: str):
         raise LinearSolveFailure(f"{what} backward error {err:.3e} exceeds {_RESIDUAL_TOL:g}")
 
 
-def _solve_sparse(a_csr, rhs):
-    try:
-        lu = spla.splu(a_csr.tocsc(), permc_spec="MMD_AT_PLUS_A")
-        x = lu.solve(rhs)
-    except RuntimeError as exc:  # singular factorization
-        raise LinearSolveFailure(f"sparse LU failed: {exc}") from exc
-    _check_backward_error(a_csr @ x - rhs, x, rhs, _row_norm(a_csr), "linear solve")
-    return x
-
-
 # -- step assembly over the stacked unknowns (u, w, z) ------------------------------
 
 
@@ -272,35 +262,32 @@ def _slot_slices(mesh: ReferenceMesh):
     return slice(0, ns), slice(nb, nb + ns), slice(nb + ns, nb + 2 * ns)
 
 
-def _exchange(flux):
-    """Equation rows (u trace, w, z) of one exchange flux per surface slot.
-
-    The flux is a gain for the u trace and for w and a loss for z; entering
-    all three with the same value is what conserves m1 and m2.  flux holds
-    per-slot coefficients of the slot unknowns (u trace, w, z), None where
-    the flux does not depend on one.
-    """
-    return flux, flux, tuple(None if c is None else -c for c in flux)
+# signs of an exchange flux in the rows (u trace, w, z); equal values conserve m1, m2
+_EXCHANGE = (1.0, 1.0, -1.0)
 
 
-def _slot_matrix(mesh: ReferenceMesh, rows):
-    """Sparse matrix over the stacked unknowns holding the per-slot
-    coefficients rows[i][j] at equation i and unknown j of every surface
-    slot, i and j running over (u trace, w, z); None entries are skipped."""
+def _slot_matrix(mesh: ReferenceMesh, pattern, coeffs):
+    """Sparse matrix over the stacked unknowns of a slot term: per slot, the
+    flux coeffs . (u trace, w, z) (None skipped) times the pattern's signs."""
     n = mesh.n_bulk + 2 * mesh.n_surf
     idx = [np.arange(s.start, s.stop) for s in _slot_slices(mesh)]
-    entries = [(idx[i], idx[j], coeff) for i, row in enumerate(rows)
-               for j, coeff in enumerate(row) if coeff is not None]
+    entries = [(idx[i], idx[j], sign * coeff) for i, sign in enumerate(pattern) if sign
+               for j, coeff in enumerate(coeffs) if coeff is not None]
     r, c, v = (np.concatenate(part) for part in zip(*entries))
     return sp.coo_matrix((v, (r, c)), shape=(n, n))
 
 
 def _step_matrix(ops: DiscreteOperators, dt: float):
-    """Moving measures at t + dt minus dt times the stiffness operators."""
-    ms = ops.surf_measures
-    return (sp.diags(np.concatenate([ops.bulk_measures, ms, ms]))
-            - dt * sp.block_diag([ops.bulk_stiffness, ops.surf_stiffness_w,
-                                  ops.surf_stiffness_z], format="coo"))
+    """Moving measures at t + dt minus dt times the stiffness operators, as CSR
+    stacked from the blocks' arrays; every stiffness row stores its diagonal."""
+    blocks = (ops.bulk_stiffness, ops.surf_stiffness_w, ops.surf_stiffness_z)
+    first = np.cumsum([0] + [b.shape[0] for b in blocks]).tolist()
+    indptr = np.r_[0, np.cumsum(np.concatenate([np.diff(b.indptr) for b in blocks]))]
+    indices = np.concatenate([b.indices + f for b, f in zip(blocks, first)])
+    data = -(dt * np.concatenate([b.data for b in blocks]))
+    diag = np.flatnonzero(indices == np.repeat(np.arange(first[-1]), np.diff(indptr)))
+    data[diag] += np.r_[ops.bulk_measures, ops.surf_measures, ops.surf_measures]
+    return sp.csr_matrix((data, indices, indptr), shape=(first[-1],) * 2)
 
 
 def _mass_rhs(state: State, dt: float, mesh: ReferenceMesh, m0, m1,
@@ -325,40 +312,38 @@ def _mass_rhs(state: State, dt: float, mesh: ReferenceMesh, m0, m1,
 
 
 def _imex_rhs(state: State, dt: float, geom: EvolvingGeometry, mesh: ReferenceMesh,
-              m0, m1, sources: Sources | None):
-    """_mass_rhs plus the explicit upwind surface advection at t."""
+              m0, m1, sources: Sources | None, q=None):
+    """_mass_rhs plus the explicit upwind surface advection at t (q as in cfl_bound)."""
     rhs = _mass_rhs(state, dt, mesh, m0, m1, sources)
     if geom.surface_slip_active:
-        _, at_w, at_z = _slot_slices(mesh)
-        rhs[at_w] += dt * surface_advection(geom, mesh, state.t, state.w_hat)
-        rhs[at_z] += dt * surface_advection(geom, mesh, state.t, state.z_hat)
+        fields = np.stack([state.w_hat, state.z_hat])
+        rhs[mesh.n_bulk:] += dt * surface_advection(geom, mesh, state.t, fields, q).ravel()
     return rhs
 
 
 class _FourierSolve:
-    """The IMEX step matrix at t + dt, A = A0 + U diag(d) V^T, and its solve.
-
-    A0 is _step_matrix plus, for mass action, the unbinding implicit in z;
-    the binding term has d = dt arcs w / delta_K, V^T x = u trace and U adds
-    d * trace to the exchange rows (+u trace, +w, -z) of each slot.
-    A0 commutes with rotations in theta (every preset is rotationally
-    symmetric), so an rFFT splits A0 x = b into n_theta // 2 + 1 systems
-    (Hockney), tridiagonal in the order (w, z, u rings outward) and solved
-    by one LAPACK gtsv call; their eigenvalues are read off the slot-0 rows
-    of A0.  The binding term enters by Woodbury with the circulant
-    capacitance matrix W = V^T A0^{-1} U (Buzbee, Dorr, George and Golub).
-    Every step is checked against the assembled A, so a matrix that broke
-    the symmetry fails.
+    """A step matrix at t + dt, A0 plus slot terms (see _slot_matrix), and its
+    solve.  A0 is _step_matrix plus, for an IMEX step with mass action (spec
+    given), the unbinding implicit in z; advective says that ops carry a
+    Newton step's implicit upwind surface advection.  A0 commutes with
+    rotations in theta (every preset is rotationally symmetric), so an rFFT
+    splits A0 x = b into n_theta // 2 + 1 systems (Hockney), tridiagonal in
+    the order (w, z, u rings outward) and solved by one LAPACK gtsv call;
+    their eigenvalues are read off the slot-0 rows of A0.  The slot terms
+    enter by Woodbury with a capacitance matrix of circulant blocks (Buzbee,
+    Dorr, George and Golub).  Every solve is checked against the assembled
+    A, so a matrix that broke the symmetry fails.
     """
 
     def __init__(self, ops: DiscreteOperators, dt: float, mesh: ReferenceMesh,
-                 params: ModelParams, spec):
+                 params: ModelParams, spec=None, advective: bool = False):
         self.dt, self.mesh, self.params, self.spec = dt, mesh, params, spec
+        self.advective, self.responses = advective, {}
         self.measures = (ops.bulk_measures, ops.surf_measures)
         a0 = _step_matrix(ops, dt)
         if getattr(spec, "is_mass_action", False) and math.isfinite(params.delta_k_prime):
             k_unbind = ops.surf_measures / params.delta_k_prime
-            a0 = a0 + dt * _slot_matrix(mesh, _exchange((None, None, -k_unbind)))
+            a0 = a0 + dt * _slot_matrix(mesh, _EXCHANGE, (None, None, -k_unbind))
         self.a0 = a0 = a0.tocsr()
         self.abs_rows = np.asarray(abs(a0).sum(axis=1)).ravel()
         nr, nt = mesh.n_r, mesh.n_theta
@@ -370,70 +355,100 @@ class _FourierSolve:
         keep = (band >= 0) & (band <= 2)
         rows = np.zeros((3, nr + 2, nt))
         np.add.at(rows, (band[keep], slot0.row[keep], k[keep]), slot0.data[keep])
-        # symmetric blocks have real eigenvalues; laid out one mode after another
-        eig = np.fft.rfft(rows, axis=2).real.transpose(0, 2, 1).reshape(3, -1)
+        # mode p of a slot-0 row a is sum_k a_k exp(2 pi i p k / n_theta): real
+        # for the symmetric blocks, complex when upwind advection is in A0
+        eig = np.fft.rfft(rows, axis=2).conj()
+        eig = (eig if advective else eig.real).transpose(0, 2, 1).reshape(3, -1)
         self.bands = (eig[0, 1:], eig[1], eig[2, :-1])  # lower, diagonal, upper
 
     def solve(self, b):
         """x with A0 x = b."""
         nt, rings = self.mesh.n_theta, len(self.order)
-        modes = np.fft.rfft(b.reshape(rings, nt)[self.order], axis=1)
-        # real and imaginary parts are two right-hand sides of the real system
-        y = sla.lapack.dgtsv(*self.bands, modes.T.copy().view(float).reshape(-1, 2),
-                             overwrite_b=1)[3]
-        modes = np.ascontiguousarray(y).view(complex).reshape(-1, rings).T
-        return np.fft.irfft(modes, n=nt, axis=1)[self.back].ravel()
+        modes = np.fft.rfft(b.reshape(rings, nt)[self.order], axis=1).T.copy()
+        if self.advective:
+            y, info = sla.lapack.zgtsv(*self.bands, modes.reshape(-1, 1), overwrite_b=1)[3:]
+        else:  # real and imaginary parts are two right-hand sides of the real system
+            y, info = sla.lapack.dgtsv(*self.bands, modes.view(float).reshape(-1, 2),
+                                       overwrite_b=1)[3:]
+            y = np.ascontiguousarray(y).view(complex)
+        if info > 0:
+            raise LinearSolveFailure(f"step matrix singular in Fourier mode {(info - 1) // rings}")
+        return np.fft.irfft(y.reshape(-1, rings).T, n=nt, axis=1)[self.back].ravel()
 
-    @functools.cached_property
-    def capacitance(self):
-        """W and the rFFT in theta of A0^{-1} U e_0, ring by ring."""
-        unit = np.zeros(self.a0.shape[0])
-        unit[[s.start for s in _slot_slices(self.mesh)]] = (1.0, 1.0, -1.0)
-        g = self.solve(unit).reshape(-1, self.mesh.n_theta)
-        return sla.circulant(g[0]), np.fft.rfft(g, axis=1)
+    def _response(self, pattern):
+        """rFFT per ring of g = A0^{-1} (slot 0's unit flux, pattern's signs) and the
+        circulants W_j[m, k] = g[ring of unknown j, m - k], j over (u trace, w, z)."""
+        if pattern not in self.responses:
+            unit = np.zeros(self.a0.shape[0])
+            unit[[s.start for s in _slot_slices(self.mesh)]] = pattern
+            nr, k = self.mesh.n_r, np.arange(self.mesh.n_theta)
+            g = self.solve(unit).reshape(-1, len(k))
+            self.responses[pattern] = np.fft.rfft(g, axis=1), g[[0, nr, nr + 1]][:, k[:, None] - k]
+        return self.responses[pattern]
 
-    def step(self, state: State, geom: EvolvingGeometry, m0, sources: Sources | None):
-        """The state at t + dt, from the (bulk, surface) measures m0 at t."""
+    def solve_slots(self, b, terms, what: str):
+        """x with (A0 + slot terms) x = b, terms as (pattern, coeffs) pairs."""
+        ns, slots = self.mesh.n_surf, _slot_slices(self.mesh)
+        terms = [(p, c) for p, c in terms if any(v is not None and v.any() for v in c)]
+
+        def flux(c, x):
+            return sum(v * x[at] for v, at in zip(c, slots) if v is not None)
+
+        x = self.solve(b)
+        if terms:
+            cap = np.eye(ns * len(terms))
+            for i, (_, c) in enumerate(terms):
+                for k, (p, _) in enumerate(terms):
+                    for v, w in zip(c, self._response(p)[1]):
+                        if v is not None:
+                            cap[i * ns:(i + 1) * ns, k * ns:(k + 1) * ns] += v[:, None] * w
+            try:
+                xi = np.linalg.solve(cap, np.concatenate([flux(c, x) for _, c in terms]))
+            except np.linalg.LinAlgError as exc:
+                raise LinearSolveFailure(f"{what}: capacitance solve failed: {exc}") from exc
+            for (p, _), part in zip(terms, xi.reshape(-1, ns)):
+                x -= np.fft.irfft(self._response(p)[0] * np.fft.rfft(part), n=ns, axis=1).ravel()
+        # backward error against the assembled A, whose row sums grow by the terms'
+        residual, row_abs = self.a0 @ x - b, self.abs_rows.copy()
+        for p, c in terms:
+            fx, fa = flux(c, x), sum(np.abs(v) for v in c if v is not None)
+            for at, sign in zip(slots, p):
+                residual[at] += sign * fx
+                row_abs[at] += abs(sign) * fa
+        _check_backward_error(residual, x, b, float(np.max(row_abs)), what)
+        return x
+
+    def step(self, state: State, geom: EvolvingGeometry, m0, sources: Sources | None, q):
+        """The IMEX state at t + dt, from the measures m0 and face velocities q at t."""
         dt, mesh, params, spec, ns = self.dt, self.mesh, self.params, self.spec, self.mesh.n_surf
         slots = _slot_slices(mesh)
-        rhs = _imex_rhs(state, dt, geom, mesh, m0, self.measures, sources)
+        rhs = _imex_rhs(state, dt, geom, mesh, m0, self.measures, sources, q)
         arcs = self.measures[1]
-        d = np.zeros(ns)
+        d = None
         if not getattr(spec, "is_mass_action", False):
             for at, f in zip(slots, (spec.f1, spec.f2, spec.f3)):
                 rhs[at] += dt * np.asarray(f(state.u_hat[:ns], state.w_hat, state.z_hat)) * arcs
         elif math.isfinite(params.delta_k):
             d = dt * arcs * state.w_hat / params.delta_k
-        x = self.solve(rhs)
-        if d.any():
-            w_cap, g_modes = self.capacitance
-            xi = np.linalg.solve(np.eye(ns) + d[:, None] * w_cap, d * x[:ns])
-            x = x - np.fft.irfft(g_modes * np.fft.rfft(xi), n=ns, axis=1).ravel()
-        # backward error against the assembled A, whose row sums grow by |d|
-        residual = self.a0 @ x - rhs
-        row_abs = self.abs_rows.copy()
-        for at, sign in zip(slots, (1.0, 1.0, -1.0)):
-            residual[at] += sign * d * x[:ns]
-            row_abs[at] += np.abs(d)
-        _check_backward_error(residual, x, rhs, float(np.max(row_abs)), "IMEX step")
+        x = self.solve_slots(rhs, [(_EXCHANGE, (d, None, None))], "IMEX step")
         return State(state.t + dt, x[: mesh.n_bulk], x[slots[1]], x[slots[2]])
 
 
 def step_imex(state: State, dt: float, geom: EvolvingGeometry, mesh: ReferenceMesh,
               params: ModelParams, spec, sources: Sources | None = None,
-              check_cfl: bool = True) -> State:
+              check_cfl: bool = True, q=None) -> State:
     """One IMEX step: implicit diffusion and linearized reaction losses,
     explicit upwind advection, dilation absorbed by the moving measures.
 
     For the mass-action nonlinearity the binding and unbinding fluxes enter
     all three equations with identical values, so m1 and m2 are conserved to
     the linear-solver residual.  Custom nonlinearities are integrated with a
-    fully explicit reaction.
+    fully explicit reaction.  q is as in cfl_bound.
     """
-    _check_step(state, dt, geom, mesh, params, check_cfl)
+    q = _check_step(state, dt, geom, mesh, params, check_cfl, q)
     m0 = (moving_bulk_measures(mesh, geom, state.t), moving_surface_measures(mesh, geom, state.t))
     ops = assemble_operators(geom, mesh, params, state.t + dt)
-    return _FourierSolve(ops, dt, mesh, params, spec).step(state, geom, m0, sources)
+    return _FourierSolve(ops, dt, mesh, params, spec).step(state, geom, m0, sources, q)
 
 
 class ImexStepper:
@@ -450,25 +465,28 @@ class ImexStepper:
         if self.system is None:
             return step_imex(state, self.dt, self.geom, self.mesh, self.params, self.spec,
                              sources=sources, check_cfl=check_cfl)
-        _check_step(state, self.dt, self.geom, self.mesh, self.params, check_cfl)
-        return self.system.step(state, self.geom, self.system.measures, sources)
+        q = _check_step(state, self.dt, self.geom, self.mesh, self.params, check_cfl)
+        return self.system.step(state, self.geom, self.system.measures, sources, q)
 
 
-def _reaction_jacobian_rows(spec, u_tr, w, z, eps=1e-7):
-    """Rows (df1, df2, df3), each the derivatives by (u trace, w, z)."""
+def _reaction_terms(spec, u_tr, w, z, scale, eps=1e-7):
+    """Slot terms of scale times the reaction Jacobian by (u trace, w, z): one
+    exchange flux when its rows (df1, df2, df3) have that form (mass action
+    and every registered custom reaction), else one term per row."""
     if getattr(spec, "is_mass_action", False):
         dk, dkp = spec.params.delta_k, spec.params.delta_k_prime
         inv_k = 1.0 / dk if math.isfinite(dk) else 0.0
         inv_kp = 1.0 / dkp if math.isfinite(dkp) else 0.0
-        return _exchange((-w * inv_k, -u_tr * inv_k, np.full_like(w, inv_kp)))
+        rows = (-w * inv_k, -u_tr * inv_k, np.full_like(w, inv_kp))
+        return [(_EXCHANGE, [scale * c for c in rows])]
     out = []
     for f in (spec.f1, spec.f2, spec.f3):
         base = np.asarray(f(u_tr, w, z), dtype=float)
-        du = (np.asarray(f(u_tr + eps, w, z)) - base) / eps
-        dw = (np.asarray(f(u_tr, w + eps, z)) - base) / eps
-        dz = (np.asarray(f(u_tr, w, z + eps)) - base) / eps
-        out.append((du, dw, dz))
-    return tuple(out)
+        out.append([scale * ((np.asarray(f(*args)) - base) / eps) for args in
+                    ((u_tr + eps, w, z), (u_tr, w + eps, z), (u_tr, w, z + eps))])
+    if all(np.array_equal(a, b) and np.array_equal(a, -c) for a, b, c in zip(*out)):
+        return [(_EXCHANGE, out[0])]
+    return list(zip(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)), out))
 
 
 def step_implicit(state: State, dt: float, geom: EvolvingGeometry, mesh: ReferenceMesh,
@@ -482,7 +500,8 @@ def step_implicit(state: State, dt: float, geom: EvolvingGeometry, mesh: Referen
     the conservation contract matches the IMEX stepper.  newton_tol is
     measured against the equation scale (backward-error style).  With
     return_info=True the result is (state, {"iterations", "residuals"}).
-    ops, the operators at t + dt, may be given once for all steps of a static metric.
+    ops, the operators at t + dt, may be given once for all steps of a static
+    metric; they keep the Fourier solve per dt, built at the first linear solve.
     """
     _check_step(state, dt, geom, mesh, params, check_cfl=False)
     t0, t1 = state.t, state.t + dt
@@ -496,15 +515,19 @@ def step_implicit(state: State, dt: float, geom: EvolvingGeometry, mesh: Referen
         adv_s = _surface_advection_matrix(geom, mesh, t1)
         ops = dataclasses.replace(ops, surf_stiffness_w=ops.surf_stiffness_w + adv_s,
                                   surf_stiffness_z=ops.surf_stiffness_z + adv_s)
-    fixed = _step_matrix(ops, dt).tocsr()
     base = _mass_rhs(state, dt, mesh, m0, (ops.bulk_measures, arcs), sources)
+    blocks = ((ops.bulk_measures, ops.bulk_stiffness), (arcs, ops.surf_stiffness_w),
+              (arcs, ops.surf_stiffness_z))
+    # residual and row-sum norm of _step_matrix from ops (no stiffness diagonal is positive)
+    row_norm = max(float(np.max(m + dt * np.add.reduceat(np.abs(l.data), l.indptr[:-1])))
+                   for m, l in blocks)
 
     x = np.concatenate([state.u_hat, state.w_hat, state.z_hat])
-    row_norm = _row_norm(fixed)
     history = []
     for iteration in range(max_newton + 1):
         u_tr, w, z = x[trace], x[at_w], x[at_z]
-        resid = fixed @ x - base
+        resid = np.concatenate([m * p - dt * (l @ p) for (m, l), p in
+                                zip(blocks, np.split(x, [mesh.n_bulk, at_z.start]))]) - base
         for at, f in zip(slots, (spec.f1, spec.f2, spec.f3)):
             resid[at] -= dt * np.asarray(f(u_tr, w, z), dtype=float) * arcs
         # residual measured against the equation scale (backward-error style)
@@ -518,9 +541,10 @@ def step_implicit(state: State, dt: float, geom: EvolvingGeometry, mesh: Referen
             if return_info:
                 return out, {"iterations": iteration, "residuals": history}
             return out
-        rows = [[-dt * arcs * c for c in row]
-                for row in _reaction_jacobian_rows(spec, u_tr, w, z)]
-        x = x - _solve_sparse((fixed + _slot_matrix(mesh, rows)).tocsr(), resid)
+        terms = _reaction_terms(spec, u_tr, w, z, -dt * arcs)
+        if ops.newton is None or ops.newton.dt != dt:
+            ops.newton = _FourierSolve(ops, dt, mesh, params, advective=geom.surface_slip_active)
+        x = x - ops.newton.solve_slots(resid, terms, "Newton step")
     raise NewtonDivergence(
         f"Newton did not reach {newton_tol:g} in {max_newton} iterations at t = {t1:g} "
         f"(last residual {history[-1]:.3e})", history)
@@ -848,7 +872,8 @@ def run(cfg, on_record=None, on_snapshot=None) -> RunResult:
     for out_idx in range(1, n_out + 1):
         t_target = out_idx * tcfg.output_interval
         while state.t < t_target - 1e-12:
-            bound = cfl_bound(geom, mesh, params, state)
+            q = _surface_face_velocities(geom, mesh, state.t) if geom.surface_slip_active else None
+            bound = cfl_bound(geom, mesh, params, state, q)
             if 0.9 * bound < _MIN_CFL_STEP * tcfg.dt:
                 raise CflViolation(
                     f"step {steps + 1} at t = {state.t:g}: stability bound {bound:g} leaves "
@@ -856,7 +881,7 @@ def run(cfg, on_record=None, on_snapshot=None) -> RunResult:
             # dt <= 0.9 * bound here, so step_imex need not evaluate the bound again
             dt = min(tcfg.dt, 0.9 * bound, t_target - state.t)
             if tcfg.stepper == "imex":
-                state = step_imex(state, dt, geom, mesh, params, spec, check_cfl=False)
+                state = step_imex(state, dt, geom, mesh, params, spec, check_cfl=False, q=q)
             else:
                 state = step_implicit(state, dt, geom, mesh, params, spec, ops=static_ops)
             steps += 1

@@ -1,5 +1,6 @@
 """Steppers, operators, manufactured solutions, transport identities."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,13 +13,13 @@ from scipy.integrate import solve_ivp
 
 from bulksurf import solver
 from bulksurf.config import parse_config
-from bulksurf.errors import CflViolation, NewtonDivergence, UnknownCase
+from bulksurf.errors import CflViolation, LinearSolveFailure, NewtonDivergence, UnknownCase
 from bulksurf.geometry import GeometryKind, GeometryPreset, build_geometry
 from bulksurf.mesh import (build_mesh, integrate_bulk, integrate_surface,
                            moving_bulk_measures, moving_surface_measures)
-from bulksurf.model import CUSTOM_NONLINEARITIES, MassAction, ModelParams
-from bulksurf.solver import (ImexStepper, Sources, State, TransportKind, _exchange,
-                             _imex_rhs, _slot_matrix, _step_matrix, assemble_operators,
+from bulksurf.model import CUSTOM_NONLINEARITIES, CustomNonlinearity, MassAction, ModelParams
+from bulksurf.solver import (_EXCHANGE, ImexStepper, Sources, State, TransportKind, _imex_rhs,
+                             _mass_rhs, _slot_matrix, _step_matrix, assemble_operators,
                              cfl_bound, manufactured_solution_error, step_imex,
                              step_implicit, surface_advection, transport_identity_residual)
 from bulksurf.equilibrium import conserved_masses
@@ -96,6 +97,24 @@ class TestOperators:
                         face(cell - nt, cell, delta * rho_f * mesh.dtheta / (slope * mesh.dr))
             got = solver._bulk_stiffness(geom, mesh, t, delta).toarray()
             assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("kind", sorted(PRESETS))
+    def test_step_matrix_matches_coo_sum(self, kind):
+        geom = build_geometry(GeometryPreset(GeometryKind(kind), 1.0, 2.0, **PRESETS[kind]))
+        params = ModelParams(1.0, 0.7, 1.3, 1.0, 1.0)
+        for n_r, n_theta in ((4, 8), (16, 32), (64, 128), (128, 256)):
+            mesh = build_mesh(n_r, n_theta, 1.0, 2.0)
+            ops = assemble_operators(geom, mesh, params, 0.3)
+            cases = [ops]
+            if geom.surface_slip_active:  # the Newton step's advected surface stiffness
+                adv = solver._surface_advection_matrix(geom, mesh, 0.3)
+                cases.append(dataclasses.replace(ops, surf_stiffness_w=ops.surf_stiffness_w + adv,
+                                                 surf_stiffness_z=ops.surf_stiffness_z + adv))
+            for case in cases:
+                got, ref = _step_matrix(case, 0.01), step_matrix_reference(case, 0.01).tocsr()
+                for name in ("data", "indices", "indptr"):
+                    a, b = getattr(got, name), getattr(ref, name)
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
 
     def test_surface_wind_upwind_is_conservative(self):
         geom, mesh, _, _ = make("surface_wind", wind_speed=0.5, delta=0.0)
@@ -175,6 +194,36 @@ class TestStepImex:
             lo = min(lo, st.u_hat.min(), st.w_hat.min(), st.z_hat.min())
         assert lo >= -1e-12
 
+    def test_one_face_velocity_evaluation_per_step(self, monkeypatch):
+        geom, mesh, params, spec = make("surface_wind", n=6, wind_speed=0.4, delta=0.5)
+        st = random_state(mesh, seed=6)
+        # the stacked advection of w and z is the one of each field, bit for bit
+        m = (moving_bulk_measures(mesh, geom, 0.0), moving_surface_measures(mesh, geom, 0.0))
+        ref = _mass_rhs(st, 0.01, mesh, m, m, None)
+        ref[mesh.n_bulk:] += np.concatenate([0.01 * surface_advection(geom, mesh, 0.0, f)
+                                             for f in (st.w_hat, st.z_hat)])
+        assert np.array_equal(_imex_rhs(st, 0.01, geom, mesh, m, m, None), ref)
+        calls = []
+        faces = solver._surface_face_velocities
+        monkeypatch.setattr(solver, "_surface_face_velocities",
+                            lambda *args: calls.append(args[2]) or faces(*args))
+        stepper = ImexStepper(geom, mesh, params, spec, 0.01)
+        for _ in range(3):
+            st = stepper.step(st)
+        step_imex(st, 0.01, geom, mesh, params, spec)
+        assert calls == [0.0, 0.01, 0.02, 0.03]
+        calls.clear()
+        text = "\n".join(["geometry.kind = surface_wind", "geometry.wind_speed = 0.4",
+                          "geometry.delta = 0.5", "mesh.n_r = 4", "mesh.n_theta = 8",
+                          "model.delta_k = 0.05", "time.cfl = true", "time.t_final = 0.1",
+                          "time.dt = 0.05", "time.output_interval = 0.05"])
+        steps = []
+        imex = solver.step_imex
+        monkeypatch.setattr(solver, "step_imex",
+                            lambda state, *args, **kw: steps.append(state.t) or imex(state, *args, **kw))
+        solver.run(parse_config(text))
+        assert len(steps) > 2 and calls == steps
+
     def test_cfl_violation_raised(self):
         geom, mesh, params, spec = make("surface_wind", wind_speed=2.0, delta=0.0)
         st = random_state(mesh)
@@ -205,7 +254,7 @@ def superlu_step(st, dt, geom, mesh, params, spec):
         dk, dkp = params.delta_k, params.delta_k_prime
         k_bind = arcs * st.w_hat / dk if math.isfinite(dk) else np.zeros(ns)
         k_unbind = arcs / dkp if math.isfinite(dkp) else np.zeros(ns)
-        a = a + dt * _slot_matrix(mesh, _exchange((k_bind, None, -k_unbind)))
+        a = a + dt * _slot_matrix(mesh, _EXCHANGE, (k_bind, None, -k_unbind))
     else:
         for at, f in zip((slice(0, ns), slice(nb, nb + ns), slice(nb + ns, None)),
                          (spec.f1, spec.f2, spec.f3)):
@@ -225,10 +274,84 @@ REACTIONS = {"mass_action": (1.0, 0.5), "no_binding": (math.inf, 0.7),
              "no_unbinding": (0.3, math.inf), "saturating_binding": (1.0, 1.0)}
 
 
+def recycling(params):
+    """A reaction whose Jacobian rows are not of exchange form: receptors
+    turn over and complexes decay apart from the exchange flux."""
+    def f1(u, w, z):
+        return z - u * w
+
+    def f2(u, w, z):
+        return z - u * w + 0.5 * (1.0 - w)
+
+    def f3(u, w, z):
+        return u * w - 1.2 * z
+
+    return CustomNonlinearity(f1, f2, f3, alpha=2.0, beta=1.0, name="recycling")
+
+
 def reaction_spec(name, params):
     if name == "saturating_binding":
         return CUSTOM_NONLINEARITIES[name](params)
+    if name == "recycling":
+        return recycling(params)
     return MassAction(params)
+
+
+def step_matrix_reference(ops, dt):
+    """_step_matrix as the sum of a diagonal and a COO block diagonal."""
+    ms = ops.surf_measures
+    return (sp.diags(np.concatenate([ops.bulk_measures, ms, ms]))
+            - dt * sp.block_diag([ops.bulk_stiffness, ops.surf_stiffness_w,
+                                  ops.surf_stiffness_z], format="coo"))
+
+
+def jacobian_rows(spec, u_tr, w, z, eps=1e-7):
+    """Rows (df1, df2, df3) of the reaction Jacobian, each the derivatives by
+    (u trace, w, z), with the solver's finite differences for custom forms."""
+    if spec.is_mass_action:
+        dk, dkp = spec.params.delta_k, spec.params.delta_k_prime
+        inv_k = 1.0 / dk if math.isfinite(dk) else 0.0
+        inv_kp = 1.0 / dkp if math.isfinite(dkp) else 0.0
+        row = (-w * inv_k, -u_tr * inv_k, np.full_like(w, inv_kp))
+        return row, row, tuple(-c for c in row)
+    rows = []
+    for f in (spec.f1, spec.f2, spec.f3):
+        base = f(u_tr, w, z)
+        rows.append(((f(u_tr + eps, w, z) - base) / eps, (f(u_tr, w + eps, z) - base) / eps,
+                     (f(u_tr, w, z + eps) - base) / eps))
+    return rows
+
+
+def superlu_newton_step(st, dt, geom, mesh, params, spec, tol=1e-11):
+    """The plain backward-Euler step: Newton with every linear system, the
+    full reaction Jacobian included, assembled as one sparse matrix and
+    solved by SuperLU.  Returns the state and the Newton iteration count."""
+    t1 = st.t + dt
+    ops = assemble_operators(geom, mesh, params, t1)
+    if geom.surface_slip_active:
+        adv = solver._surface_advection_matrix(geom, mesh, t1)
+        ops = dataclasses.replace(ops, surf_stiffness_w=ops.surf_stiffness_w + adv,
+                                  surf_stiffness_z=ops.surf_stiffness_z + adv)
+    nb, ns, arcs = mesh.n_bulk, mesh.n_surf, ops.surf_measures
+    slots = (slice(0, ns), slice(nb, nb + ns), slice(nb + ns, None))
+    m0 = (moving_bulk_measures(mesh, geom, st.t), moving_surface_measures(mesh, geom, st.t))
+    base = _mass_rhs(st, dt, mesh, m0, (ops.bulk_measures, arcs), None)
+    fixed = step_matrix_reference(ops, dt).tocsr()
+    row_norm = float(np.max(abs(fixed).sum(axis=1)))
+    x = np.concatenate([st.u_hat, st.w_hat, st.z_hat])
+    for iteration in range(26):
+        u_tr, w, z = (x[at] for at in slots)
+        resid = fixed @ x - base
+        for at, f in zip(slots, (spec.f1, spec.f2, spec.f3)):
+            resid[at] -= dt * f(u_tr, w, z) * arcs
+        scale = max(1.0, row_norm * np.max(np.abs(x)), np.max(np.abs(base)))
+        if np.max(np.abs(resid)) / scale < tol:
+            return State(t1, x[:nb], x[slots[1]], x[slots[2]]), iteration
+        jac = fixed.copy()
+        for unit, row in zip(np.eye(3), jacobian_rows(spec, u_tr, w, z)):
+            jac = jac + _slot_matrix(mesh, unit, [-dt * arcs * c for c in row])
+        x = x - spla.spsolve(jac.tocsc(), resid)
+    raise AssertionError("reference Newton did not converge")
 
 
 class TestFourierSolve:
@@ -269,13 +392,16 @@ class TestFourierSolve:
         dt = min(dt, 0.9 * cfl_bound(geom, mesh, params, st0))
         st1 = step_imex(st0, dt, geom, mesh, params, spec)
         assert_same_state(st1, superlu_step(st0, dt, geom, mesh, params, spec))
-        for before, after in zip(conserved_masses(st0, geom, mesh),
-                                 conserved_masses(st1, geom, mesh)):
-            assert abs(after - before) <= 1e-12 * (1 + abs(before))
-        assert min(st1.u_hat.min(), st1.w_hat.min(), st1.z_hat.min()) >= -1e-12
+        # one backward-Euler step of the same size, from the same state
+        st2 = step_implicit(st0, dt, geom, mesh, params, spec)
+        assert_same_state(st2, superlu_newton_step(st0, dt, geom, mesh, params, spec)[0])
+        for st in (st1, st2):
+            for before, after in zip(conserved_masses(st0, geom, mesh),
+                                     conserved_masses(st, geom, mesh)):
+                assert abs(after - before) <= 1e-12 * (1 + abs(before))
+            assert min(st.u_hat.min(), st.w_hat.min(), st.z_hat.min()) >= -1e-12
 
     def test_backward_error_check_is_live(self, monkeypatch):
-        from bulksurf.errors import LinearSolveFailure
         geom, mesh, params, spec = make("rotation", omega=1.0, delta=0.5)
         st = random_state(mesh, seed=1)
         stepper = ImexStepper(geom, mesh, params, spec, 0.01)
@@ -289,9 +415,43 @@ class TestFourierSolve:
         monkeypatch.setattr(solver._FourierSolve, "solve", perturbed)
         with pytest.raises(LinearSolveFailure):
             stepper.step(st)
+        with pytest.raises(LinearSolveFailure, match="Newton step backward error"):
+            step_implicit(st, 0.01, geom, mesh, params, spec)
         geom, mesh, params, spec = make("breathing", amplitude=0.15, omega=1.0)
         with pytest.raises(LinearSolveFailure):
             step_imex(st, 0.01, geom, mesh, params, spec)
+        with pytest.raises(LinearSolveFailure, match="Newton step backward error"):
+            step_implicit(st, 0.01, geom, mesh, params, spec)
+
+class TestNewtonFourier:
+    """Newton's linear systems by the Fourier solve against SuperLU on the
+    same assembled Newton matrix."""
+
+    @pytest.mark.parametrize("n_theta", [16, 17])
+    @pytest.mark.parametrize("reaction", sorted(REACTIONS) + ["recycling"])
+    @pytest.mark.parametrize("kind", sorted(PRESETS))
+    def test_matches_superlu(self, kind, reaction, n_theta):
+        geom = build_geometry(GeometryPreset(GeometryKind(kind), 1.0, 2.0, **PRESETS[kind]))
+        mesh = build_mesh(6, n_theta, 1.0, 2.0)
+        params = ModelParams(1.0, 0.7, 1.3, *REACTIONS.get(reaction, (1.0, 1.0)))
+        spec = reaction_spec(reaction, params)
+        # static metrics share one assembly and keep its Fourier solve per dt, as solver.run does
+        ops = assemble_operators(geom, mesh, params, 0.0) if geom.metric_is_static else None
+        st = random_state(mesh, seed=4)
+        for _ in range(3):
+            ref, ref_iters = superlu_newton_step(st, 0.02, geom, mesh, params, spec)
+            st, info = step_implicit(st, 0.02, geom, mesh, params, spec, ops=ops,
+                                     return_info=True)
+            assert_same_state(st, ref)
+            assert info["iterations"] == ref_iters >= 1
+        for _ in range(3):
+            dt = min(0.05, 0.9 * cfl_bound(geom, mesh, params, st))
+            ref, ref_iters = superlu_newton_step(st, dt, geom, mesh, params, spec)
+            st, info = step_implicit(st, dt, geom, mesh, params, spec, ops=ops, return_info=True)
+            assert_same_state(st, ref)
+            assert info["iterations"] == ref_iters >= 1
+            if ops is not None and not geom.surface_slip_active:
+                assert ops.newton.dt == dt
 
 
 class TestStepImplicit:
@@ -530,13 +690,37 @@ class TestErrorPaths:
         with pytest.raises(SingularJacobian):
             assemble_operators(Collapsed(geom.preset), mesh, params, 0.5)
 
-    def test_linear_solve_failure_surfaces(self):
-        from bulksurf.errors import LinearSolveFailure
-        from bulksurf.solver import _solve_sparse
+    def test_linear_solve_failure_surfaces(self, monkeypatch, tmp_path, capsys):
+        # zero measures leave A0 = -dt * stiffness, singular in Fourier mode 0
+        from bulksurf import cli
+        assemble = solver.assemble_operators
 
-        singular = sp.csr_matrix((3, 3))
-        with pytest.raises(LinearSolveFailure):
-            _solve_sparse(singular, np.ones(3))
+        def zero_measures(*args):
+            ops = assemble(*args)
+            return dataclasses.replace(ops, bulk_measures=0.0 * ops.bulk_measures,
+                                       surf_measures=0.0 * ops.surf_measures)
+
+        geom, mesh, params, spec = make(n=6)
+        st = random_state(mesh, seed=5)
+        with pytest.raises(LinearSolveFailure, match="singular in Fourier mode 0"):
+            step_implicit(st, 0.01, geom, mesh, params, spec,
+                          ops=zero_measures(geom, mesh, params, 0.01))
+        monkeypatch.setattr(solver, "assemble_operators", zero_measures)
+        with pytest.raises(LinearSolveFailure, match="singular in Fourier mode 0"):
+            step_imex(st, 0.01, geom, mesh, params, spec)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"mesh.n_r = 6\nmesh.n_theta = 12\noutput.directory = {tmp_path / 'out'}\n")
+        assert cli.main(["run", str(cfg)]) == 2
+        assert "singular in Fourier mode 0" in capsys.readouterr().err
+        # a singular capacitance matrix fails the same way
+        monkeypatch.setattr(solver, "assemble_operators", assemble)
+
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(LinearSolveFailure, match="capacitance solve failed"):
+            step_imex(st, 0.01, geom, mesh, params, spec)
 
 
 class TestDissipationAgainstEntropySlope:
