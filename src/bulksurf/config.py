@@ -36,9 +36,10 @@ import os
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import InvalidPreset, ParseError, ValidationError
 from .equilibrium import EquilibriumMode
-from .geometry import GeometryKind, GeometryPreset
+from .geometry import GeometryKind, GeometryPreset, build_geometry
+from .mesh import MIN_N_R, MIN_N_THETA
 from .model import CUSTOM_NONLINEARITIES, MassAction, ModelParams
 
 
@@ -121,11 +122,6 @@ def _to_rate(raw):
     return v
 
 
-def _to_int(raw):
-    v = int(raw)
-    return v
-
-
 def _to_bool(raw):
     low = raw.lower()
     if low in ("true", "yes", "1", "on"):
@@ -135,44 +131,40 @@ def _to_bool(raw):
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _to_str(raw):
-    return raw
-
-
 _SCHEMA = {
-    "geometry.kind": (_to_str, "fixed"),
+    "geometry.kind": (str, "fixed"),
     "geometry.r_inner0": (_to_float, 1.0),
     "geometry.r_outer0": (_to_float, 2.0),
     "geometry.amplitude": (_to_float, 0.0),
     "geometry.omega": (_to_float, 0.0),
     "geometry.delta": (_to_float, 0.0),
     "geometry.wind_speed": (_to_float, 0.0),
-    "mesh.n_r": (_to_int, 64),
-    "mesh.n_theta": (_to_int, 128),
+    "mesh.n_r": (int, 64),
+    "mesh.n_theta": (int, 128),
     "model.delta_omega": (_to_float, 1.0),
     "model.delta_gamma": (_to_float, 1.0),
     "model.delta_gamma_prime": (_to_float, 1.0),
     "model.delta_k": (_to_rate, 1.0),
     "model.delta_k_prime": (_to_rate, 1.0),
-    "model.nonlinearity": (_to_str, "mass_action"),
-    "model.equilibrium_mode": (_to_str, "rate_balance"),
+    "model.nonlinearity": (str, "mass_action"),
+    "model.equilibrium_mode": (str, "rate_balance"),
     "time.t_final": (_to_float, 1.0),
     "time.dt": (_to_float, 0.01),
     "time.cfl": (_to_bool, False),
     "time.output_interval": (_to_float, 0.1),
-    "time.stepper": (_to_str, "imex"),
-    "ic.profile": (_to_str, "uniform"),
+    "time.stepper": (str, "imex"),
+    "ic.profile": (str, "uniform"),
     "ic.u0": (_to_float, 1.0),
     "ic.w0": (_to_float, 1.0),
     "ic.z0": (_to_float, 1.0),
     "ic.m1": (_to_float, 15.0),
     "ic.m2": (_to_float, 10.0),
     "ic.amplitude": (_to_float, 0.1),
-    "ic.mode": (_to_int, 2),
-    "ic.path": (_to_str, ""),
-    "probe.n_samples": (_to_int, 1000),
-    "probe.seed": (_to_int, 12345),
-    "output.directory": (_to_str, "out"),
+    "ic.mode": (int, 2),
+    "ic.path": (str, ""),
+    "probe.n_samples": (int, 1000),
+    "probe.seed": (int, 12345),
+    "output.directory": (str, "out"),
     "output.snapshots": (_to_bool, True),
 }
 
@@ -225,19 +217,16 @@ def parse_config(text: str) -> RunConfig:
         delta=get("geometry.delta"),
         wind_speed=get("geometry.wind_speed"),
     )
-    if not (preset.r_outer0 > preset.r_inner0 > 0):
-        fail("geometry.r_inner0", "radii must satisfy 0 < r_inner0 < r_outer0")
-    if preset.delta < 0:
-        fail("geometry.delta", "must be >= 0")
-    if preset.kind is GeometryKind.BREATHING and \
-            not abs(preset.amplitude) < 1.0 - preset.r_inner0 / preset.r_outer0:
-        fail("geometry.amplitude", "breathing amplitude collapses the annulus")
+    try:
+        build_geometry(preset)
+    except InvalidPreset as exc:
+        fail(f"geometry.{exc.key}", str(exc))
 
     n_r, n_theta = get("mesh.n_r"), get("mesh.n_theta")
-    if n_r < 4:
-        fail("mesh.n_r", f"must be >= 4, got {n_r}")
-    if n_theta < 8:
-        fail("mesh.n_theta", f"must be >= 8, got {n_theta}")
+    if n_r < MIN_N_R:
+        fail("mesh.n_r", f"must be >= {MIN_N_R}, got {n_r}")
+    if n_theta < MIN_N_THETA:
+        fail("mesh.n_theta", f"must be >= {MIN_N_THETA}, got {n_theta}")
     mesh = MeshBlock(n_r=n_r, n_theta=n_theta)
 
     for k in ("model.delta_omega", "model.delta_gamma", "model.delta_gamma_prime",
@@ -333,36 +322,43 @@ def format_snapshot(name: str, t: float, grid: np.ndarray) -> str:
 
 
 def _parse_blocks(text: str):
-    blocks = {}
-    lines = text.splitlines()
-    i = 0
+    """Blocks of a field file by name; a malformed file raises ParseError."""
+    blocks, lines, i = {}, text.splitlines(), 0
     while i < len(lines):
-        line = lines[i].strip()
+        line, i = lines[i].strip(), i + 1
         if not line:
-            i += 1
             continue
-        if not line.startswith("#"):
-            raise ParseError(f"field file: expected header at line {i + 1}, got {line!r}",
-                             line=i + 1)
-        header = dict(item.split("=", 1) for item in line[1:].split())
-        name = header["field"]
-        n_r = int(header["n_r"])
-        rows = []
-        for j in range(n_r):
-            rows.append([float(v) for v in lines[i + 1 + j].split(",")])
-        blocks[name] = np.asarray(rows, dtype=float)
-        i += 1 + n_r
+        try:
+            if not line.startswith("#"):
+                raise ValueError("expected a header '# field=<name> n_r=<rows> ...'")
+            header = dict(tok.split("=", 1) for tok in line[1:].split())
+            name, n_r = header["field"], int(header["n_r"])
+            if not 0 <= n_r <= len(lines) - i:
+                raise ValueError(f"block {name!r} needs n_r = {n_r} rows, {len(lines) - i} follow")
+            blocks[name] = np.array([[float(v) for v in row.split(",")]
+                                     for row in lines[i:i + n_r]], dtype=float)
+        except (KeyError, ValueError) as exc:  # a ragged row is a ValueError too
+            raise ParseError(f"line {i}: {type(exc).__name__}: {exc}", line=i) from exc
+        i += n_r
     return blocks
 
 
 def load_fields_file(path: str, n_r: int, n_theta: int):
-    """Read (u, w, z) from a three-block snapshot-format file."""
+    """Read (u, w, z) from a three-block snapshot-format file; every value must
+    be finite and nonnegative, as the uniform profile requires of its own."""
+    def fault(msg):
+        return ValidationError(f"ic.path: {path}: {msg}", key="ic.path")
+
     with open(path, "r", encoding="utf-8") as fh:
-        blocks = _parse_blocks(fh.read())
+        try:
+            blocks = _parse_blocks(fh.read())
+        except (ParseError, UnicodeDecodeError) as exc:
+            raise fault(exc) from exc
     for name, shape in (("u", (n_r, n_theta)), ("w", (1, n_theta)), ("z", (1, n_theta))):
-        if name not in blocks:
-            raise ValidationError(f"field file missing block {name!r}", key="ic.path")
-        if blocks[name].shape != shape:
-            raise ValidationError(
-                f"field {name!r} has shape {blocks[name].shape}, expected {shape}", key="ic.path")
+        grid = blocks.get(name)
+        if grid is None or grid.shape != shape:
+            raise fault(f"field {name!r} needs a block of shape {shape}, got "
+                        f"{'none' if grid is None else grid.shape}")
+        if not np.all(np.isfinite(grid)) or np.min(grid) < 0.0:
+            raise fault(f"field {name!r} has a negative or non-finite value")
     return blocks["u"].ravel(), blocks["w"].ravel(), blocks["z"].ravel()

@@ -39,7 +39,7 @@ from .equilibrium import Equilibrium, conserved_masses
 from .geometry import EvolvingGeometry
 from .mesh import ReferenceMesh, moving_bulk_measures, moving_surface_measures
 from .model import ModelParams
-from .solver import State, _surface_stiffness, _bulk_stiffness
+from .solver import State, assemble_operators
 
 FLOOR_EPS_DEFAULT = 1e-30
 
@@ -410,13 +410,15 @@ def estimate_poincare_constants(mesh: ReferenceMesh, geom: EvolvingGeometry,
     the bulk-average mode removed by a saddle-point solve.
     """
     try:
-        a_s = -_surface_stiffness(geom, mesh, t, 1.0).toarray()
-        ms = moving_surface_measures(mesh, geom, t)
+        unit = ModelParams(1.0, 1.0, 1.0, 1.0, 1.0)  # unit diffusivities: bare Laplacians
+        ops = assemble_operators(geom, mesh, unit, t)
+        a_s = -ops.surf_stiffness_w.toarray()
+        ms = ops.surf_measures
         vals = scipy.linalg.eigh(a_s, np.diag(ms), eigvals_only=True)
         c_pw = float(vals[1])
 
-        a_b = -_bulk_stiffness(geom, mesh, t, 1.0).tocsc()
-        mb = moving_bulk_measures(mesh, geom, t)
+        a_b = -ops.bulk_stiffness.tocsc()
+        mb = ops.bulk_measures
         area = float(np.sum(mb))
         n = mesh.n_bulk
         ns = mesh.n_surf

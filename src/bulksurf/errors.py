@@ -12,7 +12,9 @@ class BulkSurfError(Exception):
 
 # geometry
 class InvalidPreset(BulkSurfError):
-    pass
+    def __init__(self, message, key=None):
+        super().__init__(message)
+        self.key = key  # the GeometryPreset field at fault
 
 
 class PointOutsideDomain(BulkSurfError):

@@ -281,17 +281,16 @@ def build_geometry(preset: GeometryPreset) -> EvolvingGeometry:
     """Validate a preset and return its evaluator bundle."""
     if not (preset.r_outer0 > preset.r_inner0 > 0.0):
         raise InvalidPreset(
-            f"need r_outer0 > r_inner0 > 0, got ({preset.r_inner0}, {preset.r_outer0})"
-        )
+            f"need r_outer0 > r_inner0 > 0, got ({preset.r_inner0}, {preset.r_outer0})",
+            key="r_inner0")
     if preset.delta < 0.0:
-        raise InvalidPreset(f"velocity decay rate must be >= 0, got {preset.delta}")
+        raise InvalidPreset(f"velocity decay rate must be >= 0, got {preset.delta}", key="delta")
     if preset.kind is GeometryKind.BREATHING:
         bound = 1.0 - preset.r_inner0 / preset.r_outer0
         if not abs(preset.amplitude) < bound:
             raise InvalidPreset(
                 f"breathing amplitude |{preset.amplitude}| must be < 1 - r_inner0/r_outer0 = {bound:g} "
-                "or the annulus collapses"
-            )
+                "or the annulus collapses", key="amplitude")
     return EvolvingGeometry(preset)
 
 

@@ -32,9 +32,10 @@ Scheme summary (both steppers are first order in time):
     step bound dt <= delta_K / max(u trace), which is folded into the CFL
     check,
   * no flux is assembled at the fixed outer wall,
-  * every linear system is solved by an rFFT in theta, one radial tridiagonal
-    system per mode (every preset is rotationally symmetric), plus a Woodbury
-    update over the surface slots for the binding term or Newton's Jacobian.
+  * every preset is rotationally symmetric, so the operators are ring
+    coefficients; every linear system is solved by an rFFT in theta, one
+    radial tridiagonal system per mode, plus a Woodbury update over the
+    surface slots for the binding term or Newton's Jacobian.
 
 The outer-boundary condition is homogeneous no-flux: the only choice
 consistent with conservation of m1 when the outer wall is fixed.
@@ -93,109 +94,87 @@ class Sources:
     robin: Optional[Callable] = None
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class DiscreteOperators:
-    """Geometry-dependent operators frozen at one time level.
-
-    Stiffness matrices act on concentration vectors and return the net
-    diffusive flux into each cell (not divided by the cell measure), so
-    every row and column sums to zero exactly.
+    """Diffusion operators and moving measures at one time level, as ring
+    coefficients: every preset is rotationally symmetric, so a face's
+    transmissibility and a cell's measure depend on its ring only.  The
+    stiffness returns the net diffusive flux into each cell (not divided by
+    the cell measure); its CSR views are built on demand, by no step.
     """
 
     t: float
-    bulk_stiffness: sp.csr_matrix      # includes delta_Omega
-    surf_stiffness_w: sp.csr_matrix    # includes delta_Gamma
-    surf_stiffness_z: sp.csr_matrix    # includes delta_Gamma_prime
-    bulk_measures: np.ndarray
-    surf_measures: np.ndarray          # also the coupling arcs, index-aligned
-    newton: Optional["_FourierSolve"] = dataclasses.field(default=None, init=False, repr=False)
+    n_theta: int
+    radial: np.ndarray          # (n_r - 1,) faces between rings, includes delta_Omega
+    angular: np.ndarray         # (n_r,) angular faces of each ring, includes delta_Omega
+    surface: tuple              # surface faces for (w, z), include delta_Gamma, delta_Gamma'
+    ring_measures: np.ndarray   # (n_r,) moving bulk cell measure of each ring
+    surf_measure: float         # moving surface cell measure, also the coupling arc
+    q: float = 0.0              # J_Gamma speed through every surface face
+
+    bulk_measures = property(lambda self: np.repeat(self.ring_measures, self.n_theta))
+    surf_measures = property(lambda self: np.full(self.n_theta, self.surf_measure))
+    bulk_stiffness = property(lambda self: _ring_stiffness(self.angular, self.radial, self.n_theta))
+    surf_stiffness_w = property(lambda self: _ring_stiffness(self.surface[:1], (), self.n_theta))
+    surf_stiffness_z = property(lambda self: _ring_stiffness(self.surface[1:], (), self.n_theta))
 
 
-def _check_jacobian(geom: EvolvingGeometry, mesh: ReferenceMesh, t: float):
-    jac = geom.jacobian_det_ref(t, mesh.r_centers)
-    if np.min(jac) <= 0.0 or geom.inner_radius(t) <= 0.0:
-        raise SingularJacobian(f"det D Phi_t <= 0 at t = {t:g} (min {np.min(jac):g})")
-
-
-def _bulk_stiffness(geom, mesh, t, delta):
-    nt, n = mesh.n_theta, mesh.n_bulk
-    slope = geom.radial_slope(t)
-    # radial internal faces: arc of length rho_f * dtheta, centers slope*dr apart
-    radial = delta * (geom.radius_map(t, mesh.r_faces[1:-1]) * mesh.dtheta) / (slope * mesh.dr)
-    # angular faces: radial extent slope*dr, centers rho_c*dtheta apart
-    angular = delta * (slope * mesh.dr) / (geom.radius_map(t, mesh.r_centers) * mesh.dtheta)
+def _ring_stiffness(angular, radial, nt):
+    """CSR stiffness of rings of nt cells, cells flat as ring * nt + k, from the
+    transmissibilities of each ring's angular faces and of the faces between rings."""
+    angular, radial = np.asarray(angular, dtype=float), np.asarray(radial, dtype=float)
+    n = len(angular) * nt
     inward, outward = np.r_[0.0, radial], np.r_[radial, 0.0]
     # the diagonal adds a cell's faces radial first, as a face-by-face sum does
     diag = np.repeat(-(((inward + outward) + angular) + angular), nt)
     k, ang, rad = np.arange(n) % nt, np.repeat(angular, nt), np.repeat(radial, nt)
     inside = np.where(k < nt - 1, ang, 0.0)[:-1]       # face (k, k + 1) of a ring
-    wrap = np.where(k == 0, ang, 0.0)[:n - nt + 1]     # face (n_theta - 1, 0)
-    return sp.diags([rad, wrap, inside, diag, inside, wrap, rad],
-                    [-nt, 1 - nt, -1, 0, 1, nt - 1, nt], shape=(n, n), format="csr")
-
-
-def _surface_stiffness(geom, mesh, t, delta):
-    nt = mesh.n_theta
-    k = np.arange(nt)
-    kp = (k + 1) % nt
-    g_face = geom.surface_stretch(t, mesh.theta_faces[1:])  # face between k and k+1
-    trans = delta / (g_face * mesh.dtheta)
-    rows = np.concatenate([k, k, kp, kp])
-    cols = np.concatenate([kp, k, k, kp])
-    vals = np.concatenate([trans, -trans, trans, -trans])
-    return sp.coo_matrix((vals, (rows, cols)), shape=(nt, nt)).tocsr()
+    wrap = np.where(k == 0, ang, 0.0)[:n - nt + 1]     # face (nt - 1, 0)
+    bands = [(rad, -nt), (wrap, 1 - nt), (inside, -1), (diag, 0), (inside, 1),
+             (wrap, nt - 1), (rad, nt)]
+    values, offsets = zip(*[(v, o) for v, o in bands if v.size])
+    return sp.diags(values, offsets, shape=(n, n), format="csr")
 
 
 def assemble_operators(geom: EvolvingGeometry, mesh: ReferenceMesh,
                        params: ModelParams, t: float) -> DiscreteOperators:
-    """Diffusion operators and moving measures at time t."""
-    _check_jacobian(geom, mesh, t)
-    lb = _bulk_stiffness(geom, mesh, t, params.delta_omega)
-    lw = _surface_stiffness(geom, mesh, t, params.delta_gamma)
-    lz = _surface_stiffness(geom, mesh, t, params.delta_gamma_prime)
+    """Ring coefficients and moving measures at time t."""
+    jac = geom.jacobian_det_ref(t, mesh.r_centers)
+    if np.min(jac) <= 0.0 or geom.inner_radius(t) <= 0.0:
+        raise SingularJacobian(f"det D Phi_t <= 0 at t = {t:g} (min {np.min(jac):g})")
+    slope = geom.radial_slope(t)
+    arc = float(geom.surface_stretch(t, 0.0)) * mesh.dtheta
     return DiscreteOperators(
-        t=t,
-        bulk_stiffness=lb,
-        surf_stiffness_w=lw,
-        surf_stiffness_z=lz,
-        bulk_measures=moving_bulk_measures(mesh, geom, t),
-        surf_measures=moving_surface_measures(mesh, geom, t),
-    )
+        t=t, n_theta=mesh.n_theta,
+        # radial faces: arc of length rho_f * dtheta, centers slope*dr apart
+        radial=params.delta_omega * (geom.radius_map(t, mesh.r_faces[1:-1]) * mesh.dtheta)
+        / (slope * mesh.dr),
+        # angular faces: radial extent slope*dr, centers rho_c*dtheta apart
+        angular=params.delta_omega * (slope * mesh.dr) / (geom.radius_map(t, mesh.r_centers)
+                                                          * mesh.dtheta),
+        surface=(params.delta_gamma / arc, params.delta_gamma_prime / arc),
+        ring_measures=mesh.r_centers * mesh.dr * mesh.dtheta * jac,
+        surf_measure=arc,
+        q=_surface_face_speed(geom, mesh, t) if geom.surface_slip_active else 0.0)
 
 
 # -- advection ----------------------------------------------------------------
 
 
-def _surface_face_velocities(geom, mesh, t):
-    """Tangential J_Gamma speed at the face between surface cells k and k+1."""
-    theta_f = mesh.theta_faces[1:]
-    x_ref = np.stack([mesh.r_inner0 * np.cos(theta_f), mesh.r_inner0 * np.sin(theta_f)], axis=-1)
-    y = geom.flow_map(t, x_ref)
+def _surface_face_speed(geom, mesh, t):
+    """Tangential J_Gamma speed through the surface faces: the same at every
+    face, since every preset is rotationally symmetric."""
+    y = geom.flow_map(t, np.array([mesh.r_inner0, 0.0]))
     jg = geom.v_surface(t, y) - geom.v_parametrization(t, y)
-    rho = np.sqrt(y[:, 0] ** 2 + y[:, 1] ** 2)
-    tau = np.stack([-y[:, 1], y[:, 0]], axis=-1) / rho[:, None]
-    return np.sum(jg * tau, axis=-1)
+    return float(jg[1] * y[0] - jg[0] * y[1]) / math.hypot(y[0], y[1])
 
 
 def surface_advection(geom, mesh, t, field, q=None):
     """Net upwind J_Gamma inflow per surface cell (of each row of field)."""
     w = np.asarray(field, dtype=float)
-    q = _surface_face_velocities(geom, mesh, t) if q is None else q
-    donor = np.where(q >= 0.0, w, np.roll(w, -1, axis=-1))
-    flux = q * donor
+    q = _surface_face_speed(geom, mesh, t) if q is None else q
+    flux = q * (w if q >= 0.0 else np.roll(w, -1, axis=-1))
     return np.roll(flux, 1, axis=-1) - flux
-
-
-def _surface_advection_matrix(geom, mesh, t):
-    q = _surface_face_velocities(geom, mesh, t)
-    nt = mesh.n_theta
-    k = np.arange(nt)
-    kp = (k + 1) % nt
-    donor = np.where(q >= 0.0, k, kp)
-    rows = np.concatenate([kp, k])
-    cols = np.concatenate([donor, donor])
-    vals = np.concatenate([q, -q])
-    return sp.coo_matrix((vals, (rows, cols)), shape=(nt, nt)).tocsr()
 
 
 # -- step control ---------------------------------------------------------------
@@ -205,19 +184,18 @@ def cfl_bound(geom: EvolvingGeometry, mesh: ReferenceMesh, params: ModelParams,
               state: State, q=None) -> float:
     """Largest dt the IMEX stepper accepts at this state.
 
-    Advective part: min over surface faces of arc length / |J_Gamma . tau|.
-    Reaction part (mass action): dt <= delta_K / max trace of u, which keeps
-    the receptor update nonnegative (surface cell and coupling arc coincide,
-    so their ratio drops out).  Infinite when nothing constrains the step.
-    q, the surface face velocities at t, may be passed in.
+    Advective part: surface cell arc length / |J_Gamma . tau|.  Reaction part
+    (mass action): dt <= delta_K / max trace of u, which keeps the receptor
+    update nonnegative (surface cell and coupling arc coincide, so their
+    ratio drops out).  Infinite when nothing constrains the step.  q, the
+    surface face speed at t, may be passed in.
     """
     t = state.t
     bound = math.inf
     if geom.surface_slip_active:
-        qs = np.abs(_surface_face_velocities(geom, mesh, t) if q is None else q)
-        if qs.size and np.max(qs) > 0:
-            arc = float(np.min(geom.surface_stretch(t, mesh.theta_faces[1:]))) * mesh.dtheta
-            bound = min(bound, arc / float(np.max(qs)))
+        speed = abs(_surface_face_speed(geom, mesh, t) if q is None else q)
+        if speed > 0:
+            bound = min(bound, float(geom.surface_stretch(t, 0.0)) * mesh.dtheta / speed)
     if math.isfinite(params.delta_k):
         u_tr = np.max(state.u_hat[: mesh.n_theta])
         if u_tr > 0:
@@ -235,7 +213,7 @@ def _check_step(state: State, dt: float, geom, mesh, params, check_cfl: bool, q=
         raise NonfiniteField(f"state at t = {state.t:g} contains non-finite values")
     if check_cfl:
         if q is None and geom.surface_slip_active:
-            q = _surface_face_velocities(geom, mesh, state.t)
+            q = _surface_face_speed(geom, mesh, state.t)
         bound = cfl_bound(geom, mesh, params, state, q)
         if dt > bound:
             raise CflViolation(f"dt = {dt:g} exceeds stability bound {bound:g} at t = {state.t:g}")
@@ -245,7 +223,7 @@ def _check_step(state: State, dt: float, geom, mesh, params, check_cfl: bool, q=
 def _check_backward_error(residual, x, rhs, row_norm: float, what: str):
     """Normwise backward error max|A x - b| / (||A|| max|x| + max|b|) of a
     solve, given its residual and the row-sum norm of A; never silent on a
-    bad factorization or a step matrix the Fourier solve does not fit."""
+    bad solve or a step matrix the Fourier solve does not fit."""
     scale = row_norm * float(np.max(np.abs(x))) + float(np.max(np.abs(rhs)))
     err = float(np.max(np.abs(residual))) / max(scale, 1e-300)
     if not math.isfinite(err) or err > _RESIDUAL_TOL:
@@ -264,30 +242,6 @@ def _slot_slices(mesh: ReferenceMesh):
 
 # signs of an exchange flux in the rows (u trace, w, z); equal values conserve m1, m2
 _EXCHANGE = (1.0, 1.0, -1.0)
-
-
-def _slot_matrix(mesh: ReferenceMesh, pattern, coeffs):
-    """Sparse matrix over the stacked unknowns of a slot term: per slot, the
-    flux coeffs . (u trace, w, z) (None skipped) times the pattern's signs."""
-    n = mesh.n_bulk + 2 * mesh.n_surf
-    idx = [np.arange(s.start, s.stop) for s in _slot_slices(mesh)]
-    entries = [(idx[i], idx[j], sign * coeff) for i, sign in enumerate(pattern) if sign
-               for j, coeff in enumerate(coeffs) if coeff is not None]
-    r, c, v = (np.concatenate(part) for part in zip(*entries))
-    return sp.coo_matrix((v, (r, c)), shape=(n, n))
-
-
-def _step_matrix(ops: DiscreteOperators, dt: float):
-    """Moving measures at t + dt minus dt times the stiffness operators, as CSR
-    stacked from the blocks' arrays; every stiffness row stores its diagonal."""
-    blocks = (ops.bulk_stiffness, ops.surf_stiffness_w, ops.surf_stiffness_z)
-    first = np.cumsum([0] + [b.shape[0] for b in blocks]).tolist()
-    indptr = np.r_[0, np.cumsum(np.concatenate([np.diff(b.indptr) for b in blocks]))]
-    indices = np.concatenate([b.indices + f for b, f in zip(blocks, first)])
-    data = -(dt * np.concatenate([b.data for b in blocks]))
-    diag = np.flatnonzero(indices == np.repeat(np.arange(first[-1]), np.diff(indptr)))
-    data[diag] += np.r_[ops.bulk_measures, ops.surf_measures, ops.surf_measures]
-    return sp.csr_matrix((data, indices, indptr), shape=(first[-1],) * 2)
 
 
 def _mass_rhs(state: State, dt: float, mesh: ReferenceMesh, m0, m1,
@@ -322,74 +276,119 @@ def _imex_rhs(state: State, dt: float, geom: EvolvingGeometry, mesh: ReferenceMe
 
 
 class _FourierSolve:
-    """A step matrix at t + dt, A0 plus slot terms (see _slot_matrix), and its
-    solve.  A0 is _step_matrix plus, for an IMEX step with mass action (spec
-    given), the unbinding implicit in z; advective says that ops carry a
-    Newton step's implicit upwind surface advection.  A0 commutes with
-    rotations in theta (every preset is rotationally symmetric), so an rFFT
-    splits A0 x = b into n_theta // 2 + 1 systems (Hockney), tridiagonal in
-    the order (w, z, u rings outward) and solved by one LAPACK gtsv call;
-    their eigenvalues are read off the slot-0 rows of A0.  The slot terms
-    enter by Woodbury with a capacitance matrix of circulant blocks (Buzbee,
-    Dorr, George and Golub).  Every solve is checked against the assembled
-    A, so a matrix that broke the symmetry fails.
+    """A step matrix to t + dt, A0 plus slot terms, and its solve.  A0 is the
+    measures minus dt times the stiffness of ops, with a Newton step's
+    implicit upwind advection at speed q on surface_wind.  A slot term
+    (pattern, coeffs) adds per slot the flux coeffs . (u trace, w, z) (None
+    or zero skipped), with the pattern's signs, to the rows (u trace, w, z).
+
+    A0 commutes with rotations in theta, so an rFFT splits A0 x = b into
+    n_theta // 2 + 1 systems (Hockney), tridiagonal in the order (w, z, u
+    rings outward), with bands in closed form (2 (1 - cos 2 pi p / n_theta)
+    for the cyclic second difference, a shift for the upwind flux) and one
+    LAPACK gtsv call.  Slot terms enter by Woodbury with a capacitance matrix
+    of circulant blocks (Buzbee, Dorr, George and Golub).  Every solve is
+    checked by apply, a matrix-free stencil apart from the Fourier path.
     """
 
-    def __init__(self, ops: DiscreteOperators, dt: float, mesh: ReferenceMesh,
-                 params: ModelParams, spec=None, advective: bool = False):
-        self.dt, self.mesh, self.params, self.spec = dt, mesh, params, spec
-        self.advective, self.responses = advective, {}
+    def __init__(self, ops: DiscreteOperators, dt: float, mesh: ReferenceMesh, q: float = 0.0):
+        self.dt, self.mesh, self.responses = dt, mesh, {}
         self.measures = (ops.bulk_measures, ops.surf_measures)
-        a0 = _step_matrix(ops, dt)
-        if getattr(spec, "is_mass_action", False) and math.isfinite(params.delta_k_prime):
-            k_unbind = ops.surf_measures / params.delta_k_prime
-            a0 = a0 + dt * _slot_matrix(mesh, _EXCHANGE, (None, None, -k_unbind))
-        self.a0 = a0 = a0.tocsr()
-        self.abs_rows = np.asarray(abs(a0).sum(axis=1)).ravel()
         nr, nt = mesh.n_r, mesh.n_theta
-        self.order = np.r_[nr, nr + 1, 0:nr]
-        self.back = np.argsort(self.order)
-        slot0 = a0[self.order * nt].tocoo()
-        ring, k = np.divmod(slot0.col, nt)
-        band = self.back[ring] - slot0.row + 1
-        keep = (band >= 0) & (band <= 2)
-        rows = np.zeros((3, nr + 2, nt))
-        np.add.at(rows, (band[keep], slot0.row[keep], k[keep]), slot0.data[keep])
-        # mode p of a slot-0 row a is sum_k a_k exp(2 pi i p k / n_theta): real
-        # for the symmetric blocks, complex when upwind advection is in A0
-        eig = np.fft.rfft(rows, axis=2).conj()
-        eig = (eig if advective else eig.real).transpose(0, 2, 1).reshape(3, -1)
-        self.bands = (eig[0, 1:], eig[1], eig[2, :-1])  # lower, diagonal, upper
+        rings = np.arange(nr + 2)
+        self.order, self.back = (rings - 2) % (nr + 2), (rings + 2) % (nr + 2)
+        # dt times the couplings: faces around and between rings, surface faces
+        # of (w, z) and the advective face flux
+        self.ang, self.rad = ang, rad = dt * ops.angular, dt * ops.radial
+        self.srf, self.q = dt * np.array(ops.surface), dt * q
+        radial_sum = np.concatenate([rad, [0.0]]) + np.concatenate([[0.0], rad])
+        self.ring_diag = (ops.ring_measures + 2.0 * ang)[:, None]   # radial part by fluxes
+        self.surf_diag = (ops.surf_measure + 2.0 * self.srf + abs(self.q))[:, None]
+        self.behind = (self.srf + max(self.q, 0.0))[:, None]    # surface coupling to k - 1
+        self.ahead = (self.srf + max(-self.q, 0.0))[:, None]    # and to k + 1
+        self.scratch = np.empty((nr, nt))
+        # absolute row sums of A0: rings outward, then (u trace, w, z) of a slot
+        ring_abs = ops.ring_measures + 2.0 * (radial_sum + 2.0 * ang)
+        self.slot_abs = np.concatenate([ring_abs[:1], ops.surf_measure + 4.0 * self.srf
+                                        + 2.0 * abs(self.q)])
+        self.norm = max(float(np.max(ring_abs)), float(np.max(self.slot_abs)))
 
-    def solve(self, b):
-        """x with A0 x = b."""
-        nt, rings = self.mesh.n_theta, len(self.order)
-        modes = np.fft.rfft(b.reshape(rings, nt)[self.order], axis=1).T.copy()
-        if self.advective:
+        phi = 2.0 * np.pi * np.arange(nt // 2 + 1) / nt
+        cyclic = 2.0 * (1.0 - np.cos(phi))[:, None]
+        diag = np.empty((len(phi), nr + 2), complex if q else float)
+        diag[:, :2] = ops.surf_measure + cyclic * self.srf
+        diag[:, 2:] = ops.ring_measures + radial_sum + cyclic * ang
+        if q:  # upwind: the donor neighbour sits at k - sign(q)
+            diag[:, :2] += abs(self.q) * (1.0 - np.exp(-1j * math.copysign(1.0, q) * phi))[:, None]
+        # couplings to the rings before and after, the same in every mode
+        lower, upper = np.zeros((2, len(phi), nr + 2), diag.dtype)
+        lower[:, 3:] = upper[:, 2:-1] = -rad
+        self.bands = (lower.ravel()[1:], diag.ravel(), upper.ravel()[:-1])
+
+    def apply(self, x):
+        """A0 x by the five-point stencil of the rings and the upwinded
+        three-point stencil of the surface, with no part of the Fourier path."""
+        nr, nt = self.mesh.n_r, self.mesh.n_theta
+        nb = nr * nt
+        u, s = x[:nb].reshape(nr, nt), x[nb:].reshape(2, nt)
+        out, tmp = np.empty_like(x), self.scratch
+        ou, os_ = out[:nb].reshape(nr, nt), out[nb:].reshape(2, nt)
+        np.multiply(self.ring_diag, u, out=ou)
+        # neighbours k - 1 and k + 1: flat inside the rings, then across the seam
+        np.add(x[:nb - 2], x[2:nb], out=tmp.reshape(-1)[1:-1])
+        np.add(u[:, -1], u[:, 1], out=tmp[:, 0])
+        np.add(u[:, -2], u[:, 0], out=tmp[:, -1])
+        tmp *= self.ang[:, None]
+        ou -= tmp
+        # radial face fluxes rad_i (u_{i+1} - u_i), out of ring i + 1 into ring i
+        np.subtract(u[1:], u[:-1], out=tmp[:-1])
+        tmp[:-1] *= self.rad[:, None]
+        ou[:-1] -= tmp[:-1]
+        ou[1:] += tmp[:-1]
+        np.multiply(self.surf_diag, s, out=os_)
+        os_[:, 1:] -= self.behind * s[:, :-1]
+        os_[:, :1] -= self.behind * s[:, -1:]
+        os_[:, :-1] -= self.ahead * s[:, 1:]
+        os_[:, -1:] -= self.ahead * s[:, :1]
+        return out
+
+    def _solve_modes(self, modes):
+        """y with A0 y = modes in every Fourier mode at once; modes is
+        (n_theta // 2 + 1, rings) complex, rings in the order (w, z, u outward)."""
+        if self.q:
             y, info = sla.lapack.zgtsv(*self.bands, modes.reshape(-1, 1), overwrite_b=1)[3:]
         else:  # real and imaginary parts are two right-hand sides of the real system
             y, info = sla.lapack.dgtsv(*self.bands, modes.view(float).reshape(-1, 2),
                                        overwrite_b=1)[3:]
             y = np.ascontiguousarray(y).view(complex)
         if info > 0:
-            raise LinearSolveFailure(f"step matrix singular in Fourier mode {(info - 1) // rings}")
-        return np.fft.irfft(y.reshape(-1, rings).T, n=nt, axis=1)[self.back].ravel()
+            raise LinearSolveFailure(
+                f"step matrix singular in Fourier mode {(info - 1) // len(self.order)}")
+        return y.reshape(modes.shape)
+
+    def solve(self, b):
+        """x with A0 x = b."""
+        nt, rings = self.mesh.n_theta, len(self.order)
+        modes = np.fft.rfft(b.reshape(rings, nt)[self.order], axis=1).T.copy()
+        return np.fft.irfft(self._solve_modes(modes).T, n=nt, axis=1)[self.back].ravel()
 
     def _response(self, pattern):
-        """rFFT per ring of g = A0^{-1} (slot 0's unit flux, pattern's signs) and the
-        circulants W_j[m, k] = g[ring of unknown j, m - k], j over (u trace, w, z)."""
+        """rFFT per ring of g = A0^{-1} (slot 0's unit flux, pattern's signs; 1 in
+        every mode) and the circulants W_j[m, k] = g[ring of j, m - k], j in (u trace, w, z)."""
         if pattern not in self.responses:
-            unit = np.zeros(self.a0.shape[0])
-            unit[[s.start for s in _slot_slices(self.mesh)]] = pattern
-            nr, k = self.mesh.n_r, np.arange(self.mesh.n_theta)
-            g = self.solve(unit).reshape(-1, len(k))
-            self.responses[pattern] = np.fft.rfft(g, axis=1), g[[0, nr, nr + 1]][:, k[:, None] - k]
+            slot_rings = [2, 0, 1]   # (u trace, w, z) in the order of the modes
+            modes = np.zeros((self.mesh.n_theta // 2 + 1, len(self.order)), complex)
+            modes[:, slot_rings] = pattern
+            y = self._solve_modes(modes)
+            g = np.fft.irfft(y[:, slot_rings].T, n=self.mesh.n_theta, axis=1)
+            self.responses[pattern] = y.T[self.back], [sla.circulant(row) for row in g]
         return self.responses[pattern]
 
     def solve_slots(self, b, terms, what: str):
         """x with (A0 + slot terms) x = b, terms as (pattern, coeffs) pairs."""
         ns, slots = self.mesh.n_surf, _slot_slices(self.mesh)
-        terms = [(p, c) for p, c in terms if any(v is not None and v.any() for v in c)]
+        terms = [(p, [v if v is not None and v.any() else None for v in c]) for p, c in terms]
+        terms = [(p, c) for p, c in terms if any(v is not None for v in c)]
 
         def flux(c, x):
             return sum(v * x[at] for v, at in zip(c, slots) if v is not None)
@@ -408,30 +407,37 @@ class _FourierSolve:
                 raise LinearSolveFailure(f"{what}: capacitance solve failed: {exc}") from exc
             for (p, _), part in zip(terms, xi.reshape(-1, ns)):
                 x -= np.fft.irfft(self._response(p)[0] * np.fft.rfft(part), n=ns, axis=1).ravel()
-        # backward error against the assembled A, whose row sums grow by the terms'
-        residual, row_abs = self.a0 @ x - b, self.abs_rows.copy()
+        # backward error by the stencil; the slot rows' absolute sums grow by the terms'
+        residual, slot_abs = self.apply(x) - b, self.slot_abs[:, None]
         for p, c in terms:
             fx, fa = flux(c, x), sum(np.abs(v) for v in c if v is not None)
             for at, sign in zip(slots, p):
                 residual[at] += sign * fx
-                row_abs[at] += abs(sign) * fa
-        _check_backward_error(residual, x, b, float(np.max(row_abs)), what)
+            slot_abs = slot_abs + np.abs(p)[:, None] * fa
+        _check_backward_error(residual, x, b, max(self.norm, float(np.max(slot_abs))), what)
         return x
 
-    def step(self, state: State, geom: EvolvingGeometry, m0, sources: Sources | None, q):
-        """The IMEX state at t + dt, from the measures m0 and face velocities q at t."""
-        dt, mesh, params, spec, ns = self.dt, self.mesh, self.params, self.spec, self.mesh.n_surf
-        slots = _slot_slices(mesh)
-        rhs = _imex_rhs(state, dt, geom, mesh, m0, self.measures, sources, q)
-        arcs = self.measures[1]
-        d = None
-        if not getattr(spec, "is_mass_action", False):
-            for at, f in zip(slots, (spec.f1, spec.f2, spec.f3)):
-                rhs[at] += dt * np.asarray(f(state.u_hat[:ns], state.w_hat, state.z_hat)) * arcs
-        elif math.isfinite(params.delta_k):
-            d = dt * arcs * state.w_hat / params.delta_k
-        x = self.solve_slots(rhs, [(_EXCHANGE, (d, None, None))], "IMEX step")
-        return State(state.t + dt, x[: mesh.n_bulk], x[slots[1]], x[slots[2]])
+
+# the Fourier solves of the last few steps: key -> (geometry, mesh, solve), newest last
+_SOLVES_KEPT = 2
+_solves: dict = {}
+
+
+def _solve_for(geom: EvolvingGeometry, mesh: ReferenceMesh, params: ModelParams,
+               t1: float, dt: float, advect: bool = False):
+    """The Fourier solve of the step to t1 = t + dt (see _FourierSolve), kept by
+    (t1, dt) for the last _SOLVES_KEPT keys; t1 leaves the key where A0 does
+    not depend on it (static metric, no advection)."""
+    moving = advect or not geom.metric_is_static
+    key = (id(geom), id(mesh), params, t1 if moving else None, dt, advect)
+    entry = _solves.pop(key, None)
+    if entry is None:
+        ops = assemble_operators(geom, mesh, params, t1)
+        entry = (geom, mesh, _FourierSolve(ops, dt, mesh, ops.q if advect else 0.0))
+    _solves[key] = entry
+    while len(_solves) > _SOLVES_KEPT:
+        del _solves[next(iter(_solves))]
+    return entry[2]
 
 
 def step_imex(state: State, dt: float, geom: EvolvingGeometry, mesh: ReferenceMesh,
@@ -440,33 +446,40 @@ def step_imex(state: State, dt: float, geom: EvolvingGeometry, mesh: ReferenceMe
     """One IMEX step: implicit diffusion and linearized reaction losses,
     explicit upwind advection, dilation absorbed by the moving measures.
 
-    For the mass-action nonlinearity the binding and unbinding fluxes enter
-    all three equations with identical values, so m1 and m2 are conserved to
-    the linear-solver residual.  Custom nonlinearities are integrated with a
-    fully explicit reaction.  q is as in cfl_bound.
+    For the mass-action nonlinearity the binding flux, implicit in the u
+    trace, and the unbinding flux, implicit in z, enter all three equations
+    with identical values, as one exchange term, so m1 and m2 are conserved
+    to the linear-solver residual.  Custom nonlinearities are integrated
+    with a fully explicit reaction.  q is as in cfl_bound.
     """
     q = _check_step(state, dt, geom, mesh, params, check_cfl, q)
-    m0 = (moving_bulk_measures(mesh, geom, state.t), moving_surface_measures(mesh, geom, state.t))
-    ops = assemble_operators(geom, mesh, params, state.t + dt)
-    return _FourierSolve(ops, dt, mesh, params, spec).step(state, geom, m0, sources, q)
+    system = _solve_for(geom, mesh, params, state.t + dt, dt)
+    m0 = system.measures if geom.metric_is_static else (
+        moving_bulk_measures(mesh, geom, state.t), moving_surface_measures(mesh, geom, state.t))
+    rhs = _imex_rhs(state, dt, geom, mesh, m0, system.measures, sources, q)
+    arcs, ns = system.measures[1], mesh.n_surf
+    slots = _slot_slices(mesh)
+    exchange = (None, None, None)
+    if getattr(spec, "is_mass_action", False):  # 1 / inf = 0 switches a flux off
+        exchange = (dt * arcs * state.w_hat / params.delta_k, None,
+                    -dt * arcs / params.delta_k_prime)
+    else:
+        for at, f in zip(slots, (spec.f1, spec.f2, spec.f3)):
+            rhs[at] += dt * np.asarray(f(state.u_hat[:ns], state.w_hat, state.z_hat)) * arcs
+    x = system.solve_slots(rhs, [(_EXCHANGE, exchange)], "IMEX step")
+    return State(state.t + dt, x[: mesh.n_bulk], x[slots[1]], x[slots[2]])
 
 
 class ImexStepper:
-    """IMEX stepping at a fixed dt; on static-metric presets the step matrix
-    and its Fourier solve are set up once, agreeing with step_imex to
-    rounding.  Moving metrics step through step_imex."""
+    """IMEX stepping at a fixed dt: step_imex, whose Fourier solve is set up
+    once for all steps on static metrics (see _solve_for)."""
 
     def __init__(self, geom, mesh, params, spec, dt):
         self.geom, self.mesh, self.params, self.spec, self.dt = geom, mesh, params, spec, dt
-        self.system = _FourierSolve(assemble_operators(geom, mesh, params, 0.0), dt, mesh,
-                                    params, spec) if geom.metric_is_static else None
 
     def step(self, state, check_cfl=True, sources=None):
-        if self.system is None:
-            return step_imex(state, self.dt, self.geom, self.mesh, self.params, self.spec,
-                             sources=sources, check_cfl=check_cfl)
-        q = _check_step(state, self.dt, self.geom, self.mesh, self.params, check_cfl)
-        return self.system.step(state, self.geom, self.system.measures, sources, q)
+        return step_imex(state, self.dt, self.geom, self.mesh, self.params, self.spec,
+                         sources=sources, check_cfl=check_cfl)
 
 
 def _reaction_terms(spec, u_tr, w, z, scale, eps=1e-7):
@@ -474,10 +487,8 @@ def _reaction_terms(spec, u_tr, w, z, scale, eps=1e-7):
     exchange flux when its rows (df1, df2, df3) have that form (mass action
     and every registered custom reaction), else one term per row."""
     if getattr(spec, "is_mass_action", False):
-        dk, dkp = spec.params.delta_k, spec.params.delta_k_prime
-        inv_k = 1.0 / dk if math.isfinite(dk) else 0.0
-        inv_kp = 1.0 / dkp if math.isfinite(dkp) else 0.0
-        rows = (-w * inv_k, -u_tr * inv_k, np.full_like(w, inv_kp))
+        dk, dkp = spec.params.delta_k, spec.params.delta_k_prime   # 1 / inf = 0
+        rows = (-w / dk, -u_tr / dk, np.full_like(w, 1.0 / dkp))
         return [(_EXCHANGE, [scale * c for c in rows])]
     out = []
     for f in (spec.f1, spec.f2, spec.f3):
@@ -492,7 +503,7 @@ def _reaction_terms(spec, u_tr, w, z, scale, eps=1e-7):
 def step_implicit(state: State, dt: float, geom: EvolvingGeometry, mesh: ReferenceMesh,
                   params: ModelParams, spec, newton_tol: float = 1e-11,
                   max_newton: int = 25, sources: Sources | None = None,
-                  return_info: bool = False, ops: DiscreteOperators | None = None):
+                  return_info: bool = False):
     """Backward-Euler step solved by Newton; stiff-robust alternative.
 
     Everything (diffusion, advection, reaction) is evaluated at the new time
@@ -500,38 +511,25 @@ def step_implicit(state: State, dt: float, geom: EvolvingGeometry, mesh: Referen
     the conservation contract matches the IMEX stepper.  newton_tol is
     measured against the equation scale (backward-error style).  With
     return_info=True the result is (state, {"iterations", "residuals"}).
-    ops, the operators at t + dt, may be given once for all steps of a static
-    metric; they keep the Fourier solve per dt, built at the first linear solve.
     """
     _check_step(state, dt, geom, mesh, params, check_cfl=False)
-    t0, t1 = state.t, state.t + dt
-    if ops is None:
-        ops = assemble_operators(geom, mesh, params, t1)
-    m0 = (moving_bulk_measures(mesh, geom, t0), moving_surface_measures(mesh, geom, t0))
-    arcs = ops.surf_measures
+    t1 = state.t + dt
+    system = _solve_for(geom, mesh, params, t1, dt, advect=geom.surface_slip_active)
+    m0 = system.measures if geom.metric_is_static else (
+        moving_bulk_measures(mesh, geom, state.t), moving_surface_measures(mesh, geom, state.t))
+    arcs = system.measures[1]
     trace, at_w, at_z = slots = _slot_slices(mesh)
-    if geom.surface_slip_active:
-        # upwind surface advection enters implicitly, next to surface diffusion
-        adv_s = _surface_advection_matrix(geom, mesh, t1)
-        ops = dataclasses.replace(ops, surf_stiffness_w=ops.surf_stiffness_w + adv_s,
-                                  surf_stiffness_z=ops.surf_stiffness_z + adv_s)
-    base = _mass_rhs(state, dt, mesh, m0, (ops.bulk_measures, arcs), sources)
-    blocks = ((ops.bulk_measures, ops.bulk_stiffness), (arcs, ops.surf_stiffness_w),
-              (arcs, ops.surf_stiffness_z))
-    # residual and row-sum norm of _step_matrix from ops (no stiffness diagonal is positive)
-    row_norm = max(float(np.max(m + dt * np.add.reduceat(np.abs(l.data), l.indptr[:-1])))
-                   for m, l in blocks)
+    base = _mass_rhs(state, dt, mesh, m0, system.measures, sources)
 
     x = np.concatenate([state.u_hat, state.w_hat, state.z_hat])
     history = []
     for iteration in range(max_newton + 1):
         u_tr, w, z = x[trace], x[at_w], x[at_z]
-        resid = np.concatenate([m * p - dt * (l @ p) for (m, l), p in
-                                zip(blocks, np.split(x, [mesh.n_bulk, at_z.start]))]) - base
+        resid = system.apply(x) - base
         for at, f in zip(slots, (spec.f1, spec.f2, spec.f3)):
             resid[at] -= dt * np.asarray(f(u_tr, w, z), dtype=float) * arcs
         # residual measured against the equation scale (backward-error style)
-        scale = max(1.0, row_norm * float(np.max(np.abs(x))), float(np.max(np.abs(base))))
+        scale = max(1.0, system.norm * float(np.max(np.abs(x))), float(np.max(np.abs(base))))
         norm = float(np.max(np.abs(resid))) / scale
         history.append(norm)
         if not math.isfinite(norm):
@@ -542,9 +540,7 @@ def step_implicit(state: State, dt: float, geom: EvolvingGeometry, mesh: Referen
                 return out, {"iterations": iteration, "residuals": history}
             return out
         terms = _reaction_terms(spec, u_tr, w, z, -dt * arcs)
-        if ops.newton is None or ops.newton.dt != dt:
-            ops.newton = _FourierSolve(ops, dt, mesh, params, advective=geom.surface_slip_active)
-        x = x - ops.newton.solve_slots(resid, terms, "Newton step")
+        x = x - system.solve_slots(resid, terms, "Newton step")
     raise NewtonDivergence(
         f"Newton did not reach {newton_tol:g} in {max_newton} iterations at t = {t1:g} "
         f"(last residual {history[-1]:.3e})", history)
@@ -672,14 +668,9 @@ def manufactured_solution_error(case_id: str, n_r: int, n_theta: int, dt: float,
                   np.asarray(case.exact_u(0.0, r, th), dtype=float),
                   np.asarray(case.exact_w(0.0, mesh.theta_centers), dtype=float),
                   np.asarray(case.exact_z(0.0, mesh.theta_centers), dtype=float))
-    n_steps = int(round(t_final / dt))
-    if stepper == "imex":
-        fast = ImexStepper(geom, mesh, params, spec, dt)
-        for _ in range(n_steps):
-            state = fast.step(state, check_cfl=False, sources=case.sources)
-    else:
-        for _ in range(n_steps):
-            state = step_implicit(state, dt, geom, mesh, params, spec, sources=case.sources)
+    step = functools.partial(step_imex, check_cfl=False) if stepper == "imex" else step_implicit
+    for _ in range(int(round(t_final / dt))):
+        state = step(state, dt, geom, mesh, params, spec, sources=case.sources)
     t = state.t
     mb = moving_bulk_measures(mesh, geom, t)
     ms = moving_surface_measures(mesh, geom, t)
@@ -808,7 +799,7 @@ def run(cfg, on_record=None, on_snapshot=None) -> RunResult:
     the configured dt); every output time is hit exactly.
     """
     from .diagnostics import make_record
-    from .equilibrium import solve_equilibrium
+    from .equilibrium import conserved_masses, solve_equilibrium
 
     geom = build_geometry(cfg.geometry)
     mesh = build_mesh(cfg.mesh.n_r, cfg.mesh.n_theta, cfg.geometry.r_inner0, cfg.geometry.r_outer0)
@@ -816,7 +807,6 @@ def run(cfg, on_record=None, on_snapshot=None) -> RunResult:
     spec = cfg.model.make_nonlinearity()
     state = initial_state(cfg, geom, mesh, params)
 
-    from .equilibrium import conserved_masses
     m1, m2 = conserved_masses(state, geom, mesh)
     area0 = float(np.sum(moving_bulk_measures(mesh, geom, 0.0)))
     len0 = float(np.sum(moving_surface_measures(mesh, geom, 0.0)))
@@ -851,8 +841,6 @@ def run(cfg, on_record=None, on_snapshot=None) -> RunResult:
         return RunResult(state, records, eq, snapshots)
 
     n_out = int(round(tcfg.t_final / tcfg.output_interval))
-    static_ops = assemble_operators(geom, mesh, params, 0.0) \
-        if tcfg.stepper == "implicit" and geom.metric_is_static else None
     if not tcfg.cfl:
         # fixed dt: counted sub-steps (config guarantees divisibility)
         per_interval = int(round(tcfg.output_interval / tcfg.dt))
@@ -860,7 +848,7 @@ def run(cfg, on_record=None, on_snapshot=None) -> RunResult:
             advance = ImexStepper(geom, mesh, params, spec, tcfg.dt).step
         else:
             advance = functools.partial(step_implicit, dt=tcfg.dt, geom=geom, mesh=mesh,
-                                        params=params, spec=spec, ops=static_ops)
+                                        params=params, spec=spec)
         for out_idx in range(1, n_out + 1):
             for _ in range(per_interval):
                 state = advance(state)
@@ -872,7 +860,7 @@ def run(cfg, on_record=None, on_snapshot=None) -> RunResult:
     for out_idx in range(1, n_out + 1):
         t_target = out_idx * tcfg.output_interval
         while state.t < t_target - 1e-12:
-            q = _surface_face_velocities(geom, mesh, state.t) if geom.surface_slip_active else None
+            q = _surface_face_speed(geom, mesh, state.t) if geom.surface_slip_active else None
             bound = cfl_bound(geom, mesh, params, state, q)
             if 0.9 * bound < _MIN_CFL_STEP * tcfg.dt:
                 raise CflViolation(
@@ -883,7 +871,7 @@ def run(cfg, on_record=None, on_snapshot=None) -> RunResult:
             if tcfg.stepper == "imex":
                 state = step_imex(state, dt, geom, mesh, params, spec, check_cfl=False, q=q)
             else:
-                state = step_implicit(state, dt, geom, mesh, params, spec, ops=static_ops)
+                state = step_implicit(state, dt, geom, mesh, params, spec)
             steps += 1
         state.t = t_target
         emit(out_idx)

@@ -166,7 +166,45 @@ class TestRunDriver:
             res_imex.records[-1].entropy, rel=0.05, abs=1e-8)
 
 
+def field_file_text(fault):
+    """A 4 x 8 field file for `ic.path`, with one fault (or none)."""
+    grids = {"u": np.full((4, 8), 1.5), "w": np.full((1, 8), 2.0), "z": np.full((1, 8), 0.5)}
+    text = "".join(format_snapshot(name, 0.0, grid) for name, grid in grids.items())
+    lines = text.splitlines()
+    edits = {
+        "header without field=": lambda: lines.__setitem__(0, "# t=0 n_r=4 n_theta=8"),
+        "header token without =": lambda: lines.__setitem__(0, lines[0] + " junk"),
+        "truncated block": lambda: lines.pop(),
+        "ragged row": lambda: lines.__setitem__(2, lines[2].rsplit(",", 1)[0]),
+        "non-numeric value": lambda: lines.__setitem__(2, "abc," + lines[2].split(",", 1)[1]),
+        "n_r=abc": lambda: lines.__setitem__(0, lines[0].replace("n_r=4", "n_r=abc")),
+        "n_r=-1": lambda: lines.__setitem__(0, lines[0].replace("n_r=4", "n_r=-1")),
+        "negative value": lambda: lines.__setitem__(2, "-5.0," + lines[2].split(",", 1)[1]),
+        "nan value": lambda: lines.__setitem__(6, "nan," + lines[6].split(",", 1)[1]),
+        "inf value": lambda: lines.__setitem__(8, "inf," + lines[8].split(",", 1)[1]),
+    }
+    if fault:
+        edits[fault]()
+    return "\n".join(lines) + "\n"
+
+
 class TestCli:
+    @pytest.mark.parametrize("fault", [
+        "header without field=", "header token without =", "truncated block", "ragged row",
+        "non-numeric value", "n_r=abc", "n_r=-1", "negative value", "nan value", "inf value"])
+    def test_field_file_fault_exits_one_naming_ic_path(self, fault, tmp_path, capsys):
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(f"mesh.n_r = 4\nmesh.n_theta = 8\nic.profile = file\n"
+                            f"ic.path = {tmp_path / 'ic.txt'}\ntime.t_final = 0.02\n"
+                            f"time.output_interval = 0.02\noutput.directory = {tmp_path}/out\n")
+        (tmp_path / "ic.txt").write_text(field_file_text(None))
+        assert cli.main(["run", str(cfg_path)]) == 0
+        (tmp_path / "ic.txt").write_text(field_file_text(fault))
+        capsys.readouterr()
+        assert cli.main(["run", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert "ic.path" in err and "Traceback" not in err
+
     def test_equilibrium_subcommand(self, tmp_path, capsys):
         code = cli.main(["equilibrium", "--m1", "2", "--m2", "2", "--area", "1",
                          "--length", "1", "--mode", "paper", "--out", str(tmp_path)])

@@ -1,6 +1,7 @@
 """Steppers, operators, manufactured solutions, transport identities."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -19,9 +20,9 @@ from bulksurf.mesh import (build_mesh, integrate_bulk, integrate_surface,
                            moving_bulk_measures, moving_surface_measures)
 from bulksurf.model import CUSTOM_NONLINEARITIES, CustomNonlinearity, MassAction, ModelParams
 from bulksurf.solver import (_EXCHANGE, ImexStepper, Sources, State, TransportKind, _imex_rhs,
-                             _mass_rhs, _slot_matrix, _step_matrix, assemble_operators,
-                             cfl_bound, manufactured_solution_error, step_imex,
-                             step_implicit, surface_advection, transport_identity_residual)
+                             _mass_rhs, assemble_operators, cfl_bound,
+                             manufactured_solution_error, step_imex, step_implicit,
+                             surface_advection, transport_identity_residual)
 from bulksurf.equilibrium import conserved_masses
 
 
@@ -41,9 +42,87 @@ def random_state(mesh, seed=0, base=1.0, spread=0.5):
                  base + spread * rng.random(mesh.n_surf))
 
 
-PRESETS = {"fixed": {}, "rotation": dict(omega=1.0, delta=0.5),
-           "breathing": dict(amplitude=0.15, omega=1.0, delta=0.2),
-           "surface_wind": dict(wind_speed=0.4, delta=0.5)}
+# name -> (geometry kind, preset parameters); the clockwise wind takes q < 0
+PRESETS = {"fixed": ("fixed", {}), "rotation": ("rotation", dict(omega=1.0, delta=0.5)),
+           "breathing": ("breathing", dict(amplitude=0.15, omega=1.0, delta=0.2)),
+           "surface_wind": ("surface_wind", dict(wind_speed=0.4, delta=0.5)),
+           "clockwise_wind": ("surface_wind", dict(wind_speed=-0.4, delta=0.5))}
+
+
+def preset_geometry(name):
+    kind, kw = PRESETS[name]
+    return build_geometry(GeometryPreset(GeometryKind(kind), 1.0, 2.0, **kw))
+
+
+def face_velocities(geom, mesh, t):
+    """Tangential J_Gamma speed at the face between surface cells k and k + 1,
+    evaluated face by face from the geometry."""
+    theta_f = mesh.theta_faces[1:]
+    x_ref = np.stack([mesh.r_inner0 * np.cos(theta_f), mesh.r_inner0 * np.sin(theta_f)], axis=-1)
+    y = geom.flow_map(t, x_ref)
+    jg = geom.v_surface(t, y) - geom.v_parametrization(t, y)
+    rho = np.sqrt(y[:, 0] ** 2 + y[:, 1] ** 2)
+    tau = np.stack([-y[:, 1], y[:, 0]], axis=-1) / rho[:, None]
+    return np.sum(jg * tau, axis=-1)
+
+
+def face_by_face_matrix(geom, mesh, params, t, dt, advect=False):
+    """The step matrix to t, dense, as the COO sum of every face's entries from
+    the geometry: moving measures minus dt times the diffusive flux, with
+    advect also the upwind J_Gamma flux of w and z."""
+    nb, ns, nt = mesh.n_bulk, mesh.n_surf, mesh.n_theta
+    ms = moving_surface_measures(mesh, geom, t)
+    measures = np.concatenate([moving_bulk_measures(mesh, geom, t), ms, ms])
+    entries = [(i, i, m) for i, m in enumerate(measures)]
+
+    def face(p, q, trans):
+        entries.extend([(p, q, -dt * trans), (q, p, -dt * trans),
+                        (p, p, dt * trans), (q, q, dt * trans)])
+
+    slope = geom.radial_slope(t)
+    for i in range(mesh.n_r):
+        rho_c = geom.radius_map(t, mesh.r_centers[i])
+        for k in range(nt):
+            cell = i * nt + k
+            face(cell, i * nt + (k + 1) % nt,
+                 params.delta_omega * slope * mesh.dr / (rho_c * mesh.dtheta))
+            if i > 0:
+                rho_f = geom.radius_map(t, mesh.r_faces[i])
+                face(cell - nt, cell, params.delta_omega * rho_f * mesh.dtheta / (slope * mesh.dr))
+    speeds = face_velocities(geom, mesh, t) if advect else np.zeros(nt)
+    for first, delta in ((nb, params.delta_gamma), (nb + ns, params.delta_gamma_prime)):
+        for k in range(nt):
+            kp = (k + 1) % nt
+            face(first + k, first + kp,
+                 delta / (geom.surface_stretch(t, mesh.theta_faces[k + 1]) * mesh.dtheta))
+            donor = first + (k if speeds[k] >= 0.0 else kp)
+            entries.extend([(first + kp, donor, -dt * speeds[k]),
+                            (first + k, donor, dt * speeds[k])])
+    rows, cols, vals = zip(*entries)
+    return sp.coo_matrix((vals, (rows, cols)), shape=(nb + 2 * ns,) * 2).toarray()
+
+
+def slot_matrix(mesh, pattern, coeffs):
+    """Sparse matrix over the stacked unknowns of a slot term: per slot, the
+    flux coeffs . (u trace, w, z) (None skipped) times the pattern's signs."""
+    nb, ns = mesh.n_bulk, mesh.n_surf
+    n = nb + 2 * ns
+    idx = [np.arange(ns), nb + np.arange(ns), nb + ns + np.arange(ns)]
+    entries = [(idx[i], idx[j], sign * coeff) for i, sign in enumerate(pattern) if sign
+               for j, coeff in enumerate(coeffs) if coeff is not None]
+    r, c, v = (np.concatenate(part) for part in zip(*entries))
+    return sp.coo_matrix((v, (r, c)), shape=(n, n))
+
+
+def surface_advection_matrix(geom, mesh, t):
+    """Net upwind J_Gamma inflow per surface cell as a sparse matrix."""
+    q = face_velocities(geom, mesh, t)
+    k = np.arange(mesh.n_theta)
+    kp = (k + 1) % mesh.n_theta
+    donor = np.where(q >= 0.0, k, kp)
+    return sp.coo_matrix((np.concatenate([q, -q]), (np.concatenate([kp, k]),
+                                                    np.concatenate([donor, donor]))),
+                         shape=(mesh.n_theta,) * 2).tocsr()
 
 
 class TestOperators:
@@ -75,46 +154,59 @@ class TestOperators:
 
     @pytest.mark.parametrize("kind", sorted(PRESETS))
     def test_bulk_stiffness_matches_face_by_face(self, kind):
-        geom = build_geometry(GeometryPreset(GeometryKind(kind), 1.0, 2.0, **PRESETS[kind]))
+        """The CSR views built from the ring coefficients against the faces."""
+        geom = preset_geometry(kind)
         mesh = build_mesh(8, 16, 1.0, 2.0)
-        nt, delta = mesh.n_theta, 0.7
+        params = ModelParams(0.7, 1.3, 0.4, 1.0, 0.6)
         for t in (0.0, 0.8):
-            slope = geom.radial_slope(t)
-            ref = np.zeros((mesh.n_bulk, mesh.n_bulk))
-
-            def face(p, q, trans):
-                ref[[p, q], [q, p]] += trans
-                ref[[p, q], [p, q]] -= trans
-
-            for i in range(mesh.n_r):
-                rho_c = geom.radius_map(t, mesh.r_centers[i])
-                for k in range(nt):
-                    cell = i * nt + k
-                    face(cell, i * nt + (k + 1) % nt,
-                         delta * slope * mesh.dr / (rho_c * mesh.dtheta))
-                    if i > 0:
-                        rho_f = geom.radius_map(t, mesh.r_faces[i])
-                        face(cell - nt, cell, delta * rho_f * mesh.dtheta / (slope * mesh.dr))
-            got = solver._bulk_stiffness(geom, mesh, t, delta).toarray()
-            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+            ops = assemble_operators(geom, mesh, params, t)
+            stiffness = (face_by_face_matrix(geom, mesh, params, t, 0.0)
+                         - face_by_face_matrix(geom, mesh, params, t, 1.0))
+            views = sp.block_diag([ops.bulk_stiffness, ops.surf_stiffness_w,
+                                   ops.surf_stiffness_z]).toarray()
+            assert np.max(np.abs(views - stiffness)) <= 1e-14 * np.max(np.abs(stiffness))
 
     @pytest.mark.parametrize("kind", sorted(PRESETS))
     def test_step_matrix_matches_coo_sum(self, kind):
-        geom = build_geometry(GeometryPreset(GeometryKind(kind), 1.0, 2.0, **PRESETS[kind]))
-        params = ModelParams(1.0, 0.7, 1.3, 1.0, 1.0)
-        for n_r, n_theta in ((4, 8), (16, 32), (64, 128), (128, 256)):
-            mesh = build_mesh(n_r, n_theta, 1.0, 2.0)
-            ops = assemble_operators(geom, mesh, params, 0.3)
-            cases = [ops]
-            if geom.surface_slip_active:  # the Newton step's advected surface stiffness
-                adv = solver._surface_advection_matrix(geom, mesh, 0.3)
-                cases.append(dataclasses.replace(ops, surf_stiffness_w=ops.surf_stiffness_w + adv,
-                                                 surf_stiffness_z=ops.surf_stiffness_z + adv))
-            for case in cases:
-                got, ref = _step_matrix(case, 0.01), step_matrix_reference(case, 0.01).tocsr()
-                for name in ("data", "indices", "indptr"):
-                    a, b = getattr(got, name), getattr(ref, name)
-                    assert a.dtype == b.dtype and np.array_equal(a, b)
+        """Every entry of the stencil apply, and the row-sum norm, against the
+        step matrix summed face by face, with and without (Newton on
+        surface_wind) the upwind advection."""
+        geom = preset_geometry(kind)
+        mesh = build_mesh(8, 16, 1.0, 2.0)
+        params = ModelParams(0.7, 1.3, 0.4, 1.0, 0.6)
+        n, dt = mesh.n_bulk + 2 * mesh.n_surf, 0.05
+        for t1 in (0.05, 0.8):
+            for advect in {False, geom.surface_slip_active}:
+                ref = face_by_face_matrix(geom, mesh, params, t1, dt, advect)
+                system = solver._solve_for(geom, mesh, params, t1, dt, advect)
+                got = np.column_stack([system.apply(e) for e in np.eye(n)])
+                assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+                assert system.norm == pytest.approx(np.max(np.abs(ref).sum(axis=1)), rel=1e-14)
+
+    @pytest.mark.parametrize("n_theta", [16, 17])
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_closed_form_bands_match_fft_of_rows(self, name, n_theta):
+        """The mode bands from the ring coefficients against the rFFT of the
+        slot-0 rows of the face-by-face matrix, in the order (w, z, u rings)."""
+        geom = preset_geometry(name)
+        mesh = build_mesh(6, n_theta, 1.0, 2.0)
+        params = ModelParams(0.7, 1.3, 0.4, 1.0, 0.6)
+        nr, nt = mesh.n_r, n_theta
+        order = np.r_[nr, nr + 1, 0:nr]
+        for advect in {False, geom.surface_slip_active}:
+            a = face_by_face_matrix(geom, mesh, params, 0.3, 0.02, advect)
+            rows = np.zeros((3, len(order), nt))
+            for j, ring in enumerate(order):
+                for band, other in enumerate((j - 1, j, j + 1)):
+                    if 0 <= other < len(order):
+                        rows[band, j] = a[ring * nt, order[other] * nt:(order[other] + 1) * nt]
+            eig = np.fft.rfft(rows, axis=2).conj().transpose(0, 2, 1).reshape(3, -1)
+            ref = (eig[0, 1:], eig[1], eig[2, :-1])
+            got = solver._solve_for(geom, mesh, params, 0.3, 0.02, advect).bands
+            for g, r in zip(got, ref):
+                assert np.max(np.abs(g - r)) <= 1e-14 * np.max(np.abs(ref[1]))
+            if not advect:
+                assert all(np.isrealobj(g) for g in got)
 
     def test_surface_wind_upwind_is_conservative(self):
         geom, mesh, _, _ = make("surface_wind", wind_speed=0.5, delta=0.0)
@@ -195,25 +287,40 @@ class TestStepImex:
         assert lo >= -1e-12
 
     def test_one_face_velocity_evaluation_per_step(self, monkeypatch):
-        geom, mesh, params, spec = make("surface_wind", n=6, wind_speed=0.4, delta=0.5)
+        for speed in (0.4, -0.4):  # anticlockwise and clockwise wind
+            self.check_face_speed_evaluations(speed, monkeypatch)
+            monkeypatch.undo()
+
+    @staticmethod
+    def check_face_speed_evaluations(speed, monkeypatch):
+        geom, mesh, params, spec = make("surface_wind", n=6, wind_speed=speed, delta=0.5)
         st = random_state(mesh, seed=6)
-        # the stacked advection of w and z is the one of each field, bit for bit
+        # the one speed is every face's, and the stacked advection of w and z is
+        # the one of each field, bit for bit
+        for t in (0.0, 0.7):
+            faces = face_velocities(geom, mesh, t)
+            assert np.max(np.abs(faces - solver._surface_face_speed(geom, mesh, t))) <= 1e-15
         m = (moving_bulk_measures(mesh, geom, 0.0), moving_surface_measures(mesh, geom, 0.0))
         ref = _mass_rhs(st, 0.01, mesh, m, m, None)
         ref[mesh.n_bulk:] += np.concatenate([0.01 * surface_advection(geom, mesh, 0.0, f)
                                              for f in (st.w_hat, st.z_hat)])
         assert np.array_equal(_imex_rhs(st, 0.01, geom, mesh, m, m, None), ref)
-        calls = []
-        faces = solver._surface_face_velocities
-        monkeypatch.setattr(solver, "_surface_face_velocities",
-                            lambda *args: calls.append(args[2]) or faces(*args))
+        # once per step at t (the bound and the explicit advection), and once
+        # per operator assembly at t + dt (the speed the operators hold)
+        calls, assembled = [], []
+        speed_at, assemble = solver._surface_face_speed, solver.assemble_operators
+        monkeypatch.setattr(solver, "_surface_face_speed",
+                            lambda *args: calls.append(args[2]) or speed_at(*args))
+        monkeypatch.setattr(solver, "assemble_operators",
+                            lambda *args: assembled.append(args[3]) or assemble(*args))
         stepper = ImexStepper(geom, mesh, params, spec, 0.01)
         for _ in range(3):
             st = stepper.step(st)
         step_imex(st, 0.01, geom, mesh, params, spec)
-        assert calls == [0.0, 0.01, 0.02, 0.03]
+        assert assembled == [0.01] and calls == [0.0, 0.01, 0.01, 0.02, 0.03]
         calls.clear()
-        text = "\n".join(["geometry.kind = surface_wind", "geometry.wind_speed = 0.4",
+        assembled.clear()
+        text = "\n".join(["geometry.kind = surface_wind", f"geometry.wind_speed = {speed}",
                           "geometry.delta = 0.5", "mesh.n_r = 4", "mesh.n_theta = 8",
                           "model.delta_k = 0.05", "time.cfl = true", "time.t_final = 0.1",
                           "time.dt = 0.05", "time.output_interval = 0.05"])
@@ -222,7 +329,7 @@ class TestStepImex:
         monkeypatch.setattr(solver, "step_imex",
                             lambda state, *args, **kw: steps.append(state.t) or imex(state, *args, **kw))
         solver.run(parse_config(text))
-        assert len(steps) > 2 and calls == steps
+        assert len(steps) > 2 and sorted(calls) == sorted(steps + assembled)
 
     def test_cfl_violation_raised(self):
         geom, mesh, params, spec = make("surface_wind", wind_speed=2.0, delta=0.0)
@@ -249,12 +356,12 @@ def superlu_step(st, dt, geom, mesh, params, spec):
     m0 = (moving_bulk_measures(mesh, geom, st.t), moving_surface_measures(mesh, geom, st.t))
     arcs, ns, nb = ops.surf_measures, mesh.n_surf, mesh.n_bulk
     rhs = _imex_rhs(st, dt, geom, mesh, m0, (ops.bulk_measures, arcs), None)
-    a = _step_matrix(ops, dt)
+    a = step_matrix_reference(ops, dt)
     if spec.is_mass_action:
         dk, dkp = params.delta_k, params.delta_k_prime
         k_bind = arcs * st.w_hat / dk if math.isfinite(dk) else np.zeros(ns)
         k_unbind = arcs / dkp if math.isfinite(dkp) else np.zeros(ns)
-        a = a + dt * _slot_matrix(mesh, _EXCHANGE, (k_bind, None, -k_unbind))
+        a = a + dt * slot_matrix(mesh, _EXCHANGE, (k_bind, None, -k_unbind))
     else:
         for at, f in zip((slice(0, ns), slice(nb, nb + ns), slice(nb + ns, None)),
                          (spec.f1, spec.f2, spec.f3)):
@@ -297,12 +404,13 @@ def reaction_spec(name, params):
     return MassAction(params)
 
 
-def step_matrix_reference(ops, dt):
-    """_step_matrix as the sum of a diagonal and a COO block diagonal."""
+def step_matrix_reference(ops, dt, advection=0.0):
+    """Measures minus dt times the stiffness (plus a surface advection matrix),
+    as the sum of a diagonal and a COO block diagonal of the CSR views."""
     ms = ops.surf_measures
     return (sp.diags(np.concatenate([ops.bulk_measures, ms, ms]))
-            - dt * sp.block_diag([ops.bulk_stiffness, ops.surf_stiffness_w,
-                                  ops.surf_stiffness_z], format="coo"))
+            - dt * sp.block_diag([ops.bulk_stiffness, ops.surf_stiffness_w + advection,
+                                  ops.surf_stiffness_z + advection], format="coo"))
 
 
 def jacobian_rows(spec, u_tr, w, z, eps=1e-7):
@@ -328,15 +436,12 @@ def superlu_newton_step(st, dt, geom, mesh, params, spec, tol=1e-11):
     solved by SuperLU.  Returns the state and the Newton iteration count."""
     t1 = st.t + dt
     ops = assemble_operators(geom, mesh, params, t1)
-    if geom.surface_slip_active:
-        adv = solver._surface_advection_matrix(geom, mesh, t1)
-        ops = dataclasses.replace(ops, surf_stiffness_w=ops.surf_stiffness_w + adv,
-                                  surf_stiffness_z=ops.surf_stiffness_z + adv)
     nb, ns, arcs = mesh.n_bulk, mesh.n_surf, ops.surf_measures
     slots = (slice(0, ns), slice(nb, nb + ns), slice(nb + ns, None))
     m0 = (moving_bulk_measures(mesh, geom, st.t), moving_surface_measures(mesh, geom, st.t))
     base = _mass_rhs(st, dt, mesh, m0, (ops.bulk_measures, arcs), None)
-    fixed = step_matrix_reference(ops, dt).tocsr()
+    fixed = step_matrix_reference(ops, dt, surface_advection_matrix(geom, mesh, t1)
+                                  if geom.surface_slip_active else 0.0).tocsr()
     row_norm = float(np.max(abs(fixed).sum(axis=1)))
     x = np.concatenate([st.u_hat, st.w_hat, st.z_hat])
     for iteration in range(26):
@@ -349,7 +454,7 @@ def superlu_newton_step(st, dt, geom, mesh, params, spec, tol=1e-11):
             return State(t1, x[:nb], x[slots[1]], x[slots[2]]), iteration
         jac = fixed.copy()
         for unit, row in zip(np.eye(3), jacobian_rows(spec, u_tr, w, z)):
-            jac = jac + _slot_matrix(mesh, unit, [-dt * arcs * c for c in row])
+            jac = jac + slot_matrix(mesh, unit, [-dt * arcs * c for c in row])
         x = x - spla.spsolve(jac.tocsc(), resid)
     raise AssertionError("reference Newton did not converge")
 
@@ -361,7 +466,7 @@ class TestFourierSolve:
     @pytest.mark.parametrize("reaction", sorted(REACTIONS))
     @pytest.mark.parametrize("kind", sorted(PRESETS))
     def test_matches_superlu(self, kind, reaction, n_theta):
-        geom = build_geometry(GeometryPreset(GeometryKind(kind), 1.0, 2.0, **PRESETS[kind]))
+        geom = preset_geometry(kind)
         mesh = build_mesh(6, n_theta, 1.0, 2.0)
         params = ModelParams(1.0, 0.7, 1.3, *REACTIONS[reaction])
         spec = reaction_spec(reaction, params)
@@ -384,7 +489,7 @@ class TestFourierSolve:
            n_theta=st_.integers(8, 21), seed=st_.integers(0, 2 ** 16),
            dt=st_.floats(1e-3, 0.2), delta=st_.tuples(*[st_.floats(0.05, 5.0)] * 5))
     def test_one_step_agrees_and_conserves(self, kind, n_r, n_theta, seed, dt, delta):
-        geom = build_geometry(GeometryPreset(GeometryKind(kind), 1.0, 2.0, **PRESETS[kind]))
+        geom = preset_geometry(kind)
         mesh = build_mesh(n_r, n_theta, 1.0, 2.0)
         params = ModelParams(*delta)
         spec = MassAction(params)
@@ -402,26 +507,56 @@ class TestFourierSolve:
             assert min(st.u_hat.min(), st.w_hat.min(), st.z_hat.min()) >= -1e-12
 
     def test_backward_error_check_is_live(self, monkeypatch):
-        geom, mesh, params, spec = make("rotation", omega=1.0, delta=0.5)
-        st = random_state(mesh, seed=1)
-        stepper = ImexStepper(geom, mesh, params, spec, 0.01)
-        fourier = solver._FourierSolve.solve
+        """A perturbed Fourier solve, or a perturbed stencil, trips the check."""
+        for broken in ("solve", "apply"):
+            original = getattr(solver._FourierSolve, broken)
 
-        def perturbed(self, b):
-            x = fourier(self, b)
-            x[len(x) // 2] += 1e-6 * np.max(np.abs(x))
-            return x
+            def perturbed(self, b, original=original):
+                x = original(self, b)
+                x[len(x) // 2] += 1e-6 * np.max(np.abs(x))
+                return x
 
-        monkeypatch.setattr(solver._FourierSolve, "solve", perturbed)
-        with pytest.raises(LinearSolveFailure):
-            stepper.step(st)
-        with pytest.raises(LinearSolveFailure, match="Newton step backward error"):
-            step_implicit(st, 0.01, geom, mesh, params, spec)
-        geom, mesh, params, spec = make("breathing", amplitude=0.15, omega=1.0)
-        with pytest.raises(LinearSolveFailure):
-            step_imex(st, 0.01, geom, mesh, params, spec)
-        with pytest.raises(LinearSolveFailure, match="Newton step backward error"):
-            step_implicit(st, 0.01, geom, mesh, params, spec)
+            monkeypatch.setattr(solver._FourierSolve, broken, perturbed)
+            geom, mesh, params, spec = make("rotation", omega=1.0, delta=0.5)
+            st = random_state(mesh, seed=1)
+            with pytest.raises(LinearSolveFailure):
+                ImexStepper(geom, mesh, params, spec, 0.01).step(st)
+            with pytest.raises(LinearSolveFailure, match="Newton step backward error"):
+                step_implicit(st, 0.01, geom, mesh, params, spec)
+            geom, mesh, params, spec = make("breathing", amplitude=0.15, omega=1.0)
+            with pytest.raises(LinearSolveFailure):
+                step_imex(st, 0.01, geom, mesh, params, spec)
+            with pytest.raises(LinearSolveFailure, match="Newton step backward error"):
+                step_implicit(st, 0.01, geom, mesh, params, spec)
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_no_sparse_matrix_in_a_step(self, name, monkeypatch):
+        """Every stepper steps with scipy.sparse's constructors refusing."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("sparse matrix built in a step")
+
+        for attr in ("csr_matrix", "coo_matrix", "diags"):
+            monkeypatch.setattr(sp, attr, refuse)
+        geom = preset_geometry(name)
+        mesh = build_mesh(6, 12, 1.0, 2.0)
+        params = ModelParams(1.0, 0.7, 1.3, 1.0, 0.5)
+        st = random_state(mesh, seed=2)
+        for spec in (MassAction(params), recycling(params)):
+            stepper = ImexStepper(geom, mesh, params, spec, 0.01)
+            for _ in range(2):
+                st = stepper.step(st)
+            st = step_imex(st, 0.005, geom, mesh, params, spec)
+            st = step_implicit(st, 0.01, geom, mesh, params, spec)
+        assert st.t == pytest.approx(0.07)
+        with pytest.raises(AssertionError, match="sparse matrix built"):
+            assemble_operators(geom, mesh, params, 0.0).bulk_stiffness
+
+
+def newest_solve():
+    """The Fourier solve of the most recent step."""
+    return next(reversed(solver._solves.values()))[2]
+
 
 class TestNewtonFourier:
     """Newton's linear systems by the Fourier solve against SuperLU on the
@@ -431,27 +566,60 @@ class TestNewtonFourier:
     @pytest.mark.parametrize("reaction", sorted(REACTIONS) + ["recycling"])
     @pytest.mark.parametrize("kind", sorted(PRESETS))
     def test_matches_superlu(self, kind, reaction, n_theta):
-        geom = build_geometry(GeometryPreset(GeometryKind(kind), 1.0, 2.0, **PRESETS[kind]))
+        geom = preset_geometry(kind)
         mesh = build_mesh(6, n_theta, 1.0, 2.0)
         params = ModelParams(1.0, 0.7, 1.3, *REACTIONS.get(reaction, (1.0, 1.0)))
         spec = reaction_spec(reaction, params)
-        # static metrics share one assembly and keep its Fourier solve per dt, as solver.run does
-        ops = assemble_operators(geom, mesh, params, 0.0) if geom.metric_is_static else None
+        # fixed-dt steps share the kept Fourier solve of their (t + dt, dt) key
         st = random_state(mesh, seed=4)
         for _ in range(3):
             ref, ref_iters = superlu_newton_step(st, 0.02, geom, mesh, params, spec)
-            st, info = step_implicit(st, 0.02, geom, mesh, params, spec, ops=ops,
-                                     return_info=True)
+            st, info = step_implicit(st, 0.02, geom, mesh, params, spec, return_info=True)
             assert_same_state(st, ref)
             assert info["iterations"] == ref_iters >= 1
         for _ in range(3):
             dt = min(0.05, 0.9 * cfl_bound(geom, mesh, params, st))
             ref, ref_iters = superlu_newton_step(st, dt, geom, mesh, params, spec)
-            st, info = step_implicit(st, dt, geom, mesh, params, spec, ops=ops, return_info=True)
+            st, info = step_implicit(st, dt, geom, mesh, params, spec, return_info=True)
             assert_same_state(st, ref)
             assert info["iterations"] == ref_iters >= 1
-            if ops is not None and not geom.surface_slip_active:
-                assert ops.newton.dt == dt
+            assert newest_solve().dt == dt
+
+
+def check_one_solve_per_key(kind, stepper, cfl, monkeypatch):
+    """solver.run builds one Fourier solve per (t + dt, dt) key, t dropped where
+    the step matrix does not depend on it, and its final state equals the same
+    steps with nothing kept between them."""
+    text = "\n".join([f"geometry.kind = {kind}", "geometry.omega = 1.0",
+                      "geometry.wind_speed = 0.4", "geometry.delta = 0.5",
+                      "geometry.amplitude = 0.1", "mesh.n_r = 6", "mesh.n_theta = 12",
+                      "model.delta_k = 0.05", f"time.stepper = {stepper}",
+                      f"time.cfl = {cfl}", "time.t_final = 0.06", "time.dt = 0.01",
+                      "time.output_interval = 0.02", "ic.profile = perturbed_equilibrium",
+                      "ic.amplitude = 0.3"])
+    cfg = parse_config(text)
+    builds, steps = [], []
+    init, step = solver._FourierSolve.__init__, getattr(solver, f"step_{stepper}")
+    monkeypatch.setattr(solver._FourierSolve, "__init__",
+                        lambda self, *args: builds.append(args[1]) or init(self, *args))
+    monkeypatch.setattr(solver, f"step_{stepper}", lambda state, dt, *args, **kw: steps.append(
+        (state.t, dt)) or step(state, dt, *args, **kw))
+    final = solver.run(cfg).final_state
+    monkeypatch.undo()
+    geom = build_geometry(cfg.geometry)
+    moving = not geom.metric_is_static or (stepper == "implicit" and geom.surface_slip_active)
+    assert len(steps) >= 6
+    assert len(builds) == len({(t + dt if moving else None, dt) for t, dt in steps})
+    # the same steps, each building its own solve
+    mesh = build_mesh(6, 12, 1.0, 2.0)
+    params, spec = cfg.model.params, cfg.model.make_nonlinearity()
+    st = solver.initial_state(cfg, geom, mesh, params)
+    for t, dt in steps:
+        solver._solves.clear()
+        st.t = t
+        st = step(st, dt, geom, mesh, params, spec)
+    for a, b in ((final.u_hat, st.u_hat), (final.w_hat, st.w_hat), (final.z_hat, st.z_hat)):
+        assert np.array_equal(a, b)
 
 
 class TestStepImplicit:
@@ -502,29 +670,14 @@ class TestStepImplicit:
 
     @pytest.mark.parametrize("kind", ["fixed", "rotation", "surface_wind"])
     def test_static_metric_assembles_once(self, kind, monkeypatch):
-        text = "\n".join([f"geometry.kind = {kind}", "geometry.omega = 1.0",
-                          "geometry.wind_speed = 0.4", "geometry.delta = 0.5",
-                          "mesh.n_r = 6", "mesh.n_theta = 12", "model.delta_k = 0.05",
-                          "time.stepper = implicit", "time.t_final = 0.06", "time.dt = 0.01",
-                          "time.output_interval = 0.02", "ic.profile = perturbed_equilibrium",
-                          "ic.amplitude = 0.3"])
-        cfg = parse_config(text)
-        calls = []
-        assemble = solver.assemble_operators
-        monkeypatch.setattr(solver, "assemble_operators",
-                            lambda *args: calls.append(args) or assemble(*args))
-        final = solver.run(cfg).final_state
-        assert len(calls) == 1
-        # the same steps, each assembling its own operators
-        geom = build_geometry(cfg.geometry)
-        mesh = build_mesh(6, 12, 1.0, 2.0)
-        st = solver.initial_state(cfg, geom, mesh, cfg.model.params)
-        for _ in range(6):
-            st = step_implicit(st, 0.01, geom, mesh, cfg.model.params,
-                               cfg.model.make_nonlinearity())
-        for a, b in ((final.u_hat, st.u_hat), (final.w_hat, st.w_hat), (final.z_hat, st.z_hat)):
-            assert np.array_equal(a, b)
-        assert len(calls) == 7
+        """One Fourier solve per dt on a static metric; per step where the
+        Newton matrix holds the surface_wind advection."""
+        for stepper, cfl in itertools.product(("imex", "implicit"), ("false", "true")):
+            check_one_solve_per_key(kind, stepper, cfl, monkeypatch)
+
+    def test_moving_metric_builds_one_solve_per_step(self, monkeypatch):
+        for stepper, cfl in itertools.product(("imex", "implicit"), ("false", "true")):
+            check_one_solve_per_key("breathing", stepper, cfl, monkeypatch)
 
     def test_newton_divergence_surfaces(self):
         geom, mesh, params, spec = make()
@@ -697,15 +850,14 @@ class TestErrorPaths:
 
         def zero_measures(*args):
             ops = assemble(*args)
-            return dataclasses.replace(ops, bulk_measures=0.0 * ops.bulk_measures,
-                                       surf_measures=0.0 * ops.surf_measures)
+            return dataclasses.replace(ops, ring_measures=0.0 * ops.ring_measures,
+                                       surf_measure=0.0)
 
         geom, mesh, params, spec = make(n=6)
         st = random_state(mesh, seed=5)
-        with pytest.raises(LinearSolveFailure, match="singular in Fourier mode 0"):
-            step_implicit(st, 0.01, geom, mesh, params, spec,
-                          ops=zero_measures(geom, mesh, params, 0.01))
         monkeypatch.setattr(solver, "assemble_operators", zero_measures)
+        with pytest.raises(LinearSolveFailure, match="singular in Fourier mode 0"):
+            step_implicit(st, 0.01, geom, mesh, params, spec)
         with pytest.raises(LinearSolveFailure, match="singular in Fourier mode 0"):
             step_imex(st, 0.01, geom, mesh, params, spec)
         cfg = tmp_path / "run.cfg"
@@ -714,6 +866,7 @@ class TestErrorPaths:
         assert "singular in Fourier mode 0" in capsys.readouterr().err
         # a singular capacitance matrix fails the same way
         monkeypatch.setattr(solver, "assemble_operators", assemble)
+        solver._solves.clear()
 
         def singular(a, b):
             raise np.linalg.LinAlgError("Singular matrix")
