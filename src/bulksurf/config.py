@@ -328,6 +328,7 @@ def _parse_blocks(text: str):
         line, i = lines[i].strip(), i + 1
         if not line:
             continue
+        at = i  # the 1-based line at fault, if any
         try:
             if not line.startswith("#"):
                 raise ValueError("expected a header '# field=<name> n_r=<rows> ...'")
@@ -335,10 +336,14 @@ def _parse_blocks(text: str):
             name, n_r = header["field"], int(header["n_r"])
             if not 0 <= n_r <= len(lines) - i:
                 raise ValueError(f"block {name!r} needs n_r = {n_r} rows, {len(lines) - i} follow")
-            blocks[name] = np.array([[float(v) for v in row.split(",")]
-                                     for row in lines[i:i + n_r]], dtype=float)
-        except (KeyError, ValueError) as exc:  # a ragged row is a ValueError too
-            raise ParseError(f"line {i}: {type(exc).__name__}: {exc}", line=i) from exc
+            rows = []
+            for at, row in enumerate(lines[i:i + n_r], start=i + 1):
+                rows.append([float(v) for v in row.split(",")])
+                if len(rows[-1]) != len(rows[0]):
+                    raise ValueError(f"{len(rows[-1])} values in a row, {len(rows[0])} in the first")
+            blocks[name] = np.array(rows, dtype=float)
+        except (KeyError, ValueError) as exc:
+            raise ParseError(f"line {at}: {type(exc).__name__}: {exc}", line=at) from exc
         i += n_r
     return blocks
 

@@ -85,10 +85,16 @@ def build_mesh(n_r: int, n_theta: int, r_inner0: float, r_outer0: float) -> Refe
     )
 
 
+def moving_ring_measures(mesh: ReferenceMesh, geom: EvolvingGeometry, t: float) -> np.ndarray:
+    """Moving cell area of each ring, (n_r,): reference measure times
+    det D Phi_t at the center, which depends on the radius only."""
+    jac = geom.jacobian_det_ref(t, mesh.r_centers)
+    return mesh.bulk_ref_measures[::mesh.n_theta] * jac
+
+
 def moving_bulk_measures(mesh: ReferenceMesh, geom: EvolvingGeometry, t: float) -> np.ndarray:
-    """Moving cell areas: reference measure times det D Phi_t at the center."""
-    jac = geom.jacobian_det_ref(t, mesh.cell_r)
-    return mesh.bulk_ref_measures * jac
+    """Moving cell areas, flat (n_bulk,)."""
+    return np.repeat(moving_ring_measures(mesh, geom, t), mesh.n_theta)
 
 
 def moving_surface_measures(mesh: ReferenceMesh, geom: EvolvingGeometry, t: float) -> np.ndarray:

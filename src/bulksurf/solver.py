@@ -56,7 +56,7 @@ import scipy.sparse as sp
 from .errors import (CflViolation, LinearSolveFailure, NewtonDivergence,
                      NonfiniteField, SingularJacobian, UnknownCase)
 from .geometry import EvolvingGeometry, GeometryKind, GeometryPreset, build_geometry
-from .mesh import (ReferenceMesh, build_mesh, moving_bulk_measures,
+from .mesh import (ReferenceMesh, build_mesh, moving_bulk_measures, moving_ring_measures,
                    moving_surface_measures)
 from .model import MassAction, ModelParams
 
@@ -110,7 +110,6 @@ class DiscreteOperators:
     surface: tuple              # surface faces for (w, z), include delta_Gamma, delta_Gamma'
     ring_measures: np.ndarray   # (n_r,) moving bulk cell measure of each ring
     surf_measure: float         # moving surface cell measure, also the coupling arc
-    q: float = 0.0              # J_Gamma speed through every surface face
 
     bulk_measures = property(lambda self: np.repeat(self.ring_measures, self.n_theta))
     surf_measures = property(lambda self: np.full(self.n_theta, self.surf_measure))
@@ -139,11 +138,11 @@ def _ring_stiffness(angular, radial, nt):
 def assemble_operators(geom: EvolvingGeometry, mesh: ReferenceMesh,
                        params: ModelParams, t: float) -> DiscreteOperators:
     """Ring coefficients and moving measures at time t."""
-    jac = geom.jacobian_det_ref(t, mesh.r_centers)
-    if np.min(jac) <= 0.0 or geom.inner_radius(t) <= 0.0:
-        raise SingularJacobian(f"det D Phi_t <= 0 at t = {t:g} (min {np.min(jac):g})")
+    rings = moving_ring_measures(mesh, geom, t)
+    if np.min(rings) <= 0.0 or geom.inner_radius(t) <= 0.0:
+        raise SingularJacobian(f"det D Phi_t <= 0 at t = {t:g} (min cell area {np.min(rings):g})")
     slope = geom.radial_slope(t)
-    arc = float(geom.surface_stretch(t, 0.0)) * mesh.dtheta
+    arc = float(moving_surface_measures(mesh, geom, t)[0])
     return DiscreteOperators(
         t=t, n_theta=mesh.n_theta,
         # radial faces: arc of length rho_f * dtheta, centers slope*dr apart
@@ -153,9 +152,7 @@ def assemble_operators(geom: EvolvingGeometry, mesh: ReferenceMesh,
         angular=params.delta_omega * (slope * mesh.dr) / (geom.radius_map(t, mesh.r_centers)
                                                           * mesh.dtheta),
         surface=(params.delta_gamma / arc, params.delta_gamma_prime / arc),
-        ring_measures=mesh.r_centers * mesh.dr * mesh.dtheta * jac,
-        surf_measure=arc,
-        q=_surface_face_speed(geom, mesh, t) if geom.surface_slip_active else 0.0)
+        ring_measures=rings, surf_measure=arc)
 
 
 # -- advection ----------------------------------------------------------------
@@ -242,6 +239,8 @@ def _slot_slices(mesh: ReferenceMesh):
 
 # signs of an exchange flux in the rows (u trace, w, z); equal values conserve m1, m2
 _EXCHANGE = (1.0, 1.0, -1.0)
+# rings of (u trace, w, z) in the order of the Fourier modes (w, z, u outward)
+_SLOT_RINGS = [2, 0, 1]
 
 
 def _mass_rhs(state: State, dt: float, mesh: ReferenceMesh, m0, m1,
@@ -287,12 +286,13 @@ class _FourierSolve:
     rings outward), with bands in closed form (2 (1 - cos 2 pi p / n_theta)
     for the cyclic second difference, a shift for the upwind flux) and one
     LAPACK gtsv call.  Slot terms enter by Woodbury with a capacitance matrix
-    of circulant blocks (Buzbee, Dorr, George and Golub).  Every solve is
-    checked by apply, a matrix-free stencil apart from the Fourier path.
+    of circulant blocks (Buzbee, Dorr, George and Golub), solved mode by mode
+    when each coefficient is the same in every slot.  Every solve is checked
+    by apply, a matrix-free stencil apart from the Fourier path.
     """
 
     def __init__(self, ops: DiscreteOperators, dt: float, mesh: ReferenceMesh, q: float = 0.0):
-        self.dt, self.mesh, self.responses = dt, mesh, {}
+        self.dt, self.mesh, self.responses, self.circulants = dt, mesh, {}, {}
         self.measures = (ops.bulk_measures, ops.surf_measures)
         nr, nt = mesh.n_r, mesh.n_theta
         rings = np.arange(nr + 2)
@@ -366,23 +366,30 @@ class _FourierSolve:
                 f"step matrix singular in Fourier mode {(info - 1) // len(self.order)}")
         return y.reshape(modes.shape)
 
-    def solve(self, b):
-        """x with A0 x = b."""
+    def _modes(self, b):
+        """A0^{-1} b as its modes, (n_theta // 2 + 1, rings) as in _solve_modes."""
         nt, rings = self.mesh.n_theta, len(self.order)
-        modes = np.fft.rfft(b.reshape(rings, nt)[self.order], axis=1).T.copy()
-        return np.fft.irfft(self._solve_modes(modes).T, n=nt, axis=1)[self.back].ravel()
+        return self._solve_modes(np.fft.rfft(b.reshape(rings, nt)[self.order], axis=1).T.copy())
+
+    def _field(self, modes):
+        """The stacked vector of the given modes."""
+        return np.fft.irfft(modes.T, n=self.mesh.n_theta, axis=1)[self.back].ravel()
 
     def _response(self, pattern):
-        """rFFT per ring of g = A0^{-1} (slot 0's unit flux, pattern's signs; 1 in
-        every mode) and the circulants W_j[m, k] = g[ring of j, m - k], j in (u trace, w, z)."""
+        """Modes of g = A0^{-1} (slot 0's unit flux with pattern's signs: 1 in
+        every mode)."""
         if pattern not in self.responses:
-            slot_rings = [2, 0, 1]   # (u trace, w, z) in the order of the modes
             modes = np.zeros((self.mesh.n_theta // 2 + 1, len(self.order)), complex)
-            modes[:, slot_rings] = pattern
-            y = self._solve_modes(modes)
-            g = np.fft.irfft(y[:, slot_rings].T, n=self.mesh.n_theta, axis=1)
-            self.responses[pattern] = y.T[self.back], [sla.circulant(row) for row in g]
+            modes[:, _SLOT_RINGS] = pattern
+            self.responses[pattern] = self._solve_modes(modes)
         return self.responses[pattern]
+
+    def _circulants(self, pattern):
+        """W_j[m, k] = g[ring of j, m - k] for j in (u trace, w, z)."""
+        if pattern not in self.circulants:
+            g = np.fft.irfft(self._response(pattern)[:, _SLOT_RINGS].T, n=self.mesh.n_theta, axis=1)
+            self.circulants[pattern] = [sla.circulant(row) for row in g]
+        return self.circulants[pattern]
 
     def solve_slots(self, b, terms, what: str):
         """x with (A0 + slot terms) x = b, terms as (pattern, coeffs) pairs."""
@@ -390,27 +397,42 @@ class _FourierSolve:
         terms = [(p, [v if v is not None and v.any() else None for v in c]) for p, c in terms]
         terms = [(p, c) for p, c in terms if any(v is not None for v in c)]
 
-        def flux(c, x):
-            return sum(v * x[at] for v, at in zip(c, slots) if v is not None)
+        def flux(c, parts):   # parts: (u trace, w, z) of a vector
+            return sum(v * part for v, part in zip(c, parts) if v is not None)
 
-        x = self.solve(b)
-        if terms:
-            cap = np.eye(ns * len(terms))
-            for i, (_, c) in enumerate(terms):
-                for k, (p, _) in enumerate(terms):
-                    for v, w in zip(c, self._response(p)[1]):
-                        if v is not None:
-                            cap[i * ns:(i + 1) * ns, k * ns:(k + 1) * ns] += v[:, None] * w
+        modes = self._modes(b)
+        if terms:   # Woodbury: the correction's modes are the responses times xi's
+            ys = [self._response(p) for p, _ in terms]
             try:
-                xi = np.linalg.solve(cap, np.concatenate([flux(c, x) for _, c in terms]))
+                if all(np.ptp(v) == 0.0 for _, c in terms for v in c if v is not None):
+                    # coefficients the same in every slot: the capacitance blocks
+                    # are circulant, so it is one small system per Fourier mode
+                    rows = [[None if v is None else v[0] for v in c] for _, c in terms]
+
+                    def mode_flux(y):
+                        return np.stack([flux(r, y[:, _SLOT_RINGS].T) for r in rows], axis=1)
+
+                    cap = np.stack([mode_flux(y) for y in ys], axis=2) + np.eye(len(terms))
+                    rhs = mode_flux(modes)[..., None]
+                    xi = rhs / cap if len(terms) == 1 else np.linalg.solve(cap, rhs)
+                else:
+                    cap = np.eye(ns * len(terms))
+                    for i, (_, c) in enumerate(terms):
+                        for k, (p, _) in enumerate(terms):
+                            for v, w in zip(c, self._circulants(p)):
+                                if v is not None:
+                                    cap[i * ns:(i + 1) * ns, k * ns:(k + 1) * ns] += v[:, None] * w
+                    parts = np.fft.irfft(modes[:, _SLOT_RINGS].T, n=ns, axis=1)
+                    xi = np.linalg.solve(cap, np.concatenate([flux(c, parts) for _, c in terms]))
+                    xi = np.fft.rfft(xi.reshape(-1, ns), axis=1).T[..., None]
             except np.linalg.LinAlgError as exc:
                 raise LinearSolveFailure(f"{what}: capacitance solve failed: {exc}") from exc
-            for (p, _), part in zip(terms, xi.reshape(-1, ns)):
-                x -= np.fft.irfft(self._response(p)[0] * np.fft.rfft(part), n=ns, axis=1).ravel()
+            modes -= sum(y * xi[:, k] for k, y in enumerate(ys))
+        x = self._field(modes)
         # backward error by the stencil; the slot rows' absolute sums grow by the terms'
         residual, slot_abs = self.apply(x) - b, self.slot_abs[:, None]
         for p, c in terms:
-            fx, fa = flux(c, x), sum(np.abs(v) for v in c if v is not None)
+            fx, fa = flux(c, [x[at] for at in slots]), sum(np.abs(v) for v in c if v is not None)
             for at, sign in zip(slots, p):
                 residual[at] += sign * fx
             slot_abs = slot_abs + np.abs(p)[:, None] * fa
@@ -418,26 +440,23 @@ class _FourierSolve:
         return x
 
 
-# the Fourier solves of the last few steps: key -> (geometry, mesh, solve), newest last
-_SOLVES_KEPT = 2
-_solves: dict = {}
+# the Fourier solve of the latest step: key -> (geometry, mesh, solve), one entry
+_kept: dict = {}
 
 
 def _solve_for(geom: EvolvingGeometry, mesh: ReferenceMesh, params: ModelParams,
                t1: float, dt: float, advect: bool = False):
-    """The Fourier solve of the step to t1 = t + dt (see _FourierSolve), kept by
-    (t1, dt) for the last _SOLVES_KEPT keys; t1 leaves the key where A0 does
-    not depend on it (static metric, no advection)."""
+    """The Fourier solve of the step to t1 = t + dt (see _FourierSolve), kept
+    until a step needs another (t1, dt); t1 leaves the key where A0 does not
+    depend on it (static metric, no advection)."""
     moving = advect or not geom.metric_is_static
     key = (id(geom), id(mesh), params, t1 if moving else None, dt, advect)
-    entry = _solves.pop(key, None)
-    if entry is None:
-        ops = assemble_operators(geom, mesh, params, t1)
-        entry = (geom, mesh, _FourierSolve(ops, dt, mesh, ops.q if advect else 0.0))
-    _solves[key] = entry
-    while len(_solves) > _SOLVES_KEPT:
-        del _solves[next(iter(_solves))]
-    return entry[2]
+    if key not in _kept:
+        _kept.clear()
+        q = _surface_face_speed(geom, mesh, t1) if advect else 0.0
+        _kept[key] = (geom, mesh, _FourierSolve(assemble_operators(geom, mesh, params, t1),
+                                                dt, mesh, q))
+    return _kept[key][2]
 
 
 def step_imex(state: State, dt: float, geom: EvolvingGeometry, mesh: ReferenceMesh,

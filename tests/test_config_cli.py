@@ -189,10 +189,13 @@ def field_file_text(fault):
 
 
 class TestCli:
-    @pytest.mark.parametrize("fault", [
-        "header without field=", "header token without =", "truncated block", "ragged row",
-        "non-numeric value", "n_r=abc", "n_r=-1", "negative value", "nan value", "inf value"])
-    def test_field_file_fault_exits_one_naming_ic_path(self, fault, tmp_path, capsys):
+    @pytest.mark.parametrize("fault, line", [
+        ("header without field=", 1), ("header token without =", 1), ("truncated block", 8),
+        ("ragged row", 3), ("non-numeric value", 3), ("n_r=abc", 1), ("n_r=-1", 1),
+        ("negative value", None), ("nan value", None), ("inf value", None)])
+    def test_field_file_fault_exits_one_naming_ic_path(self, fault, line, tmp_path, capsys):
+        """A malformed file names the line at fault (1-based); a bad value
+        names its field."""
         cfg_path = tmp_path / "c.cfg"
         cfg_path.write_text(f"mesh.n_r = 4\nmesh.n_theta = 8\nic.profile = file\n"
                             f"ic.path = {tmp_path / 'ic.txt'}\ntime.t_final = 0.02\n"
@@ -204,6 +207,7 @@ class TestCli:
         assert cli.main(["run", str(cfg_path)]) == 1
         err = capsys.readouterr().err
         assert "ic.path" in err and "Traceback" not in err
+        assert f"line {line}:" in err if line else "has a negative or non-finite value" in err
 
     def test_equilibrium_subcommand(self, tmp_path, capsys):
         code = cli.main(["equilibrium", "--m1", "2", "--m2", "2", "--area", "1",

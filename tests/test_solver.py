@@ -305,21 +305,16 @@ class TestStepImex:
         ref[mesh.n_bulk:] += np.concatenate([0.01 * surface_advection(geom, mesh, 0.0, f)
                                              for f in (st.w_hat, st.z_hat)])
         assert np.array_equal(_imex_rhs(st, 0.01, geom, mesh, m, m, None), ref)
-        # once per step at t (the bound and the explicit advection), and once
-        # per operator assembly at t + dt (the speed the operators hold)
-        calls, assembled = [], []
-        speed_at, assemble = solver._surface_face_speed, solver.assemble_operators
+        calls = []
+        speed_at = solver._surface_face_speed
         monkeypatch.setattr(solver, "_surface_face_speed",
                             lambda *args: calls.append(args[2]) or speed_at(*args))
-        monkeypatch.setattr(solver, "assemble_operators",
-                            lambda *args: assembled.append(args[3]) or assemble(*args))
         stepper = ImexStepper(geom, mesh, params, spec, 0.01)
         for _ in range(3):
             st = stepper.step(st)
         step_imex(st, 0.01, geom, mesh, params, spec)
-        assert assembled == [0.01] and calls == [0.0, 0.01, 0.01, 0.02, 0.03]
+        assert calls == [0.0, 0.01, 0.02, 0.03]
         calls.clear()
-        assembled.clear()
         text = "\n".join(["geometry.kind = surface_wind", f"geometry.wind_speed = {speed}",
                           "geometry.delta = 0.5", "mesh.n_r = 4", "mesh.n_theta = 8",
                           "model.delta_k = 0.05", "time.cfl = true", "time.t_final = 0.1",
@@ -329,7 +324,7 @@ class TestStepImex:
         monkeypatch.setattr(solver, "step_imex",
                             lambda state, *args, **kw: steps.append(state.t) or imex(state, *args, **kw))
         solver.run(parse_config(text))
-        assert len(steps) > 2 and sorted(calls) == sorted(steps + assembled)
+        assert len(steps) > 2 and calls == steps
 
     def test_cfl_violation_raised(self):
         geom, mesh, params, spec = make("surface_wind", wind_speed=2.0, delta=0.0)
@@ -507,12 +502,13 @@ class TestFourierSolve:
             assert min(st.u_hat.min(), st.w_hat.min(), st.z_hat.min()) >= -1e-12
 
     def test_backward_error_check_is_live(self, monkeypatch):
-        """A perturbed Fourier solve, or a perturbed stencil, trips the check."""
-        for broken in ("solve", "apply"):
+        """A perturbed Fourier solve (its inverse FFT back to the stacked
+        vector), or a perturbed stencil, trips the check."""
+        for broken in ("_field", "apply"):
             original = getattr(solver._FourierSolve, broken)
 
-            def perturbed(self, b, original=original):
-                x = original(self, b)
+            def perturbed(self, arg, original=original):
+                x = original(self, arg)
                 x[len(x) // 2] += 1e-6 * np.max(np.abs(x))
                 return x
 
@@ -529,6 +525,23 @@ class TestFourierSolve:
             with pytest.raises(LinearSolveFailure, match="Newton step backward error"):
                 step_implicit(st, 0.01, geom, mesh, params, spec)
             monkeypatch.undo()
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_no_binding_needs_no_dense_capacitance(self, name, monkeypatch):
+        """With delta_K = inf the one slot term, the unbinding, is the same in
+        every slot: it is solved per Fourier mode, with no n_theta x n_theta
+        capacitance, and still agrees with SuperLU."""
+        monkeypatch.setattr(solver._FourierSolve, "_circulants",
+                            lambda *args: pytest.fail("dense capacitance built"))
+        geom = preset_geometry(name)
+        mesh = build_mesh(6, 16, 1.0, 2.0)
+        params = ModelParams(1.0, 0.7, 1.3, math.inf, 0.7)
+        spec = MassAction(params)
+        st = random_state(mesh, seed=3)
+        assert_same_state(step_imex(st, 0.02, geom, mesh, params, spec),
+                          superlu_step(st, 0.02, geom, mesh, params, spec))
+        assert_same_state(step_implicit(st, 0.02, geom, mesh, params, spec),
+                          superlu_newton_step(st, 0.02, geom, mesh, params, spec)[0])
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_no_sparse_matrix_in_a_step(self, name, monkeypatch):
@@ -555,7 +568,7 @@ class TestFourierSolve:
 
 def newest_solve():
     """The Fourier solve of the most recent step."""
-    return next(reversed(solver._solves.values()))[2]
+    return next(iter(solver._kept.values()))[2]
 
 
 class TestNewtonFourier:
@@ -587,9 +600,9 @@ class TestNewtonFourier:
 
 
 def check_one_solve_per_key(kind, stepper, cfl, monkeypatch):
-    """solver.run builds one Fourier solve per (t + dt, dt) key, t dropped where
-    the step matrix does not depend on it, and its final state equals the same
-    steps with nothing kept between them."""
+    """solver.run builds one Fourier solve each time the (t + dt, dt) key
+    changes, t dropped where the step matrix does not depend on it, and its
+    final state equals the same steps with nothing kept between them."""
     text = "\n".join([f"geometry.kind = {kind}", "geometry.omega = 1.0",
                       "geometry.wind_speed = 0.4", "geometry.delta = 0.5",
                       "geometry.amplitude = 0.1", "mesh.n_r = 6", "mesh.n_theta = 12",
@@ -609,13 +622,14 @@ def check_one_solve_per_key(kind, stepper, cfl, monkeypatch):
     geom = build_geometry(cfg.geometry)
     moving = not geom.metric_is_static or (stepper == "implicit" and geom.surface_slip_active)
     assert len(steps) >= 6
-    assert len(builds) == len({(t + dt if moving else None, dt) for t, dt in steps})
+    keys = [(t + dt if moving else None, dt) for t, dt in steps]
+    assert len(builds) == 1 + sum(a != b for a, b in zip(keys, keys[1:]))
     # the same steps, each building its own solve
     mesh = build_mesh(6, 12, 1.0, 2.0)
     params, spec = cfg.model.params, cfg.model.make_nonlinearity()
     st = solver.initial_state(cfg, geom, mesh, params)
     for t, dt in steps:
-        solver._solves.clear()
+        solver._kept.clear()
         st.t = t
         st = step(st, dt, geom, mesh, params, spec)
     for a, b in ((final.u_hat, st.u_hat), (final.w_hat, st.w_hat), (final.z_hat, st.z_hat)):
@@ -670,8 +684,8 @@ class TestStepImplicit:
 
     @pytest.mark.parametrize("kind", ["fixed", "rotation", "surface_wind"])
     def test_static_metric_assembles_once(self, kind, monkeypatch):
-        """One Fourier solve per dt on a static metric; per step where the
-        Newton matrix holds the surface_wind advection."""
+        """One Fourier solve per change of dt on a static metric; per step
+        where the Newton matrix holds the surface_wind advection."""
         for stepper, cfl in itertools.product(("imex", "implicit"), ("false", "true")):
             check_one_solve_per_key(kind, stepper, cfl, monkeypatch)
 
@@ -866,7 +880,7 @@ class TestErrorPaths:
         assert "singular in Fourier mode 0" in capsys.readouterr().err
         # a singular capacitance matrix fails the same way
         monkeypatch.setattr(solver, "assemble_operators", assemble)
-        solver._solves.clear()
+        solver._kept.clear()
 
         def singular(a, b):
             raise np.linalg.LinAlgError("Singular matrix")
