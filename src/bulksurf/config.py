@@ -16,7 +16,8 @@ Sections and keys (defaults in parentheses):
   model.delta_gamma_prime (1.0)
   model.delta_k (1.0)          model.delta_k_prime (1.0)   ("inf" disables)
   model.nonlinearity (mass_action) | custom:<registered name>
-  model.equilibrium_mode (rate_balance) | paper_literal
+  model.equilibrium_mode (rate_balance) | paper_literal   (rate_balance needs
+                               both rate constants finite)
   time.t_final (1.0)           time.dt (0.01)
   time.cfl (false)             time.output_interval (0.1)
   time.stepper (imex) | implicit
@@ -242,6 +243,12 @@ def parse_config(text: str) -> RunConfig:
     eq_mode_raw = get("model.equilibrium_mode")
     if eq_mode_raw not in _EQ_MODES:
         fail("model.equilibrium_mode", f"must be one of {sorted(_EQ_MODES)}, got {eq_mode_raw!r}")
+    if _EQ_MODES[eq_mode_raw] is EquilibriumMode.RATE_BALANCE:
+        for k in ("model.delta_k", "model.delta_k_prime"):
+            if math.isinf(get(k)):
+                fail("model.equilibrium_mode",
+                     f"rate_balance needs finite rate constants (kappa = delta_k_prime / "
+                     f"delta_k), got {k} = inf; use paper_literal")
     model = ModelBlock(
         params=ModelParams(
             delta_omega=get("model.delta_omega"),
@@ -316,8 +323,8 @@ def format_snapshot(name: str, t: float, grid: np.ndarray) -> str:
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     n_r, n_theta = grid.shape
     lines = [f"# t={t:.17g} field={name} n_r={n_r} n_theta={n_theta}"]
-    for row in grid:
-        lines.append(",".join(f"{v:.17g}" for v in row))
+    row_format = ",".join(["%.17g"] * n_theta)
+    lines.extend(row_format % tuple(row) for row in grid.tolist())
     return "\n".join(lines) + "\n"
 
 

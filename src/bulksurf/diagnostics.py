@@ -20,6 +20,12 @@ s log s - s + 1): each species contributes a fluctuation constant
 1 / (measure (sqrt(Mbar) + sqrt(s_inf))^2), where Mbar bounds the spatial
 average through the conserved masses; combining the two halves of
 |s - s_inf| costs a factor 1/2.
+
+Each of these quantities has one formula, written over fields with any
+leading batch shape: a single state is the case with no batch axis, and the
+Monte-Carlo probe evaluates its samples in blocks, as (block, cells) arrays
+held in reused buffers.  The measures and metric factors of one time are
+evaluated once (`_Frame`) and shared by every state evaluated there.
 """
 
 from __future__ import annotations
@@ -102,6 +108,7 @@ class ProbeSample:
 
 @dataclasses.dataclass(frozen=True)
 class DissipationParts:
+    """Floats for one state; arrays of the batch shape for a batch."""
     fisher_u: float
     fisher_w: float
     fisher_z: float
@@ -112,70 +119,123 @@ class DissipationParts:
         return self.fisher_u + self.fisher_w + self.fisher_z + self.reaction
 
 
-def _boltzmann(s, s_inf):
-    s = np.asarray(s, dtype=float)
-    out = np.full_like(s, s_inf)
-    pos = s > 0.0
-    out[pos] = s[pos] * np.log(s[pos] / s_inf) - s[pos] + s_inf
+@dataclasses.dataclass(frozen=True)
+class _Frame:
+    """The moving-mesh data that integrals and gradients at one time need,
+    evaluated once and shared by every state (or block of states) there."""
+    mesh: ReferenceMesh
+    bulk: np.ndarray      # moving cell areas, (n_bulk,)
+    surf: np.ndarray      # moving surface cell lengths, (n_theta,)
+    slope: float          # d rho / d r of the radial map
+    rho_c: np.ndarray     # physical radius of each ring, (n_r,)
+    stretch: np.ndarray   # surface stretch G(t, theta_k), (n_theta,)
+
+
+def _frame(geom: EvolvingGeometry, mesh: ReferenceMesh, t: float) -> _Frame:
+    return _Frame(mesh, moving_bulk_measures(mesh, geom, t),
+                  moving_surface_measures(mesh, geom, t), geom.radial_slope(t),
+                  geom.radius_map(t, mesh.r_centers),
+                  geom.surface_stretch(t, mesh.theta_centers))
+
+
+def _require_finite(fields, what):
+    if not all(np.all(np.isfinite(f)) for f in fields):
+        raise NonfiniteField(f"{what} evaluation on non-finite state")
+
+
+def _boltzmann(s, s_inf, out=None):
+    """s log(s/s_inf) - s + s_inf elementwise, with 0 log 0 = 0 (and s_inf
+    wherever s <= 0)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.divide(s, s_inf, out=out)
+        np.log(out, out=out)
+        out *= s
+    out -= s
+    out += s_inf
+    out[s <= 0.0] = s_inf
     return out
 
 
-def relative_entropy(state: State, eq: Equilibrium, geom: EvolvingGeometry,
-                     mesh: ReferenceMesh) -> float:
-    """Sum of the three Boltzmann integrals at state.t; nonnegative."""
-    for f in (state.u_hat, state.w_hat, state.z_hat):
-        if not np.all(np.isfinite(f)):
-            raise NonfiniteField("entropy evaluation on non-finite state")
-    mb = moving_bulk_measures(mesh, geom, state.t)
-    ms = moving_surface_measures(mesh, geom, state.t)
-    e = float(np.dot(_boltzmann(state.u_hat, eq.u_inf), mb))
-    e += float(np.dot(_boltzmann(state.w_hat, eq.w_inf), ms))
-    e += float(np.dot(_boltzmann(state.z_hat, eq.z_inf), ms))
+def _entropy(u, w, z, eq: Equilibrium, fr: _Frame, scratch=None):
+    e = _boltzmann(u, eq.u_inf, scratch) @ fr.bulk
+    e += _boltzmann(w, eq.w_inf) @ fr.surf
+    e += _boltzmann(z, eq.z_inf) @ fr.surf
     return e
 
 
-def _bulk_gradient_sq(state_u, geom, mesh, t):
-    """|grad u|^2 at bulk cell centers via mapped centered differences."""
-    u = state_u.reshape(mesh.n_r, mesh.n_theta)
-    slope = geom.radial_slope(t)
-    rho_c = geom.radius_map(t, mesh.r_centers)
-    dudr = np.empty_like(u)
-    dudr[1:-1] = (u[2:] - u[:-2]) / (2.0 * slope * mesh.dr)
-    dudr[0] = (u[1] - u[0]) / (slope * mesh.dr)
-    dudr[-1] = (u[-1] - u[-2]) / (slope * mesh.dr)
-    dtan = (np.roll(u, -1, axis=1) - np.roll(u, 1, axis=1)) / (2.0 * mesh.dtheta)
-    dtan /= rho_c[:, None]
-    return (dudr ** 2 + dtan ** 2).ravel()
+def relative_entropy(state: State, eq: Equilibrium, geom: EvolvingGeometry,
+                     mesh: ReferenceMesh):
+    """Sum of the three Boltzmann integrals at state.t; nonnegative.  Fields
+    with a leading batch axis give one entropy per state."""
+    fields = (state.u_hat, state.w_hat, state.z_hat)
+    _require_finite(fields, "entropy")
+    return _entropy(*fields, eq, _frame(geom, mesh, state.t))
 
 
-def _surface_gradient_sq(field, geom, mesh, t):
-    g = geom.surface_stretch(t, mesh.theta_centers)
-    ds = (np.roll(field, -1) - np.roll(field, 1)) / (2.0 * mesh.dtheta * g)
-    return ds ** 2
+def _centered(f, out=None):
+    """f[k+1] - f[k-1] along the periodic last axis."""
+    d = np.empty_like(f) if out is None else out
+    np.subtract(f[..., 2:], f[..., :-2], out=d[..., 1:-1])
+    np.subtract(f[..., 1], f[..., -1], out=d[..., 0])
+    np.subtract(f[..., 0], f[..., -2], out=d[..., -1])
+    return d
+
+
+def _bulk_gradient_sq(u, fr: _Frame, out, scratch):
+    """|grad u|^2 at bulk cell centers via mapped centered differences,
+    written to out; scratch is overwritten."""
+    mesh = fr.mesh
+    grid = u.shape[:-1] + (mesh.n_r, mesh.n_theta)
+    u = u.reshape(grid)
+    g = out.reshape(grid)
+    h = fr.slope * mesh.dr
+    np.subtract(u[..., 2:, :], u[..., :-2, :], out=g[..., 1:-1, :])
+    g[..., 1:-1, :] /= 2.0 * h
+    g[..., 0, :] = (u[..., 1, :] - u[..., 0, :]) / h
+    g[..., -1, :] = (u[..., -1, :] - u[..., -2, :]) / h
+    np.square(g, out=g)
+    dtan = _centered(u, scratch.reshape(grid))
+    dtan /= 2.0 * mesh.dtheta
+    dtan /= fr.rho_c[:, None]
+    g += np.square(dtan, out=dtan)
+    return out
+
+
+def _surface_gradient_sq(field, fr: _Frame):
+    ds = _centered(field)
+    ds /= 2.0 * fr.mesh.dtheta * fr.stretch
+    return np.square(ds, out=ds)
+
+
+def _fisher(grad_sq, s, measures, floor_eps, scratch=None):
+    grad_sq /= np.maximum(s, floor_eps, out=scratch)
+    return grad_sq @ measures
+
+
+def _dissipation_parts(u, w, z, fr: _Frame, params: ModelParams, floor_eps: float,
+                       scratch=None) -> DissipationParts:
+    """The dissipation terms of fields with any leading batch shape; scratch,
+    if given, holds two arrays shaped like u and is overwritten."""
+    grad, tmp = np.empty((2,) + u.shape) if scratch is None else scratch
+    fu = 0.5 * params.delta_omega * _fisher(_bulk_gradient_sq(u, fr, grad, tmp), u, fr.bulk,
+                                            floor_eps, tmp)
+    fw = 0.5 * params.delta_gamma * _fisher(_surface_gradient_sq(w, fr), w, fr.surf, floor_eps)
+    fz = 0.5 * params.delta_gamma_prime * _fisher(_surface_gradient_sq(z, fr), z, fr.surf,
+                                                  floor_eps)
+    uw = u[..., : fr.mesh.n_theta] * w
+    logratio = np.log(np.maximum(z, floor_eps) / np.maximum(uw, floor_eps))
+    reaction = ((z - uw) * logratio) @ fr.surf
+    return DissipationParts(fu, fw, fz, reaction)
 
 
 def entropy_dissipation_parts(state: State, geom: EvolvingGeometry, mesh: ReferenceMesh,
                               params: ModelParams,
                               floor_eps: float = FLOOR_EPS_DEFAULT) -> DissipationParts:
-    """The three Fisher terms and the exchange term, separately."""
-    for f in (state.u_hat, state.w_hat, state.z_hat):
-        if not np.all(np.isfinite(f)):
-            raise NonfiniteField("dissipation evaluation on non-finite state")
-    t = state.t
-    mb = moving_bulk_measures(mesh, geom, t)
-    ms = moving_surface_measures(mesh, geom, t)
-    fu = 0.5 * params.delta_omega * float(np.dot(
-        _bulk_gradient_sq(state.u_hat, geom, mesh, t) / np.maximum(state.u_hat, floor_eps), mb))
-    fw = 0.5 * params.delta_gamma * float(np.dot(
-        _surface_gradient_sq(state.w_hat, geom, mesh, t) / np.maximum(state.w_hat, floor_eps), ms))
-    fz = 0.5 * params.delta_gamma_prime * float(np.dot(
-        _surface_gradient_sq(state.z_hat, geom, mesh, t) / np.maximum(state.z_hat, floor_eps), ms))
-    u_tr = state.u_hat[: mesh.n_theta]
-    uw = u_tr * state.w_hat
-    diff = state.z_hat - uw
-    logratio = np.log(np.maximum(state.z_hat, floor_eps) / np.maximum(uw, floor_eps))
-    reaction = float(np.dot(diff * logratio, ms))
-    return DissipationParts(fu, fw, fz, reaction)
+    """The three Fisher terms and the exchange term, separately.  Fields with
+    a leading batch axis give one value per state in each term."""
+    fields = (state.u_hat, state.w_hat, state.z_hat)
+    _require_finite(fields, "dissipation")
+    return _dissipation_parts(*fields, _frame(geom, mesh, state.t), params, floor_eps)
 
 
 def entropy_dissipation(state: State, geom: EvolvingGeometry, mesh: ReferenceMesh,
@@ -280,19 +340,46 @@ def _sample_stream(seed, index):
     return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
-def _smooth_bulk(field, mesh):
-    """One conservative diffusion application (explicit, positivity-safe)."""
-    u = field.reshape(mesh.n_r, mesh.n_theta)
-    out = u.copy()
-    out[1:] += 0.2 * (u[:-1] - u[1:])
-    out[:-1] += 0.2 * (u[1:] - u[:-1])
-    out += 0.2 * (np.roll(u, 1, axis=1) - u)
-    out += 0.2 * (np.roll(u, -1, axis=1) - u)
-    return out.ravel()
+def _smooth_bulk(u, mesh, out, scratch):
+    """One conservative diffusion application (explicit, positivity-safe),
+    written to out; scratch is overwritten.  Each neighbour exchange
+    0.2 (u_j - u_i) enters one cell as computed and its neighbour negated."""
+    grid = u.shape[:-1] + (mesh.n_r, mesh.n_theta)
+    u, s, t = u.reshape(grid), out.reshape(grid), scratch.reshape(grid)
+    s[...] = u
+    flux = np.subtract(u[..., :-1, :], u[..., 1:, :], out=t[..., 1:, :])
+    flux *= 0.2
+    s[..., 1:, :] += flux
+    s[..., :-1, :] -= flux
+    np.subtract(u[..., :-1], u[..., 1:], out=t[..., 1:])
+    np.subtract(u[..., -1], u[..., 0], out=t[..., 0])
+    t *= 0.2
+    s += t
+    s[..., :-1] -= t[..., 1:]
+    s[..., -1] -= t[..., 0]
+    return out
 
 
 def _smooth_surface(field):
-    return field + 0.25 * (np.roll(field, 1) - 2.0 * field + np.roll(field, -1))
+    return field + 0.25 * (np.roll(field, 1, axis=-1) - 2.0 * field + np.roll(field, -1, axis=-1))
+
+
+def _project(u, w, z, m1, m2, fr: _Frame, out=(None, None, None)):
+    iu = u @ fr.bulk
+    iw = w @ fr.surf
+    iz = z @ fr.surf
+    if np.any((iu <= 0.0) | (iw <= 0.0) | (iz <= 0.0)):
+        raise ValueError("projection requires positive sampled masses")
+    # non-finite draws pass through here and are rejected by the entropy
+    with np.errstate(invalid="ignore", divide="ignore"):
+        beta = iu * iw + iz * (m1 - m2)
+        root = np.sqrt(beta * beta + 4.0 * iw * iz * m2 * iu)
+        # the root free of cancellation for either sign of beta
+        b = np.where(beta >= 0.0, 2.0 * m2 * iu / (beta + root),
+                     (-beta + root) / (2.0 * iw * iz))
+        a = m1 / (iu + b * iz)
+    return (np.multiply(a[..., None], u, out=out[0]), np.multiply(b[..., None], w, out=out[1]),
+            np.multiply((a * b)[..., None], z, out=out[2]))
 
 
 def project_to_masses(u, w, z, m1, m2, geom, mesh, t=0.0):
@@ -300,21 +387,40 @@ def project_to_masses(u, w, z, m1, m2, geom, mesh, t=0.0):
 
     u and w are scaled by a and b, z by a*b; the pair (a, b) solves the two
     mass equations exactly (one quadratic with a unique positive root), so
-    positivity is preserved.
+    positivity is preserved.  Fields with a leading batch axis are projected
+    state by state.
     """
-    mb = moving_bulk_measures(mesh, geom, t)
-    ms = moving_surface_measures(mesh, geom, t)
-    iu = float(np.dot(u, mb))
-    iw = float(np.dot(w, ms))
-    iz = float(np.dot(z, ms))
-    if min(iu, iw, iz) <= 0.0:
-        raise ValueError("projection requires positive sampled masses")
-    beta = iu * iw + iz * (m1 - m2)
-    disc = beta * beta + 4.0 * iw * iz * m2 * iu
-    b = 2.0 * m2 * iu / (beta + math.sqrt(disc)) if beta >= 0.0 \
-        else (-beta + math.sqrt(disc)) / (2.0 * iw * iz)
-    a = m1 / (iu + b * iz)
-    return a * u, b * w, a * b * z
+    return _project(u, w, z, m1, m2, _frame(geom, mesh, t))
+
+
+def _draw_block(indices, seed, eq, fr: _Frame, value_range, raw_sampler, work):
+    """Positive states carrying exactly the equilibrium masses, one row per
+    index, built in work (three bulk-sized arrays of at least len(indices)
+    rows); returns (u, w, z) and the two arrays of work not holding u.
+
+    Row j comes from the stream (seed, indices[j]) alone, so a sample does not
+    depend on the block it is drawn in.  Without a raw sampler the draws are
+    log-uniform and get one diffusion application before the projection.
+    """
+    mesh = fr.mesh
+    u, other, scratch = work[:, :len(indices)]
+    w = np.empty((len(indices), mesh.n_surf))
+    z = np.empty((len(indices), mesh.n_surf))
+    if raw_sampler is None:
+        lo, hi = math.log(value_range[0]), math.log(value_range[1])
+        for j, index in enumerate(indices):
+            rng = _sample_stream(seed, index)
+            u[j] = rng.uniform(lo, hi, mesh.n_bulk)
+            w[j] = rng.uniform(lo, hi, mesh.n_surf)
+            z[j] = rng.uniform(lo, hi, mesh.n_surf)
+        u, other = _smooth_bulk(np.exp(u, out=u), mesh, other, scratch), u
+        w = _smooth_surface(np.exp(w, out=w))
+        z = _smooth_surface(np.exp(z, out=z))
+    else:
+        for j, index in enumerate(indices):
+            u[j], w[j], z[j] = raw_sampler(index, _sample_stream(seed, index))
+    _project(u, w, z, eq.m1, eq.m2, fr, out=(u, w, z))
+    return (u, w, z), (other, scratch)
 
 
 def sample_conservative_state(index, seed, eq, geom, mesh, value_range=(0.1, 10.0), t=0.0):
@@ -324,16 +430,15 @@ def sample_conservative_state(index, seed, eq, geom, mesh, value_range=(0.1, 10.
     application, then multiplicatively projected onto the constraints.
     Streams are keyed by (seed, index) so results do not depend on batching.
     """
-    rng = _sample_stream(seed, index)
-    lo, hi = math.log(value_range[0]), math.log(value_range[1])
-    u = np.exp(rng.uniform(lo, hi, mesh.n_bulk))
-    w = np.exp(rng.uniform(lo, hi, mesh.n_surf))
-    z = np.exp(rng.uniform(lo, hi, mesh.n_surf))
-    u = _smooth_bulk(u, mesh)
-    w = _smooth_surface(w)
-    z = _smooth_surface(z)
-    u, w, z = project_to_masses(u, w, z, eq.m1, eq.m2, geom, mesh, t)
-    return State(t, u, w, z)
+    (u, w, z), _ = _draw_block([index], seed, eq, _frame(geom, mesh, t), value_range, None,
+                               np.empty((3, 1, mesh.n_bulk)))
+    return State(t, u[0], w[0], z[0])
+
+
+# Bulk cell values per block of probe samples: blocks of 4 at 64 x 128 and of
+# 64 at 16 x 32.  Larger blocks share numpy's per-call cost among more
+# samples; a block's three bulk arrays take 256 kB each.
+PROBE_BLOCK_CELLS = 1 << 15
 
 
 def probe_functional_inequality(eq: Equilibrium, geom: EvolvingGeometry, mesh: ReferenceMesh,
@@ -348,34 +453,51 @@ def probe_functional_inequality(eq: Equilibrium, geom: EvolvingGeometry, mesh: R
     Samples with E < 1e-12 are skipped; if every sample is skipped the probe
     is degenerate.  The estimate is a positivity check and regression
     baseline, not an assertion of any published value.
+
+    Samples are evaluated in blocks of PROBE_BLOCK_CELLS // n_bulk as
+    (block, n) arrays, with worker k of n_threads taking blocks k,
+    k + n_threads, ...  Sample i draws from its own stream (seed, i), so the
+    samples do not depend on the block size, and the result does not depend
+    on the thread count.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if n_threads is None:
         n_threads = threads_from_env()
+    fr = _frame(geom, mesh, t)
+    size = min(n_samples, max(1, PROBE_BLOCK_CELLS // mesh.n_bulk))
+    starts = range(0, n_samples, size)
+    n_threads = min(n_threads, len(starts))
 
-    def evaluate(index):
-        if raw_sampler is None:
-            st = sample_conservative_state(index, rng_seed, eq, geom, mesh, value_range, t)
-        else:
-            rng = _sample_stream(rng_seed, index)
-            u, w, z = raw_sampler(index, rng)
-            u, w, z = project_to_masses(np.asarray(u, dtype=float), np.asarray(w, dtype=float),
-                                        np.asarray(z, dtype=float), eq.m1, eq.m2, geom, mesh, t)
-            st = State(t, u, w, z)
-        e = relative_entropy(st, eq, geom, mesh)
-        if e < 1e-12:
+    def evaluate(start, work):
+        indices = range(start, min(start + size, n_samples))
+        fields, scratch = _draw_block(indices, rng_seed, eq, fr, value_range, raw_sampler, work)
+        _require_finite(fields, "entropy")
+        e = _entropy(*fields, eq, fr, scratch[0])
+        kept = e >= 1e-12
+        if not kept.any():
             return None
-        d = entropy_dissipation(st, geom, mesh, params, floor_eps)
-        return ProbeSample(index=index, ratio=d / e, entropy=e, dissipation=d)
+        d = _dissipation_parts(*fields, fr, params, floor_eps, scratch).total
+        ratio = np.divide(d, e, out=np.full_like(e, np.inf), where=kept)
+        j = int(np.argmin(ratio))
+        return ProbeSample(index=indices[j], ratio=float(ratio[j]), entropy=float(e[j]),
+                           dissipation=float(d[j]))
+
+    def worker(k):
+        # one work array serves all blocks of a worker: freeing and
+        # reallocating block-sized temporaries made the heap shrink and regrow,
+        # page-faulting tens of thousands of times per probe and doubling its
+        # time in some runs
+        work = np.empty((3, size, mesh.n_bulk))
+        return [evaluate(start, work) for start in starts[k::n_threads]]
 
     if n_threads > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            samples = list(pool.map(evaluate, range(n_samples)))
+            found = [s for part in pool.map(worker, range(n_threads)) for s in part]
     else:
-        samples = [evaluate(i) for i in range(n_samples)]
-    kept = [s for s in samples if s is not None]
+        found = worker(0)
+    kept = [s for s in found if s is not None]
     if not kept:
         raise DegenerateSampler(f"all {n_samples} probe samples had entropy below 1e-12")
     worst = min(kept, key=lambda s: (s.ratio, s.index))

@@ -59,8 +59,15 @@ class TestParseConfig:
             parse_config(text)
 
     def test_inf_sentinel_accepted(self):
-        cfg = parse_config("model.delta_k = inf")
+        cfg = parse_config("model.delta_k = inf\nmodel.equilibrium_mode = paper_literal")
         assert math.isinf(cfg.model.params.delta_k)
+
+    @pytest.mark.parametrize("key", ["model.delta_k", "model.delta_k_prime"])
+    def test_inf_rate_constant_rejected_by_rate_balance(self, key):
+        # kappa = delta_k' / delta_k is 0, inf or nan: no rate-balance equilibrium
+        with pytest.raises(ValidationError) as exc:
+            parse_config(f"{key} = inf")
+        assert exc.value.key == "model.equilibrium_mode"
 
     @pytest.mark.parametrize("line", ["time.dt = nan", "time.t_final = nan",
                                       "time.t_final = inf", "geometry.omega = nan"])
@@ -150,6 +157,21 @@ class TestRunDriver:
         cfg2 = parse_config(text2)
         result = run(cfg2)
         assert np.allclose(result.records[0].m1, res.records[-1].m1, rtol=1e-12)
+
+    def test_snapshot_rows_match_per_value_format(self, tmp_path):
+        special = [0.0, -0.0, 5e-324, 1e308, 1 / 3]
+        grids = {"u": np.array([special, special[::-1]]), "w": np.array([special]),
+                 "z": np.array([special[1:] + special[:1]])}
+        text = "".join(format_snapshot(name, 0.1, grid) for name, grid in grids.items())
+        expect = "".join(
+            f"# t={0.1:.17g} field={name} n_r={grid.shape[0]} n_theta={grid.shape[1]}\n"
+            + "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in grid)
+            for name, grid in grids.items())
+        assert text == expect
+        path = tmp_path / "fields.txt"
+        path.write_text(text)
+        for got, grid in zip(load_fields_file(str(path), 2, 5), grids.values()):
+            assert got.tobytes() == grid.ravel().tobytes()   # -0.0 keeps its sign
 
     def test_cfl_adaptive_mode(self):
         text = SMALL_RUN + "geometry.kind = surface_wind\ngeometry.wind_speed = 0.5\ntime.cfl = true\n"
@@ -253,6 +275,21 @@ class TestCli:
         cfg_path = tmp_path / "c.cfg"
         cfg_path.write_text("mesh.n_r = 3\n")
         assert cli.main(["run", str(cfg_path)]) == 1
+
+    @pytest.mark.parametrize("command", ["run", "probe"])
+    @pytest.mark.parametrize("key", ["model.delta_k", "model.delta_k_prime"])
+    def test_inf_rate_constant_with_rate_balance_exits_one(self, key, command, tmp_path,
+                                                           capsys):
+        cfg_path = tmp_path / "c.cfg"
+        text = (f"mesh.n_r = 4\nmesh.n_theta = 8\n{key} = inf\nprobe.n_samples = 3\n"
+                "time.t_final = 0.02\ntime.output_interval = 0.01\n"
+                f"output.directory = {tmp_path}/out\n")
+        cfg_path.write_text(text)
+        assert cli.main([command, str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert "model.equilibrium_mode" in err and "Traceback" not in err
+        cfg_path.write_text(text + "model.equilibrium_mode = paper_literal\n")
+        assert cli.main([command, str(cfg_path)]) == 0
 
     def test_numerical_failure_exit_two(self, tmp_path, capsys):
         cfg_path = tmp_path / "c.cfg"

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from bulksurf.diagnostics import (DiagnosticsRecord, ckp_lower_bound,
-                                  entropy_dissipation, entropy_dissipation_parts,
+from bulksurf.diagnostics import (PROBE_BLOCK_CELLS, DiagnosticsRecord,
+                                  ckp_lower_bound, entropy_dissipation,
+                                  entropy_dissipation_parts,
                                   estimate_poincare_constants, fit_decay_rate,
                                   make_record, probe_functional_inequality,
                                   project_to_masses, relative_entropy,
@@ -15,7 +16,7 @@ from bulksurf.equilibrium import EquilibriumMode, solve_equilibrium
 from bulksurf.errors import (DegenerateSampler, InsufficientData, MassMismatch,
                              NonfiniteField, NonpositiveEntropy)
 from bulksurf.geometry import GeometryKind, GeometryPreset, build_geometry
-from bulksurf.mesh import build_mesh, moving_bulk_measures
+from bulksurf.mesh import build_mesh, moving_bulk_measures, moving_surface_measures
 from bulksurf.model import ModelParams
 from bulksurf.solver import State
 
@@ -33,6 +34,100 @@ def setup():
 def eq_state(mesh, eq):
     return State(0.0, np.full(mesh.n_bulk, eq.u_inf), np.full(mesh.n_surf, eq.w_inf),
                  np.full(mesh.n_surf, eq.z_inf))
+
+
+def block_size(mesh):
+    return max(1, PROBE_BLOCK_CELLS // mesh.n_bulk)
+
+
+# -- per-sample reference: the probe one state at a time, with np.roll -----------
+
+
+def _ref_boltzmann(s, s_inf):
+    out = np.full_like(s, s_inf)
+    pos = s > 0.0
+    out[pos] = s[pos] * np.log(s[pos] / s_inf) - s[pos] + s_inf
+    return out
+
+
+def _ref_state(index, seed, eq, geom, mesh, t, raw_sampler=None):
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+    if raw_sampler is None:
+        lo, hi = math.log(0.1), math.log(10.0)
+        u = np.exp(rng.uniform(lo, hi, mesh.n_bulk))
+        w = np.exp(rng.uniform(lo, hi, mesh.n_surf))
+        z = np.exp(rng.uniform(lo, hi, mesh.n_surf))
+        grid = u.reshape(mesh.n_r, mesh.n_theta)
+        out = grid.copy()
+        out[1:] += 0.2 * (grid[:-1] - grid[1:])
+        out[:-1] += 0.2 * (grid[1:] - grid[:-1])
+        out += 0.2 * (np.roll(grid, 1, axis=1) - grid)
+        out += 0.2 * (np.roll(grid, -1, axis=1) - grid)
+        u = out.ravel()
+        w = w + 0.25 * (np.roll(w, 1) - 2.0 * w + np.roll(w, -1))
+        z = z + 0.25 * (np.roll(z, 1) - 2.0 * z + np.roll(z, -1))
+    else:
+        u, w, z = (np.asarray(f, dtype=float) for f in raw_sampler(index, rng))
+    mb = moving_bulk_measures(mesh, geom, t)
+    ms = moving_surface_measures(mesh, geom, t)
+    iu, iw, iz = float(np.dot(u, mb)), float(np.dot(w, ms)), float(np.dot(z, ms))
+    beta = iu * iw + iz * (eq.m1 - eq.m2)
+    disc = beta * beta + 4.0 * iw * iz * eq.m2 * iu
+    b = 2.0 * eq.m2 * iu / (beta + math.sqrt(disc)) if beta >= 0.0 \
+        else (-beta + math.sqrt(disc)) / (2.0 * iw * iz)
+    a = eq.m1 / (iu + b * iz)
+    return a * u, b * w, a * b * z
+
+
+def _ref_entropy_dissipation(u, w, z, eq, geom, mesh, params, t, floor_eps=1e-30):
+    mb = moving_bulk_measures(mesh, geom, t)
+    ms = moving_surface_measures(mesh, geom, t)
+    e = float(np.dot(_ref_boltzmann(u, eq.u_inf), mb))
+    e += float(np.dot(_ref_boltzmann(w, eq.w_inf), ms))
+    e += float(np.dot(_ref_boltzmann(z, eq.z_inf), ms))
+    grid = u.reshape(mesh.n_r, mesh.n_theta)
+    slope = geom.radial_slope(t)
+    dudr = np.empty_like(grid)
+    dudr[1:-1] = (grid[2:] - grid[:-2]) / (2.0 * slope * mesh.dr)
+    dudr[0] = (grid[1] - grid[0]) / (slope * mesh.dr)
+    dudr[-1] = (grid[-1] - grid[-2]) / (slope * mesh.dr)
+    dtan = (np.roll(grid, -1, axis=1) - np.roll(grid, 1, axis=1)) / (2.0 * mesh.dtheta)
+    dtan /= geom.radius_map(t, mesh.r_centers)[:, None]
+    grad_u = (dudr ** 2 + dtan ** 2).ravel()
+    stretch = geom.surface_stretch(t, mesh.theta_centers)
+
+    def grad_s(f):
+        return ((np.roll(f, -1) - np.roll(f, 1)) / (2.0 * mesh.dtheta * stretch)) ** 2
+
+    d = 0.5 * params.delta_omega * float(np.dot(grad_u / np.maximum(u, floor_eps), mb))
+    d += 0.5 * params.delta_gamma * float(np.dot(grad_s(w) / np.maximum(w, floor_eps), ms))
+    d += 0.5 * params.delta_gamma_prime * float(
+        np.dot(grad_s(z) / np.maximum(z, floor_eps), ms))
+    uw = u[: mesh.n_theta] * w
+    logratio = np.log(np.maximum(z, floor_eps) / np.maximum(uw, floor_eps))
+    d += float(np.dot((z - uw) * logratio, ms))
+    return e, d
+
+
+def reference_probe(eq, geom, mesh, params, n_samples, seed, t=0.0, raw_sampler=None):
+    """(ratio, index, E, Dtilde) of every sample with E >= 1e-12."""
+    rows = []
+    for i in range(n_samples):
+        u, w, z = _ref_state(i, seed, eq, geom, mesh, t, raw_sampler)
+        e, d = _ref_entropy_dissipation(u, w, z, eq, geom, mesh, params, t)
+        if e >= 1e-12:
+            rows.append((d / e, i, e, d))
+    return rows
+
+
+def assert_same_worst(found, rows):
+    lam, worst = found
+    ratio, index, e, d = min(rows)
+    assert worst.index == index
+    assert lam == worst.ratio
+    assert worst.ratio == pytest.approx(ratio, rel=1e-14, abs=0.0)
+    assert worst.entropy == pytest.approx(e, rel=1e-14, abs=0.0)
+    assert worst.dissipation == pytest.approx(d, rel=1e-14, abs=0.0)
 
 
 class TestRelativeEntropy:
@@ -217,10 +312,128 @@ class TestProbe:
             threads_from_env()
 
     def test_threaded_matches_serial(self, setup):
+        # several blocks, so the workers share them out
         geom, mesh, params, eq = setup
-        lam1, w1 = probe_functional_inequality(eq, geom, mesh, params, 64, 9, n_threads=1)
-        lam2, w2 = probe_functional_inequality(eq, geom, mesh, params, 64, 9, n_threads=4)
+        n = 3 * block_size(mesh) + 2
+        lam1, w1 = probe_functional_inequality(eq, geom, mesh, params, n, 9, n_threads=1)
+        lam2, w2 = probe_functional_inequality(eq, geom, mesh, params, n, 9, n_threads=4)
         assert lam1 == lam2 and w1.index == w2.index
+
+
+PRESETS = {
+    "fixed": GeometryPreset(GeometryKind.FIXED, 1.0, 2.0),
+    "rotation": GeometryPreset(GeometryKind.ROTATION, 1.0, 2.0, omega=1.0, delta=0.5),
+    "breathing": GeometryPreset(GeometryKind.BREATHING, 1.0, 2.0, amplitude=0.3, omega=2.0,
+                                delta=0.2),
+    "surface_wind": GeometryPreset(GeometryKind.SURFACE_WIND, 1.0, 2.0, wind_speed=0.5),
+}
+
+
+class TestBatchedProbe:
+    """The block evaluation against the per-sample reference loop above."""
+
+    @pytest.mark.parametrize("shape", [(8, 16), (16, 33)])
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_matches_per_sample_reference(self, preset, shape):
+        # t > 0, so that the breathing metric differs from the reference one
+        geom = build_geometry(PRESETS[preset])
+        mesh = build_mesh(*shape, 1.0, 2.0)
+        params = ModelParams(1.0, 0.7, 1.3, 1.0, 1.0)
+        eq = solve_equilibrium(15.0, 10.0, float(np.sum(mesh.bulk_ref_measures)),
+                               float(np.sum(mesh.surf_ref_measures)), params)
+        block = block_size(mesh)
+        counts = (1, block - 1, block + 1, 3 * block + 2)
+        rows = reference_probe(eq, geom, mesh, params, max(counts), 41, t=0.4)
+        for n in counts:
+            found = probe_functional_inequality(eq, geom, mesh, params, n, 41, t=0.4)
+            assert_same_worst(found, [r for r in rows if r[1] < n])
+
+    def test_single_state_functions_match_reference_exactly(self):
+        # one state is the batch-free case: the same arithmetic as before blocks
+        geom = build_geometry(PRESETS["breathing"])
+        mesh = build_mesh(8, 16, 1.0, 2.0)
+        params = ModelParams(1.0, 0.7, 1.3, 1.0, 1.0)
+        eq = solve_equilibrium(15.0, 10.0, 3 * math.pi, 2 * math.pi, params)
+        for i in range(5):
+            st = sample_conservative_state(i, 8, eq, geom, mesh, t=0.4)
+            u, w, z = _ref_state(i, 8, eq, geom, mesh, 0.4)
+            assert np.array_equal(st.u_hat, u) and np.array_equal(st.w_hat, w)
+            assert np.array_equal(st.z_hat, z)
+            e, d = _ref_entropy_dissipation(u, w, z, eq, geom, mesh, params, 0.4)
+            assert relative_entropy(st, eq, geom, mesh) == e
+            assert entropy_dissipation(st, geom, mesh, params) == d
+
+    def test_batch_axis_gives_one_value_per_state(self, setup):
+        geom, mesh, params, eq = setup
+        states = [sample_conservative_state(i, 4, eq, geom, mesh) for i in range(5)]
+        batch = State(0.0, *(np.stack([getattr(st, f) for st in states])
+                             for f in ("u_hat", "w_hat", "z_hat")))
+        e = relative_entropy(batch, eq, geom, mesh)
+        parts = entropy_dissipation_parts(batch, geom, mesh, params)
+        assert e.shape == parts.total.shape == (5,)
+        for i, st in enumerate(states):
+            assert e[i] == pytest.approx(relative_entropy(st, eq, geom, mesh), rel=1e-14)
+            assert parts.total[i] == pytest.approx(
+                entropy_dissipation(st, geom, mesh, params), rel=1e-14)
+        projected = project_to_masses(2.0 * batch.u_hat, batch.w_hat, 3.0 * batch.z_hat,
+                                      eq.m1, eq.m2, geom, mesh)
+        for i, st in enumerate(states):
+            one = project_to_masses(2.0 * st.u_hat, st.w_hat, 3.0 * st.z_hat,
+                                    eq.m1, eq.m2, geom, mesh)
+            for a, b in zip(projected, one):
+                np.testing.assert_allclose(a[i], b, rtol=1e-14)
+
+    def test_raw_sampler_in_blocks(self, setup):
+        geom, mesh, params, eq = setup
+
+        def sampler(index, rng):
+            return (rng.uniform(0.5, 2.0, mesh.n_bulk), rng.uniform(0.5, 2.0, mesh.n_surf),
+                    rng.uniform(0.5, 2.0, mesh.n_surf))
+
+        n = 2 * block_size(mesh) + 3
+        found = probe_functional_inequality(eq, geom, mesh, params, n, 3, raw_sampler=sampler)
+        assert_same_worst(found, reference_probe(eq, geom, mesh, params, n, 3,
+                                                 raw_sampler=sampler))
+
+    def test_one_nonfinite_sample_in_a_block_raises(self, setup):
+        geom, mesh, params, eq = setup
+
+        def sampler(index, rng):
+            u = np.ones(mesh.n_bulk) + rng.uniform(0.0, 1.0, mesh.n_bulk)
+            if index == 5:
+                u[3] = math.inf
+            return u, np.ones(mesh.n_surf), np.ones(mesh.n_surf)
+
+        assert block_size(mesh) > 10
+        with pytest.raises(NonfiniteField):
+            probe_functional_inequality(eq, geom, mesh, params, 10, 1, raw_sampler=sampler)
+
+    def test_low_entropy_sample_skipped_and_neighbours_kept(self, setup):
+        # sample 3 projects exactly onto the equilibrium; its block neighbours count
+        geom, mesh, params, eq = setup
+
+        def sampler(index, rng):
+            if index == 3:
+                return np.ones(mesh.n_bulk), np.ones(mesh.n_surf), np.ones(mesh.n_surf)
+            return (rng.uniform(0.5, 2.0, mesh.n_bulk), rng.uniform(0.5, 2.0, mesh.n_surf),
+                    rng.uniform(0.5, 2.0, mesh.n_surf))
+
+        u, w, z = _ref_state(3, 6, eq, geom, mesh, 0.0, sampler)
+        assert _ref_entropy_dissipation(u, w, z, eq, geom, mesh, params, 0.0)[0] < 1e-12
+        rows = reference_probe(eq, geom, mesh, params, 8, 6, raw_sampler=sampler)
+        assert sorted(r[1] for r in rows) == [0, 1, 2, 4, 5, 6, 7]
+        found = probe_functional_inequality(eq, geom, mesh, params, 8, 6, raw_sampler=sampler)
+        assert_same_worst(found, rows)
+
+    def test_all_skipped_over_several_blocks_is_degenerate(self, setup):
+        geom, mesh, params, eq = setup
+
+        def constant_sampler(index, rng):
+            return (np.ones(mesh.n_bulk), np.ones(mesh.n_surf), np.ones(mesh.n_surf))
+
+        with pytest.raises(DegenerateSampler):
+            probe_functional_inequality(eq, geom, mesh, params, 2 * block_size(mesh) + 1, 5,
+                                        raw_sampler=constant_sampler)
 
 
 class TestPoincare:
