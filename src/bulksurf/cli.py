@@ -3,13 +3,16 @@
 Subcommands: run, mms, equilibrium, probe, check-assumptions, eig,
 transport-check.  Each writes its artifacts under the output directory and
 prints a one-line summary; exit codes are 0 (success), 1 (usage or config
-error), 2 (numerical failure).  Output files are truncated at start so
-reruns are reproducible byte for byte.
+error, or an output path that cannot be written), 2 (numerical failure).
+Output files are truncated at start so reruns are reproducible byte for
+byte.  `run` hands its snapshots to one forked writer process, which formats
+and writes them while the parent keeps stepping; the files are the same.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -29,6 +32,10 @@ class _UsageError(Exception):
     pass
 
 
+class _OutputError(Exception):
+    """An output file or directory could not be written."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
@@ -44,13 +51,81 @@ def _load_config(path):
         return config_mod.parse_config(fh.read())
 
 
+def _write_snapshots(items, failures, parent_end):
+    """Body of the writer process: write each (path, name, t, grid) received
+    until the sentinel None, or until EOF if the parent is gone.  A failed
+    write goes back on `failures` and ends the writer."""
+    parent_end.close()  # else the writer's own copy would keep EOF from coming
+    try:
+        while (item := items.recv()) is not None:
+            path, name, t, grid = item
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(config_mod.format_snapshot(name, t, grid))
+    except EOFError:
+        pass
+    except OSError as exc:
+        failures.send(exc)
+
+
+@contextlib.contextmanager
+def _snapshot_writer(snap_dir):
+    """Yield an `on_snapshot` that hands each grid to one forked writer
+    process, so that formatting runs beside the time steps.  A blocking send
+    into the pipe keeps the writer at most about one grid behind.  On exit
+    the writer finishes every file handed to it; a write that failed is
+    raised here as its OSError, unless the body itself raised."""
+    import multiprocessing  # here, so that runs without snapshots never load it
+
+    ctx = multiprocessing.get_context("fork")  # fork: numpy is not imported again
+    items_in, items = ctx.Pipe(duplex=False)
+    failures, failures_out = ctx.Pipe(duplex=False)
+    writer = ctx.Process(target=_write_snapshots, args=(items_in, failures_out, items))
+    writer.start()
+    items_in.close()
+    failures_out.close()
+
+    def failure():
+        writer.join()  # after which `recv` cannot block: no write end is open
+        try:
+            return failures.recv()
+        except EOFError:  # the writer reported nothing
+            if writer.exitcode:
+                return OSError(f"the snapshot writer exited with code {writer.exitcode}")
+            return None
+
+    def on_snapshot(name, index, t, grid):
+        try:
+            items.send((os.path.join(snap_dir, f"{name}_{index:06d}.txt"), name, t, grid))
+        except BrokenPipeError as exc:  # the writer has ended
+            raise (failure() or exc) from None
+
+    try:
+        yield on_snapshot
+    finally:
+        with contextlib.suppress(BrokenPipeError):
+            items.send(None)
+        items.close()
+        exc = failure()
+        failures.close()
+    if exc is not None:
+        raise exc
+
+
 def _cmd_run(args) -> int:
     cfg = _load_config(args.config)
-    out_dir = _ensure_dir(cfg.output.directory)
-    snap_dir = _ensure_dir(os.path.join(out_dir, "snapshots"))
-    csv_path = os.path.join(out_dir, "diagnostics.csv")
+    out_dir = cfg.output.directory
+    try:
+        return _run_and_report(cfg, out_dir)
+    except OSError as exc:
+        raise _OutputError(f"output.directory = {out_dir}: {exc}") from exc
 
-    with open(csv_path, "w", encoding="utf-8") as csv_fh:
+
+def _run_and_report(cfg, out_dir) -> int:
+    _ensure_dir(out_dir)
+    csv_path = os.path.join(out_dir, "diagnostics.csv")
+    snapshots = (_snapshot_writer(_ensure_dir(os.path.join(out_dir, "snapshots")))
+                 if cfg.output.snapshots else contextlib.nullcontext())
+    with snapshots as on_snapshot, open(csv_path, "w", encoding="utf-8") as csv_fh:
         csv_fh.write(diag_mod.CSV_HEADER + "\n")
         csv_fh.flush()
 
@@ -58,14 +133,7 @@ def _cmd_run(args) -> int:
             csv_fh.write(rec.csv_row() + "\n")
             csv_fh.flush()
 
-        def on_snapshot(name, index, t, grid):
-            path = os.path.join(snap_dir, f"{name}_{index:06d}.txt")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(config_mod.format_snapshot(name, t, grid))
-
-        result = solver_mod.run(
-            cfg, on_record=on_record,
-            on_snapshot=on_snapshot if cfg.output.snapshots else None)
+        result = solver_mod.run(cfg, on_record=on_record, on_snapshot=on_snapshot)
 
     recs = result.records
     first, last = recs[0], recs[-1]
@@ -311,6 +379,9 @@ def main(argv=None) -> int:
         return 1
     except (ParseError, ValidationError) as exc:
         print(f"config error ({type(exc).__name__}): {exc}", file=sys.stderr)
+        return 1
+    except _OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return 1
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)

@@ -361,11 +361,11 @@ def load_fields_file(path: str, n_r: int, n_theta: int):
     def fault(msg):
         return ValidationError(f"ic.path: {path}: {msg}", key="ic.path")
 
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             blocks = _parse_blocks(fh.read())
-        except (ParseError, UnicodeDecodeError) as exc:
-            raise fault(exc) from exc
+    except (OSError, ParseError, UnicodeDecodeError) as exc:
+        raise fault(exc) from exc
     for name, shape in (("u", (n_r, n_theta)), ("w", (1, n_theta)), ("z", (1, n_theta))):
         grid = blocks.get(name)
         if grid is None or grid.shape != shape:

@@ -84,10 +84,6 @@ class DiagnosticsRecord:
 class InequalityConstants:
     c_pw: float | None = None
     c_trpw: float | None = None
-    c_lsi_omega: float | None = None
-    c_lsi_gamma: float | None = None
-    c_ckp: float | None = None
-    lambda_probe: float | None = None
 
 
 @dataclasses.dataclass(frozen=True)

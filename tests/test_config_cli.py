@@ -1,6 +1,7 @@
 """Config parsing strictness, run determinism, CLI subcommands and exit codes."""
 
 import math
+import multiprocessing
 import os
 import time
 
@@ -8,8 +9,9 @@ import numpy as np
 import pytest
 
 from bulksurf import cli
+from bulksurf import solver as solver_mod
 from bulksurf.config import (format_snapshot, load_fields_file, parse_config)
-from bulksurf.errors import ParseError, ValidationError
+from bulksurf.errors import CflViolation, ParseError, ValidationError
 from bulksurf.geometry import GeometryKind
 from bulksurf.solver import run
 
@@ -210,6 +212,83 @@ def field_file_text(fault):
     return "\n".join(lines) + "\n"
 
 
+def _config_file(tmp_path, text):
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(text + f"output.directory = {tmp_path}/out\n")
+    return cfg_path
+
+
+WIND_FAILURE = ("mesh.n_r = 8\nmesh.n_theta = 16\n"
+                "geometry.kind = surface_wind\ngeometry.wind_speed = 50\n"
+                "time.t_final = 1\ntime.dt = 0.5\ntime.output_interval = 0.5\n")
+
+
+class TestSnapshotWriter:
+    def test_writer_bytes_equal_in_process_format(self, tmp_path):
+        special = [0.0, -0.0, 5e-324, 1e308, 1 / 3]
+        grid = np.array([special, special[::-1]])
+        t = 0.1 + 0.2   # 0.30000000000000004 needs all 17 digits
+        with cli._snapshot_writer(str(tmp_path)) as on_snapshot:
+            on_snapshot("u", 7, t, grid)
+        assert (tmp_path / "u_000007.txt").read_bytes() == format_snapshot("u", t, grid).encode()
+
+    def test_run_snapshots_equal_in_process_format(self, tmp_path):
+        text = SMALL_RUN.replace("time.t_final = 0.2", "time.t_final = 0.3")
+        assert cli.main(["run", str(_config_file(tmp_path, text))]) == 0
+        snaps = run(parse_config(text)).snapshots
+        snap = tmp_path / "out" / "snapshots"
+        assert sorted(os.listdir(snap)) == sorted(f"{s.field}_{s.index:06d}.txt" for s in snaps)
+        for s in snaps:
+            got = (snap / f"{s.field}_{s.index:06d}.txt").read_bytes()
+            assert got == format_snapshot(s.field, s.t, s.grid).encode()
+        assert (snap / "u_000003.txt").read_text().startswith("# t=0.30000000000000004 ")
+
+    def test_failure_mid_run_leaves_complete_snapshots(self, tmp_path, monkeypatch, capsys):
+        step = solver_mod.ImexStepper.step
+        calls = []
+
+        def failing_step(self, state, *args, **kwargs):
+            calls.append(state.t)
+            if len(calls) == 3:
+                raise CflViolation("injected at step 3")
+            return step(self, state, *args, **kwargs)
+
+        monkeypatch.setattr(solver_mod.ImexStepper, "step", failing_step)
+        text = SMALL_RUN.replace("time.output_interval = 0.1", "time.output_interval = 0.02")
+        assert cli.main(["run", str(_config_file(tmp_path, text))]) == 2
+        assert "injected at step 3" in capsys.readouterr().err
+        snap = tmp_path / "out" / "snapshots"
+        assert sorted(os.listdir(snap)) == [f"{n}_{i:06d}.txt" for n in "uwz" for i in range(3)]
+        for i in range(3):
+            fields = tmp_path / f"fields_{i}.txt"
+            fields.write_text("".join((snap / f"{n}_{i:06d}.txt").read_text() for n in "uwz"))
+            load_fields_file(str(fields), 8, 16)
+
+    def test_writer_that_dies_unreported_exits_one(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli.config_mod, "format_snapshot", lambda *args: os._exit(3))
+        assert cli.main(["run", str(_config_file(tmp_path, SMALL_RUN))]) == 1
+        err = capsys.readouterr().err
+        assert "output.directory" in err and "exited with code 3" in err
+        assert multiprocessing.active_children() == []
+
+    def test_snapshots_off_starts_no_process(self, tmp_path, monkeypatch):
+        started = []
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", started.append)
+        text = SMALL_RUN + "output.snapshots = false\n"
+        assert cli.main(["run", str(_config_file(tmp_path, text))]) == 0
+        assert started == []
+        assert not (tmp_path / "out" / "snapshots").exists()
+
+    @pytest.mark.parametrize("code", [0, 1, 2])
+    def test_no_process_left_after_main(self, code, tmp_path, capsys):
+        if code == 1:
+            (tmp_path / "out" / "snapshots" / "w_000001.txt").mkdir(parents=True)
+        text = WIND_FAILURE if code == 2 else SMALL_RUN
+        assert cli.main(["run", str(_config_file(tmp_path, text))]) == code
+        assert multiprocessing.active_children() == []
+        assert (tmp_path / "out" / "snapshots" / "u_000000.txt").is_file()
+
+
 class TestCli:
     @pytest.mark.parametrize("fault, line", [
         ("header without field=", 1), ("header token without =", 1), ("truncated block", 8),
@@ -230,6 +309,38 @@ class TestCli:
         err = capsys.readouterr().err
         assert "ic.path" in err and "Traceback" not in err
         assert f"line {line}:" in err if line else "has a negative or non-finite value" in err
+
+    def test_ic_path_naming_a_directory_exits_one(self, tmp_path, capsys):
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(f"mesh.n_r = 4\nmesh.n_theta = 8\nic.profile = file\n"
+                            f"ic.path = {tmp_path}\noutput.directory = {tmp_path}/out\n")
+        assert cli.main(["run", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert "ic.path" in err and "output.directory" not in err and "Traceback" not in err
+
+    def test_output_directory_naming_a_file_exits_one(self, tmp_path, capsys):
+        (tmp_path / "out").write_text("")
+        assert cli.main(["run", str(_config_file(tmp_path, SMALL_RUN))]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "output.directory" in err and str(tmp_path / "out") in err
+
+    @pytest.mark.parametrize("blocked", ["u_000000.txt", "z_000001.txt"])
+    def test_snapshot_path_taken_by_a_directory_exits_one(self, blocked, tmp_path, capsys):
+        """The writer's failure comes back as one line; the files it wrote
+        before it are complete."""
+        snap = tmp_path / "out" / "snapshots"
+        (snap / blocked).mkdir(parents=True)
+        assert cli.main(["run", str(_config_file(tmp_path, SMALL_RUN))]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "output.directory" in err and str(snap / blocked) in err
+        snaps = run(parse_config(SMALL_RUN)).snapshots
+        order = [f"{s.field}_{s.index:06d}.txt" for s in snaps]
+        before = order[:order.index(blocked)]
+        assert sorted(p.name for p in snap.iterdir() if p.is_file()) == sorted(before)
+        for name, s in zip(before, snaps):
+            assert (snap / name).read_bytes() == format_snapshot(s.field, s.t, s.grid).encode()
 
     def test_equilibrium_subcommand(self, tmp_path, capsys):
         code = cli.main(["equilibrium", "--m1", "2", "--m2", "2", "--area", "1",
