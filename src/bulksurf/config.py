@@ -4,6 +4,8 @@ Parsing is strict: unknown keys and duplicate keys fail before any
 computation starts, and every error names the offending line.  Numbers must
 be finite; "inf" is accepted only where it disables a reaction constant.  All
 keys have documented defaults, so the empty string is a valid config.
+Runs are budgeted: a mesh of more than MAX_CELLS bulk cells, or a
+t_final / dt of more than MAX_STEPS time steps, is rejected here.
 
 Sections and keys (defaults in parentheses):
 
@@ -42,6 +44,12 @@ from .equilibrium import EquilibriumMode
 from .geometry import GeometryKind, GeometryPreset, build_geometry
 from .mesh import MIN_N_R, MIN_N_THETA
 from .model import CUSTOM_NONLINEARITIES, MassAction, ModelParams
+
+# Run budgets.  MAX_CELLS is a 2048 x 2048 mesh, 32 MB per bulk field.  A run
+# takes at least t_final / dt steps (the CFL stepper never exceeds dt), and
+# MAX_STEPS of them take about an hour even at 4 x 8 (0.33 ms per step).
+MAX_CELLS = 1 << 22
+MAX_STEPS = 10 ** 7
 
 
 @dataclasses.dataclass(frozen=True)
@@ -228,6 +236,9 @@ def parse_config(text: str) -> RunConfig:
         fail("mesh.n_r", f"must be >= {MIN_N_R}, got {n_r}")
     if n_theta < MIN_N_THETA:
         fail("mesh.n_theta", f"must be >= {MIN_N_THETA}, got {n_theta}")
+    if n_r * n_theta > MAX_CELLS:
+        fail("mesh.n_r", f"mesh.n_r x mesh.n_theta = {n_r} x {n_theta} cells is above the "
+                         f"budget of MAX_CELLS = {MAX_CELLS}")
     mesh = MeshBlock(n_r=n_r, n_theta=n_theta)
 
     for k in ("model.delta_omega", "model.delta_gamma", "model.delta_gamma_prime",
@@ -270,6 +281,9 @@ def parse_config(text: str) -> RunConfig:
         fail("time.dt", "must be > 0")
     if interval <= 0:
         fail("time.output_interval", "must be > 0")
+    if t_final / dt > MAX_STEPS:
+        fail("time.dt", f"time.t_final / time.dt = {t_final:g} / {dt:g} steps is above the "
+                        f"budget of MAX_STEPS = {MAX_STEPS}")
     if stepper not in ("imex", "implicit"):
         fail("time.stepper", f"must be imex or implicit, got {stepper!r}")
     if t_final > 0:

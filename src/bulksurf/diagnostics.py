@@ -33,14 +33,15 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
+import threading
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import (DegenerateSampler, EigenFailure, InsufficientData,
-                     MassMismatch, NonfiniteField, NonpositiveEntropy)
+from .errors import (DegenerateSampler, EigenFailure, InsufficientData, MassMismatch,
+                     NonfiniteField, NonpositiveEntropy, WorkerFailure)
 from .equilibrium import Equilibrium, conserved_masses
 from .geometry import EvolvingGeometry
 from .mesh import ReferenceMesh, moving_bulk_measures, moving_surface_measures
@@ -440,8 +441,7 @@ PROBE_BLOCK_CELLS = 1 << 15
 def probe_functional_inequality(eq: Equilibrium, geom: EvolvingGeometry, mesh: ReferenceMesh,
                                 params: ModelParams, n_samples: int, rng_seed: int,
                                 floor_eps: float = FLOOR_EPS_DEFAULT,
-                                value_range=(0.1, 10.0), t: float = 0.0,
-                                raw_sampler=None, n_threads: int | None = None):
+                                value_range=(0.1, 10.0), t: float = 0.0, raw_sampler=None):
     """Monte-Carlo lower estimate of the entropy to dissipation ratio.
 
     Draws random positive fields obeying both conservation laws and returns
@@ -451,19 +451,18 @@ def probe_functional_inequality(eq: Equilibrium, geom: EvolvingGeometry, mesh: R
     baseline, not an assertion of any published value.
 
     Samples are evaluated in blocks of PROBE_BLOCK_CELLS // n_bulk as
-    (block, n) arrays, with worker k of n_threads taking blocks k,
-    k + n_threads, ...  Sample i draws from its own stream (seed, i), so the
-    samples do not depend on the block size, and the result does not depend
-    on the thread count.
+    (block, n) arrays.  With n usable CPUs (the process's affinity) and more
+    than one block, the calling process evaluates blocks 0, n, 2n, ... and
+    n - 1 forked worker processes the others (see `_in_workers`).  Sample i
+    draws from its own stream (seed, i) and the worst sample is the least
+    (ratio, index), so the result depends neither on the block size nor on
+    the number of workers.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if n_threads is None:
-        n_threads = threads_from_env()
     fr = _frame(geom, mesh, t)
     size = min(n_samples, max(1, PROBE_BLOCK_CELLS // mesh.n_bulk))
     starts = range(0, n_samples, size)
-    n_threads = min(n_threads, len(starts))
 
     def evaluate(start, work):
         indices = range(start, min(start + size, n_samples))
@@ -479,39 +478,79 @@ def probe_functional_inequality(eq: Equilibrium, geom: EvolvingGeometry, mesh: R
         return ProbeSample(index=indices[j], ratio=float(ratio[j]), entropy=float(e[j]),
                            dissipation=float(d[j]))
 
-    def worker(k):
+    def blocks(k, n):
         # one work array serves all blocks of a worker: freeing and
         # reallocating block-sized temporaries made the heap shrink and regrow,
         # page-faulting tens of thousands of times per probe and doubling its
         # time in some runs
         work = np.empty((3, size, mesh.n_bulk))
-        return [evaluate(start, work) for start in starts[k::n_threads]]
+        return [s for s in (evaluate(start, work) for start in starts[k::n]) if s is not None]
 
-    if n_threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            found = [s for part in pool.map(worker, range(n_threads)) for s in part]
-    else:
-        found = worker(0)
-    kept = [s for s in found if s is not None]
-    if not kept:
+    found = _in_workers(blocks, len(starts))
+    if not found:
         raise DegenerateSampler(f"all {n_samples} probe samples had entropy below 1e-12")
-    worst = min(kept, key=lambda s: (s.ratio, s.index))
+    worst = min(found, key=lambda s: (s.ratio, s.index))
     return worst.ratio, worst
 
 
-def threads_from_env() -> int:
-    """Worker cap from BULKSURF_THREADS (0 or unset = single-threaded auto)."""
-    raw = os.environ.get("BULKSURF_THREADS", "0")
+def _usable_cpus():
     try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"BULKSURF_THREADS must be an integer, got {raw!r}") from exc
-    if n < 0:
-        raise ValueError(f"BULKSURF_THREADS must be >= 0, got {n}")
-    if n == 0:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity to read outside Linux: no workers
         return 1
-    return n
+
+
+def _in_workers(part, n_parts):
+    """part(0, n) + part(1, n) + ... + part(n - 1, n) for n = min(usable CPUs,
+    n_parts): the calling process computes part 0 and one forked worker
+    process (fork: numpy is not imported again) each other part, sending its
+    list back over a one-way pipe.  An exception raised in a worker's part is
+    raised here; a worker that ends without a report raises WorkerFailure.
+    No fork is taken while other Python threads run, since a lock one of them
+    holds would stay held in the child; the parts then run here in turn."""
+    n = min(_usable_cpus(), n_parts)
+    if n < 2 or threading.active_count() > 1:
+        return part(0, 1)
+    import multiprocessing  # here, so that one-block probes never load it
+
+    ctx = multiprocessing.get_context("fork")
+    workers = []
+    try:
+        for k in range(1, n):
+            results, results_in = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_run_part, args=(part, k, n, results_in))
+            proc.start()
+            workers.append((proc, results))
+            results_in.close()
+        found = part(0, n)
+        for proc, results in workers:
+            try:
+                got = results.recv()
+            except EOFError:  # the worker ended without a report
+                proc.join()
+                raise WorkerFailure(
+                    f"probe worker {proc.pid} exited with code {proc.exitcode}") from None
+            if isinstance(got, Exception):
+                raise got
+            found += got
+        return found
+    except BaseException:
+        for proc, _ in workers:
+            proc.terminate()  # their parts are no longer wanted
+        raise
+    finally:
+        for proc, results in workers:
+            results.close()
+            proc.join()
+
+
+def _run_part(part, k, n, results_in):
+    """Body of a probe worker: send part(k, n), or the exception it raised."""
+    try:
+        found = part(k, n)
+    except Exception as exc:
+        found = exc
+    results_in.send(found)
 
 
 # -- spectral constants -------------------------------------------------------------

@@ -87,6 +87,10 @@ class EigenFailure(BulkSurfError):
     pass
 
 
+class WorkerFailure(BulkSurfError):
+    """A worker process ended without reporting its result."""
+
+
 # config / cli
 class ParseError(BulkSurfError):
     def __init__(self, message, line=None):

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from bulksurf import cli
+from bulksurf import diagnostics as diag_mod
 from bulksurf import solver as solver_mod
-from bulksurf.config import (format_snapshot, load_fields_file, parse_config)
-from bulksurf.errors import CflViolation, ParseError, ValidationError
+from bulksurf.config import (MAX_CELLS, MAX_STEPS, format_snapshot, load_fields_file,
+                             parse_config)
+from bulksurf.errors import CflViolation, NonfiniteField, ParseError, ValidationError
 from bulksurf.geometry import GeometryKind
 from bulksurf.solver import run
 
@@ -93,6 +95,37 @@ class TestParseConfig:
     def test_unknown_nonlinearity(self):
         with pytest.raises(ValidationError):
             parse_config("model.nonlinearity = custom:nope")
+
+
+# Budget tests parse only: a config over a budget is never run.
+OVER_BUDGET = [("time.t_final = 1e9\ntime.dt = 0.001\n", "time.dt"),   # 1e12 steps
+               ("mesh.n_r = 200000\nmesh.n_theta = 200000\n", "mesh.n_r")]   # 4e10 cells
+
+
+class TestBudgets:
+    @pytest.mark.parametrize("text, key", OVER_BUDGET)
+    def test_over_budget_rejected_naming_the_key(self, text, key):
+        with pytest.raises(ValidationError) as exc:
+            parse_config(text)
+        assert exc.value.key == key and key in str(exc.value)
+
+    @pytest.mark.parametrize("text, key", OVER_BUDGET)
+    def test_over_budget_exits_one_within_a_second(self, text, key, tmp_path, capsys):
+        cfg_path = _config_file(tmp_path, text)
+        start = time.perf_counter()
+        assert cli.main(["run", str(cfg_path)]) == 1
+        assert time.perf_counter() - start < 1.0
+        assert key in capsys.readouterr().err
+
+    def test_budgets_are_inclusive(self):
+        side = math.isqrt(MAX_CELLS)
+        assert parse_config(f"mesh.n_r = {side}\nmesh.n_theta = {side}").mesh.n_r == side
+        with pytest.raises(ValidationError):
+            parse_config(f"mesh.n_r = {side}\nmesh.n_theta = {side + 1}")
+        steps = f"time.t_final = {MAX_STEPS}\ntime.output_interval = {MAX_STEPS}\ntime.dt = "
+        assert parse_config(steps + "1").time.dt == 1.0
+        with pytest.raises(ValidationError):
+            parse_config(steps + "0.5")
 
 
 SMALL_RUN = """
@@ -449,6 +482,38 @@ class TestCli:
         code = cli.main(["eig", "--n-r", "8", "--n-theta", "64", "--out", str(tmp_path)])
         assert code == 0
         assert "c_pw=" in capsys.readouterr().out
+
+    def test_probe_ignores_bulksurf_threads(self, tmp_path, monkeypatch, capsys):
+        # the variable once capped worker threads and failed on non-integers
+        cfg_path = _config_file(tmp_path, "mesh.n_r = 8\nmesh.n_theta = 16\n"
+                                          "probe.n_samples = 300\nprobe.seed = 4\n")
+        monkeypatch.delenv("BULKSURF_THREADS", raising=False)
+        assert cli.main(["probe", str(cfg_path)]) == 0
+        unset = (tmp_path / "out" / "probe.txt").read_bytes()
+        for value in ("x", "-1", "2"):
+            monkeypatch.setenv("BULKSURF_THREADS", value)
+            assert cli.main(["probe", str(cfg_path)]) == 0
+            assert (tmp_path / "out" / "probe.txt").read_bytes() == unset
+
+    @pytest.mark.parametrize("code", [0, 1, 2])
+    def test_no_probe_worker_left_after_main(self, code, tmp_path, monkeypatch, capsys):
+        parent = os.getpid()
+        require_finite = diag_mod._require_finite
+
+        def failing_in_workers(fields, what):
+            if os.getpid() != parent:
+                raise NonfiniteField("injected in a worker")
+            require_finite(fields, what)
+
+        if code == 2:
+            monkeypatch.setattr(diag_mod, "_require_finite", failing_in_workers)
+        monkeypatch.setattr(diag_mod.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        text = "mesh.n_r = 8\nmesh.n_theta = 16\nprobe.n_samples = 600\n"
+        cfg_path = _config_file(tmp_path, text + ("probe.seed = x\n" if code == 1 else ""))
+        assert cli.main(["probe", str(cfg_path)]) == code
+        assert multiprocessing.active_children() == []
+        if code == 2:
+            assert "NonfiniteField" in capsys.readouterr().err
 
     def test_probe_subcommand(self, tmp_path, capsys):
         cfg_path = tmp_path / "c.cfg"

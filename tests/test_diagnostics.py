@@ -1,6 +1,10 @@
 """Entropy, dissipation, lower bounds, probe, decay fits, spectral constants."""
 
 import math
+import multiprocessing
+import os
+import signal
+import threading
 
 import numpy as np
 import pytest
@@ -11,10 +15,11 @@ from bulksurf.diagnostics import (PROBE_BLOCK_CELLS, DiagnosticsRecord,
                                   estimate_poincare_constants, fit_decay_rate,
                                   make_record, probe_functional_inequality,
                                   project_to_masses, relative_entropy,
-                                  sample_conservative_state, threads_from_env)
+                                  sample_conservative_state)
+from bulksurf import diagnostics as diag_mod
 from bulksurf.equilibrium import EquilibriumMode, solve_equilibrium
 from bulksurf.errors import (DegenerateSampler, InsufficientData, MassMismatch,
-                             NonfiniteField, NonpositiveEntropy)
+                             NonfiniteField, NonpositiveEntropy, WorkerFailure)
 from bulksurf.geometry import GeometryKind, GeometryPreset, build_geometry
 from bulksurf.mesh import build_mesh, moving_bulk_measures, moving_surface_measures
 from bulksurf.model import ModelParams
@@ -302,22 +307,126 @@ class TestProbe:
             probe_functional_inequality(eq, geom, mesh, params, 1, 5,
                                         raw_sampler=constant_sampler)
 
-    def test_thread_env(self, monkeypatch):
-        monkeypatch.setenv("BULKSURF_THREADS", "0")
-        assert threads_from_env() == 1
-        monkeypatch.setenv("BULKSURF_THREADS", "3")
-        assert threads_from_env() == 3
-        monkeypatch.setenv("BULKSURF_THREADS", "x")
-        with pytest.raises(ValueError):
-            threads_from_env()
 
-    def test_threaded_matches_serial(self, setup):
-        # several blocks, so the workers share them out
+def _forks(monkeypatch):
+    """Force 4 usable CPUs; return the list of worker processes started."""
+    monkeypatch.setattr(diag_mod.os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    started = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def recording_start(proc):
+        started.append(proc)
+        start(proc)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", recording_start)
+    return started
+
+
+class TestProbeWorkers:
+    """The blocks shared out among forked worker processes."""
+
+    # n = 1, one block, one block + 1, three blocks + 2
+    @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, 0), (1, 1), (3, 2)])
+    def test_result_independent_of_worker_count(self, setup, blocks, extra, monkeypatch):
+        geom, mesh, params, eq = setup
+        n = blocks * block_size(mesh) + extra
+        n_blocks = -(-n // block_size(mesh))
+        started = _forks(monkeypatch)
+        results = set()
+        for cpus in (1, 2, 4):
+            monkeypatch.setattr(diag_mod.os, "sched_getaffinity",
+                                lambda pid, cpus=cpus: set(range(cpus)), raising=False)
+            before = len(started)
+            results.add(probe_functional_inequality(eq, geom, mesh, params, n, 9))
+            assert len(started) - before == min(cpus, n_blocks) - 1
+        assert len(results) == 1
+        assert all(p.exitcode == 0 for p in started)
+
+    def _sampler(self, mesh, bad):
+        """Log-uniform draws; `bad(index)` replaces one sample's draw."""
+        def sampler(index, rng):
+            got = bad(index)
+            if got is not None:
+                return got
+            return (rng.uniform(0.1, 10.0, mesh.n_bulk), rng.uniform(0.1, 10.0, mesh.n_surf),
+                    rng.uniform(0.1, 10.0, mesh.n_surf))
+        return sampler
+
+    @pytest.mark.parametrize("what", ["nan", "value_error"])
+    def test_error_in_a_workers_block(self, setup, what, monkeypatch):
+        geom, mesh, params, eq = setup
+        size = block_size(mesh)
+
+        def bad(index):
+            if index == size + 1:  # block 1: always a forked worker's
+                if what == "nan":
+                    return (np.full(mesh.n_bulk, np.nan), np.ones(mesh.n_surf),
+                            np.ones(mesh.n_surf))
+                raise ValueError(f"raw sampler refused sample {index}")
+            return None
+
+        sampler = self._sampler(mesh, bad)
+        n = 3 * size + 2
+        monkeypatch.setattr(diag_mod.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        with pytest.raises(NonfiniteField if what == "nan" else ValueError) as serial:
+            probe_functional_inequality(eq, geom, mesh, params, n, 9, raw_sampler=sampler)
+        serial = serial.value
+        started = _forks(monkeypatch)
+        with pytest.raises(type(serial)) as split:
+            probe_functional_inequality(eq, geom, mesh, params, n, 9, raw_sampler=sampler)
+        assert str(split.value) == str(serial)
+        assert len(started) == 3
+
+    def test_all_samples_skipped_is_degenerate(self, setup, monkeypatch):
+        geom, mesh, params, eq = setup
+        _forks(monkeypatch)
+
+        def constant_sampler(index, rng):
+            return (np.ones(mesh.n_bulk), np.ones(mesh.n_surf), np.ones(mesh.n_surf))
+
+        n = 3 * block_size(mesh) + 2
+        with pytest.raises(DegenerateSampler, match=f"all {n} probe samples"):
+            probe_functional_inequality(eq, geom, mesh, params, n, 5,
+                                        raw_sampler=constant_sampler)
+
+    def test_worker_that_dies_unreported_raises(self, setup, monkeypatch):
+        geom, mesh, params, eq = setup
+        parent = os.getpid()
+
+        def bad(index):
+            if os.getpid() != parent:
+                os._exit(3)
+            return None
+
+        def hung(signum, frame):
+            raise TimeoutError("the probe waited on a dead worker")
+
+        started = _forks(monkeypatch)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(30)
+        try:
+            with pytest.raises(WorkerFailure, match="exited with code 3"):
+                probe_functional_inequality(eq, geom, mesh, params, 3 * block_size(mesh) + 2, 9,
+                                            raw_sampler=self._sampler(mesh, bad))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert len(started) == 3 and all(p.exitcode is not None for p in started)
+
+    def test_other_thread_running_gives_serial_result(self, setup, monkeypatch):
         geom, mesh, params, eq = setup
         n = 3 * block_size(mesh) + 2
-        lam1, w1 = probe_functional_inequality(eq, geom, mesh, params, n, 9, n_threads=1)
-        lam2, w2 = probe_functional_inequality(eq, geom, mesh, params, n, 9, n_threads=4)
-        assert lam1 == lam2 and w1.index == w2.index
+        serial = probe_functional_inequality(eq, geom, mesh, params, n, 9)
+        started = _forks(monkeypatch)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            assert probe_functional_inequality(eq, geom, mesh, params, n, 9) == serial
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive() and started == []
 
 
 PRESETS = {
