@@ -21,11 +21,11 @@ import numpy as np
 from . import config as config_mod
 from . import diagnostics as diag_mod
 from . import solver as solver_mod
-from .equilibrium import EquilibriumMode, solve_equilibrium
-from .errors import BulkSurfError, ParseError, ValidationError
+from .equilibrium import EquilibriumMode, closure_kappa, solve_equilibrium
+from .errors import BulkSurfError, ParseError, ValidationError, rekeyed
 from .geometry import GeometryKind, GeometryPreset, build_geometry
 from .mesh import build_mesh
-from .model import CUSTOM_NONLINEARITIES, MassAction, ModelParams
+from .model import ModelParams, check_assumptions, make_nonlinearity
 
 
 class _UsageError(Exception):
@@ -46,9 +46,29 @@ def _ensure_dir(path):
     return path
 
 
+@contextlib.contextmanager
+def _output_errors(where):
+    """Turn an OSError of the block into the output error naming `where`."""
+    try:
+        yield
+    except OSError as exc:
+        raise _OutputError(f"{where}: {exc}") from exc
+
+
+def _write(where, out_dir, name, lines):
+    """Write `lines` to out_dir/name; `where` names the option that set out_dir."""
+    with _output_errors(f"{where} = {out_dir}"):
+        with open(os.path.join(_ensure_dir(out_dir), name), "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+
+
 def _load_config(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return config_mod.parse_config(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{path}: {exc}", key="config") from exc
+    return config_mod.parse_config(text)
 
 
 def _write_snapshots(items, failures, parent_end):
@@ -114,26 +134,20 @@ def _snapshot_writer(snap_dir):
 def _cmd_run(args) -> int:
     cfg = _load_config(args.config)
     out_dir = cfg.output.directory
-    try:
-        return _run_and_report(cfg, out_dir)
-    except OSError as exc:
-        raise _OutputError(f"output.directory = {out_dir}: {exc}") from exc
-
-
-def _run_and_report(cfg, out_dir) -> int:
-    _ensure_dir(out_dir)
     csv_path = os.path.join(out_dir, "diagnostics.csv")
-    snapshots = (_snapshot_writer(_ensure_dir(os.path.join(out_dir, "snapshots")))
-                 if cfg.output.snapshots else contextlib.nullcontext())
-    with snapshots as on_snapshot, open(csv_path, "w", encoding="utf-8") as csv_fh:
-        csv_fh.write(diag_mod.CSV_HEADER + "\n")
-        csv_fh.flush()
-
-        def on_record(rec):
-            csv_fh.write(rec.csv_row() + "\n")
+    with _output_errors(f"output.directory = {out_dir}"):
+        _ensure_dir(out_dir)
+        snapshots = (_snapshot_writer(_ensure_dir(os.path.join(out_dir, "snapshots")))
+                     if cfg.output.snapshots else contextlib.nullcontext())
+        with snapshots as on_snapshot, open(csv_path, "w", encoding="utf-8") as csv_fh:
+            csv_fh.write(diag_mod.CSV_HEADER + "\n")
             csv_fh.flush()
 
-        result = solver_mod.run(cfg, on_record=on_record, on_snapshot=on_snapshot)
+            def on_record(rec):
+                csv_fh.write(rec.csv_row() + "\n")
+                csv_fh.flush()
+
+            result = solver_mod.run(cfg, on_record=on_record, on_snapshot=on_snapshot)
 
     recs = result.records
     first, last = recs[0], recs[-1]
@@ -151,18 +165,15 @@ def _run_and_report(cfg, out_dir) -> int:
         f"min field value over run: {min_all:.3e}",
         f"L1 distances at end: u {last.l1_u:.3e}, w {last.l1_w:.3e}, z {last.l1_z:.3e}",
     ]
-    with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(report) + "\n")
+    _write("output.directory", out_dir, "report.txt", report)
     print(f"run: t={last.t:g} E={last.entropy:.3e} drift=({drift1:.1e},{drift2:.1e}) "
           f"-> {csv_path}")
     return 0
 
 
 def _cmd_mms(args) -> int:
-    out_dir = _ensure_dir(args.out)
-    preset = GeometryPreset(
-        kind=GeometryKind.ROTATION if args.preset == "rotation" else GeometryKind.FIXED,
-        r_inner0=1.0, r_outer0=2.0, omega=1.0 if args.preset == "rotation" else 0.0)
+    preset = GeometryPreset(GeometryKind(args.preset), r_inner0=1.0, r_outer0=2.0,
+                            omega=1.0 if args.preset == "rotation" else 0.0)
     rows = []
     errs = []
     hs = []
@@ -179,8 +190,7 @@ def _cmd_mms(args) -> int:
         hs.append(1.0 / n_r)
     order = float(np.polyfit(np.log(hs), np.log(errs), 1)[0]) if len(errs) > 1 else float("nan")
     rows.append(f"fitted spatial order: {order:.3f}")
-    with open(os.path.join(out_dir, "mms.txt"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(rows) + "\n")
+    _write("--out", args.out, "mms.txt", rows)
     for row in rows:
         print(row)
     return 0
@@ -189,23 +199,20 @@ def _cmd_mms(args) -> int:
 def _cmd_equilibrium(args) -> int:
     mode = EquilibriumMode.PAPER_LITERAL if args.mode == "paper" else EquilibriumMode.RATE_BALANCE
     params = ModelParams(1.0, 1.0, 1.0, args.delta_k, args.delta_k_prime)
+    kappa = closure_kappa(params, mode)
     eq = solve_equilibrium(args.m1, args.m2, args.area, args.length, params, mode)
-    kappa = 1.0 if mode is EquilibriumMode.PAPER_LITERAL else args.delta_k_prime / args.delta_k
     res_closure = abs(eq.z_inf - kappa * eq.u_inf * eq.w_inf)
     res_m1 = abs(eq.u_inf * args.area + eq.z_inf * args.length - args.m1)
     res_m2 = abs(eq.w_inf * args.length + eq.z_inf * args.length - args.m2)
     line = (f"u={eq.u_inf:.12g} w={eq.w_inf:.12g} z={eq.z_inf:.12g} "
             f"residuals=({res_closure:.2e},{res_m1:.2e},{res_m2:.2e})")
-    out_dir = _ensure_dir(args.out)
-    with open(os.path.join(out_dir, "equilibrium.txt"), "w", encoding="utf-8") as fh:
-        fh.write(line + "\n")
+    _write("--out", args.out, "equilibrium.txt", [line])
     print(line)
     return 0
 
 
 def _cmd_probe(args) -> int:
     cfg = _load_config(args.config)
-    out_dir = _ensure_dir(cfg.output.directory)
     geom = build_geometry(cfg.geometry)
     mesh = build_mesh(cfg.mesh.n_r, cfg.mesh.n_theta, cfg.geometry.r_inner0,
                       cfg.geometry.r_outer0)
@@ -221,22 +228,14 @@ def _cmd_probe(args) -> int:
         f"worst sample: index={worst.index} E={worst.entropy:.6e} "
         f"Dtilde={worst.dissipation:.6e}",
     ]
-    with open(os.path.join(out_dir, "probe.txt"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write("output.directory", cfg.output.directory, "probe.txt", lines)
     print(lines[0])
     return 0
 
 
 def _cmd_check_assumptions(args) -> int:
-    from .model import check_assumptions
     params = ModelParams(1.0, 1.0, 1.0, args.delta_k, args.delta_k_prime)
-    if args.nonlinearity == "mass_action":
-        spec = MassAction(params)
-    else:
-        name = args.nonlinearity.split(":", 1)[1]
-        if name not in CUSTOM_NONLINEARITIES:
-            raise _UsageError(f"unknown custom nonlinearity {name!r}")
-        spec = CUSTOM_NONLINEARITIES[name](params)
+    spec = make_nonlinearity(args.nonlinearity, params)
     box = ((args.lo, args.hi),) * 3
     report = check_assumptions(spec, box, args.n, args.seed, args.tol)
     lines = []
@@ -245,9 +244,7 @@ def _cmd_check_assumptions(args) -> int:
         extra = f" C={res.fitted_constant:.6g}" if res.fitted_constant is not None else ""
         lines.append(f"{res.name}: {status} ({res.description}) worst={res.worst_value:.3e} "
                      f"at (u,w,z)={tuple(round(x, 6) for x in res.witness)}{extra}")
-    out_dir = _ensure_dir(args.out)
-    with open(os.path.join(out_dir, "assumptions.txt"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write("--out", args.out, "assumptions.txt", lines)
     for line in lines:
         print(line)
     return 0 if report.all_passed else 2
@@ -259,45 +256,32 @@ def _cmd_eig(args) -> int:
     mesh = build_mesh(args.n_r, args.n_theta, args.r_inner, args.r_outer)
     consts = diag_mod.estimate_poincare_constants(mesh, geom, t=0.0)
     line = f"c_pw={consts.c_pw:.12g} c_trpw={consts.c_trpw:.12g}"
-    out_dir = _ensure_dir(args.out)
-    with open(os.path.join(out_dir, "eig.txt"), "w", encoding="utf-8") as fh:
-        fh.write(line + "\n")
+    _write("--out", args.out, "eig.txt", [line])
     print(line)
     return 0
 
 
 def _cmd_transport_check(args) -> int:
-    kind = {"fixed": GeometryKind.FIXED, "rotation": GeometryKind.ROTATION,
-            "breathing": GeometryKind.BREATHING,
-            "surface_wind": GeometryKind.SURFACE_WIND}[args.preset]
+    kind = GeometryKind(args.preset)
     preset = GeometryPreset(kind, r_inner0=1.0, r_outer0=2.0, amplitude=args.amplitude,
                             omega=1.0, delta=args.delta,
                             wind_speed=0.5 if kind is GeometryKind.SURFACE_WIND else 0.0)
     geom = build_geometry(preset)
+    kinds = solver_mod.TransportKind
+    bulk = (lambda rr, th: 1.0 + 0.3 * np.cos(th) * rr, lambda rr, th: 1.0 + 0.2 * np.sin(2 * th))
+    surface = (lambda th: 1.0 + 0.3 * np.cos(th),
+               lambda th: 1.0 + 0.2 * np.cos(th) + 0.1 * np.sin(2 * th))
     lines = []
     for level in range(args.levels):
         n_r = 16 * (2 ** level)
         mesh = build_mesh(n_r, 2 * n_r, 1.0, 2.0)
         dt = args.dt0 / (2 ** level)
-        res = []
-        for which in (solver_mod.TransportKind.BULK, solver_mod.TransportKind.SURFACE,
-                      solver_mod.TransportKind.SURFACE_GRADIENT):
-            if which is solver_mod.TransportKind.BULK:
-                r = solver_mod.transport_identity_residual(
-                    geom, mesh, args.t, dt,
-                    lambda rr, th: 1.0 + 0.3 * np.cos(th) * rr,
-                    lambda rr, th: 1.0 + 0.2 * np.sin(2 * th), which)
-            else:
-                r = solver_mod.transport_identity_residual(
-                    geom, mesh, args.t, dt,
-                    lambda th: 1.0 + 0.3 * np.cos(th),
-                    lambda th: 1.0 + 0.2 * np.cos(th) + 0.1 * np.sin(2 * th), which)
-            res.append(r)
+        res = [solver_mod.transport_identity_residual(geom, mesh, args.t, dt, *fields, which)
+               for which, fields in ((kinds.BULK, bulk), (kinds.SURFACE, surface),
+                                     (kinds.SURFACE_GRADIENT, surface))]
         lines.append(f"level {level}: dt={dt:g} bulk={res[0]:.3e} surface={res[1]:.3e} "
                      f"gradient={res[2]:.3e}")
-    out_dir = _ensure_dir(args.out)
-    with open(os.path.join(out_dir, "transport.txt"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write("--out", args.out, "transport.txt", lines)
     for line in lines:
         print(line)
     return 0
@@ -305,23 +289,25 @@ def _cmd_transport_check(args) -> int:
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="bulksurf", description=__doc__)
+    parser.set_defaults(flags=None)  # owner key -> flag where not --<key>; None: config keys
     sub = parser.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)  # the artifact directory of a flag command
+    out.add_argument("--out", default="out")
 
     p = sub.add_parser("run", help="advance a configured simulation")
     p.add_argument("config")
     p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("mms", help="manufactured-solution refinement study")
+    p = sub.add_parser("mms", help="manufactured-solution refinement study", parents=[out])
     p.add_argument("--case", default="sinusoidal")
     p.add_argument("--levels", type=int, default=3)
     p.add_argument("--preset", choices=["fixed", "rotation"], default="fixed")
     p.add_argument("--n0", type=int, default=16)
     p.add_argument("--dt0", type=float, default=4e-3)
     p.add_argument("--t-final", type=float, default=0.04, dest="t_final")
-    p.add_argument("--out", default="out")
-    p.set_defaults(func=_cmd_mms)
+    p.set_defaults(func=_cmd_mms, flags=dict(case_id="--case", n_r="--n0", n_theta="--n0", dt="--dt0"))
 
-    p = sub.add_parser("equilibrium", help="solve the homogeneous equilibrium")
+    p = sub.add_parser("equilibrium", help="solve the homogeneous equilibrium", parents=[out])
     p.add_argument("--m1", type=float, required=True)
     p.add_argument("--m2", type=float, required=True)
     p.add_argument("--area", type=float, required=True)
@@ -329,14 +315,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--mode", choices=["paper", "rate"], default="rate")
     p.add_argument("--delta-k", type=float, default=1.0, dest="delta_k")
     p.add_argument("--delta-k-prime", type=float, default=1.0, dest="delta_k_prime")
-    p.add_argument("--out", default="out")
-    p.set_defaults(func=_cmd_equilibrium)
+    p.set_defaults(func=_cmd_equilibrium, flags=dict(equilibrium_mode="--mode"))
 
     p = sub.add_parser("probe", help="entropy-dissipation inequality probe")
     p.add_argument("config")
     p.set_defaults(func=_cmd_probe)
 
-    p = sub.add_parser("check-assumptions", help="sampled nonlinearity checks")
+    p = sub.add_parser("check-assumptions", help="sampled nonlinearity checks", parents=[out])
     p.add_argument("--nonlinearity", default="mass_action")
     p.add_argument("--lo", type=float, default=0.0)
     p.add_argument("--hi", type=float, default=10.0)
@@ -345,18 +330,16 @@ def _build_parser() -> _Parser:
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--delta-k", type=float, default=1.0, dest="delta_k")
     p.add_argument("--delta-k-prime", type=float, default=1.0, dest="delta_k_prime")
-    p.add_argument("--out", default="out")
-    p.set_defaults(func=_cmd_check_assumptions)
+    p.set_defaults(func=_cmd_check_assumptions, flags=dict(n_samples="--n", sample_box="--lo/--hi"))
 
-    p = sub.add_parser("eig", help="Poincare constants of the discrete operators")
+    p = sub.add_parser("eig", help="Poincare constants of the discrete operators", parents=[out])
     p.add_argument("--n-r", type=int, default=32, dest="n_r")
     p.add_argument("--n-theta", type=int, default=256, dest="n_theta")
     p.add_argument("--r-inner", type=float, default=1.0, dest="r_inner")
     p.add_argument("--r-outer", type=float, default=2.0, dest="r_outer")
-    p.add_argument("--out", default="out")
-    p.set_defaults(func=_cmd_eig)
+    p.set_defaults(func=_cmd_eig, flags=dict(r_inner0="--r-inner", r_outer0="--r-outer"))
 
-    p = sub.add_parser("transport-check", help="moving-integral transport identities")
+    p = sub.add_parser("transport-check", help="moving-integral transport identities", parents=[out])
     p.add_argument("--preset", default="breathing",
                    choices=["fixed", "rotation", "breathing", "surface_wind"])
     p.add_argument("--t", type=float, default=0.7)
@@ -364,8 +347,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--levels", type=int, default=3)
     p.add_argument("--amplitude", type=float, default=0.2)
     p.add_argument("--delta", type=float, default=0.3)
-    p.add_argument("--out", default="out")
-    p.set_defaults(func=_cmd_transport_check)
+    p.set_defaults(func=_cmd_transport_check, flags=dict(n_r="--levels", n_theta="--levels", dt="--dt0"))
     return parser
 
 
@@ -373,7 +355,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        if args.flags is None:
+            return args.func(args)
+        with rekeyed(lambda key: args.flags.get(key, "--" + key.replace("_", "-"))):
+            return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -382,9 +367,6 @@ def main(argv=None) -> int:
         return 1
     except _OutputError as exc:
         print(f"output error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"missing file: {exc}", file=sys.stderr)
         return 1
     except BulkSurfError as exc:
         print(f"numerical failure ({type(exc).__name__}): {exc}", file=sys.stderr)

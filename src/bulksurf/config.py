@@ -4,8 +4,13 @@ Parsing is strict: unknown keys and duplicate keys fail before any
 computation starts, and every error names the offending line.  Numbers must
 be finite; "inf" is accepted only where it disables a reaction constant.  All
 keys have documented defaults, so the empty string is a valid config.
-Runs are budgeted: a mesh of more than MAX_CELLS bulk cells, or a
-t_final / dt of more than MAX_STEPS time steps, is rejected here.
+
+Each range rule lives with the input's owner, which parse_config calls,
+naming the config key in its error: `geometry.build_geometry`,
+`mesh.check_resolution` (with the cell budget MAX_CELLS), `model.ModelParams`,
+`model.make_nonlinearity`, `equilibrium.closure_kappa` and
+`solver.check_steps` (t_final, dt and the step budget MAX_STEPS).  Only
+syntax, the schema, time-grid alignment, `ic.*` and `probe.*` are ruled here.
 
 Sections and keys (defaults in parentheses):
 
@@ -39,17 +44,12 @@ import os
 
 import numpy as np
 
-from .errors import InvalidPreset, ParseError, ValidationError
-from .equilibrium import EquilibriumMode
+from .errors import ParseError, ValidationError, rekeyed
+from .equilibrium import EquilibriumMode, closure_kappa
 from .geometry import GeometryKind, GeometryPreset, build_geometry
-from .mesh import MIN_N_R, MIN_N_THETA
-from .model import CUSTOM_NONLINEARITIES, MassAction, ModelParams
-
-# Run budgets.  MAX_CELLS is a 2048 x 2048 mesh, 32 MB per bulk field.  A run
-# takes at least t_final / dt steps (the CFL stepper never exceeds dt), and
-# MAX_STEPS of them take about an hour even at 4 x 8 (0.33 ms per step).
-MAX_CELLS = 1 << 22
-MAX_STEPS = 10 ** 7
+from .mesh import MAX_CELLS, check_resolution  # both budgets are importable from here too
+from .model import ModelParams, make_nonlinearity
+from .solver import MAX_STEPS, check_steps
 
 
 @dataclasses.dataclass(frozen=True)
@@ -65,10 +65,7 @@ class ModelBlock:
     equilibrium_mode: EquilibriumMode
 
     def make_nonlinearity(self):
-        if self.nonlinearity == "mass_action":
-            return MassAction(self.params)
-        name = self.nonlinearity.split(":", 1)[1]
-        return CUSTOM_NONLINEARITIES[name](self.params)
+        return make_nonlinearity(self.nonlinearity, self.params)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -123,14 +120,6 @@ def _to_float(raw):
     return v
 
 
-def _to_rate(raw):
-    """A reaction constant: a number, or inf to switch the reaction off."""
-    v = float(raw)
-    if math.isnan(v):
-        raise ValueError(f"must be a number or inf, got {raw!r}")
-    return v
-
-
 def _to_bool(raw):
     low = raw.lower()
     if low in ("true", "yes", "1", "on"):
@@ -150,11 +139,11 @@ _SCHEMA = {
     "geometry.wind_speed": (_to_float, 0.0),
     "mesh.n_r": (int, 64),
     "mesh.n_theta": (int, 128),
-    "model.delta_omega": (_to_float, 1.0),
-    "model.delta_gamma": (_to_float, 1.0),
-    "model.delta_gamma_prime": (_to_float, 1.0),
-    "model.delta_k": (_to_rate, 1.0),
-    "model.delta_k_prime": (_to_rate, 1.0),
+    "model.delta_omega": (float, 1.0),
+    "model.delta_gamma": (float, 1.0),
+    "model.delta_gamma_prime": (float, 1.0),
+    "model.delta_k": (float, 1.0),
+    "model.delta_k_prime": (float, 1.0),
     "model.nonlinearity": (str, "mass_action"),
     "model.equilibrium_mode": (str, "rate_balance"),
     "time.t_final": (_to_float, 1.0),
@@ -200,7 +189,7 @@ def parse_config(text: str) -> RunConfig:
                 f"line {lineno}: duplicate key {key!r} (first set on line {seen_lines[key]})",
                 line=lineno)
         if key not in _SCHEMA:
-            raise ValidationError(f"line {lineno}: unknown config key {key!r}", key=key)
+            raise ValidationError(f"line {lineno}: unknown config key", key=key)
         conv, _default = _SCHEMA[key]
         try:
             values[key] = conv(val)
@@ -212,7 +201,7 @@ def parse_config(text: str) -> RunConfig:
         return values.get(key, _SCHEMA[key][1])
 
     def fail(key, msg):
-        raise ValidationError(f"{key}: {msg}", key=key)
+        raise ValidationError(msg, key=key)
 
     kind_raw = get("geometry.kind")
     if kind_raw not in _GEOMETRY_KINDS:
@@ -226,73 +215,43 @@ def parse_config(text: str) -> RunConfig:
         delta=get("geometry.delta"),
         wind_speed=get("geometry.wind_speed"),
     )
-    try:
+    with rekeyed("geometry.{}".format):
         build_geometry(preset)
-    except InvalidPreset as exc:
-        fail(f"geometry.{exc.key}", str(exc))
 
     n_r, n_theta = get("mesh.n_r"), get("mesh.n_theta")
-    if n_r < MIN_N_R:
-        fail("mesh.n_r", f"must be >= {MIN_N_R}, got {n_r}")
-    if n_theta < MIN_N_THETA:
-        fail("mesh.n_theta", f"must be >= {MIN_N_THETA}, got {n_theta}")
-    if n_r * n_theta > MAX_CELLS:
-        fail("mesh.n_r", f"mesh.n_r x mesh.n_theta = {n_r} x {n_theta} cells is above the "
-                         f"budget of MAX_CELLS = {MAX_CELLS}")
+    with rekeyed("mesh.{}".format):
+        check_resolution(n_r, n_theta)
     mesh = MeshBlock(n_r=n_r, n_theta=n_theta)
 
-    for k in ("model.delta_omega", "model.delta_gamma", "model.delta_gamma_prime",
-              "model.delta_k", "model.delta_k_prime"):
-        if not get(k) > 0:
-            fail(k, f"must be > 0, got {get(k)}")
-    nonlin = get("model.nonlinearity")
-    if nonlin != "mass_action":
-        if not nonlin.startswith("custom:") or nonlin.split(":", 1)[1] not in CUSTOM_NONLINEARITIES:
-            fail("model.nonlinearity",
-                 f"must be 'mass_action' or custom:<name> with name in "
-                 f"{sorted(CUSTOM_NONLINEARITIES)}, got {nonlin!r}")
-    eq_mode_raw = get("model.equilibrium_mode")
+    eq_mode_raw, nonlin = get("model.equilibrium_mode"), get("model.nonlinearity")
     if eq_mode_raw not in _EQ_MODES:
         fail("model.equilibrium_mode", f"must be one of {sorted(_EQ_MODES)}, got {eq_mode_raw!r}")
-    if _EQ_MODES[eq_mode_raw] is EquilibriumMode.RATE_BALANCE:
-        for k in ("model.delta_k", "model.delta_k_prime"):
-            if math.isinf(get(k)):
-                fail("model.equilibrium_mode",
-                     f"rate_balance needs finite rate constants (kappa = delta_k_prime / "
-                     f"delta_k), got {k} = inf; use paper_literal")
-    model = ModelBlock(
-        params=ModelParams(
+    with rekeyed("model.{}".format):
+        params = ModelParams(
             delta_omega=get("model.delta_omega"),
             delta_gamma=get("model.delta_gamma"),
             delta_gamma_prime=get("model.delta_gamma_prime"),
             delta_k=get("model.delta_k"),
             delta_k_prime=get("model.delta_k_prime"),
-        ),
-        nonlinearity=nonlin,
-        equilibrium_mode=_EQ_MODES[eq_mode_raw],
-    )
+        )
+        make_nonlinearity(nonlin, params)
+        closure_kappa(params, _EQ_MODES[eq_mode_raw])
+    model = ModelBlock(params=params, nonlinearity=nonlin, equilibrium_mode=_EQ_MODES[eq_mode_raw])
 
     t_final, dt = get("time.t_final"), get("time.dt")
     interval = get("time.output_interval")
     stepper = get("time.stepper")
-    if t_final < 0:
-        fail("time.t_final", "must be >= 0")
-    if dt <= 0:
-        fail("time.dt", "must be > 0")
+    with rekeyed("time.{}".format):
+        check_steps(dt, t_final)
     if interval <= 0:
         fail("time.output_interval", "must be > 0")
-    if t_final / dt > MAX_STEPS:
-        fail("time.dt", f"time.t_final / time.dt = {t_final:g} / {dt:g} steps is above the "
-                        f"budget of MAX_STEPS = {MAX_STEPS}")
     if stepper not in ("imex", "implicit"):
         fail("time.stepper", f"must be imex or implicit, got {stepper!r}")
-    if t_final > 0:
-        ratio = t_final / interval
-        if abs(ratio - round(ratio)) > 1e-8:
-            fail("time.output_interval", "t_final must be an integer multiple of output_interval")
-        ratio = interval / dt
-        if abs(ratio - round(ratio)) > 1e-8:
-            fail("time.dt", "output_interval must be an integer multiple of dt")
+    if t_final > 0:  # inf where a ratio overflows
+        for key, what, ratio in (("time.output_interval", "t_final / output_interval", t_final / interval),
+                                 ("time.dt", "output_interval / dt", interval / dt)):
+            if not (math.isfinite(ratio) and round(ratio) >= 1 and abs(ratio - round(ratio)) <= 1e-8):
+                fail(key, f"{what} = {ratio:g} must be a whole number of at least 1")
     time_block = TimeBlock(t_final=t_final, dt=dt, cfl=get("time.cfl"),
                            output_interval=interval, stepper=stepper)
 
@@ -373,7 +332,7 @@ def load_fields_file(path: str, n_r: int, n_theta: int):
     """Read (u, w, z) from a three-block snapshot-format file; every value must
     be finite and nonnegative, as the uniform profile requires of its own."""
     def fault(msg):
-        return ValidationError(f"ic.path: {path}: {msg}", key="ic.path")
+        return ValidationError(f"{path}: {msg}", key="ic.path")
 
     try:
         with open(path, "r", encoding="utf-8") as fh:

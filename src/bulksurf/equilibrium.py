@@ -25,7 +25,7 @@ import dataclasses
 import enum
 import math
 
-from .errors import NonpositiveMass, NoPositiveRoot
+from .errors import NonpositiveMass, NoPositiveRoot, UndefinedClosure
 from .geometry import EvolvingGeometry
 from .mesh import ReferenceMesh, integrate_bulk, integrate_surface
 from .model import ModelParams
@@ -55,6 +55,17 @@ def conserved_masses(state, geom: EvolvingGeometry, mesh: ReferenceMesh):
     return m1, m2
 
 
+def closure_kappa(params: ModelParams, mode: EquilibriumMode) -> float:
+    """kappa of z = kappa u w: 1, or delta_K'/delta_K (positive, finite) in rate balance."""
+    if mode is EquilibriumMode.PAPER_LITERAL:
+        return 1.0
+    kappa = params.delta_k_prime / params.delta_k
+    if not (kappa > 0.0 and math.isfinite(kappa)):
+        raise UndefinedClosure(f"rate_balance needs delta_k_prime / delta_k = {kappa} positive "
+                               "and finite; use paper_literal", key="equilibrium_mode")
+    return kappa
+
+
 def solve_equilibrium(m1: float, m2: float, area_omega: float, length_gamma: float,
                       params: ModelParams, mode: EquilibriumMode = EquilibriumMode.RATE_BALANCE) -> Equilibrium:
     if not (m1 > 0.0 and m2 > 0.0 and area_omega > 0.0 and length_gamma > 0.0):
@@ -62,12 +73,7 @@ def solve_equilibrium(m1: float, m2: float, area_omega: float, length_gamma: flo
             f"masses and measures must be positive, got m1={m1}, m2={m2}, "
             f"area={area_omega}, length={length_gamma}"
         )
-    if mode is EquilibriumMode.PAPER_LITERAL:
-        kappa = 1.0
-    else:
-        kappa = params.delta_k_prime / params.delta_k
-        if not (kappa > 0.0 and math.isfinite(kappa)):
-            raise NoPositiveRoot(f"rate-balance closure undefined for kappa = {kappa}")
+    kappa = closure_kappa(params, mode)
 
     # z^2 - (A + B + C) z + A B = 0 with A = m1/|G|, B = m2/|G|, C = |O|/(kappa |G|)
     a = m1 / length_gamma

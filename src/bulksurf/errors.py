@@ -5,16 +5,34 @@ the CLI can map them to exit codes and name the offending module in its
 message.
 """
 
+import contextlib
+
 
 class BulkSurfError(Exception):
     """Base class for all package errors."""
 
 
-# geometry
-class InvalidPreset(BulkSurfError):
+class ValidationError(BulkSurfError, ValueError):
+    """An input outside its owner's rules; `key` names it as the owner does."""
+
     def __init__(self, message, key=None):
-        super().__init__(message)
-        self.key = key  # the GeometryPreset field at fault
+        super().__init__(f"{key}: {message}" if key else message)
+        self.key = key
+        self.reason = message
+
+
+@contextlib.contextmanager
+def rekeyed(name):
+    """Re-raise a keyed ValidationError of the block under the key `name(key)`."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise ValidationError(exc.reason, key=name(exc.key)) from exc
+
+
+# geometry
+class InvalidPreset(ValidationError):
+    pass
 
 
 class PointOutsideDomain(BulkSurfError):
@@ -22,7 +40,7 @@ class PointOutsideDomain(BulkSurfError):
 
 
 # mesh
-class InvalidResolution(BulkSurfError):
+class InvalidResolution(ValidationError):
     pass
 
 
@@ -49,7 +67,7 @@ class NewtonDivergence(BulkSurfError):
         self.residual_history = list(residual_history or [])
 
 
-class UnknownCase(BulkSurfError):
+class UnknownCase(ValidationError):
     pass
 
 
@@ -60,6 +78,10 @@ class NonpositiveMass(BulkSurfError):
 
 class NoPositiveRoot(BulkSurfError):
     pass
+
+
+class UndefinedClosure(ValidationError, NoPositiveRoot):
+    """Rate constants for which the chosen closure has no positive kappa."""
 
 
 # diagnostics
@@ -96,9 +118,3 @@ class ParseError(BulkSurfError):
     def __init__(self, message, line=None):
         super().__init__(message)
         self.line = line
-
-
-class ValidationError(BulkSurfError):
-    def __init__(self, message, key=None):
-        super().__init__(message)
-        self.key = key

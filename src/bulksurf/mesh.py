@@ -21,6 +21,8 @@ from .geometry import EvolvingGeometry
 
 MIN_N_R = 4
 MIN_N_THETA = 8
+# the cell budget: a 2048 x 2048 mesh, 32 MB per bulk field
+MAX_CELLS = 1 << 22
 
 
 @dataclasses.dataclass(frozen=True)
@@ -60,11 +62,17 @@ class ReferenceMesh:
         return np.tile(self.theta_centers, self.n_r)
 
 
+def check_resolution(n_r: int, n_theta: int) -> None:
+    """Reject a grid below MIN_N_R x MIN_N_THETA or above MAX_CELLS; allocates nothing."""
+    for key, n, least in (("n_r", n_r, MIN_N_R), ("n_theta", n_theta, MIN_N_THETA)):
+        if n < least:
+            raise InvalidResolution(f"must be >= {least}, got {n}", key=key)
+    if n_r * n_theta > MAX_CELLS:
+        raise InvalidResolution(f"{n_r} x {n_theta} cells is above MAX_CELLS = {MAX_CELLS}", key="n_r")
+
+
 def build_mesh(n_r: int, n_theta: int, r_inner0: float, r_outer0: float) -> ReferenceMesh:
-    if n_r < MIN_N_R or n_theta < MIN_N_THETA:
-        raise InvalidResolution(
-            f"need n_r >= {MIN_N_R} and n_theta >= {MIN_N_THETA}, got ({n_r}, {n_theta})"
-        )
+    check_resolution(n_r, n_theta)
     if not (r_outer0 > r_inner0 > 0.0):
         raise InvalidResolution(f"radii must satisfy 0 < r_inner0 < r_outer0, got ({r_inner0}, {r_outer0})")
     dr = (r_outer0 - r_inner0) / n_r

@@ -20,6 +20,8 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import ValidationError
+
 # curve surface: d = 1, so the sub-critical exponent bound is (d+4)/(d+2)
 SURFACE_DIMENSION = 1
 BETA_LIMIT = (SURFACE_DIMENSION + 4) / (SURFACE_DIMENSION + 2)
@@ -45,10 +47,10 @@ class ModelParams:
         for name in ("delta_omega", "delta_gamma", "delta_gamma_prime"):
             v = getattr(self, name)
             if not (v > 0.0 and math.isfinite(v)):
-                raise ValueError(f"{name} must be finite and > 0, got {v}")
+                raise ValidationError(f"must be finite and > 0, got {v}", key=name)
         for name in ("delta_k", "delta_k_prime"):
             if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+                raise ValidationError(f"must be > 0, got {getattr(self, name)}", key=name)
 
 
 def mass_action_rate(u, w, z, params: ModelParams):
@@ -124,6 +126,17 @@ def _saturating_binding(params: ModelParams) -> CustomNonlinearity:
     return CustomNonlinearity(f1, f1, f3, alpha=1.0, beta=1.0, name="saturating_binding")
 
 
+def make_nonlinearity(name: str, params: ModelParams):
+    """The nonlinearity called `mass_action` or `custom:<registered name>`."""
+    if name == "mass_action":
+        return MassAction(params)
+    prefix, _, custom = name.partition(":")
+    if prefix != "custom" or custom not in CUSTOM_NONLINEARITIES:
+        raise ValidationError(f"must be 'mass_action' or custom:<name> with name in "
+                              f"{sorted(CUSTOM_NONLINEARITIES)}, got {name!r}", key="nonlinearity")
+    return CUSTOM_NONLINEARITIES[custom](params)
+
+
 @dataclasses.dataclass(frozen=True)
 class AssumptionResult:
     name: str
@@ -164,11 +177,10 @@ def check_assumptions(spec, sample_box, n_samples: int, rng_seed: int, tol: floa
     cloud rather than pass/fail against an unknown constant.
     """
     if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+        raise ValidationError(f"must be >= 1, got {n_samples}", key="n_samples")
     (ulo, uhi), (wlo, whi), (zlo, zhi) = sample_box
-    for lo, hi in sample_box:
-        if lo < 0.0 or hi < lo:
-            raise ValueError(f"sample box must lie in [0, inf)^3, got {sample_box}")
+    if not all(0.0 <= lo <= hi < math.inf for lo, hi in sample_box):
+        raise ValidationError(f"must lie in [0, inf)^3, got {sample_box}", key="sample_box")
     rng = np.random.default_rng(rng_seed)
     u = rng.uniform(ulo, uhi, n_samples)
     w = rng.uniform(wlo, whi, n_samples)

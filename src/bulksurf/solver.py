@@ -54,7 +54,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .errors import (CflViolation, LinearSolveFailure, NewtonDivergence,
-                     NonfiniteField, SingularJacobian, UnknownCase)
+                     NonfiniteField, SingularJacobian, UnknownCase, ValidationError)
 from .geometry import EvolvingGeometry, GeometryKind, GeometryPreset, build_geometry
 from .mesh import (ReferenceMesh, build_mesh, moving_bulk_measures, moving_ring_measures,
                    moving_surface_measures)
@@ -64,6 +64,9 @@ _RESIDUAL_TOL = 1e-10
 # a CFL-adaptive run stops when the step it may take falls below this
 # fraction of time.dt: past it the run would take millions of steps
 _MIN_CFL_STEP = 1e-6
+# the step budget: t_final / dt steps at least (a CFL step never exceeds dt);
+# MAX_STEPS of them take about an hour even at 4 x 8 (0.33 ms per step)
+MAX_STEPS = 10 ** 7
 
 
 @dataclasses.dataclass
@@ -203,8 +206,7 @@ def cfl_bound(geom: EvolvingGeometry, mesh: ReferenceMesh, params: ModelParams,
 def _check_step(state: State, dt: float, geom, mesh, params, check_cfl: bool, q=None):
     """Preconditions of every step: positive dt, a finite state and, when
     check_cfl is set, dt within cfl_bound; returns q as used for the bound."""
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    check_steps(dt)
     if not (np.all(np.isfinite(state.u_hat)) and np.all(np.isfinite(state.w_hat))
             and np.all(np.isfinite(state.z_hat))):
         raise NonfiniteField(f"state at t = {state.t:g} contains non-finite values")
@@ -671,11 +673,12 @@ def manufactured_solution_error(case_id: str, n_r: int, n_theta: int, dt: float,
     is exact; supported presets are fixed and rotation.
     """
     if case_id not in MMS_CASES:
-        raise UnknownCase(f"unknown manufactured case {case_id!r}; have {sorted(MMS_CASES)}")
+        raise UnknownCase(f"unknown case {case_id!r}; have {sorted(MMS_CASES)}", key="case_id")
     if preset is None:
         preset = GeometryPreset(GeometryKind.FIXED, r_inner0=1.0, r_outer0=2.0)
     if preset.kind not in (GeometryKind.FIXED, GeometryKind.ROTATION):
-        raise UnknownCase(f"manufactured cases support fixed/rotation presets, got {preset.kind}")
+        raise UnknownCase(f"must be fixed or rotation, got {preset.kind}", key="preset")
+    check_steps(dt, t_final)
     params = params or ModelParams(**MMS_DEFAULT_PARAMS)
     geom = build_geometry(preset)
     mesh = build_mesh(n_r, n_theta, preset.r_inner0, preset.r_outer0)
@@ -719,8 +722,7 @@ def transport_identity_residual(geom: EvolvingGeometry, mesh: ReferenceMesh, t: 
     side reduces to the dilation term (div V_p for scalar pairings) or the
     deformation form of B(V_p) for the gradient pairing.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    check_steps(dt)
     if which is TransportKind.BULK:
         r, th = mesh.cell_r, mesh.cell_theta
         uv = np.asarray(u_field(r, th), dtype=float) * np.asarray(v_field(r, th), dtype=float)
@@ -762,6 +764,16 @@ def transport_identity_residual(geom: EvolvingGeometry, mesh: ReferenceMesh, t: 
 
 
 # -- driver -----------------------------------------------------------------------
+
+
+def check_steps(dt: float, t_final: float = 0.0) -> None:
+    """Reject dt <= 0, t_final < 0 or a t_final / dt above MAX_STEPS steps."""
+    if not dt > 0.0:
+        raise ValidationError(f"must be > 0, got {dt}", key="dt")
+    if not t_final >= 0.0:
+        raise ValidationError(f"must be >= 0, got {t_final}", key="t_final")
+    if t_final / dt > MAX_STEPS:
+        raise ValidationError(f"{t_final:g} / {dt:g} steps is above MAX_STEPS = {MAX_STEPS}", key="dt")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -887,6 +899,9 @@ def run(cfg, on_record=None, on_snapshot=None) -> RunResult:
                     f"a step below {_MIN_CFL_STEP:g} x time.dt, the run would not finish")
             # dt <= 0.9 * bound here, so step_imex need not evaluate the bound again
             dt = min(tcfg.dt, 0.9 * bound, t_target - state.t)
+            if steps >= MAX_STEPS:
+                raise CflViolation(f"step {steps + 1} at t = {state.t:g}, dt = {dt:g}: over the "
+                                   f"budget of MAX_STEPS = {MAX_STEPS} steps")
             if tcfg.stepper == "imex":
                 state = step_imex(state, dt, geom, mesh, params, spec, check_cfl=False, q=q)
             else:

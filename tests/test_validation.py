@@ -1,0 +1,165 @@
+"""Input rules: each owner's key reaches the user as the config key or the
+flag it came from, any config text parses or fails with a config error, and
+every bad input exits 1 with one line."""
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from bulksurf import cli
+from bulksurf import config as config_mod
+from bulksurf import solver as solver_mod
+from bulksurf.config import RunConfig, parse_config
+from bulksurf.errors import ParseError, ValidationError
+
+# (config key at fault, config text): one out-of-range value per rule.
+# geometry.r_outer0 has no rule of its own: the annulus rule
+# r_outer0 > r_inner0 > 0 is keyed to geometry.r_inner0.
+OUT_OF_RANGE = [
+    ("geometry.kind", "geometry.kind = spiral"),
+    ("geometry.r_inner0", "geometry.r_inner0 = 0"),
+    ("geometry.r_inner0", "geometry.r_inner0 = 3"),
+    ("geometry.amplitude", "geometry.kind = breathing\ngeometry.amplitude = 0.6"),
+    ("geometry.delta", "geometry.delta = -1"),
+    ("mesh.n_r", "mesh.n_r = 3"),
+    ("mesh.n_r", "mesh.n_r = 40000"),                    # 5.1e6 cells > MAX_CELLS
+    ("mesh.n_theta", "mesh.n_theta = 7"),
+    ("model.delta_omega", "model.delta_omega = 0"),
+    ("model.delta_gamma", "model.delta_gamma = -1"),
+    ("model.delta_gamma_prime", "model.delta_gamma_prime = 0"),
+    ("model.delta_k", "model.delta_k = 0"),
+    ("model.delta_k_prime", "model.delta_k_prime = -inf"),
+    ("model.nonlinearity", "model.nonlinearity = custom:nope"),
+    ("model.nonlinearity", "model.nonlinearity = mass"),
+    ("model.equilibrium_mode", "model.equilibrium_mode = both"),
+    ("model.equilibrium_mode", "model.delta_k = inf"),
+    # finite rate constants whose ratio underflows: kappa = 0
+    ("model.equilibrium_mode", "model.delta_k = 1e300\nmodel.delta_k_prime = 1e-300"),
+    ("time.t_final", "time.t_final = -1"),
+    ("time.dt", "time.dt = 0"),
+    ("time.dt", "time.dt = 1e-9"),                       # 1e9 steps > MAX_STEPS
+    ("time.dt", "time.dt = 0.03"),                       # output_interval / dt = 3.33
+    # an interval far below dt once passed as 0 steps per output
+    ("time.dt", "time.output_interval = 1e-11"),
+    ("time.output_interval", "time.output_interval = 0"),
+    ("time.output_interval", "time.output_interval = 0.3"),
+    ("time.output_interval", "time.output_interval = 5e-324"),   # t_final / it overflows
+    ("time.stepper", "time.stepper = rk4"),
+    ("ic.profile", "ic.profile = gaussian"),
+    ("ic.u0", "ic.u0 = -1"),
+    ("ic.w0", "ic.w0 = -1"),
+    ("ic.z0", "ic.z0 = -1"),
+    ("ic.m1", "ic.profile = perturbed_equilibrium\nic.m1 = 0"),
+    ("ic.m2", "ic.profile = perturbed_equilibrium\nic.m2 = -1"),
+    ("ic.amplitude", "ic.profile = perturbed_equilibrium\nic.amplitude = 1"),
+    ("ic.mode", "ic.profile = perturbed_equilibrium\nic.mode = 0"),
+    ("ic.mode", "ic.profile = perturbed_equilibrium\nic.mode = 128"),
+    ("ic.path", "ic.profile = file"),
+    ("ic.path", "ic.profile = file\nic.path = /nonexistent/f.txt"),
+    ("probe.n_samples", "probe.n_samples = 0"),
+]
+
+
+@pytest.mark.parametrize("key, text", OUT_OF_RANGE)
+def test_out_of_range_value_names_its_config_key(key, text):
+    with pytest.raises(ValidationError) as exc:
+        parse_config(text)
+    assert exc.value.key == key
+    assert str(exc.value).startswith(f"{key}: ")
+
+
+# Parser fuzz: lines of real schema keys with arbitrary values, mixed with
+# arbitrary text.  Parsing only: nothing is built or run.
+_VALUES = st.one_of(
+    st.text(max_size=12),
+    st.floats().map(repr),
+    st.integers().map(str),
+    st.sampled_from(["inf", "-inf", "nan", "0", "-0.0", "5e-324", "1e308", "true", "file",
+                     "custom:", "custom:saturating_binding", "paper_literal", "breathing"]),
+)
+_LINES = st.one_of(
+    st.builds("{} = {}".format, st.sampled_from(sorted(config_mod._SCHEMA)), _VALUES),
+    st.text(max_size=30),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@example("time.output_interval = 5e-324")
+@given(st.lists(_LINES, max_size=8).map("\n".join))
+def test_any_text_parses_or_fails_with_a_config_error(text):
+    try:
+        cfg = parse_config(text)
+    except (ParseError, ValidationError):
+        return
+    assert isinstance(cfg, RunConfig)
+
+
+EQUILIBRIUM = ["equilibrium", "--m1", "2", "--m2", "2", "--area", "1", "--length", "1"]
+
+BAD_FLAGS = [
+    (EQUILIBRIUM + ["--delta-k", "-1"], "--delta-k"),
+    (EQUILIBRIUM + ["--delta-k", "inf"], "--mode"),
+    (["check-assumptions", "--n", "0"], "--n"),
+    (["check-assumptions", "--lo", "-1"], "--lo/--hi"),
+    (["check-assumptions", "--delta-k", "0"], "--delta-k"),
+    (["check-assumptions", "--nonlinearity", "foo"], "--nonlinearity"),
+    (["transport-check", "--dt0", "0"], "--dt0"),
+    (["transport-check", "--amplitude", "0.9"], "--amplitude"),
+    (["mms", "--dt0", "0"], "--dt0"),
+    (["mms", "--case", "foo"], "--case"),
+    (["eig", "--n-r", "2"], "--n-r"),
+    (["eig", "--r-inner", "3"], "--r-inner"),
+]
+
+
+def _one_line(capsys):
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("argv, flag", BAD_FLAGS,
+                         ids=[" ".join([argv[0], *argv[-2:]]) for argv, _ in BAD_FLAGS])
+def test_bad_flag_exits_one_naming_it(argv, flag, tmp_path, capsys):
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 1
+    assert f"): {flag}: " in _one_line(capsys)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below a file"])
+@pytest.mark.parametrize("command", ["probe", "equilibrium"])
+def test_output_directory_naming_a_file_exits_one(command, below, tmp_path, capsys):
+    (tmp_path / "f").write_text("")
+    out = tmp_path / "f" / "out" if below else tmp_path / "f"
+    if command == "probe":
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text("mesh.n_r = 4\nmesh.n_theta = 8\nprobe.n_samples = 3\n"
+                            f"output.directory = {out}\n")
+        argv, where = ["probe", str(cfg_path)], "output.directory"
+    else:
+        argv, where = EQUILIBRIUM + ["--out", str(out)], "--out"
+    assert cli.main(argv) == 1
+    assert f"output error: {where} = {out}: " in _one_line(capsys)
+
+
+@pytest.mark.parametrize("make", [lambda p: p.mkdir(), lambda p: p.write_bytes(b"\xff\n"),
+                                  lambda p: None], ids=["directory", "not utf-8", "missing"])
+def test_unreadable_config_exits_one_naming_it(make, tmp_path, capsys):
+    path = tmp_path / "c.cfg"
+    make(path)
+    assert cli.main(["run", str(path)]) == 1
+    assert f"config: {path}: " in _one_line(capsys)
+
+
+def test_cfl_run_over_the_step_budget_exits_two(tmp_path, monkeypatch, capsys):
+    """t_final / dt = 3 steps pass the budget when parsed; the wind caps the
+    CFL step near 0.014, so the run would need about 21."""
+    monkeypatch.setattr(solver_mod, "MAX_STEPS", 3)
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text("mesh.n_r = 4\nmesh.n_theta = 8\n"
+                        "geometry.kind = surface_wind\ngeometry.wind_speed = 50\n"
+                        "time.cfl = true\ntime.t_final = 0.3\ntime.dt = 0.1\n"
+                        f"time.output_interval = 0.3\noutput.directory = {tmp_path}/out\n")
+    assert cli.main(["run", str(cfg_path)]) == 2
+    err = _one_line(capsys)
+    assert "CflViolation" in err and "step 4 at t = 0.0424115, dt = 0.0141372" in err
+    assert "MAX_STEPS = 3" in err
