@@ -219,8 +219,9 @@ def _cmd_probe(args) -> int:
     params = cfg.model.params
     area0 = float(np.sum(mesh.bulk_ref_measures))
     len0 = float(np.sum(mesh.surf_ref_measures))
-    eq = solve_equilibrium(cfg.ic.m1, cfg.ic.m2, area0, len0, params,
-                           cfg.model.equilibrium_mode)
+    with rekeyed("ic.{}".format):
+        eq = solve_equilibrium(cfg.ic.m1, cfg.ic.m2, area0, len0, params,
+                               cfg.model.equilibrium_mode)
     lam, worst = diag_mod.probe_functional_inequality(
         eq, geom, mesh, params, cfg.probe.n_samples, cfg.probe.seed)
     lines = [

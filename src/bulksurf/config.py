@@ -8,9 +8,11 @@ keys have documented defaults, so the empty string is a valid config.
 Each range rule lives with the input's owner, which parse_config calls,
 naming the config key in its error: `geometry.build_geometry`,
 `mesh.check_resolution` (with the cell budget MAX_CELLS), `model.ModelParams`,
-`model.make_nonlinearity`, `equilibrium.closure_kappa` and
+`model.make_nonlinearity`, `model.check_samples` (probe.n_samples),
+`equilibrium.closure_kappa`, `equilibrium.check_positive` (ic.m1, ic.m2) and
 `solver.check_steps` (t_final, dt and the step budget MAX_STEPS).  Only
-syntax, the schema, time-grid alignment, `ic.*` and `probe.*` are ruled here.
+syntax, the schema, time-grid alignment and the other `ic.*` keys are ruled
+here.
 
 Sections and keys (defaults in parentheses):
 
@@ -39,16 +41,17 @@ Sections and keys (defaults in parentheses):
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import os
 
 import numpy as np
 
 from .errors import ParseError, ValidationError, rekeyed
-from .equilibrium import EquilibriumMode, closure_kappa
+from .equilibrium import EquilibriumMode, check_positive, closure_kappa
 from .geometry import GeometryKind, GeometryPreset, build_geometry
 from .mesh import MAX_CELLS, check_resolution  # both budgets are importable from here too
-from .model import ModelParams, make_nonlinearity
+from .model import ModelParams, check_samples, make_nonlinearity
 from .solver import MAX_STEPS, check_steps
 
 
@@ -263,9 +266,8 @@ def parse_config(text: str) -> RunConfig:
             if get(k) < 0:
                 fail(k, "must be >= 0")
     if profile == "perturbed_equilibrium":
-        for k in ("ic.m1", "ic.m2"):
-            if not get(k) > 0:
-                fail(k, "must be > 0")
+        with rekeyed("ic.{}".format):
+            check_positive(m1=get("ic.m1"), m2=get("ic.m2"))
         if not abs(get("ic.amplitude")) < 1.0:
             fail("ic.amplitude", "must satisfy |amplitude| < 1")
         if get("ic.mode") < 1 or get("ic.mode") >= n_theta:
@@ -280,8 +282,8 @@ def parse_config(text: str) -> RunConfig:
                  m1=get("ic.m1"), m2=get("ic.m2"), amplitude=get("ic.amplitude"),
                  mode=get("ic.mode"), path=path)
 
-    if get("probe.n_samples") < 1:
-        fail("probe.n_samples", "must be >= 1")
+    with rekeyed("probe.{}".format):
+        check_samples(get("probe.n_samples"))
     probe = ProbeBlock(n_samples=get("probe.n_samples"), seed=get("probe.seed"))
     output = OutputBlock(directory=get("output.directory"), snapshots=get("output.snapshots"))
     return RunConfig(geometry=preset, mesh=mesh, model=model, time=time_block,
@@ -291,14 +293,134 @@ def parse_config(text: str) -> RunConfig:
 # -- field files (snapshot format, also accepted as custom initial data) -------
 
 
+# '%.17g' prints v in fixed notation where 1e-4 <= |v| < 1e17: 17 significant
+# digits N, 10^16 <= N < 10^17, at a decimal exponent e10 in [-4, 16], less
+# the trailing zeros of the fraction.
+_POW10 = 10.0 ** np.arange(21)  # each an exact double, as are all up to 10^22
+_ROW = 25        # the longest '%.17g', '-2.2250738585072014e-308', and a separator
+_CHUNK = 8192    # values per pass, so that temporaries stay small and cached
+
+
+@functools.cache  # built on first use: runs without snapshots never pay its memory
+def _quads():
+    """4-digit groups as uint32 words of their ASCII bytes; entry 10000 + g
+    is group g with its trailing zeros as NUL, for the last nonzero group."""
+    places = np.array([1000, 100, 10, 1], np.uint16)
+    digits = (np.arange(10000, dtype=np.uint16)[:, None] // places % 10).astype(np.uint8) + ord("0")
+    trailing = np.logical_and.accumulate(digits[:, ::-1] == ord("0"), axis=1)[:, ::-1]
+    return np.concatenate([digits, np.where(trailing, 0, digits)]).view(np.uint32).ravel()
+
+
 def format_snapshot(name: str, t: float, grid: np.ndarray) -> str:
-    """Text grid: header line, then one row per radial index, comma separated."""
+    """Text grid: header line, then one row per radial index, comma separated.
+
+    Every value is written as '%.17g' % v, byte for byte, so the file reads
+    back to the same doubles.  The values that '%.17g' prints in fixed
+    notation, 1e-4 <= |v| < 1e17, are formatted exactly in one vectorized
+    pass (`_fixed_rows`); only the others (+-0, nan, +-inf, subnormals, |v|
+    below 1e-4 or from 1e17 up) are formatted one at a time.  Each value gets
+    a NUL-padded row of a byte matrix, and one `bytes.translate` drops the NULs.
+    """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     n_r, n_theta = grid.shape
-    lines = [f"# t={t:.17g} field={name} n_r={n_r} n_theta={n_theta}"]
-    row_format = ",".join(["%.17g"] * n_theta)
-    lines.extend(row_format % tuple(row) for row in grid.tolist())
-    return "\n".join(lines) + "\n"
+    values = grid.ravel()
+    rows = np.zeros((values.size, _ROW), np.uint8)
+    for start in range(0, values.size, _CHUNK):
+        _format_rows(values[start:start + _CHUNK], rows[start:start + _CHUNK])
+    rows[:, -1] = ord(",")
+    rows[n_theta - 1::n_theta, -1] = ord("\n")
+    header = f"# t={t:.17g} field={name} n_r={n_r} n_theta={n_theta}\n"
+    return header + rows.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _format_rows(x, rows):
+    """Write '%.17g' % v of each v in x into its row of `rows`, NUL padded."""
+    ax = np.abs(x)
+    fixed = (ax >= 1e-4) & (ax < 1e17)
+    if fixed.all():
+        _fixed_rows(x, ax, rows)
+        return
+    at = np.flatnonzero(fixed)
+    sub = rows[at]
+    _fixed_rows(x[at], ax[at], sub)
+    rows[at] = sub
+    others = x[~fixed].tolist()
+    text = b"".join([(b"%.17g" % v).ljust(_ROW - 1, b"\0") for v in others])
+    rows[~fixed, :-1] = np.frombuffer(text, np.uint8).reshape(len(others), _ROW - 1)
+
+
+def _two_product(a, b):
+    """(hi, lo) with hi = fl(a b) and hi + lo = a b exactly (Dekker)."""
+    hi = a * b
+    split = 134217729.0 * a  # 2^27 + 1
+    a_hi = split - (split - a)
+    a_lo = a - a_hi
+    split = 134217729.0 * b
+    b_hi = split - (split - b)
+    b_lo = b - b_hi
+    return hi, ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _fixed_rows(x, ax, rows):
+    """Rows of the values with 1e-4 <= |x| < 1e17, as '%.17g' prints them.
+
+    The digits are N = round-half-even(|x| 10^(16 - e10)).  The exact product
+    is the double-double hi + lo, 10^(16 - e10) being an exact double.  e10
+    comes from log10, corrected by one where the product falls outside
+    [10^16, 10^17).  Inside, hi >= 10^16 > 2^53 is an even integer, so
+    N = hi + rint(lo), ties to even as in '%.17g'.
+    """
+    e10 = np.clip(np.floor(np.log10(ax)), -4, 16).astype(np.int64)
+    hi, lo = _two_product(ax, _POW10[16 - e10])
+    below = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    if below.any() or above.any():
+        at = np.flatnonzero(below | above)
+        e10[at] += np.where(above[at], 1, -1)
+        hi[at], lo[at] = _two_product(ax[at], _POW10[16 - e10[at]])
+    n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    carry = n == 10 ** 17  # rounded up to the next power of ten
+    n[carry] = 10 ** 16
+    e10 += carry
+
+    lead = n // 10 ** 16
+    rest = n - lead * 10 ** 16
+    upper = rest // 10 ** 8
+    lower = (rest - upper * 10 ** 8).astype(np.uint32)
+    upper = upper.astype(np.uint32)
+    groups = (upper // 10000, upper % 10000, lower // 10000, lower % 10000)
+    words = np.empty((x.size, 6), np.uint32)
+    words[:, 5] = 0
+    quads, zeros_after = _quads(), np.ones(x.size, bool)  # all later groups zero: strip
+    for j in (3, 2, 1, 0):
+        words[:, 1 + j] = quads[groups[j] + 10000 * zeros_after]
+        zeros_after &= groups[j] == 0
+    digits = words.view(np.uint8)[:, 3:21]  # 17 digits, trailing zeros NUL, then NUL
+    digits[:, 0] = lead + ord("0")
+
+    rows[:, 0] = np.signbit(x) * np.uint8(ord("-"))
+    present = np.flatnonzero(np.bincount(e10 + 4)) - 4
+    if present.size == 1:
+        _place(rows, digits, present[0])
+        return
+    for k in present:
+        at = np.flatnonzero(e10 == k)
+        sub = rows[at]
+        _place(sub, digits[at], k)
+        rows[at] = sub
+
+
+def _place(rows, digits, e10):
+    """Lay out the digits of a decimal exponent e10 after the sign column."""
+    if e10 < 0:
+        lead = b"0." + b"0" * (-e10 - 1)
+        rows[:, 1:1 + len(lead)] = np.frombuffer(lead, np.uint8)
+        rows[:, 1 + len(lead):19 + len(lead)] = digits
+        return
+    # integer digits with their zeros, then the point if a fraction digit is left
+    np.maximum(digits[:, :e10 + 1], ord("0"), out=rows[:, 1:e10 + 2])
+    rows[:, e10 + 2] = (digits[:, e10 + 1] != 0) * np.uint8(ord("."))
+    rows[:, e10 + 3:20] = digits[:, e10 + 1:]
 
 
 def _parse_blocks(text: str):

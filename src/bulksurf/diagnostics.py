@@ -45,7 +45,7 @@ from .errors import (DegenerateSampler, EigenFailure, InsufficientData, MassMism
 from .equilibrium import Equilibrium, conserved_masses
 from .geometry import EvolvingGeometry
 from .mesh import ReferenceMesh, moving_bulk_measures, moving_surface_measures
-from .model import ModelParams
+from .model import ModelParams, check_samples
 from .solver import State, assemble_operators
 
 FLOOR_EPS_DEFAULT = 1e-30
@@ -458,8 +458,7 @@ def probe_functional_inequality(eq: Equilibrium, geom: EvolvingGeometry, mesh: R
     (ratio, index), so the result depends neither on the block size nor on
     the number of workers.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    check_samples(n_samples)
     fr = _frame(geom, mesh, t)
     size = min(n_samples, max(1, PROBE_BLOCK_CELLS // mesh.n_bulk))
     starts = range(0, n_samples, size)

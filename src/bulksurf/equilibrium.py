@@ -66,13 +66,16 @@ def closure_kappa(params: ModelParams, mode: EquilibriumMode) -> float:
     return kappa
 
 
+def check_positive(**inputs) -> None:
+    """Masses and measures must be positive; the first that is not is named."""
+    for key, value in inputs.items():
+        if not value > 0.0:
+            raise NonpositiveMass(f"must be > 0, got {value}", key=key)
+
+
 def solve_equilibrium(m1: float, m2: float, area_omega: float, length_gamma: float,
                       params: ModelParams, mode: EquilibriumMode = EquilibriumMode.RATE_BALANCE) -> Equilibrium:
-    if not (m1 > 0.0 and m2 > 0.0 and area_omega > 0.0 and length_gamma > 0.0):
-        raise NonpositiveMass(
-            f"masses and measures must be positive, got m1={m1}, m2={m2}, "
-            f"area={area_omega}, length={length_gamma}"
-        )
+    check_positive(m1=m1, m2=m2, area=area_omega, length=length_gamma)
     kappa = closure_kappa(params, mode)
 
     # z^2 - (A + B + C) z + A B = 0 with A = m1/|G|, B = m2/|G|, C = |O|/(kappa |G|)

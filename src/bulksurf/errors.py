@@ -72,7 +72,7 @@ class UnknownCase(ValidationError):
 
 
 # equilibrium
-class NonpositiveMass(BulkSurfError):
+class NonpositiveMass(ValidationError):
     pass
 
 

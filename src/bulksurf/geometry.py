@@ -277,12 +277,17 @@ class EvolvingGeometry:
         return self.kind is GeometryKind.SURFACE_WIND
 
 
+def check_annulus(r_inner0: float, r_outer0: float, error=InvalidPreset) -> None:
+    """The annulus rule: r_outer0 > r_inner0 > 0 and a finite area; raises `error`."""
+    if not (r_outer0 > r_inner0 > 0.0):
+        raise error(f"need r_outer0 > r_inner0 > 0, got ({r_inner0}, {r_outer0})", key="r_inner0")
+    if not math.isfinite(math.pi * (r_outer0 * r_outer0 - r_inner0 * r_inner0)):
+        raise error(f"the annulus area overflows at r_outer0 = {r_outer0}", key="r_outer0")
+
+
 def build_geometry(preset: GeometryPreset) -> EvolvingGeometry:
     """Validate a preset and return its evaluator bundle."""
-    if not (preset.r_outer0 > preset.r_inner0 > 0.0):
-        raise InvalidPreset(
-            f"need r_outer0 > r_inner0 > 0, got ({preset.r_inner0}, {preset.r_outer0})",
-            key="r_inner0")
+    check_annulus(preset.r_inner0, preset.r_outer0)
     if preset.delta < 0.0:
         raise InvalidPreset(f"velocity decay rate must be >= 0, got {preset.delta}", key="delta")
     if preset.kind is GeometryKind.BREATHING:

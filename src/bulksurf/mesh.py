@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import InvalidResolution, LengthMismatch
-from .geometry import EvolvingGeometry
+from .geometry import EvolvingGeometry, check_annulus
 
 MIN_N_R = 4
 MIN_N_THETA = 8
@@ -73,8 +73,7 @@ def check_resolution(n_r: int, n_theta: int) -> None:
 
 def build_mesh(n_r: int, n_theta: int, r_inner0: float, r_outer0: float) -> ReferenceMesh:
     check_resolution(n_r, n_theta)
-    if not (r_outer0 > r_inner0 > 0.0):
-        raise InvalidResolution(f"radii must satisfy 0 < r_inner0 < r_outer0, got ({r_inner0}, {r_outer0})")
+    check_annulus(r_inner0, r_outer0, InvalidResolution)
     dr = (r_outer0 - r_inner0) / n_r
     dtheta = 2.0 * math.pi / n_theta
     r_faces = r_inner0 + dr * np.arange(n_r + 1)

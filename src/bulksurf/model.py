@@ -169,6 +169,12 @@ def _worst(values, pts):
     return float(values[i]), (float(pts[0][i]), float(pts[1][i]), float(pts[2][i]))
 
 
+def check_samples(n_samples: int) -> None:
+    """A sample count must be at least 1."""
+    if n_samples < 1:
+        raise ValidationError(f"must be >= 1, got {n_samples}", key="n_samples")
+
+
 def check_assumptions(spec, sample_box, n_samples: int, rng_seed: int, tol: float) -> AssumptionReport:
     """Sampled verification of the structural conditions on a box.
 
@@ -176,8 +182,7 @@ def check_assumptions(spec, sample_box, n_samples: int, rng_seed: int, tol: floa
     Growth bounds are reported with the smallest constant fitted over the
     cloud rather than pass/fail against an unknown constant.
     """
-    if n_samples < 1:
-        raise ValidationError(f"must be >= 1, got {n_samples}", key="n_samples")
+    check_samples(n_samples)
     (ulo, uhi), (wlo, whi), (zlo, zhi) = sample_box
     if not all(0.0 <= lo <= hi < math.inf for lo, hi in sample_box):
         raise ValidationError(f"must lie in [0, inf)^3, got {sample_box}", key="sample_box")

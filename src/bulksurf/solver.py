@@ -54,7 +54,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .errors import (CflViolation, LinearSolveFailure, NewtonDivergence,
-                     NonfiniteField, SingularJacobian, UnknownCase, ValidationError)
+                     NonfiniteField, SingularJacobian, UnknownCase, ValidationError, rekeyed)
 from .geometry import EvolvingGeometry, GeometryKind, GeometryPreset, build_geometry
 from .mesh import (ReferenceMesh, build_mesh, moving_bulk_measures, moving_ring_measures,
                    moving_surface_measures)
@@ -841,7 +841,11 @@ def run(cfg, on_record=None, on_snapshot=None) -> RunResult:
     m1, m2 = conserved_masses(state, geom, mesh)
     area0 = float(np.sum(moving_bulk_measures(mesh, geom, 0.0)))
     len0 = float(np.sum(moving_surface_measures(mesh, geom, 0.0)))
-    eq = solve_equilibrium(m1, m2, area0, len0, params, cfg.model.equilibrium_mode)
+    # a nonpositive mass is a fault of the initial data: name its ic.* keys
+    sources = {"uniform": {"m1": "ic.u0/ic.z0", "m2": "ic.w0/ic.z0"},
+               "file": {"m1": "ic.path", "m2": "ic.path"}}.get(cfg.ic.profile, {})
+    with rekeyed(lambda key: sources.get(key, key)):
+        eq = solve_equilibrium(m1, m2, area0, len0, params, cfg.model.equilibrium_mode)
 
     records = []
     snapshots = []
