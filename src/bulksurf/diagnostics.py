@@ -36,13 +36,10 @@ import os
 import threading
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import (DegenerateSampler, EigenFailure, InsufficientData, MassMismatch,
                      NonfiniteField, NonpositiveEntropy, WorkerFailure)
-from .equilibrium import Equilibrium, conserved_masses
+from .equilibrium import Equilibrium
 from .geometry import EvolvingGeometry
 from .mesh import ReferenceMesh, moving_bulk_measures, moving_surface_measures
 from .model import ModelParams, check_samples
@@ -240,30 +237,37 @@ def entropy_dissipation(state: State, geom: EvolvingGeometry, mesh: ReferenceMes
     return entropy_dissipation_parts(state, geom, mesh, params, floor_eps).total
 
 
-def l1_distances(state: State, eq: Equilibrium, geom: EvolvingGeometry, mesh: ReferenceMesh):
-    mb = moving_bulk_measures(mesh, geom, state.t)
-    ms = moving_surface_measures(mesh, geom, state.t)
-    return (float(np.dot(np.abs(state.u_hat - eq.u_inf), mb)),
-            float(np.dot(np.abs(state.w_hat - eq.w_inf), ms)),
-            float(np.dot(np.abs(state.z_hat - eq.z_inf), ms)))
+def _masses(state: State, fr: _Frame):
+    """(m1, m2) of a state, as conserved_masses gives them."""
+    ms = fr.surf
+    return (float(np.dot(state.u_hat, fr.bulk)) + float(np.dot(state.z_hat, ms)),
+            float(np.dot(state.w_hat, ms)) + float(np.dot(state.z_hat, ms)))
+
+
+def l1_distances(state: State, eq: Equilibrium, fr: _Frame):
+    return (float(np.dot(np.abs(state.u_hat - eq.u_inf), fr.bulk)),
+            float(np.dot(np.abs(state.w_hat - eq.w_inf), fr.surf)),
+            float(np.dot(np.abs(state.z_hat - eq.z_inf), fr.surf)))
 
 
 def make_record(state: State, geom: EvolvingGeometry, mesh: ReferenceMesh,
                 params: ModelParams, eq: Equilibrium) -> DiagnosticsRecord:
-    m1, m2 = conserved_masses(state, geom, mesh)
-    l1u, l1w, l1z = l1_distances(state, eq, geom, mesh)
-    area = float(np.sum(moving_bulk_measures(mesh, geom, state.t)))
-    length = float(np.sum(moving_surface_measures(mesh, geom, state.t)))
+    """Every column of a diagnostics.csv row, all from one frame at state.t."""
+    fields = (state.u_hat, state.w_hat, state.z_hat)
+    _require_finite(fields, "entropy")
+    fr = _frame(geom, mesh, state.t)
+    m1, m2 = _masses(state, fr)
+    l1u, l1w, l1z = l1_distances(state, eq, fr)
     return DiagnosticsRecord(
         t=state.t, m1=m1, m2=m2,
-        entropy=relative_entropy(state, eq, geom, mesh),
-        dissipation=entropy_dissipation(state, geom, mesh, params),
+        entropy=_entropy(*fields, eq, fr),
+        dissipation=_dissipation_parts(*fields, fr, params, FLOOR_EPS_DEFAULT).total,
         min_u=float(np.min(state.u_hat)), min_w=float(np.min(state.w_hat)),
         min_z=float(np.min(state.z_hat)),
         max_u=float(np.max(state.u_hat)), max_w=float(np.max(state.w_hat)),
         max_z=float(np.max(state.z_hat)),
         l1_u=l1u, l1_w=l1w, l1_z=l1z,
-        area_omega=area, length_gamma=length,
+        area_omega=float(np.sum(fr.bulk)), length_gamma=float(np.sum(fr.surf)),
     )
 
 
@@ -290,16 +294,17 @@ def ckp_lower_bound(state: State, eq: Equilibrium, geom: EvolvingGeometry,
                     mesh: ReferenceMesh):
     """(entropy, bound, constant) with entropy >= bound - 1e-10 guaranteed
     for states carrying the equilibrium's masses."""
-    m1, m2 = conserved_masses(state, geom, mesh)
+    fr = _frame(geom, mesh, state.t)
+    m1, m2 = _masses(state, fr)
     if abs(m1 - eq.m1) > 1e-6 * max(1.0, abs(eq.m1)) or \
             abs(m2 - eq.m2) > 1e-6 * max(1.0, abs(eq.m2)):
         raise MassMismatch(
             f"state masses ({m1:g}, {m2:g}) do not match equilibrium ({eq.m1:g}, {eq.m2:g})")
-    lhs = relative_entropy(state, eq, geom, mesh)
-    area = float(np.sum(moving_bulk_measures(mesh, geom, state.t)))
-    length = float(np.sum(moving_surface_measures(mesh, geom, state.t)))
-    c = ckp_constant(eq, area, length)
-    l1u, l1w, l1z = l1_distances(state, eq, geom, mesh)
+    fields = (state.u_hat, state.w_hat, state.z_hat)
+    _require_finite(fields, "entropy")
+    lhs = _entropy(*fields, eq, fr)
+    c = ckp_constant(eq, float(np.sum(fr.bulk)), float(np.sum(fr.surf)))
+    l1u, l1w, l1z = l1_distances(state, eq, fr)
     rhs = c * (l1u ** 2 + l1w ** 2 + l1z ** 2)
     return lhs, rhs, c
 
@@ -557,48 +562,39 @@ def _run_part(part, k, n, results_in):
 
 def estimate_poincare_constants(mesh: ReferenceMesh, geom: EvolvingGeometry,
                                 t: float = 0.0) -> InequalityConstants:
-    """Discrete Poincare constants at time t.
+    """Discrete Poincare constants at time t, one Fourier mode in theta at a time.
+
+    The geometry must be rotationally symmetric, as every preset is: the
+    operators are then ring coefficients (see DiscreteOperators), both
+    quadratic forms below commute with rotations in theta, and Fourier mode p
+    is an eigenvector of each, its cyclic second difference
+    4 sin^2(pi p / n_theta) times the angular faces.
 
     c_pw: smallest nonzero eigenvalue of the surface Laplace-Beltrami pencil
-    (stiffness against the moving cell-mass matrix).  c_trpw: reciprocal of
-    the largest eigenvalue of the boundary-trace quadratic form compressed
-    through the bulk Neumann stiffness (the trace-Poincare quotient), with
-    the bulk-average mode removed by a saddle-point solve.
-    """
-    try:
-        unit = ModelParams(1.0, 1.0, 1.0, 1.0, 1.0)  # unit diffusivities: bare Laplacians
-        ops = assemble_operators(geom, mesh, unit, t)
-        a_s = -ops.surf_stiffness_w.toarray()
-        ms = ops.surf_measures
-        vals = scipy.linalg.eigh(a_s, np.diag(ms), eigvals_only=True)
-        c_pw = float(vals[1])
+    (stiffness against the moving cell measures), that of mode 1.
 
-        a_b = -ops.bulk_stiffness.tocsc()
-        mb = ops.bulk_measures
-        area = float(np.sum(mb))
-        n = mesh.n_bulk
-        ns = mesh.n_surf
-        # KKT system pins the bulk-average mode without perturbing the operator
-        kkt = sp.bmat([[a_b, sp.csc_matrix(mb[:, None])],
-                       [sp.csc_matrix(mb[None, :]), None]], format="csc")
-        lu = spla.splu(kkt)
-        sqrt_ms = np.sqrt(ms)
-        s = np.empty((ns, ns))
-        for k in range(ns):
-            g = np.zeros(ns)
-            g[k] = sqrt_ms[k]
-            # adjoint of trace-minus-average maps surface data to bulk cells
-            y = np.zeros(n + 1)
-            y[:ns] = g * 1.0
-            y[:n] -= mb / area * float(np.sum(g))
-            sol = lu.solve(y)
-            f = sol[:n]
-            trace = f[:ns] - float(np.dot(mb, f)) / area
-            s[:, k] = sqrt_ms * trace
-        s = 0.5 * (s + s.T)
-        smax = float(np.max(scipy.linalg.eigvalsh(s)))
-        if smax <= 0.0 or not math.isfinite(smax) or c_pw <= 0.0:
-            raise EigenFailure(f"degenerate spectral result (c_pw={c_pw:g}, smax={smax:g})")
-        return InequalityConstants(c_pw=c_pw, c_trpw=1.0 / smax)
-    except scipy.linalg.LinAlgError as exc:
-        raise EigenFailure(f"eigenvalue computation failed: {exc}") from exc
+    c_trpw: reciprocal of the largest eigenvalue of the boundary-trace form
+    compressed through the bulk Neumann stiffness, bulk-average mode removed
+    (the trace-Poincare quotient).  Per unit surface arc, the eigenvalue of
+    mode p >= 1 is the inverse of the conductance from the inner ring to
+    ground: each ring's angular faces, times the cyclic term, lead to ground,
+    and the radial faces lead outward in series.  That conductance grows with
+    p, so mode 1 bounds all p >= 1.  In mode 0 a unit inflow at the inner
+    ring drains in proportion to the bulk measure; the flux through a radial
+    face is F, the share of the bulk measure outside it, and the eigenvalue
+    per unit arc is the sum of F^2 / transmissibility over the radial faces.
+    """
+    unit = ModelParams(1.0, 1.0, 1.0, 1.0, 1.0)  # unit diffusivities: bare Laplacians
+    ops = assemble_operators(geom, mesh, unit, t)
+    cyclic = 4.0 * math.sin(math.pi / mesh.n_theta) ** 2
+    c_pw = cyclic * ops.surface[0] / ops.surf_measure
+    # mode 1: the conductance to ground seen from each ring, outermost first
+    ang, rad = (cyclic * ops.angular).tolist(), ops.radial.tolist()
+    ground = ang[-1]
+    for i in reversed(range(len(rad))):
+        ground = ang[i] + rad[i] * ground / (rad[i] + ground)
+    outside = np.cumsum(ops.ring_measures[::-1])[-2::-1] / np.sum(ops.ring_measures)
+    smax = ops.surf_measure * max(1.0 / ground, float(np.sum(outside ** 2 / ops.radial)))
+    if not (c_pw > 0.0 and 0.0 < smax < math.inf):
+        raise EigenFailure(f"degenerate spectral result (c_pw={c_pw:g}, smax={smax:g})")
+    return InequalityConstants(c_pw=c_pw, c_trpw=1.0 / smax)

@@ -67,10 +67,10 @@ def closure_kappa(params: ModelParams, mode: EquilibriumMode) -> float:
 
 
 def check_positive(**inputs) -> None:
-    """Masses and measures must be positive; the first that is not is named."""
+    """Masses and measures must be finite and positive; the first that is not is named."""
     for key, value in inputs.items():
-        if not value > 0.0:
-            raise NonpositiveMass(f"must be > 0, got {value}", key=key)
+        if not 0.0 < value < math.inf:
+            raise NonpositiveMass(f"must be finite and > 0, got {value}", key=key)
 
 
 def solve_equilibrium(m1: float, m2: float, area_omega: float, length_gamma: float,

@@ -51,7 +51,6 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 from .errors import (CflViolation, LinearSolveFailure, NewtonDivergence,
                      NonfiniteField, SingularJacobian, UnknownCase, ValidationError, rekeyed)
@@ -100,10 +99,11 @@ class Sources:
 @dataclasses.dataclass(frozen=True)
 class DiscreteOperators:
     """Diffusion operators and moving measures at one time level, as ring
-    coefficients: every preset is rotationally symmetric, so a face's
-    transmissibility and a cell's measure depend on its ring only.  The
-    stiffness returns the net diffusive flux into each cell (not divided by
-    the cell measure); its CSR views are built on demand, by no step.
+    coefficients.  This assumes a rotationally symmetric geometry, as every
+    preset is: a face's transmissibility and a cell's measure then depend on
+    its ring only, and the operators commute with rotations in theta.  The
+    stiffness they define returns the net diffusive flux into each cell (not
+    divided by the cell measure); no matrix of it is built.
     """
 
     t: float
@@ -116,26 +116,6 @@ class DiscreteOperators:
 
     bulk_measures = property(lambda self: np.repeat(self.ring_measures, self.n_theta))
     surf_measures = property(lambda self: np.full(self.n_theta, self.surf_measure))
-    bulk_stiffness = property(lambda self: _ring_stiffness(self.angular, self.radial, self.n_theta))
-    surf_stiffness_w = property(lambda self: _ring_stiffness(self.surface[:1], (), self.n_theta))
-    surf_stiffness_z = property(lambda self: _ring_stiffness(self.surface[1:], (), self.n_theta))
-
-
-def _ring_stiffness(angular, radial, nt):
-    """CSR stiffness of rings of nt cells, cells flat as ring * nt + k, from the
-    transmissibilities of each ring's angular faces and of the faces between rings."""
-    angular, radial = np.asarray(angular, dtype=float), np.asarray(radial, dtype=float)
-    n = len(angular) * nt
-    inward, outward = np.r_[0.0, radial], np.r_[radial, 0.0]
-    # the diagonal adds a cell's faces radial first, as a face-by-face sum does
-    diag = np.repeat(-(((inward + outward) + angular) + angular), nt)
-    k, ang, rad = np.arange(n) % nt, np.repeat(angular, nt), np.repeat(radial, nt)
-    inside = np.where(k < nt - 1, ang, 0.0)[:-1]       # face (k, k + 1) of a ring
-    wrap = np.where(k == 0, ang, 0.0)[:n - nt + 1]     # face (nt - 1, 0)
-    bands = [(rad, -nt), (wrap, 1 - nt), (inside, -1), (diag, 0), (inside, 1),
-             (wrap, nt - 1), (rad, nt)]
-    values, offsets = zip(*[(v, o) for v, o in bands if v.size])
-    return sp.diags(values, offsets, shape=(n, n), format="csr")
 
 
 def assemble_operators(geom: EvolvingGeometry, mesh: ReferenceMesh,

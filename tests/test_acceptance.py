@@ -39,6 +39,7 @@ from bulksurf.model import MassAction, ModelParams
 from bulksurf.solver import (State, TransportKind, assemble_operators,
                              manufactured_solution_error, run, step_imex,
                              surface_advection, transport_identity_residual)
+from test_solver import stiffness
 
 N_R, N_THETA = 64, 128
 DT = 0.01
@@ -151,7 +152,7 @@ class TestCriterion2Positivity:
         rng = np.random.default_rng(1)
         y = -rng.random(mesh.n_surf)
         src = -0.4 * rng.random(mesh.n_surf)
-        a = (sp.diags(ms) - DT * ops.surf_stiffness_w).tocsc()
+        a = (sp.diags(ms) - DT * stiffness(ops)[1]).tocsc()
         lu = spla.splu(a)
         hi = -math.inf
         for k in range(2000):

@@ -1,5 +1,6 @@
 """Entropy, dissipation, lower bounds, probe, decay fits, spectral constants."""
 
+import dataclasses
 import math
 import multiprocessing
 import os
@@ -8,6 +9,9 @@ import threading
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from bulksurf.diagnostics import (PROBE_BLOCK_CELLS, DiagnosticsRecord,
                                   ckp_lower_bound, entropy_dissipation,
@@ -23,7 +27,8 @@ from bulksurf.errors import (DegenerateSampler, InsufficientData, MassMismatch,
 from bulksurf.geometry import GeometryKind, GeometryPreset, build_geometry
 from bulksurf.mesh import build_mesh, moving_bulk_measures, moving_surface_measures
 from bulksurf.model import ModelParams
-from bulksurf.solver import State
+from bulksurf.solver import State, assemble_operators
+from test_solver import stiffness
 
 
 @pytest.fixture(scope="module")
@@ -545,7 +550,50 @@ class TestBatchedProbe:
                                         raw_sampler=constant_sampler)
 
 
+def kkt_poincare_constants(mesh, geom, t):
+    """The Poincare constants from assembled matrices.  c_pw: the second
+    eigenvalue of the dense surface pencil.  c_trpw: the reciprocal of the
+    largest eigenvalue of the trace form, built column by column from
+    sparse-LU solves of the bulk Neumann stiffness bordered by the measure
+    row (a KKT system that pins the bulk-average mode)."""
+    ops = assemble_operators(geom, mesh, ModelParams(1.0, 1.0, 1.0, 1.0, 1.0), t)
+    bulk, surf, _ = stiffness(ops)
+    ms, mb = ops.surf_measures, ops.bulk_measures
+    c_pw = scipy.linalg.eigh(-surf.toarray(), np.diag(ms), eigvals_only=True)[1]
+    area, n, ns = float(np.sum(mb)), mesh.n_bulk, mesh.n_surf
+    kkt = sp.bmat([[-bulk.tocsc(), sp.csc_matrix(mb[:, None])],
+                   [sp.csc_matrix(mb[None, :]), None]], format="csc")
+    lu = spla.splu(kkt)
+    sqrt_ms = np.sqrt(ms)
+    s = np.empty((ns, ns))
+    for k in range(ns):
+        # adjoint of trace-minus-average maps surface data to bulk cells
+        y = np.zeros(n + 1)
+        y[k] = sqrt_ms[k]
+        y[:n] -= mb / area * sqrt_ms[k]
+        f = lu.solve(y)[:n]
+        s[:, k] = sqrt_ms * (f[:ns] - float(np.dot(mb, f)) / area)
+    smax = float(np.max(scipy.linalg.eigvalsh(0.5 * (s + s.T))))
+    return c_pw, 1.0 / smax
+
+
 class TestPoincare:
+    @pytest.mark.parametrize("radii", [(1.0, 2.0), (2.0, 3.0), (1.0, 10.0)],
+                             ids=["r1-2", "r2-3", "r1-10"])
+    @pytest.mark.parametrize("n_theta", [16, 17])
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_fourier_modes_match_kkt_reference(self, preset, n_theta, radii):
+        """Mode 1 sets c_trpw on the first two annuli, mode 0 on the thick one."""
+        r_inner, r_outer = radii
+        geom = build_geometry(dataclasses.replace(PRESETS[preset], r_inner0=r_inner,
+                                                  r_outer0=r_outer))
+        mesh = build_mesh(8, n_theta, r_inner, r_outer)
+        for t in (0.0, 0.7):
+            c = estimate_poincare_constants(mesh, geom, t)
+            c_pw, c_trpw = kkt_poincare_constants(mesh, geom, t)
+            assert c.c_pw == pytest.approx(c_pw, rel=1e-10)
+            assert c.c_trpw == pytest.approx(c_trpw, rel=1e-10)
+
     def test_unit_circle_limit(self):
         mesh = build_mesh(4, 256, 1.0, 2.0)
         geom = build_geometry(GeometryPreset(GeometryKind.FIXED, 1.0, 2.0))

@@ -3,6 +3,9 @@
 import dataclasses
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -102,6 +105,30 @@ def face_by_face_matrix(geom, mesh, params, t, dt, advect=False):
     return sp.coo_matrix((vals, (rows, cols)), shape=(nb + 2 * ns,) * 2).toarray()
 
 
+def ring_stiffness(angular, radial, nt):
+    """CSR stiffness of rings of nt cells, cells flat as ring * nt + k, from the
+    transmissibilities of each ring's angular faces and of the faces between rings."""
+    angular, radial = np.asarray(angular, dtype=float), np.asarray(radial, dtype=float)
+    n = len(angular) * nt
+    inward, outward = np.r_[0.0, radial], np.r_[radial, 0.0]
+    # the diagonal adds a cell's faces radial first, as a face-by-face sum does
+    diag = np.repeat(-(((inward + outward) + angular) + angular), nt)
+    k, ang, rad = np.arange(n) % nt, np.repeat(angular, nt), np.repeat(radial, nt)
+    inside = np.where(k < nt - 1, ang, 0.0)[:-1]       # face (k, k + 1) of a ring
+    wrap = np.where(k == 0, ang, 0.0)[:n - nt + 1]     # face (nt - 1, 0)
+    bands = [(rad, -nt), (wrap, 1 - nt), (inside, -1), (diag, 0), (inside, 1),
+             (wrap, nt - 1), (rad, nt)]
+    values, offsets = zip(*[(v, o) for v, o in bands if v.size])
+    return sp.diags(values, offsets, shape=(n, n), format="csr")
+
+
+def stiffness(ops):
+    """CSR stiffness of (u, w, z) built from the ring coefficients of ops."""
+    nt = ops.n_theta
+    return (ring_stiffness(ops.angular, ops.radial, nt), ring_stiffness(ops.surface[:1], (), nt),
+            ring_stiffness(ops.surface[1:], (), nt))
+
+
 def slot_matrix(mesh, pattern, coeffs):
     """Sparse matrix over the stacked unknowns of a slot term: per slot, the
     flux coeffs . (u trace, w, z) (None skipped) times the pattern's signs."""
@@ -129,7 +156,7 @@ class TestOperators:
     def test_interior_row_sums_vanish_on_constants(self):
         geom, mesh, params, _ = make()
         ops = assemble_operators(geom, mesh, params, 0.0)
-        for mat in (ops.bulk_stiffness, ops.surf_stiffness_w, ops.surf_stiffness_z):
+        for mat in stiffness(ops):
             assert np.max(np.abs(mat @ np.ones(mat.shape[0]))) < 1e-12
 
     def test_rotation_surface_operator_matches_fixed(self):
@@ -138,7 +165,7 @@ class TestOperators:
         opF = assemble_operators(geomF, mesh, params, 0.0)
         for t in (0.0, 0.9, 4.0):
             opR = assemble_operators(geomR, mesh, params, t)
-            diff = (opR.surf_stiffness_w - opF.surf_stiffness_w)
+            diff = stiffness(opR)[1] - stiffness(opF)[1]
             assert abs(diff).max() < 1e-14
 
     def test_breathing_surface_operator_scales_inverse_square(self):
@@ -148,23 +175,22 @@ class TestOperators:
         geomF, _, _, _ = make("fixed")
         opsF = assemble_operators(geomF, mesh, params, 0.0)
         # per unit moving cell measure the operator is the circle operator / R^2
-        lhs = opsB.surf_stiffness_w.toarray() / opsB.surf_measures[:, None]
-        rhs = opsF.surf_stiffness_w.toarray() / opsF.surf_measures[:, None] / rad ** 2
+        lhs = stiffness(opsB)[1].toarray() / opsB.surf_measures[:, None]
+        rhs = stiffness(opsF)[1].toarray() / opsF.surf_measures[:, None] / rad ** 2
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     @pytest.mark.parametrize("kind", sorted(PRESETS))
     def test_bulk_stiffness_matches_face_by_face(self, kind):
-        """The CSR views built from the ring coefficients against the faces."""
+        """The CSR stiffness built from the ring coefficients against the faces."""
         geom = preset_geometry(kind)
         mesh = build_mesh(8, 16, 1.0, 2.0)
         params = ModelParams(0.7, 1.3, 0.4, 1.0, 0.6)
         for t in (0.0, 0.8):
             ops = assemble_operators(geom, mesh, params, t)
-            stiffness = (face_by_face_matrix(geom, mesh, params, t, 0.0)
-                         - face_by_face_matrix(geom, mesh, params, t, 1.0))
-            views = sp.block_diag([ops.bulk_stiffness, ops.surf_stiffness_w,
-                                   ops.surf_stiffness_z]).toarray()
-            assert np.max(np.abs(views - stiffness)) <= 1e-14 * np.max(np.abs(stiffness))
+            faces = (face_by_face_matrix(geom, mesh, params, t, 0.0)
+                     - face_by_face_matrix(geom, mesh, params, t, 1.0))
+            rings = sp.block_diag(stiffness(ops)).toarray()
+            assert np.max(np.abs(rings - faces)) <= 1e-14 * np.max(np.abs(faces))
 
     @pytest.mark.parametrize("kind", sorted(PRESETS))
     def test_step_matrix_matches_coo_sum(self, kind):
@@ -401,11 +427,11 @@ def reaction_spec(name, params):
 
 def step_matrix_reference(ops, dt, advection=0.0):
     """Measures minus dt times the stiffness (plus a surface advection matrix),
-    as the sum of a diagonal and a COO block diagonal of the CSR views."""
+    as the sum of a diagonal and a COO block diagonal of the CSR stiffness."""
     ms = ops.surf_measures
+    bulk, surf_w, surf_z = stiffness(ops)
     return (sp.diags(np.concatenate([ops.bulk_measures, ms, ms]))
-            - dt * sp.block_diag([ops.bulk_stiffness, ops.surf_stiffness_w + advection,
-                                  ops.surf_stiffness_z + advection], format="coo"))
+            - dt * sp.block_diag([bulk, surf_w + advection, surf_z + advection], format="coo"))
 
 
 def jacobian_rows(spec, u_tr, w, z, eps=1e-7):
@@ -562,8 +588,21 @@ class TestFourierSolve:
             st = step_imex(st, 0.005, geom, mesh, params, spec)
             st = step_implicit(st, 0.01, geom, mesh, params, spec)
         assert st.t == pytest.approx(0.07)
-        with pytest.raises(AssertionError, match="sparse matrix built"):
-            assemble_operators(geom, mesh, params, 0.0).bulk_stiffness
+
+    def test_no_module_loads_scipy_sparse(self):
+        """Importing every bulksurf module, in a fresh interpreter, leaves
+        scipy.sparse unloaded."""
+        code = ("import importlib, pkgutil, sys, bulksurf\n"
+                "for m in pkgutil.iter_modules(bulksurf.__path__):\n"
+                "    importlib.import_module('bulksurf.' + m.name)\n"
+                "print(sorted(m for m in sys.modules if m.startswith('bulksurf.')))\n"
+                "print('scipy.sparse' in sys.modules)")
+        package_root = os.path.dirname(os.path.dirname(solver.__file__))
+        env = dict(os.environ, PYTHONPATH=package_root)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120).stdout.splitlines()
+        assert "'bulksurf.solver'" in out[0] and "'bulksurf.diagnostics'" in out[0]
+        assert out[1] == "False"
 
 
 def newest_solve():
@@ -714,7 +753,7 @@ class TestComparisonPrinciples:
         for k in range(2000):
             t1 = (k + 1) * dt
             ms = moving_surface_measures(mesh, geom, t1)
-            a = sp.diags(ms) - dt * assemble_operators(geom, mesh, params, t1).surf_stiffness_w
+            a = sp.diags(ms) - dt * stiffness(assemble_operators(geom, mesh, params, t1))[1]
             b = ms * y + dt * surface_advection(geom, mesh, k * dt, y) + dt * src * ms
             y = spla.spsolve(a.tocsc(), b)
             hi = max(hi, float(np.max(y)))
@@ -729,7 +768,7 @@ class TestComparisonPrinciples:
         g = -0.5 * rng.random(mesh.n_surf)
         dt = 0.02
         mb = ops.bulk_measures
-        a = (sp.diags(mb) - dt * ops.bulk_stiffness).tocsc()
+        a = (sp.diags(mb) - dt * stiffness(ops)[0]).tocsc()
         lu = spla.splu(a)
         hi = -np.inf
         for _ in range(500):

@@ -98,8 +98,10 @@ EQUILIBRIUM = ["equilibrium", "--m1", "2", "--m2", "2", "--area", "1", "--length
 
 BAD_FLAGS = [
     (EQUILIBRIUM + ["--m1", "-1"], "--m1"),
+    (EQUILIBRIUM + ["--m1", "inf"], "--m1"),
     (EQUILIBRIUM + ["--m2", "0"], "--m2"),
     (EQUILIBRIUM + ["--area", "0"], "--area"),
+    (EQUILIBRIUM + ["--area", "inf"], "--area"),
     (EQUILIBRIUM + ["--delta-k", "-1"], "--delta-k"),
     (EQUILIBRIUM + ["--delta-k", "inf"], "--mode"),
     (["check-assumptions", "--n", "0"], "--n"),
