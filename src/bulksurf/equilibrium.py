@@ -13,10 +13,14 @@ Given (m1, m2) and the measures, the homogeneous equilibrium solves
 
 with kappa = 1 in the literal closure mode and kappa = delta_K'/delta_K in
 rate-balance mode (the value at which the mass-action rate vanishes).  The
-two modes agree when delta_K = delta_K'.  Substituting the linear relations
-into the closure gives one quadratic in z_inf whose unique root below
-min(m1, m2)/|Gamma| is the equilibrium; it is computed through the
-product-of-roots form to avoid cancellation.
+two modes agree when delta_K = delta_K'.  In the masses Z = z_inf |Gamma|,
+U = m1 - Z = u_inf |Omega| and W = m2 - Z = w_inf |Gamma| the closure reads
+Z |Omega| / kappa = U W, one quadratic whose unique root Z below min(m1, m2)
+is the equilibrium.  Z, U and W are each computed without cancellation, by
+the product-of-roots form where a sum of the roots would cancel, with no
+square of a mass (it overflows past 1e154) and, for a product, on mantissas
+and exponents apart: z, u and w come out whenever they are representable,
+for masses and measures from 1e-300 to 1e300.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
+import sys
 
 from .errors import NonpositiveMass, NoPositiveRoot, UndefinedClosure
 from .geometry import EvolvingGeometry
@@ -73,24 +78,40 @@ def check_positive(**inputs) -> None:
             raise NonpositiveMass(f"must be finite and > 0, got {value}", key=key)
 
 
+def _ratio(numerators, denominators) -> float:
+    """A product of positive finite numbers over another, on mantissas and
+    exponents apart, so that no partial product overflows or underflows."""
+    mantissa, exponent = 1.0, 0
+    for x in numerators:
+        m, e = math.frexp(x)
+        mantissa, exponent = mantissa * m, exponent + e
+    for x in denominators:
+        m, e = math.frexp(x)
+        mantissa, exponent = mantissa / m, exponent - e
+    try:
+        return math.ldexp(mantissa, exponent)
+    except OverflowError:
+        return math.inf
+
+
 def solve_equilibrium(m1: float, m2: float, area_omega: float, length_gamma: float,
                       params: ModelParams, mode: EquilibriumMode = EquilibriumMode.RATE_BALANCE) -> Equilibrium:
     check_positive(m1=m1, m2=m2, area=area_omega, length=length_gamma)
     kappa = closure_kappa(params, mode)
 
-    # z^2 - (A + B + C) z + A B = 0 with A = m1/|G|, B = m2/|G|, C = |O|/(kappa |G|)
-    a = m1 / length_gamma
-    b = m2 / length_gamma
-    c = area_omega / (kappa * length_gamma)
-    s = a + b + c
-    disc = s * s - 4.0 * a * b
-    if disc < 0.0:
-        raise NoPositiveRoot(f"negative discriminant {disc} for m1={m1}, m2={m2}")
-    # smaller root via product of roots: stable for all parameter sizes
-    z_inf = 2.0 * a * b / (s + math.sqrt(disc))
-    u_inf = (m1 - z_inf * length_gamma) / area_omega
-    w_inf = m2 / length_gamma - z_inf
-    if not (0.0 < z_inf and u_inf > 0.0 and w_inf > 0.0):
+    # Z^2 - (m1 + m2 + c) Z + m1 m2 = 0 with c = |O| / kappa; its discriminant
+    # r^2 = (m1 - m2)^2 + c (c + 2 (m1 + m2)) is a sum of positive terms
+    c = area_omega / kappa
+    d = m1 - m2
+    r = math.hypot(d, math.sqrt(c) * math.sqrt(c + 2.0 * (m1 + m2)))
+    z_inf = _ratio((2.0, m1, m2), (length_gamma, m1 + m2 + c + r))
+    # U = (r + d - c) / 2 and W = (r - d - c) / 2, with U W = c Z
+    u_inf = (_ratio((0.5 * (r + (d - c)),), (area_omega,)) if d >= c
+             else _ratio((2.0, c, m1), (area_omega, r + (c - d))))
+    w_inf = (_ratio((0.5 * (r - (d + c)),), (length_gamma,)) if -d >= c
+             else _ratio((2.0, c, m2), (length_gamma, r + (c + d))))
+    # a root below the normal range has lost its digits
+    if not all(sys.float_info.min <= v < math.inf for v in (z_inf, u_inf, w_inf)):
         raise NoPositiveRoot(
             f"no admissible root: z={z_inf}, u={u_inf}, w={w_inf} for m1={m1}, m2={m2}"
         )

@@ -35,7 +35,8 @@ Scheme summary (both steppers are first order in time):
   * every preset is rotationally symmetric, so the operators are ring
     coefficients; every linear system is solved by an rFFT in theta, one
     radial tridiagonal system per mode, plus a Woodbury update over the
-    surface slots for the binding term or Newton's Jacobian.
+    surface slots for the binding term or Newton's Jacobian, whose
+    capacitance system is solved matrix-free by preconditioned GMRES.
 
 The outer-boundary condition is homogeneous no-flux: the only choice
 consistent with conservation of m1 when the outer wall is fixed.
@@ -60,6 +61,8 @@ from .mesh import (ReferenceMesh, build_mesh, moving_bulk_measures, moving_ring_
 from .model import MassAction, ModelParams
 
 _RESIDUAL_TOL = 1e-10
+# the relative residual, max|r - C xi| / max|r|, at which a capacitance solve stops
+_CAPACITANCE_RTOL = 1e-12
 # a CFL-adaptive run stops when the step it may take falls below this
 # fraction of time.dt: past it the run would take millions of steps
 _MIN_CFL_STEP = 1e-6
@@ -256,6 +259,63 @@ def _imex_rhs(state: State, dt: float, geom: EvolvingGeometry, mesh: ReferenceMe
     return rhs
 
 
+def _inverse(a):
+    """Inverses of a stack of k x k matrices, k = 1 by division; LinAlgError
+    when one is singular."""
+    if a.shape[-1] > 1:
+        return np.linalg.inv(a)
+    if not np.all(a):
+        raise np.linalg.LinAlgError("Singular matrix")
+    return 1.0 / a
+
+
+def _gmres(apply, rhs, target: float, max_iter: int):
+    """(x, iterations) with ||rhs - x - apply(x)||_2 <= target, by GMRES
+    (Saad and Schultz) for (I + K) x = rhs from x = 0, where apply(x) is K x.
+    The Arnoldi basis is built on K, whose Krylov spaces are those of I + K,
+    so a small K loses no digits to cancellation; it is orthogonalized by
+    classical Gram-Schmidt twice and grows as the iterations run, with no
+    restart.  Givens rotations track the least-squares residual.  x is None
+    when max_iter iterations do not reach target or the residual is not
+    finite."""
+    beta = math.sqrt(float(np.sum(rhs * rhs)))
+    if beta <= target:
+        return np.zeros_like(rhs), 0
+    basis = np.empty((min(max_iter, 8) + 1, rhs.size))
+    basis[0] = rhs.ravel() / beta
+    cols, rotations, g = [], [], [beta]
+    for j in range(max_iter):
+        w, v = apply(basis[j].reshape(rhs.shape)).ravel(), basis[: j + 1]
+        h = v @ w
+        w -= h @ v
+        again = v @ w
+        w -= again @ v
+        h = (h + again).tolist()
+        h[j] += 1.0   # the column of I
+        h_next = math.sqrt(float(w @ w))
+        for i, (c, s) in enumerate(rotations):
+            h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
+        r = math.hypot(h[j], h_next)
+        if not (math.isfinite(r) and r > 0.0):
+            return None, j + 1
+        c, s = h[j] / r, h_next / r
+        h[j] = r
+        rotations.append((c, s))
+        cols.append(h)
+        g.append(-s * g[j])
+        g[j] *= c
+        if abs(g[-1]) <= target:
+            upper = np.zeros((j + 1, j + 1))
+            for i, col in enumerate(cols):
+                upper[: i + 1, i] = col
+            return (sla.lapack.dtrtrs(upper, g[:-1])[0] @ v).reshape(rhs.shape), j + 1
+        if j + 1 == len(basis):
+            basis = np.concatenate([basis, np.empty((min(len(basis), max_iter + 1 - len(basis)),
+                                                     rhs.size))])
+        basis[j + 1] = w / h_next
+    return None, max_iter
+
+
 class _FourierSolve:
     """A step matrix to t + dt, A0 plus slot terms, and its solve.  A0 is the
     measures minus dt times the stiffness of ops, with a Newton step's
@@ -266,15 +326,18 @@ class _FourierSolve:
     A0 commutes with rotations in theta, so an rFFT splits A0 x = b into
     n_theta // 2 + 1 systems (Hockney), tridiagonal in the order (w, z, u
     rings outward), with bands in closed form (2 (1 - cos 2 pi p / n_theta)
-    for the cyclic second difference, a shift for the upwind flux) and one
-    LAPACK gtsv call.  Slot terms enter by Woodbury with a capacitance matrix
-    of circulant blocks (Buzbee, Dorr, George and Golub), solved mode by mode
-    when each coefficient is the same in every slot.  Every solve is checked
+    for the cyclic second difference, a shift for the upwind flux), factored
+    once by LAPACK and solved by the factors: pttrf/pttrs (L D L^T) for the
+    real modes, which are symmetric positive definite, gttrf/gttrs (LU with
+    pivoting) for the upwind ones.  Slot terms enter by Woodbury
+    (Buzbee, Dorr, George and Golub): the capacitance system, of convolution
+    blocks W times per-slot coefficients, is solved by GMRES through the
+    slot responses, never formed (see _capacitance).  Every solve is checked
     by apply, a matrix-free stencil apart from the Fourier path.
     """
 
     def __init__(self, ops: DiscreteOperators, dt: float, mesh: ReferenceMesh, q: float = 0.0):
-        self.dt, self.mesh, self.responses, self.circulants = dt, mesh, {}, {}
+        self.dt, self.mesh, self.responses = dt, mesh, {}
         self.measures = (ops.bulk_measures, ops.surf_measures)
         nr, nt = mesh.n_r, mesh.n_theta
         rings = np.arange(nr + 2)
@@ -306,6 +369,13 @@ class _FourierSolve:
         lower, upper = np.zeros((2, len(phi), nr + 2), diag.dtype)
         lower[:, 3:] = upper[:, 2:-1] = -rad
         self.bands = (lower.ravel()[1:], diag.ravel(), upper.ravel()[:-1])
+        if q:   # the upwind shift makes the modes complex and unsymmetric
+            *self.lu, info = sla.lapack.zgttrf(*self.bands)
+        else:   # real, symmetric and diagonally dominant: L D L^T, no pivoting
+            *self.lu, info = sla.lapack.dpttrf(*self.bands[1:])
+        if info > 0:
+            raise LinearSolveFailure(
+                f"step matrix singular in Fourier mode {(info - 1) // (nr + 2)}")
 
     def apply(self, x):
         """A0 x by the five-point stencil of the rings and the upwinded
@@ -336,16 +406,15 @@ class _FourierSolve:
 
     def _solve_modes(self, modes):
         """y with A0 y = modes in every Fourier mode at once; modes is
-        (n_theta // 2 + 1, rings) complex, rings in the order (w, z, u outward)."""
+        (n_theta // 2 + 1, rings), rings in the order (w, z, u outward), and
+        takes one real right-hand side when it is real (the slot responses)."""
         if self.q:
-            y, info = sla.lapack.zgtsv(*self.bands, modes.reshape(-1, 1), overwrite_b=1)[3:]
-        else:  # real and imaginary parts are two right-hand sides of the real system
-            y, info = sla.lapack.dgtsv(*self.bands, modes.view(float).reshape(-1, 2),
-                                       overwrite_b=1)[3:]
+            y = sla.lapack.zgttrs(*self.lu, modes.reshape(-1, 1), overwrite_b=1)[0]
+        elif np.iscomplexobj(modes):  # real and imaginary parts: two right-hand sides
+            y = sla.lapack.dpttrs(*self.lu, modes.view(float).reshape(-1, 2), overwrite_b=1)[0]
             y = np.ascontiguousarray(y).view(complex)
-        if info > 0:
-            raise LinearSolveFailure(
-                f"step matrix singular in Fourier mode {(info - 1) // len(self.order)}")
+        else:
+            y = sla.lapack.dpttrs(*self.lu, modes.reshape(-1, 1), overwrite_b=1)[0]
         return y.reshape(modes.shape)
 
     def _modes(self, b):
@@ -359,23 +428,68 @@ class _FourierSolve:
 
     def _response(self, pattern):
         """Modes of g = A0^{-1} (slot 0's unit flux with pattern's signs: 1 in
-        every mode)."""
+        every mode), real without advection."""
         if pattern not in self.responses:
-            modes = np.zeros((self.mesh.n_theta // 2 + 1, len(self.order)), complex)
+            modes = np.zeros((self.mesh.n_theta // 2 + 1, len(self.order)))
             modes[:, _SLOT_RINGS] = pattern
             self.responses[pattern] = self._solve_modes(modes)
         return self.responses[pattern]
 
-    def _circulants(self, pattern):
-        """W_j[m, k] = g[ring of j, m - k] for j in (u trace, w, z)."""
-        if pattern not in self.circulants:
-            g = np.fft.irfft(self._response(pattern)[:, _SLOT_RINGS].T, n=self.mesh.n_theta, axis=1)
-            self.circulants[pattern] = [sla.circulant(row) for row in g]
-        return self.circulants[pattern]
+    def _capacitance(self, modes, terms, what):
+        """Modes (n_theta // 2 + 1, k) of xi, the k terms' slot fluxes at the
+        solution, from the modes of y = A0^{-1} b.
+
+        With W_jl the convolution by term l's response to a unit slot flux,
+        read at ring j of (u trace, w, z), xi solves the capacitance system
+        C xi = r: xi_i + sum_jl diag(c_ij) W_jl xi_l = sum_j c_ij y_j, y_j
+        the slot values of y on ring j.  GMRES solves D^{-1} C M^{-1} v = D^{-1} r,
+        xi = M^{-1} v.  The right preconditioner M is C with each c_ij
+        replaced by its mean over the slots (T. F. Chan): k x k per Fourier
+        mode, and exact when the c_ij are uniform.  The left one,
+        D = I + (c - mean c) rho, k x k per slot, is C M^{-1} with each
+        convolution (W M^{-1})_jl replaced by rho_jl, the midrange over the
+        modes of its real part.  The operator is then I + E S, with
+        E = D^{-1} (c - mean c) per slot and the convolution S = W M^{-1} - rho:
+        one rFFT and one irFFT.
+        """
+        nt, k = self.mesh.n_theta, len(terms)
+        rings = [j for j in range(3) if any(c[j] is not None for _, c in terms)]
+        coef = np.zeros((nt, k, len(rings)))   # c_ij of each slot
+        for i, (_, c) in enumerate(terms):
+            for a, j in enumerate(rings):
+                if c[j] is not None:
+                    coef[:, i, a] = c[j]
+        at = [_SLOT_RINGS[j] for j in rings]
+        g = np.stack([self._response(p)[:, at] for p, _ in terms], axis=2)    # W_jl per mode
+        mean = coef.mean(axis=0)
+        dev = coef - mean
+        try:
+            right = _inverse(np.eye(k) + mean @ g)
+            wm = g @ right
+            rho = 0.5 * (wm.real.max(axis=0) + wm.real.min(axis=0))
+            left = np.eye(k) + dev @ rho
+            left_inv = _inverse(left)
+        except np.linalg.LinAlgError as exc:
+            raise LinearSolveFailure(f"{what}: capacitance preconditioner singular") from exc
+        e, s = left_inv @ dev, wm - rho
+
+        def apply(v):   # E S v, v one row of k per slot
+            sv = np.fft.irfft((s @ np.fft.rfft(v, axis=0)[..., None])[..., 0], n=nt, axis=0)
+            return (e @ sv[..., None])[..., 0]
+
+        r = (coef @ np.fft.irfft(modes[:, at], n=nt, axis=0)[..., None])[..., 0]
+        # max|r - C xi| <= ||D||_2 ||D^{-1} (r - C xi)||_2, the norm GMRES minimizes
+        target = _CAPACITANCE_RTOL * float(np.max(np.abs(r))) / math.sqrt(
+            float(np.max(np.sum(left * left, axis=(1, 2)))))
+        v, iterations = _gmres(apply, (left_inv @ r[..., None])[..., 0], target, k * nt)
+        if v is None:
+            raise LinearSolveFailure(f"{what}: capacitance GMRES did not reach relative residual "
+                                     f"{_CAPACITANCE_RTOL:g} in {iterations} iterations")
+        return (right @ np.fft.rfft(v, axis=0)[..., None])[..., 0]
 
     def solve_slots(self, b, terms, what: str):
         """x with (A0 + slot terms) x = b, terms as (pattern, coeffs) pairs."""
-        ns, slots = self.mesh.n_surf, _slot_slices(self.mesh)
+        slots = _slot_slices(self.mesh)
         terms = [(p, [v if v is not None and v.any() else None for v in c]) for p, c in terms]
         terms = [(p, c) for p, c in terms if any(v is not None for v in c)]
 
@@ -384,32 +498,8 @@ class _FourierSolve:
 
         modes = self._modes(b)
         if terms:   # Woodbury: the correction's modes are the responses times xi's
-            ys = [self._response(p) for p, _ in terms]
-            try:
-                if all(np.ptp(v) == 0.0 for _, c in terms for v in c if v is not None):
-                    # coefficients the same in every slot: the capacitance blocks
-                    # are circulant, so it is one small system per Fourier mode
-                    rows = [[None if v is None else v[0] for v in c] for _, c in terms]
-
-                    def mode_flux(y):
-                        return np.stack([flux(r, y[:, _SLOT_RINGS].T) for r in rows], axis=1)
-
-                    cap = np.stack([mode_flux(y) for y in ys], axis=2) + np.eye(len(terms))
-                    rhs = mode_flux(modes)[..., None]
-                    xi = rhs / cap if len(terms) == 1 else np.linalg.solve(cap, rhs)
-                else:
-                    cap = np.eye(ns * len(terms))
-                    for i, (_, c) in enumerate(terms):
-                        for k, (p, _) in enumerate(terms):
-                            for v, w in zip(c, self._circulants(p)):
-                                if v is not None:
-                                    cap[i * ns:(i + 1) * ns, k * ns:(k + 1) * ns] += v[:, None] * w
-                    parts = np.fft.irfft(modes[:, _SLOT_RINGS].T, n=ns, axis=1)
-                    xi = np.linalg.solve(cap, np.concatenate([flux(c, parts) for _, c in terms]))
-                    xi = np.fft.rfft(xi.reshape(-1, ns), axis=1).T[..., None]
-            except np.linalg.LinAlgError as exc:
-                raise LinearSolveFailure(f"{what}: capacitance solve failed: {exc}") from exc
-            modes -= sum(y * xi[:, k] for k, y in enumerate(ys))
+            xi = self._capacitance(modes, terms, what)
+            modes -= sum(self._response(p) * xi[:, [k]] for k, (p, _) in enumerate(terms))
         x = self._field(modes)
         # backward error by the stencil; the slot rows' absolute sums grow by the terms'
         residual, slot_abs = self.apply(x) - b, self.slot_abs[:, None]

@@ -1,12 +1,14 @@
 """Equilibrium algebra and conserved-mass quadrature."""
 
+import decimal
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from bulksurf.equilibrium import (EquilibriumMode, conserved_masses, solve_equilibrium)
-from bulksurf.errors import NonpositiveMass
+from bulksurf.errors import NonpositiveMass, NoPositiveRoot
 from bulksurf.geometry import GeometryKind, GeometryPreset, build_geometry
 from bulksurf.mesh import build_mesh
 from bulksurf.model import ModelParams
@@ -128,3 +130,67 @@ class TestSolveEquilibrium:
         with pytest.raises(NoPositiveRoot):
             solve_equilibrium(2.0, 2.0, 1.0, 1.0, params(dk=math.inf),
                               EquilibriumMode.RATE_BALANCE)
+
+
+def decimal_roots(m1, m2, area, length, kappa):
+    """(u, w, z) of the equilibrium by the plain quadratic in z, in decimal
+    arithmetic with 1,300 digits and no overflow: enough for its two
+    cancellations, in z and in m1 - z |Gamma|, of up to 450 digits each when
+    masses and measures span 1e-300 to 1e300."""
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = 1300, 10 ** 6, -10 ** 6
+        m1, m2, area, length, kappa = map(decimal.Decimal, (m1, m2, area, length, kappa))
+        a, b, c = m1 / length, m2 / length, area / (kappa * length)
+        s = a + b + c
+        z = (s - (s * s - 4 * a * b).sqrt()) / 2
+        return (m1 - z * length) / area, b - z, z
+
+
+def equation_residuals(eq, m1, m2, area, length, kappa):
+    """Relative residuals of u |O| + z |G| = m1, (w + z) |G| = m2 and
+    z = kappa u w, evaluated exactly."""
+    u, w, z, m1, m2, area, length, kappa = map(
+        decimal.Decimal, (eq.u_inf, eq.w_inf, eq.z_inf, m1, m2, area, length, kappa))
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = 1300, 10 ** 6, -10 ** 6
+        return (abs(u * area + z * length - m1) / m1, abs((w + z) * length - m2) / m2,
+                abs(z - kappa * u * w) / z)
+
+
+class TestExtremeMagnitudes:
+    """Masses and measures from 1e-300 to 1e300: no square of a mass may
+    overflow (the 4 x 8 run with geometry.r_inner0 = 1e-300 has m2 about
+    1e-299 and |Gamma| about 6e-300, and once ended in exit 2)."""
+
+    KAPPAS = (1.0, 0.37, 2.5)
+
+    def check(self, m1, m2, area, length, kappa):
+        ref = decimal_roots(m1, m2, area, length, kappa)
+        representable = all(decimal.Decimal("1e-300") <= v <= decimal.Decimal("1e300")
+                            for v in ref)
+        try:
+            eq = solve_equilibrium(m1, m2, area, length, params(dkp=kappa),
+                                   EquilibriumMode.RATE_BALANCE)
+        except NoPositiveRoot:
+            assert not representable, (m1, m2, area, length, kappa)
+            return False
+        assert max(equation_residuals(eq, m1, m2, area, length, kappa)) <= 1e-12
+        if representable:
+            for got, want in zip((eq.u_inf, eq.w_inf, eq.z_inf), ref):
+                assert abs(decimal.Decimal(got) - want) <= decimal.Decimal("1e-12") * want
+        return True
+
+    def test_run_with_tiny_inner_radius(self):
+        r = 1e-300
+        area, length = math.pi * (4.0 - r * r), 2.0 * math.pi * r
+        assert self.check(area + length, 2.0 * length, area, length, 1.0)
+
+    def test_decades_from_1e_minus_300_to_1e300(self):
+        decades = (1e-300, 1e-150, 1.0, 1e150, 1e300)
+        solved = sum(self.check(*values, 1.0) for values in itertools.product(decades, repeat=4))
+        assert solved >= 250   # 270 of the 625 have a representable root
+
+    def test_random_log_uniform(self):
+        rng = np.random.default_rng(13)
+        for values in 10.0 ** rng.uniform(-300.0, 300.0, (300, 4)):
+            self.check(*values, float(rng.choice(self.KAPPAS)))

@@ -9,6 +9,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
@@ -22,8 +23,8 @@ from bulksurf.geometry import GeometryKind, GeometryPreset, build_geometry
 from bulksurf.mesh import (build_mesh, integrate_bulk, integrate_surface,
                            moving_bulk_measures, moving_surface_measures)
 from bulksurf.model import CUSTOM_NONLINEARITIES, CustomNonlinearity, MassAction, ModelParams
-from bulksurf.solver import (_EXCHANGE, ImexStepper, Sources, State, TransportKind, _imex_rhs,
-                             _mass_rhs, assemble_operators, cfl_bound,
+from bulksurf.solver import (_EXCHANGE, _SLOT_RINGS, ImexStepper, Sources, State, TransportKind,
+                             _imex_rhs, _mass_rhs, _reaction_terms, assemble_operators, cfl_bound,
                              manufactured_solution_error, step_imex, step_implicit,
                              surface_advection, transport_identity_residual)
 from bulksurf.equilibrium import conserved_masses
@@ -480,6 +481,86 @@ def superlu_newton_step(st, dt, geom, mesh, params, spec, tol=1e-11):
     raise AssertionError("reference Newton did not converge")
 
 
+def dense_capacitance_reference(system, b, terms):
+    """x with (A0 + slot terms) x = b by the dense Woodbury update: the
+    n_theta x n_theta circulants W_jk of the slot responses, the capacitance
+    I + sum_j diag(c_ij) W_jk assembled from them and solved by LU."""
+    ns = system.mesh.n_surf
+    terms = [(p, c) for p, c in terms if any(v is not None for v in c)]
+    modes = system._modes(b)
+    if terms:
+        circulants = {p: [sla.circulant(row) for row in np.fft.irfft(
+            system._response(p)[:, _SLOT_RINGS].T, n=ns, axis=1)] for p, _ in terms}
+        cap = np.eye(ns * len(terms))
+        for i, (_, c) in enumerate(terms):
+            for k, (p, _) in enumerate(terms):
+                for v, w in zip(c, circulants[p]):
+                    if v is not None:
+                        cap[i * ns:(i + 1) * ns, k * ns:(k + 1) * ns] += v[:, None] * w
+        parts = np.fft.irfft(modes[:, _SLOT_RINGS].T, n=ns, axis=1)
+        rhs = np.concatenate([sum(v * part for v, part in zip(c, parts) if v is not None)
+                              for _, c in terms])
+        xi = np.fft.rfft(np.linalg.solve(cap, rhs).reshape(-1, ns), axis=1)
+        modes = modes - sum(system._response(p) * xi[k][:, None] for k, (p, _) in enumerate(terms))
+    return system._field(modes)
+
+
+def capacitance_cases(kind, n_theta, delta_k, spread, uniform=False):
+    """A Fourier solve and its slot terms, as (solve, name, right-hand side,
+    terms): the IMEX exchange and the mass-action Newton term (one term
+    each), and recycling's Newton terms (one per row), at a random state
+    whose w spans a factor spread, or at a uniform state."""
+    geom = preset_geometry(kind)
+    mesh = build_mesh(6, n_theta, 1.0, 2.0)
+    params = ModelParams(1.0, 0.7, 1.3, delta_k, 0.5)
+    st = random_state(mesh, seed=n_theta)
+    st.w_hat = 0.4 * (1.0 + (spread - 1.0) * np.random.default_rng(n_theta).random(n_theta))
+    st.w_hat[:2] = 0.4, 0.4 * spread
+    if uniform:
+        st = State(0.0, np.full(mesh.n_bulk, 0.7), np.full(n_theta, 0.4), np.full(n_theta, 0.3))
+    dt = min(0.05, 0.9 * cfl_bound(geom, mesh, params, st))
+    system = solver._solve_for(geom, mesh, params, dt, dt, geom.surface_slip_active)
+    arcs, u_tr = system.measures[1], st.u_hat[:n_theta]
+    b = np.concatenate([st.u_hat, st.w_hat, st.z_hat])
+    yield system, "imex", b, [(_EXCHANGE, (dt * arcs * st.w_hat / delta_k, None, -dt * arcs / 0.5))]
+    for name, spec in (("mass action", MassAction(params)), ("recycling", recycling(params))):
+        yield system, name, b, _reaction_terms(spec, u_tr, st.w_hat, st.z_hat, -dt * arcs)
+
+
+class TestCapacitance:
+    """The matrix-free capacitance solve against the dense Woodbury solve."""
+
+    @pytest.mark.parametrize("spread", [1.0, 10.0])
+    @pytest.mark.parametrize("delta_k", [0.01, 1.0])
+    @pytest.mark.parametrize("n_theta", [16, 17, 128, 256])
+    @pytest.mark.parametrize("kind", ["rotation", "clockwise_wind"])
+    def test_matches_dense_reference(self, kind, n_theta, delta_k, spread):
+        for system, name, b, terms in capacitance_cases(kind, n_theta, delta_k, spread):
+            ref = dense_capacitance_reference(system, b, terms)
+            got = system.solve_slots(b, terms, name)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), name
+
+    @pytest.mark.parametrize("n_theta", [16, 17, 128])
+    @pytest.mark.parametrize("kind", ["rotation", "clockwise_wind"])
+    def test_uniform_coefficients_take_at_most_one_iteration(self, kind, n_theta, monkeypatch):
+        """Coefficients the same in every slot make the right preconditioner
+        exact, with the unbinding alone (delta_K = inf) or every term."""
+        counts, gmres = [], solver._gmres
+
+        def counting(*args):
+            x, iterations = gmres(*args)
+            counts.append(iterations)
+            return x, iterations
+
+        monkeypatch.setattr(solver, "_gmres", counting)
+        for delta_k in (math.inf, 0.01, 1.0):
+            for system, name, b, terms in capacitance_cases(kind, n_theta, delta_k, 1.0, True):
+                ref = dense_capacitance_reference(system, b, terms)
+                got = system.solve_slots(b, terms, name)
+                assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), name
+        assert len(counts) == 9 and max(counts) <= 1
+
+
 class TestFourierSolve:
     """The Fourier IMEX step against SuperLU on the same assembled matrix."""
 
@@ -554,20 +635,32 @@ class TestFourierSolve:
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_no_binding_needs_no_dense_capacitance(self, name, monkeypatch):
-        """With delta_K = inf the one slot term, the unbinding, is the same in
-        every slot: it is solved per Fourier mode, with no n_theta x n_theta
-        capacitance, and still agrees with SuperLU."""
-        monkeypatch.setattr(solver._FourierSolve, "_circulants",
-                            lambda *args: pytest.fail("dense capacitance built"))
-        geom = preset_geometry(name)
+        """No step builds an n_theta x n_theta capacitance: with
+        scipy.linalg.circulant and every np.linalg solve or inverse of side
+        n_theta or more refusing, both steppers step and agree with SuperLU,
+        with delta_K = inf (the unbinding alone, the same in every slot),
+        with binding, and with a reaction of one term per row."""
         mesh = build_mesh(6, 16, 1.0, 2.0)
-        params = ModelParams(1.0, 0.7, 1.3, math.inf, 0.7)
-        spec = MassAction(params)
+
+        def small_only(original):
+            def solve(a, *args, **kwargs):
+                if np.shape(a)[-1] >= mesh.n_theta:
+                    pytest.fail(f"dense solve of side {np.shape(a)[-1]} in a step")
+                return original(a, *args, **kwargs)
+            return solve
+
+        monkeypatch.setattr(sla, "circulant", lambda *args: pytest.fail("circulant built"))
+        for attr in ("solve", "inv"):
+            monkeypatch.setattr(np.linalg, attr, small_only(getattr(np.linalg, attr)))
+        geom = preset_geometry(name)
         st = random_state(mesh, seed=3)
-        assert_same_state(step_imex(st, 0.02, geom, mesh, params, spec),
-                          superlu_step(st, 0.02, geom, mesh, params, spec))
-        assert_same_state(step_implicit(st, 0.02, geom, mesh, params, spec),
-                          superlu_newton_step(st, 0.02, geom, mesh, params, spec)[0])
+        for delta_k in (math.inf, 1.0):
+            params = ModelParams(1.0, 0.7, 1.3, delta_k, 0.7)
+            for spec in (MassAction(params), recycling(params)):
+                assert_same_state(step_imex(st, 0.02, geom, mesh, params, spec),
+                                  superlu_step(st, 0.02, geom, mesh, params, spec))
+                assert_same_state(step_implicit(st, 0.02, geom, mesh, params, spec),
+                                  superlu_newton_step(st, 0.02, geom, mesh, params, spec)[0])
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_no_sparse_matrix_in_a_step(self, name, monkeypatch):
@@ -917,16 +1010,19 @@ class TestErrorPaths:
         cfg.write_text(f"mesh.n_r = 6\nmesh.n_theta = 12\noutput.directory = {tmp_path / 'out'}\n")
         assert cli.main(["run", str(cfg)]) == 2
         assert "singular in Fourier mode 0" in capsys.readouterr().err
-        # a singular capacitance matrix fails the same way
+        # a capacitance solve that does not converge fails the same way, after
+        # its cap of one iteration per slot
         monkeypatch.setattr(solver, "assemble_operators", assemble)
+        monkeypatch.setattr(solver, "_CAPACITANCE_RTOL", 0.0)
         solver._kept.clear()
-
-        def singular(a, b):
-            raise np.linalg.LinAlgError("Singular matrix")
-
-        monkeypatch.setattr(np.linalg, "solve", singular)
-        with pytest.raises(LinearSolveFailure, match="capacitance solve failed"):
-            step_imex(st, 0.01, geom, mesh, params, spec)
+        for step in (step_imex, step_implicit):
+            with pytest.raises(LinearSolveFailure, match="capacitance GMRES .* in 12 iterations"):
+                step(st, 0.01, geom, mesh, params, spec)
+        # (a uniform state's capacitance is solved exactly by its preconditioner)
+        cfg.write_text(cfg.read_text() + "ic.profile = perturbed_equilibrium\n")
+        assert cli.main(["run", str(cfg)]) == 2
+        assert "capacitance GMRES did not reach relative residual 0 in 12 iterations" in \
+            capsys.readouterr().err
 
 
 class TestDissipationAgainstEntropySlope:

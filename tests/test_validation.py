@@ -177,6 +177,19 @@ def test_unreadable_config_exits_one_naming_it(make, tmp_path, capsys):
     assert f"config: {path}: " in _one_line(capsys)
 
 
+@pytest.mark.parametrize("stepper", ["imex", "implicit"])
+def test_tiny_inner_radius_runs_to_the_end(stepper, tmp_path, capsys):
+    """geometry.r_inner0 = 1e-300 passes every rule, and the uniform state
+    then has m2 about 1e-299: its equilibrium is representable, so the run
+    ends in exit 0 with the masses held, not in an exit 2 naming no key."""
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(f"mesh.n_r = 4\nmesh.n_theta = 8\ngeometry.r_inner0 = 1e-300\n"
+                        f"time.stepper = {stepper}\noutput.directory = {tmp_path}/out\n")
+    assert cli.main(["run", str(cfg_path)]) == 0
+    drift = capsys.readouterr().out.split("drift=(")[1].split(")")[0]
+    assert max(float(v) for v in drift.split(",")) <= 1e-12
+
+
 def test_cfl_run_over_the_step_budget_exits_two(tmp_path, monkeypatch, capsys):
     """t_final / dt = 3 steps pass the budget when parsed; the wind caps the
     CFL step near 0.014, so the run would need about 21."""
