@@ -151,12 +151,13 @@ def _cmd_run(args) -> int:
 
     recs = result.records
     first, last = recs[0], recs[-1]
-    drift1 = abs(last.m1 - first.m1) / max(abs(first.m1), 1e-300)
-    drift2 = abs(last.m2 - first.m2) / max(abs(first.m2), 1e-300)
+    drift1, drift2 = solver_mod.relative_drift(first, last)
     min_all = min(min(r.min_u, r.min_w, r.min_z) for r in recs)
     eq = result.equilibrium
     report = [
         f"steps to t = {last.t:g} with {cfg.time.stepper} stepper",
+        f"steps: {result.steps}, Newton solves: {result.newton_total} "
+        f"(at most {result.newton_max} in a step)",
         f"masses: m1 = {last.m1:.12g} (rel drift {drift1:.3e}), "
         f"m2 = {last.m2:.12g} (rel drift {drift2:.3e})",
         f"equilibrium ({eq.mode.value}): u = {eq.u_inf:.12g}, w = {eq.w_inf:.12g}, "

@@ -61,6 +61,10 @@ class LinearSolveFailure(BulkSurfError):
     pass
 
 
+class ConservationDrift(BulkSurfError):
+    """A run's record moved m1 or m2 past the drift a run may show."""
+
+
 class NewtonDivergence(BulkSurfError):
     def __init__(self, message, residual_history=None):
         super().__init__(message)

@@ -35,8 +35,9 @@ Scheme summary (both steppers are first order in time):
   * every preset is rotationally symmetric, so the operators are ring
     coefficients; every linear system is solved by an rFFT in theta, one
     radial tridiagonal system per mode, plus a Woodbury update over the
-    surface slots for the binding term or Newton's Jacobian, whose
-    capacitance system is solved matrix-free by preconditioned GMRES.
+    surface slots for the binding term, whose capacitance system is solved
+    matrix-free by preconditioned GMRES; the backward-Euler stepper's
+    Newton iterates on the slot fluxes alone, through the same solve.
 
 The outer-boundary condition is homogeneous no-flux: the only choice
 consistent with conservation of m1 when the outer wall is fixed.
@@ -48,12 +49,13 @@ import dataclasses
 import enum
 import functools
 import math
+import sys
 from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import (CflViolation, LinearSolveFailure, NewtonDivergence,
+from .errors import (CflViolation, ConservationDrift, LinearSolveFailure, NewtonDivergence,
                      NonfiniteField, SingularJacobian, UnknownCase, ValidationError, rekeyed)
 from .geometry import EvolvingGeometry, GeometryKind, GeometryPreset, build_geometry
 from .mesh import (ReferenceMesh, build_mesh, moving_bulk_measures, moving_ring_measures,
@@ -69,6 +71,9 @@ _MIN_CFL_STEP = 1e-6
 # the step budget: t_final / dt steps at least (a CFL step never exceeds dt);
 # MAX_STEPS of them take about an hour even at 4 x 8 (0.33 ms per step)
 MAX_STEPS = 10 ** 7
+# the relative drift of m1 or m2 from the t = 0 record past which a run stops:
+# ten times the 1e-9 the acceptance criteria allow over 2,000 steps
+MAX_DRIFT = 1e-8
 
 
 @dataclasses.dataclass
@@ -373,6 +378,7 @@ class _FourierSolve:
             *self.lu, info = sla.lapack.zgttrf(*self.bands)
         else:   # real, symmetric and diagonally dominant: L D L^T, no pivoting
             *self.lu, info = sla.lapack.dpttrf(*self.bands[1:])
+            self.e_complex = self.lu[1].astype(complex)   # for the complex right-hand sides
         if info > 0:
             raise LinearSolveFailure(
                 f"step matrix singular in Fourier mode {(info - 1) // (nr + 2)}")
@@ -410,9 +416,9 @@ class _FourierSolve:
         takes one real right-hand side when it is real (the slot responses)."""
         if self.q:
             y = sla.lapack.zgttrs(*self.lu, modes.reshape(-1, 1), overwrite_b=1)[0]
-        elif np.iscomplexobj(modes):  # real and imaginary parts: two right-hand sides
-            y = sla.lapack.dpttrs(*self.lu, modes.view(float).reshape(-1, 2), overwrite_b=1)[0]
-            y = np.ascontiguousarray(y).view(complex)
+        elif np.iscomplexobj(modes):  # the real factors, U^H D U = L D L^T
+            y = sla.lapack.zpttrs(self.lu[0], self.e_complex, modes.reshape(-1, 1),
+                                  overwrite_b=1)[0]
         else:
             y = sla.lapack.dpttrs(*self.lu, modes.reshape(-1, 1), overwrite_b=1)[0]
         return y.reshape(modes.shape)
@@ -435,14 +441,13 @@ class _FourierSolve:
             self.responses[pattern] = self._solve_modes(modes)
         return self.responses[pattern]
 
-    def _capacitance(self, modes, terms, what):
-        """Modes (n_theta // 2 + 1, k) of xi, the k terms' slot fluxes at the
-        solution, from the modes of y = A0^{-1} b.
+    def _capacitance(self, r, terms, what):
+        """Modes (n_theta // 2 + 1, k) of xi, the k terms' slot fluxes, with
+        C xi = r; r is (n_theta, k), a column per term.
 
         With W_jl the convolution by term l's response to a unit slot flux,
-        read at ring j of (u trace, w, z), xi solves the capacitance system
-        C xi = r: xi_i + sum_jl diag(c_ij) W_jl xi_l = sum_j c_ij y_j, y_j
-        the slot values of y on ring j.  GMRES solves D^{-1} C M^{-1} v = D^{-1} r,
+        read at ring j of (u trace, w, z), C xi_i = xi_i + sum_jl diag(c_ij)
+        W_jl xi_l.  GMRES solves D^{-1} C M^{-1} v = D^{-1} r,
         xi = M^{-1} v.  The right preconditioner M is C with each c_ij
         replaced by its mean over the slots (T. F. Chan): k x k per Fourier
         mode, and exact when the c_ij are uniform.  The left one,
@@ -453,7 +458,9 @@ class _FourierSolve:
         one rFFT and one irFFT.
         """
         nt, k = self.mesh.n_theta, len(terms)
-        rings = [j for j in range(3) if any(c[j] is not None for _, c in terms)]
+        rings = [j for j in range(3) if any(c[j] is not None and c[j].any() for _, c in terms)]
+        if not rings:   # C = I
+            return np.fft.rfft(r, axis=0)
         coef = np.zeros((nt, k, len(rings)))   # c_ij of each slot
         for i, (_, c) in enumerate(terms):
             for a, j in enumerate(rings):
@@ -477,7 +484,6 @@ class _FourierSolve:
             sv = np.fft.irfft((s @ np.fft.rfft(v, axis=0)[..., None])[..., 0], n=nt, axis=0)
             return (e @ sv[..., None])[..., 0]
 
-        r = (coef @ np.fft.irfft(modes[:, at], n=nt, axis=0)[..., None])[..., 0]
         # max|r - C xi| <= ||D||_2 ||D^{-1} (r - C xi)||_2, the norm GMRES minimizes
         target = _CAPACITANCE_RTOL * float(np.max(np.abs(r))) / math.sqrt(
             float(np.max(np.sum(left * left, axis=(1, 2)))))
@@ -487,29 +493,37 @@ class _FourierSolve:
                                      f"{_CAPACITANCE_RTOL:g} in {iterations} iterations")
         return (right @ np.fft.rfft(v, axis=0)[..., None])[..., 0]
 
+    def correction(self, xi, patterns, rings=slice(None)):
+        """Modes of sum_l G_l xi_l on the given rings, G_l the response to
+        term l's slot flux (see _response), from the modes of xi."""
+        return sum(self._response(p)[:, rings] * xi[:, [k]] for k, p in enumerate(patterns))
+
     def solve_slots(self, b, terms, what: str):
         """x with (A0 + slot terms) x = b, terms as (pattern, coeffs) pairs."""
         slots = _slot_slices(self.mesh)
         terms = [(p, [v if v is not None and v.any() else None for v in c]) for p, c in terms]
         terms = [(p, c) for p, c in terms if any(v is not None for v in c)]
-
-        def flux(c, parts):   # parts: (u trace, w, z) of a vector
-            return sum(v * part for v, part in zip(c, parts) if v is not None)
-
         modes = self._modes(b)
         if terms:   # Woodbury: the correction's modes are the responses times xi's
-            xi = self._capacitance(modes, terms, what)
-            modes -= sum(self._response(p) * xi[:, [k]] for k, (p, _) in enumerate(terms))
+            parts = np.fft.irfft(modes[:, _SLOT_RINGS], n=self.mesh.n_theta, axis=0).T
+            xi = self._capacitance(np.stack([_flux(c, parts) for _, c in terms], axis=1),
+                                   terms, what)
+            modes -= self.correction(xi, [p for p, _ in terms])
         x = self._field(modes)
         # backward error by the stencil; the slot rows' absolute sums grow by the terms'
         residual, slot_abs = self.apply(x) - b, self.slot_abs[:, None]
         for p, c in terms:
-            fx, fa = flux(c, [x[at] for at in slots]), sum(np.abs(v) for v in c if v is not None)
+            fx, fa = _flux(c, [x[at] for at in slots]), sum(np.abs(v) for v in c if v is not None)
             for at, sign in zip(slots, p):
                 residual[at] += sign * fx
             slot_abs = slot_abs + np.abs(p)[:, None] * fa
         _check_backward_error(residual, x, b, max(self.norm, float(np.max(slot_abs))), what)
         return x
+
+
+def _flux(coeffs, parts):
+    """coeffs . parts over (u trace, w, z), None coefficients skipped."""
+    return sum(v * part for v, part in zip(coeffs, parts) if v is not None)
 
 
 # the Fourier solve of the latest step: key -> (geometry, mesh, solve), one entry
@@ -573,20 +587,24 @@ class ImexStepper:
                          sources=sources, check_cfl=check_cfl)
 
 
-def _reaction_terms(spec, u_tr, w, z, scale, eps=1e-7):
+def _reaction_terms(spec, u_tr, w, z, scale, exchange=None, eps=1e-7):
     """Slot terms of scale times the reaction Jacobian by (u trace, w, z): one
-    exchange flux when its rows (df1, df2, df3) have that form (mass action
-    and every registered custom reaction), else one term per row."""
+    exchange flux when the reaction has that form, f1 = f2 = -f3 in value and
+    derivatives (mass action and every registered custom reaction), else one
+    term per row; exchange, when given, fixes the form."""
     if getattr(spec, "is_mass_action", False):
         dk, dkp = spec.params.delta_k, spec.params.delta_k_prime   # 1 / inf = 0
         rows = (-w / dk, -u_tr / dk, np.full_like(w, 1.0 / dkp))
         return [(_EXCHANGE, [scale * c for c in rows])]
-    out = []
+    out, values = [], []
     for f in (spec.f1, spec.f2, spec.f3):
-        base = np.asarray(f(u_tr, w, z), dtype=float)
-        out.append([scale * ((np.asarray(f(*args)) - base) / eps) for args in
+        values.append(np.asarray(f(u_tr, w, z), dtype=float))
+        out.append([scale * ((np.asarray(f(*args)) - values[-1]) / eps) for args in
                     ((u_tr + eps, w, z), (u_tr, w + eps, z), (u_tr, w, z + eps))])
-    if all(np.array_equal(a, b) and np.array_equal(a, -c) for a, b, c in zip(*out)):
+    if exchange is None:
+        exchange = all(np.array_equal(a, b) and np.array_equal(a, -c)
+                       for a, b, c in (values, *zip(*out)))
+    if exchange:
         return [(_EXCHANGE, out[0])]
     return list(zip(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)), out))
 
@@ -595,43 +613,70 @@ def step_implicit(state: State, dt: float, geom: EvolvingGeometry, mesh: Referen
                   params: ModelParams, spec, newton_tol: float = 1e-11,
                   max_newton: int = 25, sources: Sources | None = None,
                   return_info: bool = False):
-    """Backward-Euler step solved by Newton; stiff-robust alternative.
+    """Backward-Euler step solved by Newton on the surface slots.
 
-    Everything (diffusion, advection, reaction) is evaluated at the new time
-    level; the reaction fluxes enter all equations with identical values, so
-    the conservation contract matches the IMEX stepper.  newton_tol is
-    measured against the equation scale (backward-error style).  With
-    return_info=True the result is (state, {"iterations", "residuals"}).
+    Everything is evaluated at the new time level, and the reaction fluxes
+    enter all equations with identical values, as in the IMEX stepper.  The
+    bulk is linear and is eliminated (Lanzkron, Rose and Wilkes): the state
+    is x = y - sum_l G_l xi_l, y = A0^{-1} b the step's one full solve and
+    G_l the response to the slot flux xi_l of term l of _reaction_terms.
+    Newton iterates on xi = scale F(s_y - W xi), F the terms' reaction fluxes
+    (f1 alone for an exchange), each update one capacitance solve,
+    linearized first at the state at t: the iterates of Newton on the whole
+    field, with m1 and m2 held by construction.  x is rebuilt when the slot
+    residual is at most 2 newton_tol and returned only when its full
+    residual, by the stencil, is below newton_tol, both scaled by
+    max(1, max|b|, ||A0|| max|values|).  With return_info=True the result is
+    (state, {"iterations", "residuals"}): the capacitance solves and the
+    scaled slot residual of each.
     """
     _check_step(state, dt, geom, mesh, params, check_cfl=False)
     t1 = state.t + dt
     system = _solve_for(geom, mesh, params, t1, dt, advect=geom.surface_slip_active)
     m0 = system.measures if geom.metric_is_static else (
         moving_bulk_measures(mesh, geom, state.t), moving_surface_measures(mesh, geom, state.t))
-    arcs = system.measures[1]
-    trace, at_w, at_z = slots = _slot_slices(mesh)
+    scale = -dt * system.measures[1]
+    slots = _slot_slices(mesh)
     base = _mass_rhs(state, dt, mesh, m0, system.measures, sources)
-
-    x = np.concatenate([state.u_hat, state.w_hat, state.z_hat])
+    rows = (spec.f1, spec.f2, spec.f3)
     history = []
-    for iteration in range(max_newton + 1):
-        u_tr, w, z = x[trace], x[at_w], x[at_z]
-        resid = system.apply(x) - base
-        for at, f in zip(slots, (spec.f1, spec.f2, spec.f3)):
-            resid[at] -= dt * np.asarray(f(u_tr, w, z), dtype=float) * arcs
-        # residual measured against the equation scale (backward-error style)
-        scale = max(1.0, system.norm * float(np.max(np.abs(x))), float(np.max(np.abs(base))))
-        norm = float(np.max(np.abs(resid))) / scale
-        history.append(norm)
+
+    def scaled(residual, values):   # max|residual| / max(1, max|b|, ||A0|| max|values|)
+        norm = float(np.max(np.abs(residual))) / max(
+            1.0, float(np.max(np.abs(base))), system.norm * float(np.max(np.abs(values))))
         if not math.isfinite(norm):
-            raise NewtonDivergence(f"non-finite Newton residual at t = {t1:g}", history)
-        if norm < newton_tol:
-            out = State(t1, x[: mesh.n_bulk], x[at_w], x[at_z])
-            if return_info:
-                return out, {"iterations": iteration, "residuals": history}
-            return out
-        terms = _reaction_terms(spec, u_tr, w, z, -dt * arcs)
-        x = x - system.solve_slots(resid, terms, "Newton step")
+            raise NewtonDivergence(f"non-finite Newton residual at t = {t1:g}", history + [norm])
+        return norm
+
+    y = system.solve_slots(base, [], "Newton step")
+    s_y = np.stack([y[at] for at in slots])
+    s = np.stack([state.u_hat[: mesh.n_surf], state.w_hat, state.z_hat])   # at t
+    terms = _reaction_terms(spec, *s, scale)
+    patterns, k = [p for p, _ in terms], len(terms)
+
+    def flux(parts):   # (n_theta, k): scale times each term's reaction flux
+        return np.stack([scale * np.asarray(f(*parts), dtype=float) for f in rows[:k]], axis=1)
+
+    # the first update, from the state at t, solves C xi = scale F(s) + c (s_y - s)
+    rho = -flux(s) - np.stack([_flux(c, s_y - s) for _, c in terms], axis=1)
+    xi = np.zeros((mesh.n_theta // 2 + 1, k), complex)
+    for iteration in range(1, max_newton + 1):
+        xi -= system._capacitance(rho, terms, "Newton step")
+        # W xi on the slot rings and xi itself, by one inverse FFT
+        both = np.fft.irfft(np.concatenate([system.correction(xi, patterns, _SLOT_RINGS), xi],
+                                           axis=1), n=mesh.n_theta, axis=0)
+        s = s_y - both[:, :3].T
+        rho = both[:, 3:] - flux(s)
+        history.append(scaled(rho, s))
+        if history[-1] <= 2.0 * newton_tol:   # rebuild x and test its full residual
+            x = y - system._field(system.correction(xi, patterns))
+            resid, parts = system.apply(x) - base, [x[at] for at in slots]
+            for at, f in zip(slots, rows):
+                resid[at] += scale * np.asarray(f(*parts), dtype=float)
+            if scaled(resid, x) < newton_tol:
+                out = State(t1, x[: mesh.n_bulk], parts[1], parts[2])
+                return (out, {"iterations": iteration, "residuals": history}) if return_info else out
+        terms = _reaction_terms(spec, *s, scale, exchange=k == 1)
     raise NewtonDivergence(
         f"Newton did not reach {newton_tol:g} in {max_newton} iterations at t = {t1:g} "
         f"(last residual {history[-1]:.3e})", history)
@@ -860,6 +905,15 @@ class RunResult:
     records: list
     equilibrium: object
     snapshots: list
+    steps: int = 0
+    newton_total: int = 0   # Newton solves over the run, 0 for IMEX
+    newton_max: int = 0     # the most in one step
+
+
+def relative_drift(first, record):
+    """Relative drifts of (m1, m2) from the record first to record."""
+    return tuple(abs(b - a) / max(abs(a), 1e-300)
+                 for a, b in ((first.m1, record.m1), (first.m2, record.m2)))
 
 
 def initial_state(cfg, geom: EvolvingGeometry, mesh: ReferenceMesh,
@@ -869,15 +923,16 @@ def initial_state(cfg, geom: EvolvingGeometry, mesh: ReferenceMesh,
     from .equilibrium import solve_equilibrium
 
     ic = cfg.ic
+    length = float(np.sum(mesh.surf_ref_measures))
     if ic.profile == "uniform":
-        return State(0.0,
-                     np.full(mesh.n_bulk, ic.u0),
-                     np.full(mesh.n_surf, ic.w0),
-                     np.full(mesh.n_surf, ic.z0))
-    if ic.profile == "perturbed_equilibrium":
+        state = State(0.0, np.full(mesh.n_bulk, ic.u0), np.full(mesh.n_surf, ic.w0),
+                      np.full(mesh.n_surf, ic.z0))
+    elif ic.profile == "perturbed_equilibrium":
+        # checked before the equilibrium is solved: w and z stay below m2 / length,
+        # and the perturbation at most doubles them
+        _check_surface_scale(2.0 * ic.m2 / length, length, mesh, params, cfg.time.dt)
         area0 = float(np.sum(mesh.bulk_ref_measures))
-        len0 = float(np.sum(mesh.surf_ref_measures))
-        eq = solve_equilibrium(ic.m1, ic.m2, area0, len0, params, cfg.model.equilibrium_mode)
+        eq = solve_equilibrium(ic.m1, ic.m2, area0, length, params, cfg.model.equilibrium_mode)
         th = mesh.theta_centers
         mode = ic.mode
         span = mesh.r_outer0 - mesh.r_inner0
@@ -885,11 +940,29 @@ def initial_state(cfg, geom: EvolvingGeometry, mesh: ReferenceMesh,
         u = eq.u_inf * (1.0 + ic.amplitude * np.cos(mode * mesh.cell_theta) * psi)
         w = eq.w_inf * (1.0 - ic.amplitude * np.cos(mode * th))
         z = eq.z_inf * (1.0 + ic.amplitude * np.sin(mode * th))
-        return State(0.0, u, w, z)
-    if ic.profile == "file":
-        u, w, z = _config.load_fields_file(ic.path, mesh.n_r, mesh.n_theta)
-        return State(0.0, u, w, z)
-    raise ValueError(f"unknown initial-condition profile {ic.profile!r}")
+        state = State(0.0, u, w, z)
+    elif ic.profile == "file":
+        state = State(0.0, *_config.load_fields_file(ic.path, mesh.n_r, mesh.n_theta))
+    else:
+        raise ValueError(f"unknown initial-condition profile {ic.profile!r}")
+    _check_surface_scale(float(max(np.max(state.w_hat), np.max(state.z_hat))), length, mesh,
+                         params, cfg.time.dt)
+    return state
+
+
+def _check_surface_scale(density, length, mesh, params, dt):
+    """The surface rows of a step hold a density times dt delta / arc (see
+    _FourierSolve.apply), four such products in a row: past a sixteenth of
+    the float range the step would overflow.  The coupling grows like
+    1 / r_inner0, and so does a density made from a surface mass."""
+    arc = length / mesh.n_theta
+    delta = max(params.delta_gamma, params.delta_gamma_prime)
+    product = density * (dt * delta / arc) if arc > 0.0 else math.inf
+    if not product <= sys.float_info.max / 16.0:
+        raise ValidationError(
+            f"{mesh.r_inner0:g} is too small for the initial state: its surface density "
+            f"{density:.3g} times the step's coupling dt delta / arc is {product:.3g}, above a "
+            "sixteenth of the float range", key="geometry.r_inner0")
 
 
 def run(cfg, on_record=None, on_snapshot=None) -> RunResult:
@@ -897,7 +970,9 @@ def run(cfg, on_record=None, on_snapshot=None) -> RunResult:
 
     Deterministic for a fixed config.  Steps use the configured stepper with
     either the fixed dt or a CFL-adaptive dt (safety factor 0.9, capped by
-    the configured dt); every output time is hit exactly.
+    the configured dt); every output time is hit exactly.  A record whose
+    m1 or m2 drifts from the first by more than MAX_DRIFT, relative, ends
+    the run with ConservationDrift, after it is emitted.
     """
     from .diagnostics import make_record
     from .equilibrium import conserved_masses, solve_equilibrium
@@ -922,6 +997,17 @@ def run(cfg, on_record=None, on_snapshot=None) -> RunResult:
     # snapshots go to the callback when one is given; otherwise they are
     # retained on the result (if enabled at all)
     retain = cfg.output.snapshots and on_snapshot is None
+    tcfg = cfg.time
+    steps, newton = 0, [0, 0]   # Newton solves: total, most in one step
+
+    def result():
+        return RunResult(state, records, eq, snapshots, steps, *newton)
+
+    def implicit(state, dt):
+        state, info = step_implicit(state, dt, geom, mesh, params, spec, return_info=True)
+        newton[0] += info["iterations"]
+        newton[1] = max(newton[1], info["iterations"])
+        return state
 
     def emit(index):
         rec = make_record(state, geom, mesh, params, eq)
@@ -939,11 +1025,15 @@ def run(cfg, on_record=None, on_snapshot=None) -> RunResult:
                     on_snapshot(name, index, state.t, grid)
                 else:
                     snapshots.append(Snapshot(name, index, state.t, grid))
+        drift = relative_drift(records[0], rec)
+        if max(drift) > MAX_DRIFT:
+            raise ConservationDrift(
+                f"step {steps} at t = {state.t:g}: relative drift of m1 {drift[0]:.3e}, "
+                f"m2 {drift[1]:.3e}, above {MAX_DRIFT:g}")
 
     emit(0)
-    tcfg = cfg.time
     if tcfg.t_final <= 0.0:
-        return RunResult(state, records, eq, snapshots)
+        return result()
 
     n_out = int(round(tcfg.t_final / tcfg.output_interval))
     if not tcfg.cfl:
@@ -952,16 +1042,15 @@ def run(cfg, on_record=None, on_snapshot=None) -> RunResult:
         if tcfg.stepper == "imex":
             advance = ImexStepper(geom, mesh, params, spec, tcfg.dt).step
         else:
-            advance = functools.partial(step_implicit, dt=tcfg.dt, geom=geom, mesh=mesh,
-                                        params=params, spec=spec)
+            advance = functools.partial(implicit, dt=tcfg.dt)
         for out_idx in range(1, n_out + 1):
             for _ in range(per_interval):
                 state = advance(state)
+                steps += 1
             state.t = out_idx * tcfg.output_interval  # kill time roundoff
             emit(out_idx)
-        return RunResult(state, records, eq, snapshots)
+        return result()
 
-    steps = 0
     for out_idx in range(1, n_out + 1):
         t_target = out_idx * tcfg.output_interval
         while state.t < t_target - 1e-12:
@@ -979,8 +1068,8 @@ def run(cfg, on_record=None, on_snapshot=None) -> RunResult:
             if tcfg.stepper == "imex":
                 state = step_imex(state, dt, geom, mesh, params, spec, check_cfl=False, q=q)
             else:
-                state = step_implicit(state, dt, geom, mesh, params, spec)
+                state = implicit(state, dt)
             steps += 1
         state.t = t_target
         emit(out_idx)
-    return RunResult(state, records, eq, snapshots)
+    return result()

@@ -13,7 +13,8 @@ from bulksurf import diagnostics as diag_mod
 from bulksurf import solver as solver_mod
 from bulksurf.config import (MAX_CELLS, MAX_STEPS, format_snapshot, load_fields_file,
                              parse_config)
-from bulksurf.errors import CflViolation, NonfiniteField, ParseError, ValidationError
+from bulksurf.errors import (CflViolation, ConservationDrift, NonfiniteField, ParseError,
+                             ValidationError)
 from bulksurf.geometry import GeometryKind
 from bulksurf.solver import run
 
@@ -222,6 +223,45 @@ class TestRunDriver:
         assert res_impl.records[-1].entropy == pytest.approx(
             res_imex.records[-1].entropy, rel=0.05, abs=1e-8)
 
+    @pytest.mark.parametrize("cfl", ["false", "true"])
+    def test_steps_and_newton_solves_on_the_result(self, cfl, monkeypatch):
+        solves, step = [], solver_mod.step_implicit
+
+        def counted(*args, **kwargs):
+            state, info = step(*args, **kwargs)
+            solves.append(info["iterations"])
+            return state, info
+
+        monkeypatch.setattr(solver_mod, "step_implicit", counted)
+        text = SMALL_RUN + f"time.cfl = {cfl}\nmodel.delta_k = 0.05\n"
+        res = run(parse_config(text + "time.stepper = implicit\n"))
+        assert res.steps == len(solves) >= 10
+        assert (res.newton_total, res.newton_max) == (sum(solves), max(solves))
+        assert min(solves) >= 1
+        res = run(parse_config(text))
+        assert res.steps >= 10 and (res.newton_total, res.newton_max) == (0, 0)
+
+    def test_drift_past_the_guard_stops_the_run(self, tmp_path, capsys):
+        """IMEX on fixed with delta_Omega = 1e10 (64 x 128, dt 0.01) drifts m1
+        by about 6e-5 in ten steps: the record at t = 0.1 is written, then the
+        run exits 2 naming the step, t and both drifts."""
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text("model.delta_omega = 1e10\ntime.dt = 0.01\ntime.t_final = 0.2\n"
+                            f"ic.profile = perturbed_equilibrium\noutput.directory = {tmp_path}/out\n")
+        assert cli.main(["run", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure (ConservationDrift): step 10 at t = 0.1: "
+                              "relative drift of m1 ")
+        drifts = err.split("m1 ")[1].split(", above")[0].split(", m2 ")
+        assert float(drifts[0]) > solver_mod.MAX_DRIFT >= float(drifts[1])
+        lines = (tmp_path / "out" / "diagnostics.csv").read_text().strip().splitlines()
+        assert len(lines) == 3 and lines[2].startswith("0.1")
+
+    def test_guard_reads_every_record(self, monkeypatch):
+        monkeypatch.setattr(solver_mod, "MAX_DRIFT", -1.0)
+        with pytest.raises(ConservationDrift, match="step 0 at t = 0: "):
+            run(parse_config(SMALL_RUN))
+
 
 def field_file_text(fault):
     """A 4 x 8 field file for `ic.path`, with one fault (or none)."""
@@ -402,6 +442,17 @@ class TestCli:
         assert (tmp_path / "out" / "report.txt").exists()
         first = (tmp_path / "out" / "snapshots" / "u_000001.txt").read_text()
         assert first.startswith("# t=0.1") and "n_r=8" in first
+
+    def test_report_counts_steps_and_newton_solves(self, tmp_path):
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(SMALL_RUN + "time.stepper = implicit\noutput.snapshots = false\n"
+                            f"output.directory = {tmp_path}/out\n")
+        assert cli.main(["run", str(cfg_path)]) == 0
+        res = run(parse_config(cfg_path.read_text()))
+        report = (tmp_path / "out" / "report.txt").read_text().splitlines()
+        assert report[1] == (f"steps: 10, Newton solves: {res.newton_total} "
+                             f"(at most {res.newton_max} in a step)")
+        assert res.newton_total >= 10
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg_path = tmp_path / "c.cfg"

@@ -452,16 +452,17 @@ def jacobian_rows(spec, u_tr, w, z, eps=1e-7):
     return rows
 
 
-def superlu_newton_step(st, dt, geom, mesh, params, spec, tol=1e-11):
-    """The plain backward-Euler step: Newton with every linear system, the
-    full reaction Jacobian included, assembled as one sparse matrix and
-    solved by SuperLU.  Returns the state and the Newton iteration count."""
+def superlu_newton_step(st, dt, geom, mesh, params, spec, tol=1e-11, sources=None):
+    """The plain backward-Euler step: Newton on the whole field with every
+    linear system, the full reaction Jacobian included, assembled as one
+    sparse matrix and solved by SuperLU.  Returns the state and the Newton
+    iteration count."""
     t1 = st.t + dt
     ops = assemble_operators(geom, mesh, params, t1)
     nb, ns, arcs = mesh.n_bulk, mesh.n_surf, ops.surf_measures
     slots = (slice(0, ns), slice(nb, nb + ns), slice(nb + ns, None))
     m0 = (moving_bulk_measures(mesh, geom, st.t), moving_surface_measures(mesh, geom, st.t))
-    base = _mass_rhs(st, dt, mesh, m0, (ops.bulk_measures, arcs), None)
+    base = _mass_rhs(st, dt, mesh, m0, (ops.bulk_measures, arcs), sources)
     fixed = step_matrix_reference(ops, dt, surface_advection_matrix(geom, mesh, t1)
                                   if geom.surface_slip_active else 0.0).tocsr()
     row_norm = float(np.max(abs(fixed).sum(axis=1)))
@@ -729,6 +730,119 @@ class TestNewtonFourier:
             assert_same_state(st, ref)
             assert info["iterations"] == ref_iters >= 1
             assert newest_solve().dt == dt
+
+
+class TestSlotNewton:
+    """Newton on the surface slots (the bulk eliminated) against the plain
+    Newton on the whole field, on the paths test_matches_superlu leaves
+    implicit: injected sources, one slot flux per row, complex responses."""
+
+    @pytest.mark.parametrize("kind", ["fixed", "rotation"])
+    def test_sources_match_superlu(self, kind):
+        geom = preset_geometry(kind)
+        mesh = build_mesh(6, 16, 1.0, 2.0)
+        params = ModelParams(**solver.MMS_DEFAULT_PARAMS)
+        spec = MassAction(params)
+        sources = solver.MMS_CASES["sinusoidal"](params, 1.0, 2.0).sources
+        st = random_state(mesh, seed=6)
+        for _ in range(3):
+            ref, ref_iters = superlu_newton_step(st, 0.02, geom, mesh, params, spec,
+                                                 sources=sources)
+            st, info = step_implicit(st, 0.02, geom, mesh, params, spec, sources=sources,
+                                     return_info=True)
+            assert_same_state(st, ref)
+            assert info["iterations"] == ref_iters >= 1
+
+    def test_implicit_manufactured_solutions(self):
+        errs = manufactured_solution_error("constant", 8, 16, 0.01, 0.1, stepper="implicit")
+        assert max(errs) <= 1e-10
+        e1 = manufactured_solution_error("sinusoidal", 16, 32, 4e-3, 0.04, stepper="implicit")
+        e2 = manufactured_solution_error("sinusoidal", 32, 64, 1e-3, 0.04, stepper="implicit")
+        for a, b in zip(e1, e2):
+            assert a / b >= 3.6
+
+    @pytest.mark.parametrize("kind,reaction,columns,dtype", [
+        ("rotation", "recycling", 3, float), ("surface_wind", "mass_action", 1, complex),
+        ("clockwise_wind", "recycling", 3, complex)])
+    def test_slot_columns_and_responses(self, kind, reaction, columns, dtype, monkeypatch):
+        """Recycling iterates on three slot fluxes, one per row; the wind's
+        upwind step matrix gives complex slot responses."""
+        shapes, capacitance = [], solver._FourierSolve._capacitance
+
+        def recording(self, r, terms, what):
+            shapes.append((r.shape, len(terms), self._response(terms[0][0]).dtype))
+            return capacitance(self, r, terms, what)
+
+        monkeypatch.setattr(solver._FourierSolve, "_capacitance", recording)
+        geom = preset_geometry(kind)
+        mesh = build_mesh(6, 17, 1.0, 2.0)
+        params = ModelParams(1.0, 0.7, 1.3, 1.0, 1.0)
+        spec = reaction_spec(reaction, params)
+        st = random_state(mesh, seed=8)
+        ref, ref_iters = superlu_newton_step(st, 0.02, geom, mesh, params, spec)
+        got, info = step_implicit(st, 0.02, geom, mesh, params, spec, return_info=True)
+        assert_same_state(got, ref)
+        assert info["iterations"] == ref_iters == len(shapes)
+        assert set(shapes) == {((17, columns), columns, np.dtype(dtype))}
+
+    def test_failed_full_check_takes_another_iteration(self, monkeypatch):
+        """A rebuilt state whose full residual fails is not returned: the
+        iteration goes on, and the state it returns agrees with the plain
+        Newton, one iteration later."""
+        geom, mesh, params, spec = make("rotation", omega=1.0, delta=0.5)
+        st = random_state(mesh, seed=9)
+        ref, ref_iters = superlu_newton_step(st, 0.02, geom, mesh, params, spec)
+        calls, field = [], solver._FourierSolve._field
+
+        def spoiled(self, modes):   # call 1 is y, call 2 the first rebuilt state
+            x = field(self, modes)
+            calls.append(1)
+            if len(calls) == 2:
+                x[0] += 1e-6
+            return x
+
+        monkeypatch.setattr(solver._FourierSolve, "_field", spoiled)
+        got, info = step_implicit(st, 0.02, geom, mesh, params, spec, return_info=True)
+        assert_same_state(got, ref)
+        assert info["iterations"] == ref_iters + 1 and len(calls) == 3
+
+    @pytest.mark.parametrize("reaction,cap", [("mass_action", 12), ("recycling", 36)])
+    def test_capacitance_failure_names_its_iterations(self, reaction, cap, monkeypatch):
+        """A capacitance GMRES that fails inside Newton raises, naming its cap
+        of one iteration per slot and term (n_theta = 12)."""
+        geom, mesh, params, _ = make(n=6)
+        spec = reaction_spec(reaction, params)
+        monkeypatch.setattr(solver, "_gmres", lambda apply, rhs, target, cap: (None, cap))
+        with pytest.raises(LinearSolveFailure, match=f"Newton step: capacitance GMRES did not "
+                                                     f"reach relative residual 1e-12 in {cap} "
+                                                     "iterations"):
+            step_implicit(random_state(mesh, seed=5), 0.01, geom, mesh, params, spec)
+
+    def test_divergence_carries_each_slot_residual(self):
+        geom, mesh, params, spec = make()
+        with pytest.raises(NewtonDivergence) as exc:
+            step_implicit(random_state(mesh, seed=2), 0.1, geom, mesh, params, spec,
+                          newton_tol=1e-30, max_newton=3)
+        history = exc.value.residual_history
+        assert len(history) == 3 and all(0.0 <= h < math.inf for h in history)
+        assert history[0] > history[1] > history[2]
+
+    def test_breathing_fast_bulk_diffusion_holds_m2(self):
+        """Implicit steps on breathing with delta_Omega = 1e8 (64 x 128, dt
+        0.01 to t = 0.2): one slot flux feeds every row, so m2 holds to
+        roundoff (it drifted 4.1e-2 with Newton on the whole field)."""
+        cfg = parse_config("geometry.kind = breathing\ngeometry.omega = 1\n"
+                           "geometry.amplitude = 0.3\nmodel.delta_omega = 1e8\n"
+                           "ic.profile = perturbed_equilibrium\n")
+        geom = build_geometry(cfg.geometry)
+        mesh = build_mesh(64, 128, 1.0, 2.0)
+        params, spec = cfg.model.params, cfg.model.make_nonlinearity()
+        st = solver.initial_state(cfg, geom, mesh, params)
+        before = conserved_masses(st, geom, mesh)
+        for _ in range(20):
+            st = step_implicit(st, 0.01, geom, mesh, params, spec)
+        after = conserved_masses(st, geom, mesh)
+        assert abs(after[1] - before[1]) <= 1e-12 * before[1]
 
 
 def check_one_solve_per_key(kind, stepper, cfl, monkeypatch):

@@ -134,13 +134,20 @@ def test_bad_flag_exits_one_naming_it(argv, flag, tmp_path, capsys):
 
 # (command, config text past a 4 x 8 mesh, key at fault): a mass that is
 # not positive is known only once the initial state is; an area that
-# overflows is caught before any mesh overflows
+# overflows is caught before any mesh overflows.  A step's surface rows hold
+# a density times dt delta / arc: from ic.m2 = 10 the equilibrium density
+# grows like 1 / r_inner0 as the coupling does, and at 5e-324 the coupling
+# alone overflows
 RUN_FAULTS = [
     ("run", "ic.u0 = 0\nic.w0 = 0\nic.z0 = 0\n", "ic.u0/ic.z0"),
     ("run", "ic.w0 = 0\nic.z0 = 0\n", "ic.w0/ic.z0"),
     ("probe", "ic.m1 = -1\nprobe.n_samples = 3\n", "ic.m1"),
     ("run", "geometry.r_outer0 = 1e300\n", "geometry.r_outer0"),
-]
+] + [("run", f"geometry.r_inner0 = {radius}\nic.profile = {profile}\ntime.stepper = {stepper}\n",
+      "geometry.r_inner0")
+     for radius, profile in (("1e-200", "perturbed_equilibrium"), ("1e-300", "perturbed_equilibrium"),
+                             ("5e-324", "perturbed_equilibrium"), ("5e-324", "uniform"))
+     for stepper in ("imex", "implicit")]
 
 
 @pytest.mark.filterwarnings("error")
@@ -185,6 +192,21 @@ def test_tiny_inner_radius_runs_to_the_end(stepper, tmp_path, capsys):
     cfg_path = tmp_path / "c.cfg"
     cfg_path.write_text(f"mesh.n_r = 4\nmesh.n_theta = 8\ngeometry.r_inner0 = 1e-300\n"
                         f"time.stepper = {stepper}\noutput.directory = {tmp_path}/out\n")
+    assert cli.main(["run", str(cfg_path)]) == 0
+    drift = capsys.readouterr().out.split("drift=(")[1].split(")")[0]
+    assert max(float(v) for v in drift.split(",")) <= 1e-12
+
+
+@pytest.mark.parametrize("stepper", ["imex", "implicit"])
+def test_small_inner_radius_under_a_perturbed_equilibrium_holds_the_masses(stepper, tmp_path,
+                                                                            capsys):
+    """At r_inner0 = 1e-100 the surface densities are near 1e100 and the bulk
+    near 1: both steppers run to the end with the masses held (Newton on the
+    whole field drifted m1 by 1.4e-5 here)."""
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(f"mesh.n_r = 4\nmesh.n_theta = 8\ngeometry.r_inner0 = 1e-100\n"
+                        f"ic.profile = perturbed_equilibrium\ntime.stepper = {stepper}\n"
+                        f"output.directory = {tmp_path}/out\n")
     assert cli.main(["run", str(cfg_path)]) == 0
     drift = capsys.readouterr().out.split("drift=(")[1].split(")")[0]
     assert max(float(v) for v in drift.split(",")) <= 1e-12
