@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import sys
 
@@ -289,6 +290,7 @@ def _cmd_transport_check(args) -> int:
     return 0
 
 
+@functools.cache  # built once per process; main only reads it
 def _build_parser() -> _Parser:
     parser = _Parser(prog="bulksurf", description=__doc__)
     parser.set_defaults(flags=None)  # owner key -> flag where not --<key>; None: config keys

@@ -424,13 +424,31 @@ def _place(rows, digits, e10):
 
 
 def _parse_blocks(text: str):
-    """Blocks of a field file by name; a malformed file raises ParseError."""
-    blocks, lines, i = {}, text.splitlines(), 0
+    """Blocks of a field file by name; a malformed file raises ParseError.
+
+    The values of all blocks are read together by `_read_grids`, in
+    vectorized passes, each bit for bit as float() reads it.  A file it
+    cannot read -- a bad header, ragged, blank or non-numeric rows -- is read
+    again block by block and row by row, which raises at the line at fault.
+    """
+    lines = text.splitlines()
+    try:
+        found = list(_block_rows(lines))
+        grids = _read_grids([lines[i:i + n_r] for _, i, n_r in found])
+    except ParseError:
+        grids = None
+    if grids is None:
+        return {name: _rows_one_by_one(lines, i, n_r) for name, i, n_r in _block_rows(lines)}
+    return {name: grid for (name, _, _), grid in zip(found, grids)}
+
+
+def _block_rows(lines):
+    """Yield (name, index of the first row, row count) of each block."""
+    i = 0
     while i < len(lines):
         line, i = lines[i].strip(), i + 1
         if not line:
             continue
-        at = i  # the 1-based line at fault, if any
         try:
             if not line.startswith("#"):
                 raise ValueError("expected a header '# field=<name> n_r=<rows> ...'")
@@ -438,21 +456,241 @@ def _parse_blocks(text: str):
             name, n_r = header["field"], int(header["n_r"])
             if not 0 <= n_r <= len(lines) - i:
                 raise ValueError(f"block {name!r} needs n_r = {n_r} rows, {len(lines) - i} follow")
-            rows = []
-            for at, row in enumerate(lines[i:i + n_r], start=i + 1):
-                rows.append([float(v) for v in row.split(",")])
-                if len(rows[-1]) != len(rows[0]):
-                    raise ValueError(f"{len(rows[-1])} values in a row, {len(rows[0])} in the first")
-            blocks[name] = np.array(rows, dtype=float)
         except (KeyError, ValueError) as exc:
-            raise ParseError(f"line {at}: {type(exc).__name__}: {exc}", line=at) from exc
+            raise ParseError(f"line {i}: {type(exc).__name__}: {exc}", line=i) from exc
+        yield name, i, n_r
         i += n_r
-    return blocks
+
+
+def _rows_one_by_one(lines, i, n_r):
+    """The block of n_r rows from lines[i], one float() at a time."""
+    rows = []
+    for at, row in enumerate(lines[i:i + n_r], start=i + 1):
+        try:
+            rows.append([float(v) for v in row.split(",")])
+            if len(rows[-1]) != len(rows[0]):
+                raise ValueError(f"{len(rows[-1])} values in a row, {len(rows[0])} in the first")
+        except ValueError as exc:
+            raise ParseError(f"line {at}: {type(exc).__name__}: {exc}", line=at) from exc
+    return np.array(rows, dtype=float)
+
+
+# A value in the fast grammar, -?D+(.D*)?([eE][+-]?D{1,8})? with at most 23
+# mantissa digits, is read as M 10^q with the M of its digits below 10^19.
+# The digits sit right-aligned in a window of three little-endian uint64
+# words, the integer digits moved one byte right over the point; a word
+# of 8 ASCII digits becomes its value in three multiply-shift steps (SWAR).
+# M 10^q is then rounded to the nearest double by Clinger's fast path (M <=
+# 2^53, |q| <= 22: one IEEE multiply or divide by an exact power of ten) or by
+# Eisel-Lemire's truncated 128-bit product, which for M < 10^19 always decides
+# (Mushtak and Lemire, Softw. Pract. Exp. 2023) but for subnormal or
+# overflowing results, left to float().  So is every token outside the grammar.
+_PASS = 4096      # tokens per pass: its (n, 3) word arrays, 96 KB, stay in cache
+_PAD = b"\0" * 24  # before and after the tokens, so that every window is in bounds
+# Tables from Python arithmetic, not numpy's: numpy operations at import
+# raised the peak memory of runs that read no field file by about 0.3 MB.
+_DOWN = np.array([10.0 ** max(-q, 0) for q in range(-22, 23)])  # 10^-q for q in [-22, 0), else 1
+_UP = np.array([10.0 ** max(q, 0) for q in range(-22, 23)])     # 10^q for q in (0, 22], else 1
+# row a: the three words with the bytes of columns a..23 set, for 0 <= a <= 24
+_BYTE_ROWS = [[sum(0xFF << 8 * b for b in range(8) if 8 * k + b >= a) for k in range(3)]
+              for a in range(25)]
+_DIGIT_BYTES, _HIGH, _ZERO, _LOW = (
+    np.array([[word & part for word in row] for row in _BYTE_ROWS], np.uint64)
+    for part in (2**64 - 1, 0xF0F0F0F0F0F0F0F0, 0x3030303030303030, 0x0F0F0F0F0F0F0F0F))
+_U64 = np.uint64
+
+
+@functools.cache  # built on first use: runs without a field file never pay for it
+def _powers_of_five():
+    """(high, low) uint64 words of 5^q, q in [-342, 308], normalized to 128
+    bits and truncated; negative powers rounded up first (fast_float's table)."""
+    table = []
+    for q in range(-342, 309):
+        p = 5 ** abs(q)
+        if q >= 0:
+            c = p << 128 >> p.bit_length()
+        elif q >= -27:
+            c = (1 << (p.bit_length() + 127)) // p + 1
+        else:
+            c = (1 << (2 * p.bit_length() + 128)) // p + 1
+            c >>= c.bit_length() - 128
+        table.append((c >> 64, c & (2**64 - 1)))
+    return np.array(table, np.uint64).T.copy()
+
+
+def _read_grids(blocks):
+    """For each list of rows, a (rows, n) array of its values, n per row,
+    each as float() reads it; None if a block's rows differ in length or
+    float() rejects a value."""
+    rows = [row for block in blocks for row in block]
+    try:
+        data = b",".join([_PAD, *[row.encode("ascii") for row in rows], _PAD])
+    except UnicodeEncodeError:  # float() reads digits beyond ASCII too: one by one
+        return None
+    buf = np.frombuffer(data, np.uint8)
+    seps = np.flatnonzero(buf == ord(","))
+    row_ends = np.searchsorted(seps, np.cumsum([len(_PAD)] + [len(row) + 1 for row in rows]))
+    windows = np.lib.stride_tricks.sliding_window_view(buf, 24)
+    exponents = b"e" in data or b"E" in data
+    values = np.empty(seps.size - 1)  # value j lies between separators j and j + 1
+    for k in range(0, values.size, _PASS):
+        at = seps[k:k + _PASS + 1]
+        values[k:k + _PASS], undecided = _read_pass(buf, windows, at[:-1] + 1, at[1:], exponents)
+        for j in k + np.flatnonzero(undecided):
+            try:
+                values[j] = float(data[seps[j] + 1:seps[j + 1]])
+            except ValueError:
+                return None
+    grids, first = [], 0
+    for block in blocks:
+        ends_here = row_ends[first:first + len(block) + 1]
+        n_cols = np.diff(ends_here)
+        if n_cols.size and n_cols.min() != n_cols.max():
+            return None
+        grids.append(values[ends_here[0]:ends_here[-1]].reshape(len(block), -1) if block else np.empty(0))
+        first += len(block)
+    return grids
+
+
+def _read_pass(buf, windows, starts, ends, exponents):
+    """Doubles of the tokens buf[starts:ends] and a mask of those left to
+    float(); `exponents` says whether an 'e' or 'E' may occur."""
+    n = starts.size
+    seg = buf[starts[0]:ends[-1]]
+    odd = np.zeros(n, bool)  # outside the fast grammar, or undecided
+    mant_end, exp10 = ends, np.zeros(n, np.int64)
+    e_at = starts[0] + np.flatnonzero((seg | 0x20) == ord("e")) if exponents else ends[:0]
+    if e_at.size:
+        tok = np.searchsorted(starts, e_at, "right") - 1
+        odd |= np.bincount(tok, minlength=n) > 1
+        mant_end = ends.copy()
+        mant_end[tok] = e_at
+        exp10[tok], odd_exp = _exponents(buf, windows, e_at, ends[tok])
+        odd[tok] |= odd_exp
+    dot_at = starts[0] + np.flatnonzero(seg == ord("."))
+    if dot_at.size == n and np.all((dot_at >= starts) & (dot_at < ends)):
+        dot = dot_at  # one point in every token
+    else:
+        tok = np.searchsorted(starts, dot_at, "right") - 1
+        odd |= np.bincount(tok, minlength=n) > 1
+        dot = mant_end.copy()  # no point: as if one followed the digits
+        dot[tok] = dot_at
+    neg = buf[starts] == ord("-")
+    n_int = dot - starts - neg
+    n_frac = np.maximum(mant_end - dot - 1, 0)
+    odd |= (n_int < 1) | (n_int + n_frac > 23) | (dot > mant_end)
+
+    # the 24 bytes up to the last digit: the fraction in place, the integer
+    # digits taken one byte further left, so that the point drops out
+    words = windows[dot + n_frac - 23].view("<u8")
+    shifted = words << _U64(8)
+    shifted.ravel()[1:] |= words.ravel()[:-1] >> _U64(56)
+    words ^= shifted
+    words &= _DIGIT_BYTES.take(24 - n_frac, axis=0, mode="clip")
+    words ^= shifted
+    v, not_digits = _digits(words, np.where(odd, 24, 24 - n_frac - n_int))
+    odd |= ((not_digits[:, 0] | not_digits[:, 1] | not_digits[:, 2]) != 0) | (v[:, 0] >= 1000)
+    m = v[:, 0] * _U64(10**16) + v[:, 1] * _U64(10**8) + v[:, 2]
+    q = exp10 - n_frac
+
+    values = m.astype(float)  # exact where m <= 2^53; one rounding below
+    values /= _DOWN.take(q + 22, mode="clip")
+    if e_at.size:
+        values *= _UP.take(q + 22, mode="clip")
+        odd |= (q < -342) | (q > 308)  # 0 or inf
+    slow = np.flatnonzero(((m > _U64(2**53)) | (q < -22) | (q > 22)) & (m != 0) & ~odd)
+    if slow.size:
+        bits, undecided = _eisel_lemire(m[slow], q[slow])
+        values[slow] = bits.view(float)
+        odd[slow] |= undecided
+    np.negative(values, out=values, where=neg)
+    return values, odd
+
+
+def _exponents(buf, windows, e_at, ends):
+    """Decimal exponents after the 'e' at e_at, and a mask of malformed ones."""
+    sign = buf[e_at + 1]
+    n_digits = ends - e_at - 1 - ((sign == ord("+")) | (sign == ord("-")))
+    ok = (n_digits >= 1) & (n_digits <= 8)
+    v, not_digits = _digits(windows[ends - 24].view("<u8"), np.where(ok, 24 - n_digits, 24))
+    v = v[:, 2].astype(np.int64)
+    return np.where(sign == ord("-"), -v, v), ~ok | (not_digits[:, 2] != 0)
+
+
+def _digits(words, first):
+    """Values of (n, 3) words of ASCII digits from column `first` on, less
+    significant to the right, the bytes before read as 0; and per word, nonzero
+    where a byte from `first` on is not a digit.  Overwrites `words`."""
+    not_digits = words + _U64(0x0606060606060606)  # a digit keeps its high nibble 3
+    not_digits &= words
+    not_digits &= _HIGH.take(first, axis=0)
+    not_digits ^= _ZERO.take(first, axis=0)
+    words &= _LOW.take(first, axis=0)  # each lane below: 10^k times itself plus the next lane
+    words *= _U64(2561)
+    words >>= _U64(8)
+    words &= _U64(0x00FF00FF00FF00FF)
+    words *= _U64(6553601)
+    words >>= _U64(16)
+    words &= _U64(0x0000FFFF0000FFFF)
+    words *= _U64(42949672960001)
+    words >>= _U64(32)
+    return words, not_digits
+
+
+def _mul_high(a, b):
+    """The high 64 bits of the 128-bit products a b of uint64 arrays, from
+    32-bit halves (Warren, Hacker's Delight, mulhu)."""
+    a0, a1 = a & _U64(0xFFFFFFFF), a >> _U64(32)
+    b0, b1 = b & _U64(0xFFFFFFFF), b >> _U64(32)
+    t = a1 * b0 + ((a0 * b0) >> _U64(32))
+    return a1 * b1 + (t >> _U64(32)) + ((a0 * b1 + (t & _U64(0xFFFFFFFF))) >> _U64(32))
+
+
+def _eisel_lemire(w, q):
+    """Bits of the doubles nearest w 10^q, for 0 < w < 10^19 and -342 <= q <=
+    308, and a mask of those left undecided: subnormal or infinite results.
+
+    fast_float's compute_float (Lemire, Softw. Pract. Exp. 51, 2021): the
+    normalized w times the truncated 128-bit 5^q, the second limb only where
+    the first leaves the low nine bits of the top word all ones, and ties to
+    even only where 5^q is exact (-4 <= q <= 23) and the dropped bits are zero.
+    """
+    e = np.frexp(w.astype(float))[1]  # bit length, or one more where w rounds up
+    lz = 64 - e + ((w >> (e - 1).astype(np.uint64)) == 0)
+    w = w << lz.astype(np.uint64)
+    hi5, lo5 = _powers_of_five()
+    k = q + 342
+    p = hi5[k]
+    hi, lo = _mul_high(w, p), w * p
+    wide = np.flatnonzero((hi & _U64(0x1FF)) == _U64(0x1FF))
+    if wide.size:
+        low = lo[wide] + _mul_high(w[wide], lo5[k[wide]])
+        hi[wide] += low < lo[wide]
+        lo[wide] = low
+    upper = hi >> _U64(63)
+    m = hi >> (upper + _U64(9))  # 54 or 55 bits: the mantissa and a rounding bit
+    power2 = ((217706 * q) >> 16) + 1086 - lz + upper.astype(np.int64)
+    tie = np.flatnonzero(lo <= _U64(1))
+    if tie.size:
+        mt, qt = m[tie], q[tie]
+        exact = (qt >= -4) & (qt <= 23) & ((mt & _U64(3)) == _U64(1))
+        mt &= ~(exact & ((mt << (upper[tie] + _U64(9))) == hi[tie])).astype(np.uint64)
+        m[tie] = mt
+    undecided = power2 <= 0
+    m = (m + (m & _U64(1))) >> _U64(1)
+    carry = m >> _U64(53)
+    power2 += carry.astype(np.int64)
+    m >>= carry
+    undecided |= power2 >= 0x7FF
+    return (power2.astype(np.uint64) << _U64(52)) | (m & _U64(2**52 - 1)), undecided
 
 
 def load_fields_file(path: str, n_r: int, n_theta: int):
     """Read (u, w, z) from a three-block snapshot-format file; every value must
-    be finite and nonnegative, as the uniform profile requires of its own."""
+    be finite and nonnegative, as the uniform profile requires of its own.
+
+    Values are read exactly as Python's float() reads them, in vectorized
+    passes (`_read_grids`)."""
     def fault(msg):
         return ValidationError(f"{path}: {msg}", key="ic.path")
 

@@ -195,10 +195,20 @@ def _bulk_gradient_sq(u, fr: _Frame, out, scratch):
     return out
 
 
-def _surface_gradient_sq(field, fr: _Frame):
+def _surface_fisher(field, fr: _Frame, floor_eps):
+    """The surface Fisher sum, (d_s f)^2 / f times the cell length over the
+    cells.  Where the square of the gradient leaves the float range, the sum
+    is taken of (d_s f sqrt(length / f))^2 instead, which stays finite
+    wherever the sum does (tiny inner radii: f near 1e100, lengths near
+    1e-100); elsewhere the plain form is kept, bit for bit."""
     ds = _centered(field)
     ds /= 2.0 * fr.mesh.dtheta * fr.stretch
-    return np.square(ds, out=ds)
+    if np.abs(ds).max() < 1e150 * math.sqrt(min(floor_eps, 1.0)):  # every square / f below 1e300
+        return _fisher(np.square(ds, out=ds), field, fr.surf, floor_eps)
+    with np.errstate(over="ignore"):
+        total = _fisher(np.square(ds), field, fr.surf, floor_eps)
+    scaled = ds * (np.sqrt(fr.surf) / np.sqrt(np.maximum(field, floor_eps)))
+    return np.where(np.isfinite(total), total, np.sum(scaled * scaled, axis=-1))
 
 
 def _fisher(grad_sq, s, measures, floor_eps, scratch=None):
@@ -213,9 +223,8 @@ def _dissipation_parts(u, w, z, fr: _Frame, params: ModelParams, floor_eps: floa
     grad, tmp = np.empty((2,) + u.shape) if scratch is None else scratch
     fu = 0.5 * params.delta_omega * _fisher(_bulk_gradient_sq(u, fr, grad, tmp), u, fr.bulk,
                                             floor_eps, tmp)
-    fw = 0.5 * params.delta_gamma * _fisher(_surface_gradient_sq(w, fr), w, fr.surf, floor_eps)
-    fz = 0.5 * params.delta_gamma_prime * _fisher(_surface_gradient_sq(z, fr), z, fr.surf,
-                                                  floor_eps)
+    fw = 0.5 * params.delta_gamma * _surface_fisher(w, fr, floor_eps)
+    fz = 0.5 * params.delta_gamma_prime * _surface_fisher(z, fr, floor_eps)
     uw = u[..., : fr.mesh.n_theta] * w
     logratio = np.log(np.maximum(z, floor_eps) / np.maximum(uw, floor_eps))
     reaction = ((z - uw) * logratio) @ fr.surf

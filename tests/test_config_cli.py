@@ -423,6 +423,20 @@ class TestCli:
         assert "u=1 " in out and "w=1 " in out and "z=1 " in out
         assert (tmp_path / "equilibrium.txt").exists()
 
+    def test_main_twice_with_different_subcommands(self, tmp_path, capsys):
+        """One parser serves every call in a process; each call dispatches on
+        its own arguments and defaults."""
+        assert cli._build_parser() is cli._build_parser()
+        assert cli.main(["eig", "--n-r", "8", "--n-theta", "64", "--out", str(tmp_path / "a")]) == 0
+        assert "c_pw=" in capsys.readouterr().out
+        assert cli.main(["equilibrium", "--m1", "2", "--m2", "2", "--area", "1", "--length", "1",
+                         "--mode", "paper", "--out", str(tmp_path / "b")]) == 0
+        out = capsys.readouterr().out
+        assert "u=1 " in out and "c_pw=" not in out
+        assert sorted(os.listdir(tmp_path / "b")) == ["equilibrium.txt"]
+        assert cli.main(["eig", "--n-theta", "-1", "--out", str(tmp_path / "c")]) == 1
+        assert "--n-theta" in capsys.readouterr().err
+
     def test_run_t_zero_writes_one_row(self, tmp_path, capsys):
         cfg_path = tmp_path / "c.cfg"
         cfg_path.write_text(SMALL_RUN.replace("time.t_final = 0.2", "time.t_final = 0")

@@ -2,6 +2,8 @@
 flag it came from, any config text parses or fails with a config error, and
 every bad input exits 1 with one line."""
 
+import math
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -202,7 +204,8 @@ def test_small_inner_radius_under_a_perturbed_equilibrium_holds_the_masses(stepp
                                                                             capsys):
     """At r_inner0 = 1e-100 the surface densities are near 1e100 and the bulk
     near 1: both steppers run to the end with the masses held (Newton on the
-    whole field drifted m1 by 1.4e-5 here)."""
+    whole field drifted m1 by 1.4e-5 here), and every dissipation is finite
+    (the square of the surface gradient alone would overflow)."""
     cfg_path = tmp_path / "c.cfg"
     cfg_path.write_text(f"mesh.n_r = 4\nmesh.n_theta = 8\ngeometry.r_inner0 = 1e-100\n"
                         f"ic.profile = perturbed_equilibrium\ntime.stepper = {stepper}\n"
@@ -210,6 +213,10 @@ def test_small_inner_radius_under_a_perturbed_equilibrium_holds_the_masses(stepp
     assert cli.main(["run", str(cfg_path)]) == 0
     drift = capsys.readouterr().out.split("drift=(")[1].split(")")[0]
     assert max(float(v) for v in drift.split(",")) <= 1e-12
+    lines = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()
+    column = lines[0].split(",").index("dissipation")
+    assert len(lines) > 2
+    assert all(math.isfinite(float(line.split(",")[column])) for line in lines[1:])
 
 
 def test_cfl_run_over_the_step_budget_exits_two(tmp_path, monkeypatch, capsys):
