@@ -9,6 +9,7 @@ Each range rule lives with the input's owner, which parse_config calls,
 naming the config key in its error: `geometry.build_geometry`,
 `mesh.check_resolution` (with the cell budget MAX_CELLS), `model.ModelParams`,
 `model.make_nonlinearity`, `model.check_samples` (probe.n_samples),
+`diagnostics.check_seed` (probe.seed),
 `equilibrium.closure_kappa`, `equilibrium.check_positive` (ic.m1, ic.m2) and
 `solver.check_steps` (t_final, dt and the step budget MAX_STEPS).  Only
 syntax, the schema, time-grid alignment and the other `ic.*` keys are ruled
@@ -47,6 +48,7 @@ import os
 
 import numpy as np
 
+from .diagnostics import check_seed
 from .errors import ParseError, ValidationError, rekeyed
 from .equilibrium import EquilibriumMode, check_positive, closure_kappa
 from .geometry import GeometryKind, GeometryPreset, build_geometry
@@ -284,6 +286,7 @@ def parse_config(text: str) -> RunConfig:
 
     with rekeyed("probe.{}".format):
         check_samples(get("probe.n_samples"))
+        check_seed(get("probe.seed"))
     probe = ProbeBlock(n_samples=get("probe.n_samples"), seed=get("probe.seed"))
     output = OutputBlock(directory=get("output.directory"), snapshots=get("output.snapshots"))
     return RunConfig(geometry=preset, mesh=mesh, model=model, time=time_block,

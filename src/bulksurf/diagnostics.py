@@ -38,14 +38,17 @@ import threading
 import numpy as np
 
 from .errors import (DegenerateSampler, EigenFailure, InsufficientData, MassMismatch,
-                     NonfiniteField, NonpositiveEntropy, WorkerFailure)
+                     NonfiniteField, NonpositiveEntropy, ValidationError, WorkerFailure)
 from .equilibrium import Equilibrium
 from .geometry import EvolvingGeometry
 from .mesh import ReferenceMesh, moving_bulk_measures, moving_surface_measures
 from .model import ModelParams, check_samples
 from .solver import State, assemble_operators
 
-FLOOR_EPS_DEFAULT = 1e-30
+# the floor of the denominators and logarithms of the dissipation
+FLOOR_EPS = 1e-30
+# the range of the probe's log-uniform cell values, before smoothing
+SAMPLE_RANGE = (0.1, 10.0)
 
 CSV_HEADER = ("t,m1,m2,entropy,dissipation,min_u,min_w,min_z,"
               "max_u,max_w,max_z,l1_u,l1_w,l1_z,area_omega,length_gamma")
@@ -195,7 +198,7 @@ def _bulk_gradient_sq(u, fr: _Frame, out, scratch):
     return out
 
 
-def _surface_fisher(field, fr: _Frame, floor_eps):
+def _surface_fisher(field, fr: _Frame):
     """The surface Fisher sum, (d_s f)^2 / f times the cell length over the
     cells.  Where the square of the gradient leaves the float range, the sum
     is taken of (d_s f sqrt(length / f))^2 instead, which stays finite
@@ -203,47 +206,44 @@ def _surface_fisher(field, fr: _Frame, floor_eps):
     1e-100); elsewhere the plain form is kept, bit for bit."""
     ds = _centered(field)
     ds /= 2.0 * fr.mesh.dtheta * fr.stretch
-    if np.abs(ds).max() < 1e150 * math.sqrt(min(floor_eps, 1.0)):  # every square / f below 1e300
-        return _fisher(np.square(ds, out=ds), field, fr.surf, floor_eps)
+    if np.abs(ds).max() < 1e150 * math.sqrt(FLOOR_EPS):  # every square / f below 1e300
+        return _fisher(np.square(ds, out=ds), field, fr.surf)
     with np.errstate(over="ignore"):
-        total = _fisher(np.square(ds), field, fr.surf, floor_eps)
-    scaled = ds * (np.sqrt(fr.surf) / np.sqrt(np.maximum(field, floor_eps)))
+        total = _fisher(np.square(ds), field, fr.surf)
+    scaled = ds * (np.sqrt(fr.surf) / np.sqrt(np.maximum(field, FLOOR_EPS)))
     return np.where(np.isfinite(total), total, np.sum(scaled * scaled, axis=-1))
 
 
-def _fisher(grad_sq, s, measures, floor_eps, scratch=None):
-    grad_sq /= np.maximum(s, floor_eps, out=scratch)
+def _fisher(grad_sq, s, measures, scratch=None):
+    grad_sq /= np.maximum(s, FLOOR_EPS, out=scratch)
     return grad_sq @ measures
 
 
-def _dissipation_parts(u, w, z, fr: _Frame, params: ModelParams, floor_eps: float,
-                       scratch=None) -> DissipationParts:
+def _dissipation_parts(u, w, z, fr: _Frame, params: ModelParams, scratch=None) -> DissipationParts:
     """The dissipation terms of fields with any leading batch shape; scratch,
     if given, holds two arrays shaped like u and is overwritten."""
     grad, tmp = np.empty((2,) + u.shape) if scratch is None else scratch
-    fu = 0.5 * params.delta_omega * _fisher(_bulk_gradient_sq(u, fr, grad, tmp), u, fr.bulk,
-                                            floor_eps, tmp)
-    fw = 0.5 * params.delta_gamma * _surface_fisher(w, fr, floor_eps)
-    fz = 0.5 * params.delta_gamma_prime * _surface_fisher(z, fr, floor_eps)
+    fu = 0.5 * params.delta_omega * _fisher(_bulk_gradient_sq(u, fr, grad, tmp), u, fr.bulk, tmp)
+    fw = 0.5 * params.delta_gamma * _surface_fisher(w, fr)
+    fz = 0.5 * params.delta_gamma_prime * _surface_fisher(z, fr)
     uw = u[..., : fr.mesh.n_theta] * w
-    logratio = np.log(np.maximum(z, floor_eps) / np.maximum(uw, floor_eps))
+    logratio = np.log(np.maximum(z, FLOOR_EPS) / np.maximum(uw, FLOOR_EPS))
     reaction = ((z - uw) * logratio) @ fr.surf
     return DissipationParts(fu, fw, fz, reaction)
 
 
 def entropy_dissipation_parts(state: State, geom: EvolvingGeometry, mesh: ReferenceMesh,
-                              params: ModelParams,
-                              floor_eps: float = FLOOR_EPS_DEFAULT) -> DissipationParts:
+                              params: ModelParams) -> DissipationParts:
     """The three Fisher terms and the exchange term, separately.  Fields with
     a leading batch axis give one value per state in each term."""
     fields = (state.u_hat, state.w_hat, state.z_hat)
     _require_finite(fields, "dissipation")
-    return _dissipation_parts(*fields, _frame(geom, mesh, state.t), params, floor_eps)
+    return _dissipation_parts(*fields, _frame(geom, mesh, state.t), params)
 
 
 def entropy_dissipation(state: State, geom: EvolvingGeometry, mesh: ReferenceMesh,
-                        params: ModelParams, floor_eps: float = FLOOR_EPS_DEFAULT) -> float:
-    return entropy_dissipation_parts(state, geom, mesh, params, floor_eps).total
+                        params: ModelParams) -> float:
+    return entropy_dissipation_parts(state, geom, mesh, params).total
 
 
 def _masses(state: State, fr: _Frame):
@@ -270,7 +270,7 @@ def make_record(state: State, geom: EvolvingGeometry, mesh: ReferenceMesh,
     return DiagnosticsRecord(
         t=state.t, m1=m1, m2=m2,
         entropy=_entropy(*fields, eq, fr),
-        dissipation=_dissipation_parts(*fields, fr, params, FLOOR_EPS_DEFAULT).total,
+        dissipation=_dissipation_parts(*fields, fr, params).total,
         min_u=float(np.min(state.u_hat)), min_w=float(np.min(state.w_hat)),
         min_z=float(np.min(state.z_hat)),
         max_u=float(np.max(state.u_hat)), max_w=float(np.max(state.w_hat)),
@@ -347,6 +347,13 @@ def fit_decay_rate(series, window) -> DecayFit:
 # -- random conservative states and the functional-inequality probe ---------------
 
 
+def check_seed(seed: int) -> None:
+    """A probe seed is the first word of each sample's Philox key, so it
+    must lie in [0, 2^64)."""
+    if not 0 <= seed < 2 ** 64:
+        raise ValidationError(f"must be in [0, 2**64), got {seed}", key="seed")
+
+
 def _sample_stream(seed, index):
     return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
@@ -404,21 +411,22 @@ def project_to_masses(u, w, z, m1, m2, geom, mesh, t=0.0):
     return _project(u, w, z, m1, m2, _frame(geom, mesh, t))
 
 
-def _draw_block(indices, seed, eq, fr: _Frame, value_range, raw_sampler, work):
+def _draw_block(indices, seed, eq, fr: _Frame, raw_sampler, work):
     """Positive states carrying exactly the equilibrium masses, one row per
     index, built in work (three bulk-sized arrays of at least len(indices)
     rows); returns (u, w, z) and the two arrays of work not holding u.
 
     Row j comes from the stream (seed, indices[j]) alone, so a sample does not
     depend on the block it is drawn in.  Without a raw sampler the draws are
-    log-uniform and get one diffusion application before the projection.
+    log-uniform in SAMPLE_RANGE and get one diffusion application before the
+    projection.
     """
     mesh = fr.mesh
     u, other, scratch = work[:, :len(indices)]
     w = np.empty((len(indices), mesh.n_surf))
     z = np.empty((len(indices), mesh.n_surf))
     if raw_sampler is None:
-        lo, hi = math.log(value_range[0]), math.log(value_range[1])
+        lo, hi = math.log(SAMPLE_RANGE[0]), math.log(SAMPLE_RANGE[1])
         for j, index in enumerate(indices):
             rng = _sample_stream(seed, index)
             u[j] = rng.uniform(lo, hi, mesh.n_bulk)
@@ -434,14 +442,14 @@ def _draw_block(indices, seed, eq, fr: _Frame, value_range, raw_sampler, work):
     return (u, w, z), (other, scratch)
 
 
-def sample_conservative_state(index, seed, eq, geom, mesh, value_range=(0.1, 10.0), t=0.0):
+def sample_conservative_state(index, seed, eq, geom, mesh, t=0.0):
     """One random positive state carrying exactly the equilibrium masses.
 
-    Cell values are log-uniform in value_range, smoothed by one diffusion
+    Cell values are log-uniform in SAMPLE_RANGE, smoothed by one diffusion
     application, then multiplicatively projected onto the constraints.
     Streams are keyed by (seed, index) so results do not depend on batching.
     """
-    (u, w, z), _ = _draw_block([index], seed, eq, _frame(geom, mesh, t), value_range, None,
+    (u, w, z), _ = _draw_block([index], seed, eq, _frame(geom, mesh, t), None,
                                np.empty((3, 1, mesh.n_bulk)))
     return State(t, u[0], w[0], z[0])
 
@@ -454,8 +462,7 @@ PROBE_BLOCK_CELLS = 1 << 15
 
 def probe_functional_inequality(eq: Equilibrium, geom: EvolvingGeometry, mesh: ReferenceMesh,
                                 params: ModelParams, n_samples: int, rng_seed: int,
-                                floor_eps: float = FLOOR_EPS_DEFAULT,
-                                value_range=(0.1, 10.0), t: float = 0.0, raw_sampler=None):
+                                t: float = 0.0, raw_sampler=None):
     """Monte-Carlo lower estimate of the entropy to dissipation ratio.
 
     Draws random positive fields obeying both conservation laws and returns
@@ -473,19 +480,20 @@ def probe_functional_inequality(eq: Equilibrium, geom: EvolvingGeometry, mesh: R
     the number of workers.
     """
     check_samples(n_samples)
+    check_seed(rng_seed)
     fr = _frame(geom, mesh, t)
     size = min(n_samples, max(1, PROBE_BLOCK_CELLS // mesh.n_bulk))
     starts = range(0, n_samples, size)
 
     def evaluate(start, work):
         indices = range(start, min(start + size, n_samples))
-        fields, scratch = _draw_block(indices, rng_seed, eq, fr, value_range, raw_sampler, work)
+        fields, scratch = _draw_block(indices, rng_seed, eq, fr, raw_sampler, work)
         _require_finite(fields, "entropy")
         e = _entropy(*fields, eq, fr, scratch[0])
         kept = e >= 1e-12
         if not kept.any():
             return None
-        d = _dissipation_parts(*fields, fr, params, floor_eps, scratch).total
+        d = _dissipation_parts(*fields, fr, params, scratch).total
         ratio = np.divide(d, e, out=np.full_like(e, np.inf), where=kept)
         j = int(np.argmin(ratio))
         return ProbeSample(index=indices[j], ratio=float(ratio[j]), entropy=float(e[j]),

@@ -65,6 +65,10 @@ class ConservationDrift(BulkSurfError):
     """A run's record moved m1 or m2 past the drift a run may show."""
 
 
+class NegativeField(BulkSurfError):
+    """A run's record holds a field value below the least a run may show."""
+
+
 class NewtonDivergence(BulkSurfError):
     def __init__(self, message, residual_history=None):
         super().__init__(message)

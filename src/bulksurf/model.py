@@ -85,7 +85,9 @@ class MassAction:
 
 
 class CustomNonlinearity:
-    """User-supplied (f1, f2, f3) with declared growth exponents."""
+    """User-supplied (f1, f2, f3) with declared growth exponents.  The solver
+    steps only an exchange, f2 = f1 and f3 = -f1; check_assumptions reads
+    all three."""
 
     def __init__(self, f1: Callable, f2: Callable, f3: Callable,
                  alpha: float, beta: float, name: str = "custom"):
@@ -183,6 +185,8 @@ def check_assumptions(spec, sample_box, n_samples: int, rng_seed: int, tol: floa
     cloud rather than pass/fail against an unknown constant.
     """
     check_samples(n_samples)
+    if not rng_seed >= 0:
+        raise ValidationError(f"must be >= 0, got {rng_seed}", key="seed")
     (ulo, uhi), (wlo, whi), (zlo, zhi) = sample_box
     if not all(0.0 <= lo <= hi < math.inf for lo, hi in sample_box):
         raise ValidationError(f"must lie in [0, inf)^3, got {sample_box}", key="sample_box")

@@ -23,7 +23,9 @@ Scheme summary (both steppers are first order in time):
     on the inner circle is imposed directly as the reaction rate times the
     face arc, with the bulk trace taken as the innermost cell value; the
     same flux number feeds the u, w and z equations, which is what makes
-    conservation exact,
+    conservation exact.  This exchange rate r = f1 is the solver's only
+    reaction form: a reaction with f2 != f1 or f3 != -f1 at a step's state
+    is refused (ValidationError on model.nonlinearity),
   * reaction splitting in the IMEX stepper (mass action): the binding flux
     u w / delta_K is implicit in the trace factor u, the unbinding flux
     z / delta_K' is implicit in z, gains are carried by those same implicit
@@ -35,9 +37,10 @@ Scheme summary (both steppers are first order in time):
   * every preset is rotationally symmetric, so the operators are ring
     coefficients; every linear system is solved by an rFFT in theta, one
     radial tridiagonal system per mode, plus a Woodbury update over the
-    surface slots for the binding term, whose capacitance system is solved
-    matrix-free by preconditioned GMRES; the backward-Euler stepper's
-    Newton iterates on the slot fluxes alone, through the same solve.
+    surface slots for the exchange term, whose capacitance system, one
+    unknown per slot, is solved matrix-free by preconditioned GMRES; the
+    backward-Euler stepper's Newton iterates on the one exchange flux per
+    slot alone, through the same solve.
 
 The outer-boundary condition is homogeneous no-flux: the only choice
 consistent with conservation of m1 when the outer wall is fixed.
@@ -55,8 +58,9 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import (CflViolation, ConservationDrift, LinearSolveFailure, NewtonDivergence,
-                     NonfiniteField, SingularJacobian, UnknownCase, ValidationError, rekeyed)
+from .errors import (CflViolation, ConservationDrift, LinearSolveFailure, NegativeField,
+                     NewtonDivergence, NonfiniteField, SingularJacobian, UnknownCase,
+                     ValidationError, rekeyed)
 from .geometry import EvolvingGeometry, GeometryKind, GeometryPreset, build_geometry
 from .mesh import (ReferenceMesh, build_mesh, moving_bulk_measures, moving_ring_measures,
                    moving_surface_measures)
@@ -74,6 +78,8 @@ MAX_STEPS = 10 ** 7
 # the relative drift of m1 or m2 from the t = 0 record past which a run stops:
 # ten times the 1e-9 the acceptance criteria allow over 2,000 steps
 MAX_DRIFT = 1e-8
+# the smallest field value a record may hold, the acceptance criterion's
+MIN_FIELD = -1e-12
 
 
 @dataclasses.dataclass
@@ -191,13 +197,23 @@ def cfl_bound(geom: EvolvingGeometry, mesh: ReferenceMesh, params: ModelParams,
     return bound
 
 
-def _check_step(state: State, dt: float, geom, mesh, params, check_cfl: bool, q=None):
-    """Preconditions of every step: positive dt, a finite state and, when
-    check_cfl is set, dt within cfl_bound; returns q as used for the bound."""
+def _check_step(state: State, dt: float, geom, mesh, params, spec, check_cfl: bool, q=None):
+    """Preconditions of every step: positive dt, a finite state, a reaction
+    of exchange form at it (f2 = f1 and f3 = -f1, bit for bit; mass action
+    is by construction) and, when check_cfl is set, dt within cfl_bound;
+    returns q as used for the bound."""
     check_steps(dt)
     if not (np.all(np.isfinite(state.u_hat)) and np.all(np.isfinite(state.w_hat))
             and np.all(np.isfinite(state.z_hat))):
         raise NonfiniteField(f"state at t = {state.t:g} contains non-finite values")
+    if not getattr(spec, "is_mass_action", False):
+        parts = (state.u_hat[: mesh.n_surf], state.w_hat, state.z_hat)
+        f1, f2, f3 = (np.asarray(f(*parts), dtype=float) for f in (spec.f1, spec.f2, spec.f3))
+        if not (np.array_equal(f2, f1, equal_nan=True) and np.array_equal(f3, -f1, equal_nan=True)):
+            raise ValidationError(
+                f"the solver takes one exchange flux, f2 = f1 and f3 = -f1, but "
+                f"{getattr(spec, 'name', 'the reaction')!r} differs at t = {state.t:g}",
+                key="model.nonlinearity")
     if check_cfl:
         if q is None and geom.surface_slip_active:
             q = _surface_face_speed(geom, mesh, state.t)
@@ -227,7 +243,8 @@ def _slot_slices(mesh: ReferenceMesh):
     return slice(0, ns), slice(nb, nb + ns), slice(nb + ns, nb + 2 * ns)
 
 
-# signs of an exchange flux in the rows (u trace, w, z); equal values conserve m1, m2
+# signs of the exchange flux in the rows (u trace, w, z); one value in all three
+# conserves m1 and m2
 _EXCHANGE = (1.0, 1.0, -1.0)
 # rings of (u trace, w, z) in the order of the Fourier modes (w, z, u outward)
 _SLOT_RINGS = [2, 0, 1]
@@ -262,16 +279,6 @@ def _imex_rhs(state: State, dt: float, geom: EvolvingGeometry, mesh: ReferenceMe
         fields = np.stack([state.w_hat, state.z_hat])
         rhs[mesh.n_bulk:] += dt * surface_advection(geom, mesh, state.t, fields, q).ravel()
     return rhs
-
-
-def _inverse(a):
-    """Inverses of a stack of k x k matrices, k = 1 by division; LinAlgError
-    when one is singular."""
-    if a.shape[-1] > 1:
-        return np.linalg.inv(a)
-    if not np.all(a):
-        raise np.linalg.LinAlgError("Singular matrix")
-    return 1.0 / a
 
 
 def _gmres(apply, rhs, target: float, max_iter: int):
@@ -322,11 +329,12 @@ def _gmres(apply, rhs, target: float, max_iter: int):
 
 
 class _FourierSolve:
-    """A step matrix to t + dt, A0 plus slot terms, and its solve.  A0 is the
-    measures minus dt times the stiffness of ops, with a Newton step's
-    implicit upwind advection at speed q on surface_wind.  A slot term
-    (pattern, coeffs) adds per slot the flux coeffs . (u trace, w, z) (None
-    or zero skipped), with the pattern's signs, to the rows (u trace, w, z).
+    """A step matrix to t + dt, A0 plus an exchange term, and its solve.  A0
+    is the measures minus dt times the stiffness of ops, with a Newton step's
+    implicit upwind advection at speed q on surface_wind.  The exchange term
+    of coefficients c = (u trace, w, z) (None or zero skipped) adds per slot
+    the flux c . (u trace, w, z) to the u trace and w rows and takes it from
+    the z row.
 
     A0 commutes with rotations in theta, so an rFFT splits A0 x = b into
     n_theta // 2 + 1 systems (Hockney), tridiagonal in the order (w, z, u
@@ -334,15 +342,16 @@ class _FourierSolve:
     for the cyclic second difference, a shift for the upwind flux), factored
     once by LAPACK and solved by the factors: pttrf/pttrs (L D L^T) for the
     real modes, which are symmetric positive definite, gttrf/gttrs (LU with
-    pivoting) for the upwind ones.  Slot terms enter by Woodbury
-    (Buzbee, Dorr, George and Golub): the capacitance system, of convolution
-    blocks W times per-slot coefficients, is solved by GMRES through the
-    slot responses, never formed (see _capacitance).  Every solve is checked
-    by apply, a matrix-free stencil apart from the Fourier path.
+    pivoting) for the upwind ones.  The exchange term enters by Woodbury
+    (Buzbee, Dorr, George and Golub): the capacitance system, convolutions
+    times per-slot coefficients, is solved by GMRES through the slot
+    response, never formed (see _capacitance).  Every solve is checked by
+    apply, a matrix-free stencil apart from the Fourier path.
     """
 
     def __init__(self, ops: DiscreteOperators, dt: float, mesh: ReferenceMesh, q: float = 0.0):
-        self.dt, self.mesh, self.responses = dt, mesh, {}
+        self.dt, self.mesh, self.rings = dt, mesh, ops.ring_measures
+        self.ring_total = float(np.sum(ops.ring_measures))
         self.measures = (ops.bulk_measures, ops.surf_measures)
         nr, nt = mesh.n_r, mesh.n_theta
         rings = np.arange(nr + 2)
@@ -413,7 +422,14 @@ class _FourierSolve:
     def _solve_modes(self, modes):
         """y with A0 y = modes in every Fourier mode at once; modes is
         (n_theta // 2 + 1, rings), rings in the order (w, z, u outward), and
-        takes one real right-hand side when it is real (the slot responses)."""
+        takes one real right-hand side when it is real (the slot response).
+
+        In mode 0 the bulk block is M + T, T the radial stiffness, whose null
+        vector is 1: 1^T (M + T) = 1^T M, so the bulk mass of y, M y, is that
+        of the right-hand side.  The factors miss it by about eps cond(M + T),
+        which grows like delta_Omega dt / h^2; it is restored on the null
+        vector (Nicolaides' deflation)."""
+        mass = modes[0, 2:].sum()
         if self.q:
             y = sla.lapack.zgttrs(*self.lu, modes.reshape(-1, 1), overwrite_b=1)[0]
         elif np.iscomplexobj(modes):  # the real factors, U^H D U = L D L^T
@@ -421,7 +437,9 @@ class _FourierSolve:
                                   overwrite_b=1)[0]
         else:
             y = sla.lapack.dpttrs(*self.lu, modes.reshape(-1, 1), overwrite_b=1)[0]
-        return y.reshape(modes.shape)
+        y = y.reshape(modes.shape)
+        y[0, 2:] += (mass - self.rings @ y[0, 2:]) / self.ring_total
+        return y
 
     def _modes(self, b):
         """A0^{-1} b as its modes, (n_theta // 2 + 1, rings) as in _solve_modes."""
@@ -432,98 +450,86 @@ class _FourierSolve:
         """The stacked vector of the given modes."""
         return np.fft.irfft(modes.T, n=self.mesh.n_theta, axis=1)[self.back].ravel()
 
-    def _response(self, pattern):
-        """Modes of g = A0^{-1} (slot 0's unit flux with pattern's signs: 1 in
-        every mode), real without advection."""
-        if pattern not in self.responses:
-            modes = np.zeros((self.mesh.n_theta // 2 + 1, len(self.order)))
-            modes[:, _SLOT_RINGS] = pattern
-            self.responses[pattern] = self._solve_modes(modes)
-        return self.responses[pattern]
+    @functools.cached_property
+    def response(self):
+        """Modes of g = A0^{-1} (slot 0's unit exchange flux: 1 in every
+        mode), real without advection."""
+        modes = np.zeros((self.mesh.n_theta // 2 + 1, len(self.order)))
+        modes[:, _SLOT_RINGS] = _EXCHANGE
+        return self._solve_modes(modes)
 
-    def _capacitance(self, r, terms, what):
-        """Modes (n_theta // 2 + 1, k) of xi, the k terms' slot fluxes, with
-        C xi = r; r is (n_theta, k), a column per term.
+    def _capacitance(self, r, coeffs, what):
+        """Modes of xi, the slot exchange fluxes, with C xi = r, r one value
+        per slot.
 
-        With W_jl the convolution by term l's response to a unit slot flux,
-        read at ring j of (u trace, w, z), C xi_i = xi_i + sum_jl diag(c_ij)
-        W_jl xi_l.  GMRES solves D^{-1} C M^{-1} v = D^{-1} r,
-        xi = M^{-1} v.  The right preconditioner M is C with each c_ij
-        replaced by its mean over the slots (T. F. Chan): k x k per Fourier
-        mode, and exact when the c_ij are uniform.  The left one,
-        D = I + (c - mean c) rho, k x k per slot, is C M^{-1} with each
-        convolution (W M^{-1})_jl replaced by rho_jl, the midrange over the
-        modes of its real part.  The operator is then I + E S, with
-        E = D^{-1} (c - mean c) per slot and the convolution S = W M^{-1} - rho:
-        one rFFT and one irFFT.
+        With W_j the convolution by the response to a unit slot flux, read at
+        ring j of (u trace, w, z), C xi = xi + sum_j diag(c_j) W_j xi.  GMRES
+        solves D^{-1} C M^{-1} v = D^{-1} r, xi = M^{-1} v.  The right
+        preconditioner M is C with each c_j replaced by its mean over the
+        slots (T. F. Chan): a scalar per Fourier mode, and exact when the c_j
+        are uniform.  The left one, D = 1 + (c - mean c) . rho per slot, is
+        C M^{-1} with each convolution W_j M^{-1} replaced by rho_j, the
+        midrange over the modes of its real part.  The operator is then
+        I + E S, with E = (c - mean c) / D per slot and the convolutions
+        S_j = W_j M^{-1} - rho_j: one rFFT and one irFFT.
         """
-        nt, k = self.mesh.n_theta, len(terms)
-        rings = [j for j in range(3) if any(c[j] is not None and c[j].any() for _, c in terms)]
-        if not rings:   # C = I
-            return np.fft.rfft(r, axis=0)
-        coef = np.zeros((nt, k, len(rings)))   # c_ij of each slot
-        for i, (_, c) in enumerate(terms):
-            for a, j in enumerate(rings):
-                if c[j] is not None:
-                    coef[:, i, a] = c[j]
-        at = [_SLOT_RINGS[j] for j in rings]
-        g = np.stack([self._response(p)[:, at] for p, _ in terms], axis=2)    # W_jl per mode
+        nt = self.mesh.n_theta
+        at = [j for j, c in enumerate(coeffs) if c is not None and c.any()]
+        if not at:   # C = I
+            return np.fft.rfft(r)
+        g = self.response[:, [_SLOT_RINGS[j] for j in at]]   # W_j per mode
+        coef = np.stack([coeffs[j] for j in at], axis=1)     # c_j of each slot
         mean = coef.mean(axis=0)
         dev = coef - mean
-        try:
-            right = _inverse(np.eye(k) + mean @ g)
-            wm = g @ right
+        m = 1.0 + g @ mean
+        with np.errstate(divide="ignore", invalid="ignore"):   # a zero is refused below
+            wm = g / m[:, None]
             rho = 0.5 * (wm.real.max(axis=0) + wm.real.min(axis=0))
-            left = np.eye(k) + dev @ rho
-            left_inv = _inverse(left)
-        except np.linalg.LinAlgError as exc:
-            raise LinearSolveFailure(f"{what}: capacitance preconditioner singular") from exc
-        e, s = left_inv @ dev, wm - rho
+            d = 1.0 + dev @ rho
+        if not (np.all(m) and np.all(d)):
+            raise LinearSolveFailure(f"{what}: capacitance preconditioner singular")
+        e, s = dev / d[:, None], wm - rho
 
-        def apply(v):   # E S v, v one row of k per slot
-            sv = np.fft.irfft((s @ np.fft.rfft(v, axis=0)[..., None])[..., 0], n=nt, axis=0)
-            return (e @ sv[..., None])[..., 0]
+        def apply(v):   # E S v
+            return np.sum(e * np.fft.irfft(s * np.fft.rfft(v)[:, None], n=nt, axis=0), axis=1)
 
-        # max|r - C xi| <= ||D||_2 ||D^{-1} (r - C xi)||_2, the norm GMRES minimizes
-        target = _CAPACITANCE_RTOL * float(np.max(np.abs(r))) / math.sqrt(
-            float(np.max(np.sum(left * left, axis=(1, 2)))))
-        v, iterations = _gmres(apply, (left_inv @ r[..., None])[..., 0], target, k * nt)
+        # max|r - C xi| <= max|D| ||D^{-1} (r - C xi)||_2, the norm GMRES minimizes
+        target = _CAPACITANCE_RTOL * float(np.max(np.abs(r))) / float(np.max(np.abs(d)))
+        v, iterations = _gmres(apply, r / d, target, nt)
         if v is None:
             raise LinearSolveFailure(f"{what}: capacitance GMRES did not reach relative residual "
                                      f"{_CAPACITANCE_RTOL:g} in {iterations} iterations")
-        return (right @ np.fft.rfft(v, axis=0)[..., None])[..., 0]
+        return np.fft.rfft(v) / m
 
-    def correction(self, xi, patterns, rings=slice(None)):
-        """Modes of sum_l G_l xi_l on the given rings, G_l the response to
-        term l's slot flux (see _response), from the modes of xi."""
-        return sum(self._response(p)[:, rings] * xi[:, [k]] for k, p in enumerate(patterns))
+    def correction(self, xi, rings=slice(None)):
+        """Modes of G xi on the given rings, G the response to the slot
+        exchange flux, from the modes of xi."""
+        return self.response[:, rings] * xi[:, None]
 
-    def solve_slots(self, b, terms, what: str):
-        """x with (A0 + slot terms) x = b, terms as (pattern, coeffs) pairs."""
+    def solve_slots(self, b, coeffs, what: str):
+        """x with (A0 + the exchange term of coeffs) x = b."""
         slots = _slot_slices(self.mesh)
-        terms = [(p, [v if v is not None and v.any() else None for v in c]) for p, c in terms]
-        terms = [(p, c) for p, c in terms if any(v is not None for v in c)]
+        coeffs = [c if c is not None and c.any() else None for c in coeffs]
+        active = any(c is not None for c in coeffs)
         modes = self._modes(b)
-        if terms:   # Woodbury: the correction's modes are the responses times xi's
+        if active:   # Woodbury: the correction's modes are the response times xi's
             parts = np.fft.irfft(modes[:, _SLOT_RINGS], n=self.mesh.n_theta, axis=0).T
-            xi = self._capacitance(np.stack([_flux(c, parts) for _, c in terms], axis=1),
-                                   terms, what)
-            modes -= self.correction(xi, [p for p, _ in terms])
+            modes -= self.correction(self._capacitance(_flux(coeffs, parts), coeffs, what))
         x = self._field(modes)
-        # backward error by the stencil; the slot rows' absolute sums grow by the terms'
-        residual, slot_abs = self.apply(x) - b, self.slot_abs[:, None]
-        for p, c in terms:
-            fx, fa = _flux(c, [x[at] for at in slots]), sum(np.abs(v) for v in c if v is not None)
-            for at, sign in zip(slots, p):
+        # backward error by the stencil; the slot rows' absolute sums grow by |c|
+        residual, slot_abs = self.apply(x) - b, self.slot_abs
+        if active:
+            fx = _flux(coeffs, [x[at] for at in slots])
+            for at, sign in zip(slots, _EXCHANGE):
                 residual[at] += sign * fx
-            slot_abs = slot_abs + np.abs(p)[:, None] * fa
+            slot_abs = slot_abs[:, None] + sum(np.abs(c) for c in coeffs if c is not None)
         _check_backward_error(residual, x, b, max(self.norm, float(np.max(slot_abs))), what)
         return x
 
 
 def _flux(coeffs, parts):
     """coeffs . parts over (u trace, w, z), None coefficients skipped."""
-    return sum(v * part for v, part in zip(coeffs, parts) if v is not None)
+    return sum(c * part for c, part in zip(coeffs, parts) if c is not None)
 
 
 # the Fourier solve of the latest step: key -> (geometry, mesh, solve), one entry
@@ -554,24 +560,25 @@ def step_imex(state: State, dt: float, geom: EvolvingGeometry, mesh: ReferenceMe
     For the mass-action nonlinearity the binding flux, implicit in the u
     trace, and the unbinding flux, implicit in z, enter all three equations
     with identical values, as one exchange term, so m1 and m2 are conserved
-    to the linear-solver residual.  Custom nonlinearities are integrated
-    with a fully explicit reaction.  q is as in cfl_bound.
+    to the linear-solver residual.  A custom reaction's exchange flux f1 is
+    explicit.  q is as in cfl_bound.
     """
-    q = _check_step(state, dt, geom, mesh, params, check_cfl, q)
+    q = _check_step(state, dt, geom, mesh, params, spec, check_cfl, q)
     system = _solve_for(geom, mesh, params, state.t + dt, dt)
     m0 = system.measures if geom.metric_is_static else (
         moving_bulk_measures(mesh, geom, state.t), moving_surface_measures(mesh, geom, state.t))
     rhs = _imex_rhs(state, dt, geom, mesh, m0, system.measures, sources, q)
     arcs, ns = system.measures[1], mesh.n_surf
     slots = _slot_slices(mesh)
-    exchange = (None, None, None)
+    exchange = ()
     if getattr(spec, "is_mass_action", False):  # 1 / inf = 0 switches a flux off
         exchange = (dt * arcs * state.w_hat / params.delta_k, None,
                     -dt * arcs / params.delta_k_prime)
     else:
-        for at, f in zip(slots, (spec.f1, spec.f2, spec.f3)):
-            rhs[at] += dt * np.asarray(f(state.u_hat[:ns], state.w_hat, state.z_hat)) * arcs
-    x = system.solve_slots(rhs, [(_EXCHANGE, exchange)], "IMEX step")
+        fx = dt * np.asarray(spec.f1(state.u_hat[:ns], state.w_hat, state.z_hat)) * arcs
+        for at, sign in zip(slots, _EXCHANGE):
+            rhs[at] += sign * fx
+    x = system.solve_slots(rhs, exchange, "IMEX step")
     return State(state.t + dt, x[: mesh.n_bulk], x[slots[1]], x[slots[2]])
 
 
@@ -587,26 +594,16 @@ class ImexStepper:
                          sources=sources, check_cfl=check_cfl)
 
 
-def _reaction_terms(spec, u_tr, w, z, scale, exchange=None, eps=1e-7):
-    """Slot terms of scale times the reaction Jacobian by (u trace, w, z): one
-    exchange flux when the reaction has that form, f1 = f2 = -f3 in value and
-    derivatives (mass action and every registered custom reaction), else one
-    term per row; exchange, when given, fixes the form."""
+def _reaction_terms(spec, u_tr, w, z, scale, eps=1e-7):
+    """scale times the derivatives of the exchange rate f1 by (u trace, w, z):
+    the coefficients of Newton's exchange term, in closed form for mass
+    action and by forward differences for a custom reaction."""
     if getattr(spec, "is_mass_action", False):
         dk, dkp = spec.params.delta_k, spec.params.delta_k_prime   # 1 / inf = 0
-        rows = (-w / dk, -u_tr / dk, np.full_like(w, 1.0 / dkp))
-        return [(_EXCHANGE, [scale * c for c in rows])]
-    out, values = [], []
-    for f in (spec.f1, spec.f2, spec.f3):
-        values.append(np.asarray(f(u_tr, w, z), dtype=float))
-        out.append([scale * ((np.asarray(f(*args)) - values[-1]) / eps) for args in
-                    ((u_tr + eps, w, z), (u_tr, w + eps, z), (u_tr, w, z + eps))])
-    if exchange is None:
-        exchange = all(np.array_equal(a, b) and np.array_equal(a, -c)
-                       for a, b, c in (values, *zip(*out)))
-    if exchange:
-        return [(_EXCHANGE, out[0])]
-    return list(zip(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)), out))
+        return scale * (-w / dk), scale * (-u_tr / dk), scale * np.full_like(w, 1.0 / dkp)
+    value = np.asarray(spec.f1(u_tr, w, z), dtype=float)
+    return tuple(scale * ((np.asarray(spec.f1(*args)) - value) / eps) for args in
+                 ((u_tr + eps, w, z), (u_tr, w + eps, z), (u_tr, w, z + eps)))
 
 
 def step_implicit(state: State, dt: float, geom: EvolvingGeometry, mesh: ReferenceMesh,
@@ -615,22 +612,21 @@ def step_implicit(state: State, dt: float, geom: EvolvingGeometry, mesh: Referen
                   return_info: bool = False):
     """Backward-Euler step solved by Newton on the surface slots.
 
-    Everything is evaluated at the new time level, and the reaction fluxes
-    enter all equations with identical values, as in the IMEX stepper.  The
+    Everything is evaluated at the new time level, and the exchange flux
+    enters all equations with identical values, as in the IMEX stepper.  The
     bulk is linear and is eliminated (Lanzkron, Rose and Wilkes): the state
-    is x = y - sum_l G_l xi_l, y = A0^{-1} b the step's one full solve and
-    G_l the response to the slot flux xi_l of term l of _reaction_terms.
-    Newton iterates on xi = scale F(s_y - W xi), F the terms' reaction fluxes
-    (f1 alone for an exchange), each update one capacitance solve,
-    linearized first at the state at t: the iterates of Newton on the whole
-    field, with m1 and m2 held by construction.  x is rebuilt when the slot
-    residual is at most 2 newton_tol and returned only when its full
-    residual, by the stencil, is below newton_tol, both scaled by
-    max(1, max|b|, ||A0|| max|values|).  With return_info=True the result is
-    (state, {"iterations", "residuals"}): the capacitance solves and the
-    scaled slot residual of each.
+    is x = y - G xi, y = A0^{-1} b the step's one full solve and G the
+    response to the slot exchange flux xi.  Newton iterates on
+    xi = scale f1(s_y - W xi), n_theta values, each update one capacitance
+    solve with the coefficients of _reaction_terms, linearized first at the
+    state at t: the iterates of Newton on the whole field, with m1 and m2
+    held by construction.  x is rebuilt when the slot residual is at most
+    2 newton_tol and returned only when its full residual, by the stencil,
+    is below newton_tol, both scaled by max(1, max|b|, ||A0|| max|values|).
+    With return_info=True the result is (state, {"iterations", "residuals"}):
+    the capacitance solves and the scaled slot residual of each.
     """
-    _check_step(state, dt, geom, mesh, params, check_cfl=False)
+    _check_step(state, dt, geom, mesh, params, spec, check_cfl=False)
     t1 = state.t + dt
     system = _solve_for(geom, mesh, params, t1, dt, advect=geom.surface_slip_active)
     m0 = system.measures if geom.metric_is_static else (
@@ -638,7 +634,6 @@ def step_implicit(state: State, dt: float, geom: EvolvingGeometry, mesh: Referen
     scale = -dt * system.measures[1]
     slots = _slot_slices(mesh)
     base = _mass_rhs(state, dt, mesh, m0, system.measures, sources)
-    rows = (spec.f1, spec.f2, spec.f3)
     history = []
 
     def scaled(residual, values):   # max|residual| / max(1, max|b|, ||A0|| max|values|)
@@ -648,35 +643,34 @@ def step_implicit(state: State, dt: float, geom: EvolvingGeometry, mesh: Referen
             raise NewtonDivergence(f"non-finite Newton residual at t = {t1:g}", history + [norm])
         return norm
 
-    y = system.solve_slots(base, [], "Newton step")
+    def flux(parts):   # scale times the exchange rate of each slot
+        return scale * np.asarray(spec.f1(*parts), dtype=float)
+
+    y = system.solve_slots(base, (), "Newton step")
     s_y = np.stack([y[at] for at in slots])
     s = np.stack([state.u_hat[: mesh.n_surf], state.w_hat, state.z_hat])   # at t
-    terms = _reaction_terms(spec, *s, scale)
-    patterns, k = [p for p, _ in terms], len(terms)
-
-    def flux(parts):   # (n_theta, k): scale times each term's reaction flux
-        return np.stack([scale * np.asarray(f(*parts), dtype=float) for f in rows[:k]], axis=1)
-
-    # the first update, from the state at t, solves C xi = scale F(s) + c (s_y - s)
-    rho = -flux(s) - np.stack([_flux(c, s_y - s) for _, c in terms], axis=1)
-    xi = np.zeros((mesh.n_theta // 2 + 1, k), complex)
+    coeffs = _reaction_terms(spec, *s, scale)
+    # the first update, from the state at t, solves C xi = scale f1(s) + c . (s_y - s)
+    rho = -flux(s) - _flux(coeffs, s_y - s)
+    xi = np.zeros(mesh.n_theta // 2 + 1, complex)
     for iteration in range(1, max_newton + 1):
-        xi -= system._capacitance(rho, terms, "Newton step")
+        xi -= system._capacitance(rho, coeffs, "Newton step")
         # W xi on the slot rings and xi itself, by one inverse FFT
-        both = np.fft.irfft(np.concatenate([system.correction(xi, patterns, _SLOT_RINGS), xi],
-                                           axis=1), n=mesh.n_theta, axis=0)
+        both = np.fft.irfft(np.column_stack([system.correction(xi, _SLOT_RINGS), xi]),
+                            n=mesh.n_theta, axis=0)
         s = s_y - both[:, :3].T
-        rho = both[:, 3:] - flux(s)
+        rho = both[:, 3] - flux(s)
         history.append(scaled(rho, s))
         if history[-1] <= 2.0 * newton_tol:   # rebuild x and test its full residual
-            x = y - system._field(system.correction(xi, patterns))
+            x = y - system._field(system.correction(xi))
             resid, parts = system.apply(x) - base, [x[at] for at in slots]
-            for at, f in zip(slots, rows):
-                resid[at] += scale * np.asarray(f(*parts), dtype=float)
+            fx = flux(parts)
+            for at, sign in zip(slots, _EXCHANGE):
+                resid[at] += sign * fx
             if scaled(resid, x) < newton_tol:
                 out = State(t1, x[: mesh.n_bulk], parts[1], parts[2])
                 return (out, {"iterations": iteration, "residuals": history}) if return_info else out
-        terms = _reaction_terms(spec, *s, scale, exchange=k == 1)
+        coeffs = _reaction_terms(spec, *s, scale)
     raise NewtonDivergence(
         f"Newton did not reach {newton_tol:g} in {max_newton} iterations at t = {t1:g} "
         f"(last residual {history[-1]:.3e})", history)
@@ -835,9 +829,14 @@ def transport_identity_residual(geom: EvolvingGeometry, mesh: ReferenceMesh, t: 
     Test fields are functions of the reference coordinates and ride with the
     parametrization, so their material derivatives vanish and the right-hand
     side reduces to the dilation term (div V_p for scalar pairings) or the
-    deformation form of B(V_p) for the gradient pairing.
+    deformation form of B(V_p) for the gradient pairing.  The centered
+    difference reads the geometry at t - dt, which must be >= 0, and at a
+    finite t + dt.
     """
     check_steps(dt)
+    if not (t - dt >= 0.0 and math.isfinite(t + dt)):
+        raise ValidationError(f"must have t - dt >= 0 and t + dt finite, got t = {t}, dt = {dt}",
+                              key="t")
     if which is TransportKind.BULK:
         r, th = mesh.cell_r, mesh.cell_theta
         uv = np.asarray(u_field(r, th), dtype=float) * np.asarray(v_field(r, th), dtype=float)
@@ -972,7 +971,8 @@ def run(cfg, on_record=None, on_snapshot=None) -> RunResult:
     either the fixed dt or a CFL-adaptive dt (safety factor 0.9, capped by
     the configured dt); every output time is hit exactly.  A record whose
     m1 or m2 drifts from the first by more than MAX_DRIFT, relative, ends
-    the run with ConservationDrift, after it is emitted.
+    the run with ConservationDrift, and one whose smallest u, w or z is
+    below MIN_FIELD with NegativeField, after it is emitted.
     """
     from .diagnostics import make_record
     from .equilibrium import conserved_masses, solve_equilibrium
@@ -1030,6 +1030,10 @@ def run(cfg, on_record=None, on_snapshot=None) -> RunResult:
             raise ConservationDrift(
                 f"step {steps} at t = {state.t:g}: relative drift of m1 {drift[0]:.3e}, "
                 f"m2 {drift[1]:.3e}, above {MAX_DRIFT:g}")
+        low, name = min((rec.min_u, "u"), (rec.min_w, "w"), (rec.min_z, "z"))
+        if low < MIN_FIELD:
+            raise NegativeField(f"step {steps} at t = {state.t:g}: min of {name} {low:.3e}, "
+                                f"below {MIN_FIELD:g}")
 
     emit(0)
     if tcfg.t_final <= 0.0:

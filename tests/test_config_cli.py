@@ -241,13 +241,22 @@ class TestRunDriver:
         res = run(parse_config(text))
         assert res.steps >= 10 and (res.newton_total, res.newton_max) == (0, 0)
 
-    def test_drift_past_the_guard_stops_the_run(self, tmp_path, capsys):
-        """IMEX on fixed with delta_Omega = 1e10 (64 x 128, dt 0.01) drifts m1
-        by about 6e-5 in ten steps: the record at t = 0.1 is written, then the
+    def test_drift_past_the_guard_stops_the_run(self, tmp_path, capsys, monkeypatch):
+        """An IMEX stepper that leaks 1e-8 of the bulk per step drifts m1 by
+        about 6e-8 in ten steps: the record at t = 0.1 is written, then the
         run exits 2 naming the step, t and both drifts."""
+        step = solver_mod.ImexStepper.step
+
+        def leaking(self, state):
+            state = step(self, state)
+            state.u_hat *= 1.0 - 1e-8
+            return state
+
+        monkeypatch.setattr(solver_mod.ImexStepper, "step", leaking)
         cfg_path = tmp_path / "c.cfg"
-        cfg_path.write_text("model.delta_omega = 1e10\ntime.dt = 0.01\ntime.t_final = 0.2\n"
-                            f"ic.profile = perturbed_equilibrium\noutput.directory = {tmp_path}/out\n")
+        cfg_path.write_text("mesh.n_r = 8\nmesh.n_theta = 16\ntime.dt = 0.01\n"
+                            "time.t_final = 0.2\noutput.snapshots = false\n"
+                            f"output.directory = {tmp_path}/out\n")
         assert cli.main(["run", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("numerical failure (ConservationDrift): step 10 at t = 0.1: "
@@ -256,6 +265,41 @@ class TestRunDriver:
         assert float(drifts[0]) > solver_mod.MAX_DRIFT >= float(drifts[1])
         lines = (tmp_path / "out" / "diagnostics.csv").read_text().strip().splitlines()
         assert len(lines) == 3 and lines[2].startswith("0.1")
+
+    # breathing (omega 2, amplitude 0.3, delta 0.2) at 4 x 8 with fast binding,
+    # dt 0.01 and a record every 0.01: (stepper, config lines, the error's text)
+    NEGATIVE_RUNS = {
+        "imex": ("time.cfl = true\ntime.t_final = 0.13\nic.profile = perturbed_equilibrium\n"
+                 "model.delta_omega = 1.3858082271398442\nmodel.delta_gamma = 1915.848343969718\n"
+                 "model.delta_gamma_prime = 228195.67642923605\n"
+                 "model.delta_k = 1.8528865737920914e-06\n"
+                 "model.delta_k_prime = 5068.790215765448\n",
+                 "step 18 at t = 0.12: min of w -2.796e-02, below -1e-12", 0.12),
+        "implicit": ("time.t_final = 0.12\nmodel.delta_omega = 9.664984728022555\n"
+                     "model.delta_gamma = 1.3555607086585665e-05\n"
+                     "model.delta_gamma_prime = 11637388.902248343\n"
+                     "model.delta_k = 3.8003357022725676e-05\n"
+                     "model.delta_k_prime = 12.931554975165325\n",
+                     "step 4 at t = 0.04: min of w -3.872e-02, below -1e-12", 0.04),
+    }
+
+    @pytest.mark.parametrize("stepper", sorted(NEGATIVE_RUNS))
+    def test_negative_field_stops_the_run(self, stepper, tmp_path, capsys):
+        """A record whose smallest u, w or z is below -1e-12 is written, then
+        the run exits 2 naming the step, t and the field (both runs exited 0
+        with min w -5.7e-2 and -0.41 before)."""
+        text, message, t = self.NEGATIVE_RUNS[stepper]
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text("geometry.kind = breathing\ngeometry.omega = 2\n"
+                            "geometry.amplitude = 0.3\ngeometry.delta = 0.2\nmesh.n_r = 4\n"
+                            "mesh.n_theta = 8\nmodel.equilibrium_mode = paper_literal\n"
+                            f"time.stepper = {stepper}\ntime.dt = 0.01\n"
+                            f"time.output_interval = 0.01\n{text}output.snapshots = false\n"
+                            f"output.directory = {tmp_path}/out\n")
+        assert cli.main(["run", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == f"numerical failure (NegativeField): {message}\n"
+        lines = (tmp_path / "out" / "diagnostics.csv").read_text().strip().splitlines()
+        assert float(lines[-1].split(",")[0]) == t
 
     def test_guard_reads_every_record(self, monkeypatch):
         monkeypatch.setattr(solver_mod, "MAX_DRIFT", -1.0)

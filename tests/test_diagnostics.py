@@ -23,7 +23,7 @@ from bulksurf.diagnostics import (PROBE_BLOCK_CELLS, DiagnosticsRecord,
 from bulksurf import diagnostics as diag_mod
 from bulksurf.equilibrium import EquilibriumMode, solve_equilibrium
 from bulksurf.errors import (DegenerateSampler, InsufficientData, MassMismatch,
-                             NonfiniteField, NonpositiveEntropy, WorkerFailure)
+                             NonfiniteField, NonpositiveEntropy, ValidationError, WorkerFailure)
 from bulksurf.geometry import GeometryKind, GeometryPreset, build_geometry
 from bulksurf.mesh import build_mesh, moving_bulk_measures, moving_surface_measures
 from bulksurf.model import ModelParams
@@ -294,6 +294,14 @@ class TestProbe:
         lam2, worst2 = probe_functional_inequality(eq, geom, mesh, params, 200, 77)
         assert lam1 > 0.0
         assert lam1 == lam2 and worst1.index == worst2.index
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_outside_the_key_range_is_refused(self, setup, seed):
+        """Each sample's Philox key starts with the seed, a uint64."""
+        geom, mesh, params, eq = setup
+        with pytest.raises(ValidationError) as exc:
+            probe_functional_inequality(eq, geom, mesh, params, 3, seed)
+        assert exc.value.key == "seed"
 
     def test_seed_variation_bounded(self, setup):
         geom, mesh, params, eq = setup

@@ -16,9 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 from scipy.integrate import solve_ivp
 
-from bulksurf import solver
+from bulksurf import cli, solver
 from bulksurf.config import parse_config
-from bulksurf.errors import CflViolation, LinearSolveFailure, NewtonDivergence, UnknownCase
+from bulksurf.errors import (CflViolation, LinearSolveFailure, NewtonDivergence, UnknownCase,
+                             ValidationError)
 from bulksurf.geometry import GeometryKind, GeometryPreset, build_geometry
 from bulksurf.mesh import (build_mesh, integrate_bulk, integrate_surface,
                            moving_bulk_measures, moving_surface_measures)
@@ -403,26 +404,9 @@ REACTIONS = {"mass_action": (1.0, 0.5), "no_binding": (math.inf, 0.7),
              "no_unbinding": (0.3, math.inf), "saturating_binding": (1.0, 1.0)}
 
 
-def recycling(params):
-    """A reaction whose Jacobian rows are not of exchange form: receptors
-    turn over and complexes decay apart from the exchange flux."""
-    def f1(u, w, z):
-        return z - u * w
-
-    def f2(u, w, z):
-        return z - u * w + 0.5 * (1.0 - w)
-
-    def f3(u, w, z):
-        return u * w - 1.2 * z
-
-    return CustomNonlinearity(f1, f2, f3, alpha=2.0, beta=1.0, name="recycling")
-
-
 def reaction_spec(name, params):
     if name == "saturating_binding":
         return CUSTOM_NONLINEARITIES[name](params)
-    if name == "recycling":
-        return recycling(params)
     return MassAction(params)
 
 
@@ -482,35 +466,26 @@ def superlu_newton_step(st, dt, geom, mesh, params, spec, tol=1e-11, sources=Non
     raise AssertionError("reference Newton did not converge")
 
 
-def dense_capacitance_reference(system, b, terms):
-    """x with (A0 + slot terms) x = b by the dense Woodbury update: the
-    n_theta x n_theta circulants W_jk of the slot responses, the capacitance
-    I + sum_j diag(c_ij) W_jk assembled from them and solved by LU."""
+def dense_capacitance_reference(system, b, coeffs):
+    """x with (A0 + the exchange term of coeffs) x = b by the dense Woodbury
+    update: the n_theta x n_theta circulants W_j of the slot response, the
+    capacitance I + sum_j diag(c_j) W_j assembled from them and solved by LU."""
     ns = system.mesh.n_surf
-    terms = [(p, c) for p, c in terms if any(v is not None for v in c)]
     modes = system._modes(b)
-    if terms:
-        circulants = {p: [sla.circulant(row) for row in np.fft.irfft(
-            system._response(p)[:, _SLOT_RINGS].T, n=ns, axis=1)] for p, _ in terms}
-        cap = np.eye(ns * len(terms))
-        for i, (_, c) in enumerate(terms):
-            for k, (p, _) in enumerate(terms):
-                for v, w in zip(c, circulants[p]):
-                    if v is not None:
-                        cap[i * ns:(i + 1) * ns, k * ns:(k + 1) * ns] += v[:, None] * w
+    if any(c is not None for c in coeffs):
+        circulants = [sla.circulant(row) for row in np.fft.irfft(
+            system.response[:, _SLOT_RINGS].T, n=ns, axis=1)]
+        cap = np.eye(ns) + sum(c[:, None] * w for c, w in zip(coeffs, circulants) if c is not None)
         parts = np.fft.irfft(modes[:, _SLOT_RINGS].T, n=ns, axis=1)
-        rhs = np.concatenate([sum(v * part for v, part in zip(c, parts) if v is not None)
-                              for _, c in terms])
-        xi = np.fft.rfft(np.linalg.solve(cap, rhs).reshape(-1, ns), axis=1)
-        modes = modes - sum(system._response(p) * xi[k][:, None] for k, (p, _) in enumerate(terms))
+        rhs = sum(c * part for c, part in zip(coeffs, parts) if c is not None)
+        modes = modes - system.response * np.fft.rfft(np.linalg.solve(cap, rhs))[:, None]
     return system._field(modes)
 
 
 def capacitance_cases(kind, n_theta, delta_k, spread, uniform=False):
-    """A Fourier solve and its slot terms, as (solve, name, right-hand side,
-    terms): the IMEX exchange and the mass-action Newton term (one term
-    each), and recycling's Newton terms (one per row), at a random state
-    whose w spans a factor spread, or at a uniform state."""
+    """A Fourier solve and its exchange terms, as (solve, name, right-hand
+    side, coefficients): the IMEX exchange and the mass-action Newton term,
+    at a random state whose w spans a factor spread, or at a uniform state."""
     geom = preset_geometry(kind)
     mesh = build_mesh(6, n_theta, 1.0, 2.0)
     params = ModelParams(1.0, 0.7, 1.3, delta_k, 0.5)
@@ -523,9 +498,9 @@ def capacitance_cases(kind, n_theta, delta_k, spread, uniform=False):
     system = solver._solve_for(geom, mesh, params, dt, dt, geom.surface_slip_active)
     arcs, u_tr = system.measures[1], st.u_hat[:n_theta]
     b = np.concatenate([st.u_hat, st.w_hat, st.z_hat])
-    yield system, "imex", b, [(_EXCHANGE, (dt * arcs * st.w_hat / delta_k, None, -dt * arcs / 0.5))]
-    for name, spec in (("mass action", MassAction(params)), ("recycling", recycling(params))):
-        yield system, name, b, _reaction_terms(spec, u_tr, st.w_hat, st.z_hat, -dt * arcs)
+    yield system, "imex", b, (dt * arcs * st.w_hat / delta_k, None, -dt * arcs / 0.5)
+    yield system, "mass action", b, _reaction_terms(MassAction(params), u_tr, st.w_hat, st.z_hat,
+                                                    -dt * arcs)
 
 
 class TestCapacitance:
@@ -536,9 +511,9 @@ class TestCapacitance:
     @pytest.mark.parametrize("n_theta", [16, 17, 128, 256])
     @pytest.mark.parametrize("kind", ["rotation", "clockwise_wind"])
     def test_matches_dense_reference(self, kind, n_theta, delta_k, spread):
-        for system, name, b, terms in capacitance_cases(kind, n_theta, delta_k, spread):
-            ref = dense_capacitance_reference(system, b, terms)
-            got = system.solve_slots(b, terms, name)
+        for system, name, b, coeffs in capacitance_cases(kind, n_theta, delta_k, spread):
+            ref = dense_capacitance_reference(system, b, coeffs)
+            got = system.solve_slots(b, coeffs, name)
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), name
 
     @pytest.mark.parametrize("n_theta", [16, 17, 128])
@@ -555,11 +530,11 @@ class TestCapacitance:
 
         monkeypatch.setattr(solver, "_gmres", counting)
         for delta_k in (math.inf, 0.01, 1.0):
-            for system, name, b, terms in capacitance_cases(kind, n_theta, delta_k, 1.0, True):
-                ref = dense_capacitance_reference(system, b, terms)
-                got = system.solve_slots(b, terms, name)
+            for system, name, b, coeffs in capacitance_cases(kind, n_theta, delta_k, 1.0, True):
+                ref = dense_capacitance_reference(system, b, coeffs)
+                got = system.solve_slots(b, coeffs, name)
                 assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), name
-        assert len(counts) == 9 and max(counts) <= 1
+        assert len(counts) == 6 and max(counts) <= 1
 
 
 class TestFourierSolve:
@@ -640,7 +615,7 @@ class TestFourierSolve:
         scipy.linalg.circulant and every np.linalg solve or inverse of side
         n_theta or more refusing, both steppers step and agree with SuperLU,
         with delta_K = inf (the unbinding alone, the same in every slot),
-        with binding, and with a reaction of one term per row."""
+        with binding, and with a custom exchange."""
         mesh = build_mesh(6, 16, 1.0, 2.0)
 
         def small_only(original):
@@ -657,7 +632,7 @@ class TestFourierSolve:
         st = random_state(mesh, seed=3)
         for delta_k in (math.inf, 1.0):
             params = ModelParams(1.0, 0.7, 1.3, delta_k, 0.7)
-            for spec in (MassAction(params), recycling(params)):
+            for spec in (MassAction(params), reaction_spec("saturating_binding", params)):
                 assert_same_state(step_imex(st, 0.02, geom, mesh, params, spec),
                                   superlu_step(st, 0.02, geom, mesh, params, spec))
                 assert_same_state(step_implicit(st, 0.02, geom, mesh, params, spec),
@@ -675,7 +650,7 @@ class TestFourierSolve:
         mesh = build_mesh(6, 12, 1.0, 2.0)
         params = ModelParams(1.0, 0.7, 1.3, 1.0, 0.5)
         st = random_state(mesh, seed=2)
-        for spec in (MassAction(params), recycling(params)):
+        for spec in (MassAction(params), reaction_spec("saturating_binding", params)):
             stepper = ImexStepper(geom, mesh, params, spec, 0.01)
             for _ in range(2):
                 st = stepper.step(st)
@@ -709,12 +684,12 @@ class TestNewtonFourier:
     same assembled Newton matrix."""
 
     @pytest.mark.parametrize("n_theta", [16, 17])
-    @pytest.mark.parametrize("reaction", sorted(REACTIONS) + ["recycling"])
+    @pytest.mark.parametrize("reaction", sorted(REACTIONS))
     @pytest.mark.parametrize("kind", sorted(PRESETS))
     def test_matches_superlu(self, kind, reaction, n_theta):
         geom = preset_geometry(kind)
         mesh = build_mesh(6, n_theta, 1.0, 2.0)
-        params = ModelParams(1.0, 0.7, 1.3, *REACTIONS.get(reaction, (1.0, 1.0)))
+        params = ModelParams(1.0, 0.7, 1.3, *REACTIONS[reaction])
         spec = reaction_spec(reaction, params)
         # fixed-dt steps share the kept Fourier solve of their (t + dt, dt) key
         st = random_state(mesh, seed=4)
@@ -735,7 +710,7 @@ class TestNewtonFourier:
 class TestSlotNewton:
     """Newton on the surface slots (the bulk eliminated) against the plain
     Newton on the whole field, on the paths test_matches_superlu leaves
-    implicit: injected sources, one slot flux per row, complex responses."""
+    implicit: injected sources, complex responses."""
 
     @pytest.mark.parametrize("kind", ["fixed", "rotation"])
     def test_sources_match_superlu(self, kind):
@@ -761,17 +736,18 @@ class TestSlotNewton:
         for a, b in zip(e1, e2):
             assert a / b >= 3.6
 
-    @pytest.mark.parametrize("kind,reaction,columns,dtype", [
-        ("rotation", "recycling", 3, float), ("surface_wind", "mass_action", 1, complex),
-        ("clockwise_wind", "recycling", 3, complex)])
-    def test_slot_columns_and_responses(self, kind, reaction, columns, dtype, monkeypatch):
-        """Recycling iterates on three slot fluxes, one per row; the wind's
-        upwind step matrix gives complex slot responses."""
+    @pytest.mark.parametrize("kind,reaction,dtype", [
+        ("rotation", "saturating_binding", float), ("surface_wind", "mass_action", complex),
+        ("clockwise_wind", "saturating_binding", complex)])
+    def test_slot_columns_and_responses(self, kind, reaction, dtype, monkeypatch):
+        """Newton iterates on one exchange flux per slot, for mass action and
+        a custom exchange; the wind's upwind step matrix gives a complex slot
+        response."""
         shapes, capacitance = [], solver._FourierSolve._capacitance
 
-        def recording(self, r, terms, what):
-            shapes.append((r.shape, len(terms), self._response(terms[0][0]).dtype))
-            return capacitance(self, r, terms, what)
+        def recording(self, r, coeffs, what):
+            shapes.append((r.shape, self.response.dtype))
+            return capacitance(self, r, coeffs, what)
 
         monkeypatch.setattr(solver._FourierSolve, "_capacitance", recording)
         geom = preset_geometry(kind)
@@ -783,7 +759,7 @@ class TestSlotNewton:
         got, info = step_implicit(st, 0.02, geom, mesh, params, spec, return_info=True)
         assert_same_state(got, ref)
         assert info["iterations"] == ref_iters == len(shapes)
-        assert set(shapes) == {((17, columns), columns, np.dtype(dtype))}
+        assert set(shapes) == {((17,), np.dtype(dtype))}
 
     def test_failed_full_check_takes_another_iteration(self, monkeypatch):
         """A rebuilt state whose full residual fails is not returned: the
@@ -806,10 +782,10 @@ class TestSlotNewton:
         assert_same_state(got, ref)
         assert info["iterations"] == ref_iters + 1 and len(calls) == 3
 
-    @pytest.mark.parametrize("reaction,cap", [("mass_action", 12), ("recycling", 36)])
+    @pytest.mark.parametrize("reaction,cap", [("mass_action", 12), ("saturating_binding", 12)])
     def test_capacitance_failure_names_its_iterations(self, reaction, cap, monkeypatch):
         """A capacitance GMRES that fails inside Newton raises, naming its cap
-        of one iteration per slot and term (n_theta = 12)."""
+        of one iteration per slot (n_theta = 12)."""
         geom, mesh, params, _ = make(n=6)
         spec = reaction_spec(reaction, params)
         monkeypatch.setattr(solver, "_gmres", lambda apply, rhs, target, cap: (None, cap))
@@ -817,6 +793,39 @@ class TestSlotNewton:
                                                      f"reach relative residual 1e-12 in {cap} "
                                                      "iterations"):
             step_implicit(random_state(mesh, seed=5), 0.01, geom, mesh, params, spec)
+
+    def test_reaction_not_of_exchange_form_is_refused(self, tmp_path, monkeypatch, capsys):
+        """A reaction whose rows are not one exchange flux (receptors turn
+        over, complexes decay apart from the exchange) is refused by both
+        steppers before any solve, and `bulksurf run` exits 1 naming
+        model.nonlinearity."""
+        def recycling(params):
+            return CustomNonlinearity(lambda u, w, z: z - u * w,
+                                      lambda u, w, z: z - u * w + 0.5 * (1.0 - w),
+                                      lambda u, w, z: u * w - 1.2 * z,
+                                      alpha=2.0, beta=1.0, name="recycling")
+
+        monkeypatch.setitem(CUSTOM_NONLINEARITIES, "recycling", recycling)
+        geom, mesh, params, _ = make(n=6)
+        spec = recycling(params)
+        st = random_state(mesh, seed=5)
+        monkeypatch.setattr(solver, "_solve_for", lambda *args, **kw: pytest.fail("solve built"))
+        for step in (step_imex, step_implicit):
+            with pytest.raises(ValidationError, match="'recycling' differs at t = 0") as exc:
+                step(st, 0.01, geom, mesh, params, spec)
+            assert exc.value.key == "model.nonlinearity"
+        monkeypatch.undo()
+        monkeypatch.setitem(CUSTOM_NONLINEARITIES, "recycling", recycling)
+        for stepper in ("imex", "implicit"):
+            cfg = tmp_path / f"{stepper}.cfg"
+            cfg.write_text(f"model.nonlinearity = custom:recycling\ntime.stepper = {stepper}\n"
+                           "mesh.n_r = 4\nmesh.n_theta = 8\ntime.t_final = 0.02\n"
+                           "time.output_interval = 0.01\noutput.snapshots = false\n"
+                           f"output.directory = {tmp_path}/out\n")
+            assert cli.main(["run", str(cfg)]) == 1
+            assert capsys.readouterr().err.startswith(
+                "config error (ValidationError): model.nonlinearity: the solver takes one "
+                "exchange flux")
 
     def test_divergence_carries_each_slot_residual(self):
         geom, mesh, params, spec = make()
@@ -843,6 +852,21 @@ class TestSlotNewton:
             st = step_implicit(st, 0.01, geom, mesh, params, spec)
         after = conserved_masses(st, geom, mesh)
         assert abs(after[1] - before[1]) <= 1e-12 * before[1]
+
+
+@pytest.mark.parametrize("stepper", ["imex", "implicit"])
+def test_fast_bulk_diffusion_holds_m1(stepper):
+    """Fixed preset, 64 x 128, dt 0.01 to t = 0.2, a record every step, from
+    a perturbed equilibrium: both steppers hold m1 and m2 to 1e-12 for
+    delta_Omega up to 1e12, by the mode-0 mass correction of the Fourier
+    solve (without it m1 drifted 8.0e-9 at 1e6 and 2.7e-4 at 1e12)."""
+    for delta_omega in (1.0, 1e4, 1e6, 1e8, 1e10, 1e12):
+        cfg = parse_config(f"model.delta_omega = {delta_omega}\ntime.t_final = 0.2\n"
+                           f"time.output_interval = 0.01\ntime.stepper = {stepper}\n"
+                           "ic.profile = perturbed_equilibrium\noutput.snapshots = false\n")
+        records = solver.run(cfg).records
+        assert len(records) == 21
+        assert max(max(solver.relative_drift(records[0], r)) for r in records) <= 1e-12, delta_omega
 
 
 def check_one_solve_per_key(kind, stepper, cfl, monkeypatch):

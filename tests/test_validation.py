@@ -3,7 +3,10 @@ flag it came from, any config text parses or fails with a config error, and
 every bad input exits 1 with one line."""
 
 import math
+import tempfile
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -59,6 +62,8 @@ OUT_OF_RANGE = [
     ("ic.path", "ic.profile = file"),
     ("ic.path", "ic.profile = file\nic.path = /nonexistent/f.txt"),
     ("probe.n_samples", "probe.n_samples = 0"),
+    ("probe.seed", "probe.seed = -1"),
+    ("probe.seed", f"probe.seed = {2 ** 64}"),    # the Philox key's words are uint64
 ]
 
 
@@ -112,6 +117,11 @@ BAD_FLAGS = [
     (["check-assumptions", "--nonlinearity", "foo"], "--nonlinearity"),
     (["transport-check", "--dt0", "0"], "--dt0"),
     (["transport-check", "--amplitude", "0.9"], "--amplitude"),
+    (["transport-check", "--t", "nan"], "--t"),
+    (["transport-check", "--t", "inf"], "--t"),
+    (["transport-check", "--t", "-100"], "--t"),
+    (["transport-check", "--t", "0.005"], "--t"),         # t - dt0 < 0
+    (["check-assumptions", "--seed", "-1"], "--seed"),
     (["mms", "--dt0", "0"], "--dt0"),
     (["mms", "--case", "foo"], "--case"),
     (["eig", "--n-r", "2"], "--n-r"),
@@ -144,6 +154,7 @@ RUN_FAULTS = [
     ("run", "ic.u0 = 0\nic.w0 = 0\nic.z0 = 0\n", "ic.u0/ic.z0"),
     ("run", "ic.w0 = 0\nic.z0 = 0\n", "ic.w0/ic.z0"),
     ("probe", "ic.m1 = -1\nprobe.n_samples = 3\n", "ic.m1"),
+    ("probe", f"probe.seed = {2 ** 64}\nprobe.n_samples = 3\n", "probe.seed"),
     ("run", "geometry.r_outer0 = 1e300\n", "geometry.r_outer0"),
 ] + [("run", f"geometry.r_inner0 = {radius}\nic.profile = {profile}\ntime.stepper = {stepper}\n",
       "geometry.r_inner0")
@@ -232,3 +243,48 @@ def test_cfl_run_over_the_step_budget_exits_two(tmp_path, monkeypatch, capsys):
     err = _one_line(capsys)
     assert "CflViolation" in err and "step 4 at t = 0.0424115, dt = 0.0141372" in err
     assert "MAX_STEPS = 3" in err
+
+
+@pytest.mark.parametrize("seed", [2 ** 63, 2 ** 64 - 1])
+def test_probe_seed_at_the_top_of_its_range_runs(seed, tmp_path, capsys):
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(f"mesh.n_r = 4\nmesh.n_theta = 8\nprobe.n_samples = 3\n"
+                        f"probe.seed = {seed}\noutput.directory = {tmp_path}/out\n")
+    assert cli.main(["probe", str(cfg_path)]) == 0
+    assert f"(seed {seed})" in capsys.readouterr().out
+
+
+# End-to-end fuzz: valid configs at 4 x 8 of at most 20 steps on every preset,
+# stepper and dt control, the five deltas log-uniform in [1e-6, 1e12] and the
+# rate constants also inf.  CFL runs get a budget of 20 steps.
+_DELTA = st.floats(-6.0, 12.0).map(lambda e: 10.0 ** e)
+_RATE = st.one_of(_DELTA, st.just(math.inf))
+_PRESETS = {"fixed": "", "rotation": "geometry.omega = 1\n",
+            "breathing": "geometry.omega = 2\ngeometry.amplitude = 0.3\ngeometry.delta = 0.2\n",
+            "surface_wind": "geometry.wind_speed = 0.5\ngeometry.delta = 0.2\n"}
+
+
+@settings(max_examples=200)
+@given(kind=st.sampled_from(sorted(_PRESETS)), stepper=st.sampled_from(["imex", "implicit"]),
+       cfl=st.booleans(), deltas=st.tuples(_DELTA, _DELTA, _DELTA, _RATE, _RATE),
+       mode=st.sampled_from(["rate_balance", "paper_literal"]),
+       profile=st.sampled_from(["uniform", "perturbed_equilibrium"]), steps=st.integers(1, 20))
+def test_any_valid_run_exits_cleanly(kind, stepper, cfl, deltas, mode, profile, steps):
+    """Each run exits 0, 1 or 2 with no traceback; on exit 0 every record
+    holds m1 and m2 to 1e-9 and its fields above -1e-12."""
+    keys = ("delta_omega", "delta_gamma", "delta_gamma_prime", "delta_k", "delta_k_prime")
+    with tempfile.TemporaryDirectory() as out, mock.patch.object(solver_mod, "MAX_STEPS", 20):
+        text = (f"geometry.kind = {kind}\n{_PRESETS[kind]}mesh.n_r = 4\nmesh.n_theta = 8\n"
+                + "".join(f"model.{key} = {value!r}\n" for key, value in zip(keys, deltas))
+                + f"model.equilibrium_mode = {mode}\ntime.stepper = {stepper}\n"
+                f"time.cfl = {str(cfl).lower()}\ntime.dt = 0.01\ntime.t_final = {steps / 100}\n"
+                f"time.output_interval = 0.01\nic.profile = {profile}\n"
+                f"output.snapshots = false\noutput.directory = {out}\n")
+        with open(f"{out}/c.cfg", "w", encoding="utf-8") as fh:
+            fh.write(text)
+        code = cli.main(["run", f"{out}/c.cfg"])
+        assert code in (0, 1, 2)
+        if code == 0:
+            rows = np.loadtxt(f"{out}/diagnostics.csv", delimiter=",", skiprows=1, ndmin=2)
+            drift = np.abs(rows[:, 1:3] - rows[0, 1:3]) / rows[0, 1:3]
+            assert drift.max() <= 1e-9 and rows[:, 5:8].min() >= -1e-12, text
