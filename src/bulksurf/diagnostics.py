@@ -149,7 +149,8 @@ def _boltzmann(s, s_inf, out=None):
         out *= s
     out -= s
     out += s_inf
-    out[s <= 0.0] = s_inf
+    if not s.min() > 0.0:   # the masked store only where some s <= 0
+        out[s <= 0.0] = s_inf
     return out
 
 
@@ -354,8 +355,18 @@ def check_seed(seed: int) -> None:
         raise ValidationError(f"must be in [0, 2**64), got {seed}", key="seed")
 
 
-def _sample_stream(seed, index):
-    return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+def _streams(seed, indices):
+    """(index, generator) for each index in turn, one generator re-keyed to
+    the Philox stream (seed, index) each time: counter 0, key (seed, index)
+    and an empty buffer, the state a fresh Generator(Philox(key=[seed,
+    index])) starts in.  Building that generator takes about 8 us a sample
+    on a 2-core VM, re-keying it under 1 us."""
+    bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    rng, state = np.random.Generator(bits), bits.state
+    for index in indices:
+        state["state"]["key"][1] = index
+        bits.state = state
+        yield index, rng
 
 
 def _smooth_bulk(u, mesh, out, scratch):
@@ -364,11 +375,11 @@ def _smooth_bulk(u, mesh, out, scratch):
     0.2 (u_j - u_i) enters one cell as computed and its neighbour negated."""
     grid = u.shape[:-1] + (mesh.n_r, mesh.n_theta)
     u, s, t = u.reshape(grid), out.reshape(grid), scratch.reshape(grid)
-    s[...] = u
     flux = np.subtract(u[..., :-1, :], u[..., 1:, :], out=t[..., 1:, :])
     flux *= 0.2
-    s[..., 1:, :] += flux
-    s[..., :-1, :] -= flux
+    np.add(u[..., 1:, :], flux, out=s[..., 1:, :])
+    np.subtract(u[..., 0, :], flux[..., 0, :], out=s[..., 0, :])
+    s[..., 1:-1, :] -= flux[..., 1:, :]
     np.subtract(u[..., :-1], u[..., 1:], out=t[..., 1:])
     np.subtract(u[..., -1], u[..., 0], out=t[..., 0])
     t *= 0.2
@@ -378,8 +389,17 @@ def _smooth_bulk(u, mesh, out, scratch):
     return out
 
 
-def _smooth_surface(field):
-    return field + 0.25 * (np.roll(field, 1, axis=-1) - 2.0 * field + np.roll(field, -1, axis=-1))
+def _smooth_surface(f, out):
+    """f + 0.25 (f[k-1] - 2 f[k] + f[k+1]) along the periodic last axis,
+    written to out, in the operation order of that formula."""
+    np.multiply(f, 2.0, out=out)
+    np.subtract(f[..., :-1], out[..., 1:], out=out[..., 1:])
+    np.subtract(f[..., -1], out[..., 0], out=out[..., 0])
+    out[..., :-1] += f[..., 1:]
+    out[..., -1] += f[..., 0]
+    out *= 0.25
+    out += f
+    return out
 
 
 def _project(u, w, z, m1, m2, fr: _Frame, out=(None, None, None)):
@@ -418,26 +438,28 @@ def _draw_block(indices, seed, eq, fr: _Frame, raw_sampler, work):
 
     Row j comes from the stream (seed, indices[j]) alone, so a sample does not
     depend on the block it is drawn in.  Without a raw sampler the draws are
-    log-uniform in SAMPLE_RANGE and get one diffusion application before the
-    projection.
+    log-uniform in SAMPLE_RANGE, u, w and z in turn as Generator.uniform
+    draws them, and get one diffusion application before the projection.
     """
     mesh = fr.mesh
     u, other, scratch = work[:, :len(indices)]
-    w = np.empty((len(indices), mesh.n_surf))
-    z = np.empty((len(indices), mesh.n_surf))
+    surf = np.empty((2, len(indices), mesh.n_surf))
+    w, z = surf
     if raw_sampler is None:
+        for j, (_, rng) in enumerate(_streams(seed, indices)):
+            rng.random(out=u[j])
+            rng.random(out=w[j])
+            rng.random(out=z[j])
         lo, hi = math.log(SAMPLE_RANGE[0]), math.log(SAMPLE_RANGE[1])
-        for j, index in enumerate(indices):
-            rng = _sample_stream(seed, index)
-            u[j] = rng.uniform(lo, hi, mesh.n_bulk)
-            w[j] = rng.uniform(lo, hi, mesh.n_surf)
-            z[j] = rng.uniform(lo, hi, mesh.n_surf)
-        u, other = _smooth_bulk(np.exp(u, out=u), mesh, other, scratch), u
-        w = _smooth_surface(np.exp(w, out=w))
-        z = _smooth_surface(np.exp(z, out=z))
+        for x in (u, surf):   # lo + (hi - lo) x, bit for bit as uniform(lo, hi)
+            x *= hi - lo
+            x += lo
+            np.exp(x, out=x)
+        u, other = _smooth_bulk(u, mesh, other, scratch), u
+        w, z = _smooth_surface(surf, np.empty_like(surf))
     else:
-        for j, index in enumerate(indices):
-            u[j], w[j], z[j] = raw_sampler(index, _sample_stream(seed, index))
+        for j, (index, rng) in enumerate(_streams(seed, indices)):
+            u[j], w[j], z[j] = raw_sampler(index, rng)
     _project(u, w, z, eq.m1, eq.m2, fr, out=(u, w, z))
     return (u, w, z), (other, scratch)
 
@@ -454,10 +476,13 @@ def sample_conservative_state(index, seed, eq, geom, mesh, t=0.0):
     return State(t, u[0], w[0], z[0])
 
 
-# Bulk cell values per block of probe samples: blocks of 4 at 64 x 128 and of
-# 64 at 16 x 32.  Larger blocks share numpy's per-call cost among more
-# samples; a block's three bulk arrays take 256 kB each.
-PROBE_BLOCK_CELLS = 1 << 15
+# Bulk cell values per block of probe samples: blocks of 8 at 64 x 128 and of
+# 128 at 16 x 32.  Larger blocks share numpy's per-call cost among more
+# samples; a block's three bulk arrays take 512 kB each.  1,000 samples at
+# 64 x 128 on a 2-core VM (two processes) took 103-113 ms in blocks of 4,
+# 95-101 ms in blocks of 8 and 105-113 ms in blocks of 16, which also held
+# 1.5 MB more memory per process than blocks of 8.
+PROBE_BLOCK_CELLS = 1 << 16
 
 
 def probe_functional_inequality(eq: Equilibrium, geom: EvolvingGeometry, mesh: ReferenceMesh,
@@ -472,17 +497,21 @@ def probe_functional_inequality(eq: Equilibrium, geom: EvolvingGeometry, mesh: R
     baseline, not an assertion of any published value.
 
     Samples are evaluated in blocks of PROBE_BLOCK_CELLS // n_bulk as
-    (block, n) arrays.  With n usable CPUs (the process's affinity) and more
-    than one block, the calling process evaluates blocks 0, n, 2n, ... and
-    n - 1 forked worker processes the others (see `_in_workers`).  Sample i
-    draws from its own stream (seed, i) and the worst sample is the least
-    (ratio, index), so the result depends neither on the block size nor on
-    the number of workers.
+    (block, n) arrays, but of at most ceil(n_samples / n) samples with n
+    usable CPUs (the process's affinity), so that a probe of more than one
+    sample is shared out: the calling process evaluates blocks 0, n, 2n, ...
+    and n - 1 forked worker processes the others (see `_in_workers`).  Each
+    block re-keys one generator from sample to sample.  Sample i draws from
+    its own stream (seed, i) and the worst sample is the least (ratio,
+    index), so the samples do not depend on the block size or on the number
+    of workers, nor does the result, up to rounding in the last bits (BLAS
+    sums the rows of a block in groups, and a row outside a whole group is
+    summed in another order).
     """
     check_samples(n_samples)
     check_seed(rng_seed)
     fr = _frame(geom, mesh, t)
-    size = min(n_samples, max(1, PROBE_BLOCK_CELLS // mesh.n_bulk))
+    size = min(max(1, PROBE_BLOCK_CELLS // mesh.n_bulk), -(-n_samples // _usable_cpus()))
     starts = range(0, n_samples, size)
 
     def evaluate(start, work):

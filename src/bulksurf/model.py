@@ -27,6 +27,10 @@ SURFACE_DIMENSION = 1
 BETA_LIMIT = (SURFACE_DIMENSION + 4) / (SURFACE_DIMENSION + 2)
 # exponent of the (1 + u + w + z)^p envelope fitted for the polynomial bound
 POLY_BOUND_EXPONENT = 3
+# the sample budget of check_assumptions and of the probe: check_assumptions
+# holds about 15 float arrays per sample, 1.2 GB at MAX_SAMPLES, and the probe
+# takes about 0.2 ms of CPU per sample at 64 x 128, half an hour at MAX_SAMPLES
+MAX_SAMPLES = 10 ** 7
 
 
 @dataclasses.dataclass(frozen=True)
@@ -172,9 +176,12 @@ def _worst(values, pts):
 
 
 def check_samples(n_samples: int) -> None:
-    """A sample count must be at least 1."""
+    """A sample count must be at least 1 and at most MAX_SAMPLES."""
     if n_samples < 1:
         raise ValidationError(f"must be >= 1, got {n_samples}", key="n_samples")
+    if n_samples > MAX_SAMPLES:
+        raise ValidationError(f"{n_samples} samples is above MAX_SAMPLES = {MAX_SAMPLES}",
+                              key="n_samples")
 
 
 def check_assumptions(spec, sample_box, n_samples: int, rng_seed: int, tol: float) -> AssumptionReport:

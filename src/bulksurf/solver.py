@@ -30,9 +30,14 @@ Scheme summary (both steppers are first order in time):
     u w / delta_K is implicit in the trace factor u, the unbinding flux
     z / delta_K' is implicit in z, gains are carried by those same implicit
     flux values.  u and z are then unconditionally nonnegative (the coupled
-    matrix restricted to them is an M-matrix) and w is nonnegative under the
-    step bound dt <= delta_K / max(u trace), which is folded into the CFL
-    check,
+    matrix restricted to them is an M-matrix).  w is not: its row loses
+    dt u(t + dt) w(t) / delta_K per unit arc, so it stays nonnegative when
+    dt u(t + dt) / delta_K <= m0 / m1 in every slot, m0 and m1 the surface
+    cell measures at t and t + dt.  The CFL check's binding bound
+    dt <= delta_K / max(u trace at t) (cfl_bound) is that condition only
+    while the trace does not grow over the step and the surface cells do
+    not grow; on a moving or fast-changing state w can go negative, and
+    run then stops at the first record below MIN_FIELD with NegativeField,
   * no flux is assembled at the fixed outer wall,
   * every preset is rotationally symmetric, so the operators are ring
     coefficients; every linear system is solved by an rFFT in theta, one
@@ -179,10 +184,14 @@ def cfl_bound(geom: EvolvingGeometry, mesh: ReferenceMesh, params: ModelParams,
     """Largest dt the IMEX stepper accepts at this state.
 
     Advective part: surface cell arc length / |J_Gamma . tau|.  Reaction part
-    (mass action): dt <= delta_K / max trace of u, which keeps the receptor
-    update nonnegative (surface cell and coupling arc coincide, so their
-    ratio drops out).  Infinite when nothing constrains the step.  q, the
-    surface face speed at t, may be passed in.
+    (mass action): dt <= delta_K / max trace of u at t.  The receptor update
+    is nonnegative when dt u(t + dt) / delta_K <= m0 / m1 in every slot, with
+    the u trace at t + dt, where the binding flux is implicit, and m0 / m1
+    the ratio of the surface cell measures at t and t + dt (see the module
+    notes).  The bound covers that only while the trace does not grow over
+    the step and the surface cells do not grow; elsewhere run's NegativeField
+    check on each record is the backstop.  Infinite when nothing constrains
+    the step.  q, the surface face speed at t, may be passed in.
     """
     t = state.t
     bound = math.inf
@@ -246,8 +255,9 @@ def _slot_slices(mesh: ReferenceMesh):
 # signs of the exchange flux in the rows (u trace, w, z); one value in all three
 # conserves m1 and m2
 _EXCHANGE = (1.0, 1.0, -1.0)
-# rings of (u trace, w, z) in the order of the Fourier modes (w, z, u outward)
-_SLOT_RINGS = [2, 0, 1]
+# rings of (u trace, w, z) in the order of the Fourier modes, that of the
+# stacked vector (u rings outward, w, z)
+_SLOT_RINGS = [0, -2, -1]
 
 
 def _mass_rhs(state: State, dt: float, mesh: ReferenceMesh, m0, m1,
@@ -337,8 +347,8 @@ class _FourierSolve:
     the z row.
 
     A0 commutes with rotations in theta, so an rFFT splits A0 x = b into
-    n_theta // 2 + 1 systems (Hockney), tridiagonal in the order (w, z, u
-    rings outward), with bands in closed form (2 (1 - cos 2 pi p / n_theta)
+    n_theta // 2 + 1 systems (Hockney), tridiagonal in the order (u rings
+    outward, w, z), with bands in closed form (2 (1 - cos 2 pi p / n_theta)
     for the cyclic second difference, a shift for the upwind flux), factored
     once by LAPACK and solved by the factors: pttrf/pttrs (L D L^T) for the
     real modes, which are symmetric positive definite, gttrf/gttrs (LU with
@@ -354,8 +364,6 @@ class _FourierSolve:
         self.ring_total = float(np.sum(ops.ring_measures))
         self.measures = (ops.bulk_measures, ops.surf_measures)
         nr, nt = mesh.n_r, mesh.n_theta
-        rings = np.arange(nr + 2)
-        self.order, self.back = (rings - 2) % (nr + 2), (rings + 2) % (nr + 2)
         # dt times the couplings: faces around and between rings, surface faces
         # of (w, z) and the advective face flux
         self.ang, self.rad = ang, rad = dt * ops.angular, dt * ops.radial
@@ -375,13 +383,13 @@ class _FourierSolve:
         phi = 2.0 * np.pi * np.arange(nt // 2 + 1) / nt
         cyclic = 2.0 * (1.0 - np.cos(phi))[:, None]
         diag = np.empty((len(phi), nr + 2), complex if q else float)
-        diag[:, :2] = ops.surf_measure + cyclic * self.srf
-        diag[:, 2:] = ops.ring_measures + radial_sum + cyclic * ang
+        diag[:, :nr] = ops.ring_measures + radial_sum + cyclic * ang
+        diag[:, nr:] = ops.surf_measure + cyclic * self.srf
         if q:  # upwind: the donor neighbour sits at k - sign(q)
-            diag[:, :2] += abs(self.q) * (1.0 - np.exp(-1j * math.copysign(1.0, q) * phi))[:, None]
+            diag[:, nr:] += abs(self.q) * (1.0 - np.exp(-1j * math.copysign(1.0, q) * phi))[:, None]
         # couplings to the rings before and after, the same in every mode
         lower, upper = np.zeros((2, len(phi), nr + 2), diag.dtype)
-        lower[:, 3:] = upper[:, 2:-1] = -rad
+        lower[:, 1:nr] = upper[:, :nr - 1] = -rad
         self.bands = (lower.ravel()[1:], diag.ravel(), upper.ravel()[:-1])
         if q:   # the upwind shift makes the modes complex and unsymmetric
             *self.lu, info = sla.lapack.zgttrf(*self.bands)
@@ -421,7 +429,7 @@ class _FourierSolve:
 
     def _solve_modes(self, modes):
         """y with A0 y = modes in every Fourier mode at once; modes is
-        (n_theta // 2 + 1, rings), rings in the order (w, z, u outward), and
+        (n_theta // 2 + 1, rings), rings in the order (u outward, w, z), and
         takes one real right-hand side when it is real (the slot response).
 
         In mode 0 the bulk block is M + T, T the radial stiffness, whose null
@@ -429,7 +437,8 @@ class _FourierSolve:
         of the right-hand side.  The factors miss it by about eps cond(M + T),
         which grows like delta_Omega dt / h^2; it is restored on the null
         vector (Nicolaides' deflation)."""
-        mass = modes[0, 2:].sum()
+        nr = self.mesh.n_r
+        mass = modes[0, :nr].sum()
         if self.q:
             y = sla.lapack.zgttrs(*self.lu, modes.reshape(-1, 1), overwrite_b=1)[0]
         elif np.iscomplexobj(modes):  # the real factors, U^H D U = L D L^T
@@ -438,23 +447,22 @@ class _FourierSolve:
         else:
             y = sla.lapack.dpttrs(*self.lu, modes.reshape(-1, 1), overwrite_b=1)[0]
         y = y.reshape(modes.shape)
-        y[0, 2:] += (mass - self.rings @ y[0, 2:]) / self.ring_total
+        y[0, :nr] += (mass - self.rings @ y[0, :nr]) / self.ring_total
         return y
 
     def _modes(self, b):
         """A0^{-1} b as its modes, (n_theta // 2 + 1, rings) as in _solve_modes."""
-        nt, rings = self.mesh.n_theta, len(self.order)
-        return self._solve_modes(np.fft.rfft(b.reshape(rings, nt)[self.order], axis=1).T.copy())
+        return self._solve_modes(np.fft.rfft(b.reshape(-1, self.mesh.n_theta), axis=1).T.copy())
 
     def _field(self, modes):
         """The stacked vector of the given modes."""
-        return np.fft.irfft(modes.T, n=self.mesh.n_theta, axis=1)[self.back].ravel()
+        return np.fft.irfft(modes.T, n=self.mesh.n_theta, axis=1).ravel()
 
     @functools.cached_property
     def response(self):
         """Modes of g = A0^{-1} (slot 0's unit exchange flux: 1 in every
         mode), real without advection."""
-        modes = np.zeros((self.mesh.n_theta // 2 + 1, len(self.order)))
+        modes = np.zeros((self.mesh.n_theta // 2 + 1, self.mesh.n_r + 2))
         modes[:, _SLOT_RINGS] = _EXCHANGE
         return self._solve_modes(modes)
 

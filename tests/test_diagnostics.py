@@ -46,8 +46,11 @@ def eq_state(mesh, eq):
                  np.full(mesh.n_surf, eq.z_inf))
 
 
-def block_size(mesh):
-    return max(1, PROBE_BLOCK_CELLS // mesh.n_bulk)
+def block_size(mesh, n_samples=None, cpus=1):
+    """Samples per probe block: PROBE_BLOCK_CELLS // n_bulk, capped at
+    ceil(n_samples / cpus) when n_samples is given."""
+    size = max(1, PROBE_BLOCK_CELLS // mesh.n_bulk)
+    return size if n_samples is None else min(size, -(-n_samples // cpus))
 
 
 # -- per-sample reference: the probe one state at a time, with np.roll -----------
@@ -343,17 +346,27 @@ class TestProbeWorkers:
     def test_result_independent_of_worker_count(self, setup, blocks, extra, monkeypatch):
         geom, mesh, params, eq = setup
         n = blocks * block_size(mesh) + extra
-        n_blocks = -(-n // block_size(mesh))
         started = _forks(monkeypatch)
         results = set()
         for cpus in (1, 2, 4):
             monkeypatch.setattr(diag_mod.os, "sched_getaffinity",
                                 lambda pid, cpus=cpus: set(range(cpus)), raising=False)
+            n_blocks = -(-n // block_size(mesh, n, cpus))
             before = len(started)
             results.add(probe_functional_inequality(eq, geom, mesh, params, n, 9))
             assert len(started) - before == min(cpus, n_blocks) - 1
         assert len(results) == 1
         assert all(p.exitcode == 0 for p in started)
+
+    @pytest.mark.parametrize("n, workers", [(1, 0), (5, 1)])
+    def test_small_probes_on_two_cpus(self, setup, n, workers, monkeypatch):
+        """The block is capped at ceil(n / CPUs): one sample takes no worker,
+        five take one, as with blocks of four."""
+        geom, mesh, params, eq = setup
+        started = _forks(monkeypatch)
+        monkeypatch.setattr(diag_mod.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        probe_functional_inequality(eq, geom, mesh, params, n, 9)
+        assert len(started) == workers
 
     def _sampler(self, mesh, bad):
         """Log-uniform draws; `bad(index)` replaces one sample's draw."""
@@ -449,6 +462,34 @@ PRESETS = {
                                 delta=0.2),
     "surface_wind": GeometryPreset(GeometryKind.SURFACE_WIND, 1.0, 2.0, wind_speed=0.5),
 }
+
+
+class TestSampleDraws:
+    """The re-keyed generator and the roll-free smoothing, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 77, 2 ** 64 - 1])
+    def test_rekeyed_stream_is_a_fresh_stream(self, seed):
+        lo, hi = math.log(0.1), math.log(10.0)
+        indices = [0, 3, 2 ** 40, 3]
+        for (index, rng), expected in zip(diag_mod._streams(seed, indices), indices):
+            assert index == expected
+            fresh = np.random.Generator(np.random.Philox(key=np.array([seed, index],
+                                                                      dtype=np.uint64)))
+            for n in (515, 17, 17):   # u, w, z as uniform(lo, hi) draws them
+                got = np.empty(n)
+                rng.random(out=got)
+                got *= hi - lo
+                got += lo
+                assert np.array_equal(got, fresh.uniform(lo, hi, n))
+            # leave a partly used buffer and a held 32-bit half for the re-key
+            assert rng.integers(0, 2 ** 32, dtype=np.uint32) == \
+                fresh.integers(0, 2 ** 32, dtype=np.uint32)
+
+    @pytest.mark.parametrize("shape", [(32,), (3, 8), (2, 5, 16)])
+    def test_smooth_surface_matches_the_roll_form(self, shape):
+        f = np.exp(np.random.default_rng(4).uniform(-2.3, 2.3, shape))
+        rolled = f + 0.25 * (np.roll(f, 1, axis=-1) - 2.0 * f + np.roll(f, -1, axis=-1))
+        assert np.array_equal(diag_mod._smooth_surface(f, np.empty_like(f)), rolled)
 
 
 class TestBatchedProbe:

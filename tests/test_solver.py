@@ -215,12 +215,12 @@ class TestOperators:
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_closed_form_bands_match_fft_of_rows(self, name, n_theta):
         """The mode bands from the ring coefficients against the rFFT of the
-        slot-0 rows of the face-by-face matrix, in the order (w, z, u rings)."""
+        slot-0 rows of the face-by-face matrix, in the order (u rings, w, z)."""
         geom = preset_geometry(name)
         mesh = build_mesh(6, n_theta, 1.0, 2.0)
         params = ModelParams(0.7, 1.3, 0.4, 1.0, 0.6)
         nr, nt = mesh.n_r, n_theta
-        order = np.r_[nr, nr + 1, 0:nr]
+        order = np.arange(nr + 2)
         for advect in {False, geom.surface_slip_active}:
             a = face_by_face_matrix(geom, mesh, params, 0.3, 0.02, advect)
             rows = np.zeros((3, len(order), nt))

@@ -15,6 +15,7 @@ from bulksurf import config as config_mod
 from bulksurf import solver as solver_mod
 from bulksurf.config import RunConfig, parse_config
 from bulksurf.errors import ParseError, ValidationError
+from bulksurf.model import MAX_SAMPLES, check_samples
 
 # (config key at fault, config text): one out-of-range value per rule.
 # The annulus rule r_outer0 > r_inner0 > 0 is keyed to geometry.r_inner0;
@@ -62,9 +63,17 @@ OUT_OF_RANGE = [
     ("ic.path", "ic.profile = file"),
     ("ic.path", "ic.profile = file\nic.path = /nonexistent/f.txt"),
     ("probe.n_samples", "probe.n_samples = 0"),
+    ("probe.n_samples", f"probe.n_samples = {10 ** 12}"),   # > MAX_SAMPLES
     ("probe.seed", "probe.seed = -1"),
     ("probe.seed", f"probe.seed = {2 ** 64}"),    # the Philox key's words are uint64
 ]
+
+
+def test_sample_budget_is_inclusive():
+    check_samples(MAX_SAMPLES)
+    with pytest.raises(ValidationError) as exc:
+        check_samples(MAX_SAMPLES + 1)
+    assert exc.value.key == "n_samples"
 
 
 @pytest.mark.parametrize("key, text", OUT_OF_RANGE)
@@ -112,6 +121,7 @@ BAD_FLAGS = [
     (EQUILIBRIUM + ["--delta-k", "-1"], "--delta-k"),
     (EQUILIBRIUM + ["--delta-k", "inf"], "--mode"),
     (["check-assumptions", "--n", "0"], "--n"),
+    (["check-assumptions", "--n", "100000000000"], "--n"),     # > MAX_SAMPLES
     (["check-assumptions", "--lo", "-1"], "--lo/--hi"),
     (["check-assumptions", "--delta-k", "0"], "--delta-k"),
     (["check-assumptions", "--nonlinearity", "foo"], "--nonlinearity"),
@@ -155,6 +165,7 @@ RUN_FAULTS = [
     ("run", "ic.w0 = 0\nic.z0 = 0\n", "ic.w0/ic.z0"),
     ("probe", "ic.m1 = -1\nprobe.n_samples = 3\n", "ic.m1"),
     ("probe", f"probe.seed = {2 ** 64}\nprobe.n_samples = 3\n", "probe.seed"),
+    ("probe", f"probe.n_samples = {10 ** 12}\n", "probe.n_samples"),
     ("run", "geometry.r_outer0 = 1e300\n", "geometry.r_outer0"),
 ] + [("run", f"geometry.r_inner0 = {radius}\nic.profile = {profile}\ntime.stepper = {stepper}\n",
       "geometry.r_inner0")
