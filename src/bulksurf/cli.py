@@ -158,7 +158,8 @@ def _cmd_run(args) -> int:
     report = [
         f"steps to t = {last.t:g} with {cfg.time.stepper} stepper",
         f"steps: {result.steps}, Newton solves: {result.newton_total} "
-        f"(at most {result.newton_max} in a step)",
+        f"(at most {result.newton_max} in a step), capacitance GMRES iterations: "
+        f"{result.gmres_total}",
         f"masses: m1 = {last.m1:.12g} (rel drift {drift1:.3e}), "
         f"m2 = {last.m2:.12g} (rel drift {drift2:.3e})",
         f"equilibrium ({eq.mode.value}): u = {eq.u_inf:.12g}, w = {eq.w_inf:.12g}, "

@@ -45,7 +45,9 @@ Scheme summary (both steppers are first order in time):
     surface slots for the exchange term, whose capacitance system, one
     unknown per slot, is solved matrix-free by preconditioned GMRES; the
     backward-Euler stepper's Newton iterates on the one exchange flux per
-    slot alone, through the same solve.
+    slot alone, through the same solve, each update an inexact Newton step
+    whose GMRES stops at an Eisenstat-Walker forcing term (see
+    step_implicit); its acceptance test is the full residual.
 
 The outer-boundary condition is homogeneous no-flux: the only choice
 consistent with conservation of m1 when the outer wall is fixed.
@@ -74,6 +76,9 @@ from .model import MassAction, ModelParams
 _RESIDUAL_TOL = 1e-10
 # the relative residual, max|r - C xi| / max|r|, at which a capacitance solve stops
 _CAPACITANCE_RTOL = 1e-12
+# Newton's capacitance solves stop at a forcing term in [_FORCING_MIN,
+# _FORCING_MAX] (see _forcing)
+_FORCING_MIN, _FORCING_MAX, _FORCING_FLOOR = 1e-12, 1e-2, 1e-3
 # a CFL-adaptive run stops when the step it may take falls below this
 # fraction of time.dt: past it the run would take millions of steps
 _MIN_CFL_STEP = 1e-6
@@ -466,9 +471,10 @@ class _FourierSolve:
         modes[:, _SLOT_RINGS] = _EXCHANGE
         return self._solve_modes(modes)
 
-    def _capacitance(self, r, coeffs, what):
-        """Modes of xi, the slot exchange fluxes, with C xi = r, r one value
-        per slot.
+    def _capacitance(self, r, coeffs, what, rtol=None):
+        """(modes of xi, GMRES iterations), xi the slot exchange fluxes with
+        C xi = r to the relative residual rtol (_CAPACITANCE_RTOL when None),
+        r one value per slot.
 
         With W_j the convolution by the response to a unit slot flux, read at
         ring j of (u trace, w, z), C xi = xi + sum_j diag(c_j) W_j xi.  GMRES
@@ -484,7 +490,7 @@ class _FourierSolve:
         nt = self.mesh.n_theta
         at = [j for j, c in enumerate(coeffs) if c is not None and c.any()]
         if not at:   # C = I
-            return np.fft.rfft(r)
+            return np.fft.rfft(r), 0
         g = self.response[:, [_SLOT_RINGS[j] for j in at]]   # W_j per mode
         coef = np.stack([coeffs[j] for j in at], axis=1)     # c_j of each slot
         mean = coef.mean(axis=0)
@@ -501,13 +507,14 @@ class _FourierSolve:
         def apply(v):   # E S v
             return np.sum(e * np.fft.irfft(s * np.fft.rfft(v)[:, None], n=nt, axis=0), axis=1)
 
+        rtol = _CAPACITANCE_RTOL if rtol is None else rtol
         # max|r - C xi| <= max|D| ||D^{-1} (r - C xi)||_2, the norm GMRES minimizes
-        target = _CAPACITANCE_RTOL * float(np.max(np.abs(r))) / float(np.max(np.abs(d)))
+        target = rtol * float(np.max(np.abs(r))) / float(np.max(np.abs(d)))
         v, iterations = _gmres(apply, r / d, target, nt)
         if v is None:
             raise LinearSolveFailure(f"{what}: capacitance GMRES did not reach relative residual "
-                                     f"{_CAPACITANCE_RTOL:g} in {iterations} iterations")
-        return np.fft.rfft(v) / m
+                                     f"{rtol:g} in {iterations} iterations")
+        return np.fft.rfft(v) / m, iterations
 
     def correction(self, xi, rings=slice(None)):
         """Modes of G xi on the given rings, G the response to the slot
@@ -522,7 +529,7 @@ class _FourierSolve:
         modes = self._modes(b)
         if active:   # Woodbury: the correction's modes are the response times xi's
             parts = np.fft.irfft(modes[:, _SLOT_RINGS], n=self.mesh.n_theta, axis=0).T
-            modes -= self.correction(self._capacitance(_flux(coeffs, parts), coeffs, what))
+            modes -= self.correction(self._capacitance(_flux(coeffs, parts), coeffs, what)[0])
         x = self._field(modes)
         # backward error by the stencil; the slot rows' absolute sums grow by |c|
         residual, slot_abs = self.apply(x) - b, self.slot_abs
@@ -614,6 +621,17 @@ def _reaction_terms(spec, u_tr, w, z, scale, eps=1e-7):
                  ((u_tr + eps, w, z), (u_tr, w + eps, z), (u_tr, w, z + eps)))
 
 
+def _forcing(residual: float, newton_tol: float) -> float:
+    """eta, the relative residual at which the capacitance solve of a Newton
+    update stops, from F, the scaled slot residual of the iterate it starts
+    at (Eisenstat and Walker): eta = F, quadratic forcing (Dembo, Eisenstat
+    and Steihaug), but no tighter than _FORCING_FLOOR newton_tol / F, at
+    which the update's linear part leaves a residual F eta far below
+    newton_tol, and within [_FORCING_MIN, _FORCING_MAX]."""
+    floor = _FORCING_FLOOR * newton_tol / residual if residual > 0.0 else math.inf
+    return max(_FORCING_MIN, min(_FORCING_MAX, max(residual, floor)))
+
+
 def step_implicit(state: State, dt: float, geom: EvolvingGeometry, mesh: ReferenceMesh,
                   params: ModelParams, spec, newton_tol: float = 1e-11,
                   max_newton: int = 25, sources: Sources | None = None,
@@ -627,12 +645,16 @@ def step_implicit(state: State, dt: float, geom: EvolvingGeometry, mesh: Referen
     response to the slot exchange flux xi.  Newton iterates on
     xi = scale f1(s_y - W xi), n_theta values, each update one capacitance
     solve with the coefficients of _reaction_terms, linearized first at the
-    state at t: the iterates of Newton on the whole field, with m1 and m2
-    held by construction.  x is rebuilt when the slot residual is at most
+    state at t, with m1 and m2 held by construction.  The updates are
+    inexact: the GMRES of each stops at the relative residual of _forcing,
+    eta = max(1e-12, min(1e-2, max(F, 1e-3 newton_tol / F))), F the scaled
+    slot residual of the iterate it starts from, so the iterates are near
+    those of Newton on the whole field, not equal to them.  x is rebuilt when the slot residual is at most
     2 newton_tol and returned only when its full residual, by the stencil,
     is below newton_tol, both scaled by max(1, max|b|, ||A0|| max|values|).
-    With return_info=True the result is (state, {"iterations", "residuals"}):
-    the capacitance solves and the scaled slot residual of each.
+    With return_info=True the result is (state, {"iterations", "residuals",
+    "gmres"}): the capacitance solves, the scaled slot residual after each
+    and the GMRES iterations of each.
     """
     _check_step(state, dt, geom, mesh, params, spec, check_cfl=False)
     t1 = state.t + dt
@@ -660,16 +682,21 @@ def step_implicit(state: State, dt: float, geom: EvolvingGeometry, mesh: Referen
     coeffs = _reaction_terms(spec, *s, scale)
     # the first update, from the state at t, solves C xi = scale f1(s) + c . (s_y - s)
     rho = -flux(s) - _flux(coeffs, s_y - s)
+    slot_residual, gmres = scaled(rho, s), []
     xi = np.zeros(mesh.n_theta // 2 + 1, complex)
     for iteration in range(1, max_newton + 1):
-        xi -= system._capacitance(rho, coeffs, "Newton step")
+        update, used = system._capacitance(rho, coeffs, "Newton step",
+                                           _forcing(slot_residual, newton_tol))
+        xi -= update
+        gmres.append(used)
         # W xi on the slot rings and xi itself, by one inverse FFT
         both = np.fft.irfft(np.column_stack([system.correction(xi, _SLOT_RINGS), xi]),
                             n=mesh.n_theta, axis=0)
         s = s_y - both[:, :3].T
         rho = both[:, 3] - flux(s)
-        history.append(scaled(rho, s))
-        if history[-1] <= 2.0 * newton_tol:   # rebuild x and test its full residual
+        slot_residual = scaled(rho, s)
+        history.append(slot_residual)
+        if slot_residual <= 2.0 * newton_tol:   # rebuild x and test its full residual
             x = y - system._field(system.correction(xi))
             resid, parts = system.apply(x) - base, [x[at] for at in slots]
             fx = flux(parts)
@@ -677,7 +704,8 @@ def step_implicit(state: State, dt: float, geom: EvolvingGeometry, mesh: Referen
                 resid[at] += sign * fx
             if scaled(resid, x) < newton_tol:
                 out = State(t1, x[: mesh.n_bulk], parts[1], parts[2])
-                return (out, {"iterations": iteration, "residuals": history}) if return_info else out
+                info = {"iterations": iteration, "residuals": history, "gmres": gmres}
+                return (out, info) if return_info else out
         coeffs = _reaction_terms(spec, *s, scale)
     raise NewtonDivergence(
         f"Newton did not reach {newton_tol:g} in {max_newton} iterations at t = {t1:g} "
@@ -915,6 +943,7 @@ class RunResult:
     steps: int = 0
     newton_total: int = 0   # Newton solves over the run, 0 for IMEX
     newton_max: int = 0     # the most in one step
+    gmres_total: int = 0    # GMRES iterations of Newton's capacitance solves over the run
 
 
 def relative_drift(first, record):
@@ -1006,7 +1035,7 @@ def run(cfg, on_record=None, on_snapshot=None) -> RunResult:
     # retained on the result (if enabled at all)
     retain = cfg.output.snapshots and on_snapshot is None
     tcfg = cfg.time
-    steps, newton = 0, [0, 0]   # Newton solves: total, most in one step
+    steps, newton = 0, [0, 0, 0]   # Newton solves: total, most in one step; GMRES iterations
 
     def result():
         return RunResult(state, records, eq, snapshots, steps, *newton)
@@ -1015,6 +1044,7 @@ def run(cfg, on_record=None, on_snapshot=None) -> RunResult:
         state, info = step_implicit(state, dt, geom, mesh, params, spec, return_info=True)
         newton[0] += info["iterations"]
         newton[1] = max(newton[1], info["iterations"])
+        newton[2] += sum(info["gmres"])
         return state
 
     def emit(index):

@@ -225,11 +225,13 @@ class TestRunDriver:
 
     @pytest.mark.parametrize("cfl", ["false", "true"])
     def test_steps_and_newton_solves_on_the_result(self, cfl, monkeypatch):
-        solves, step = [], solver_mod.step_implicit
+        solves, gmres, step = [], [], solver_mod.step_implicit
 
         def counted(*args, **kwargs):
             state, info = step(*args, **kwargs)
             solves.append(info["iterations"])
+            gmres.append(sum(info["gmres"]))
+            assert len(info["gmres"]) == info["iterations"]
             return state, info
 
         monkeypatch.setattr(solver_mod, "step_implicit", counted)
@@ -237,9 +239,10 @@ class TestRunDriver:
         res = run(parse_config(text + "time.stepper = implicit\n"))
         assert res.steps == len(solves) >= 10
         assert (res.newton_total, res.newton_max) == (sum(solves), max(solves))
+        assert res.gmres_total == sum(gmres) >= 1
         assert min(solves) >= 1
         res = run(parse_config(text))
-        assert res.steps >= 10 and (res.newton_total, res.newton_max) == (0, 0)
+        assert res.steps >= 10 and (res.newton_total, res.newton_max, res.gmres_total) == (0, 0, 0)
 
     def test_drift_past_the_guard_stops_the_run(self, tmp_path, capsys, monkeypatch):
         """An IMEX stepper that leaks 1e-8 of the bulk per step drifts m1 by
@@ -509,8 +512,9 @@ class TestCli:
         res = run(parse_config(cfg_path.read_text()))
         report = (tmp_path / "out" / "report.txt").read_text().splitlines()
         assert report[1] == (f"steps: 10, Newton solves: {res.newton_total} "
-                             f"(at most {res.newton_max} in a step)")
-        assert res.newton_total >= 10
+                             f"(at most {res.newton_max} in a step), capacitance GMRES "
+                             f"iterations: {res.gmres_total}")
+        assert res.newton_total >= 10 and res.gmres_total >= 1
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg_path = tmp_path / "c.cfg"

@@ -436,11 +436,19 @@ def jacobian_rows(spec, u_tr, w, z, eps=1e-7):
     return rows
 
 
-def superlu_newton_step(st, dt, geom, mesh, params, spec, tol=1e-11, sources=None):
-    """The plain backward-Euler step: Newton on the whole field with every
-    linear system, the full reaction Jacobian included, assembled as one
-    sparse matrix and solved by SuperLU.  Returns the state and the Newton
-    iteration count."""
+# the Newton tolerance of step_implicit and superlu_newton_step where they are
+# compared: step_implicit's updates are inexact (Eisenstat-Walker forcing), so
+# the two agree to the state tolerance of assert_same_state only when both
+# converge well below it
+TIGHT = 1e-13
+
+
+def reference_system(st, dt, geom, mesh, params, spec, sources=None):
+    """The backward-Euler step from st on the whole field, every matrix
+    assembled as one sparse matrix: (residual, jacobian), residual(x) the
+    residual of the stacked state x and its max norm scaled as step_implicit
+    scales it, jacobian(x) the Newton matrix at x, the full reaction
+    Jacobian included."""
     t1 = st.t + dt
     ops = assemble_operators(geom, mesh, params, t1)
     nb, ns, arcs = mesh.n_bulk, mesh.n_surf, ops.surf_measures
@@ -450,19 +458,35 @@ def superlu_newton_step(st, dt, geom, mesh, params, spec, tol=1e-11, sources=Non
     fixed = step_matrix_reference(ops, dt, surface_advection_matrix(geom, mesh, t1)
                                   if geom.surface_slip_active else 0.0).tocsr()
     row_norm = float(np.max(abs(fixed).sum(axis=1)))
-    x = np.concatenate([st.u_hat, st.w_hat, st.z_hat])
-    for iteration in range(26):
-        u_tr, w, z = (x[at] for at in slots)
+
+    def residual(x):
         resid = fixed @ x - base
         for at, f in zip(slots, (spec.f1, spec.f2, spec.f3)):
-            resid[at] -= dt * f(u_tr, w, z) * arcs
+            resid[at] -= dt * f(*(x[at] for at in slots)) * arcs
         scale = max(1.0, row_norm * np.max(np.abs(x)), np.max(np.abs(base)))
-        if np.max(np.abs(resid)) / scale < tol:
-            return State(t1, x[:nb], x[slots[1]], x[slots[2]]), iteration
+        return resid, np.max(np.abs(resid)) / scale
+
+    def jacobian(x):
         jac = fixed.copy()
-        for unit, row in zip(np.eye(3), jacobian_rows(spec, u_tr, w, z)):
+        for unit, row in zip(np.eye(3), jacobian_rows(spec, *(x[at] for at in slots))):
             jac = jac + slot_matrix(mesh, unit, [-dt * arcs * c for c in row])
-        x = x - spla.spsolve(jac.tocsc(), resid)
+        return jac
+
+    return residual, jacobian
+
+
+def superlu_newton_step(st, dt, geom, mesh, params, spec, tol=TIGHT, sources=None):
+    """The plain backward-Euler step: Newton on the whole field with every
+    linear system solved exactly by SuperLU (see reference_system).  Returns
+    the state and the Newton iteration count."""
+    residual, jacobian = reference_system(st, dt, geom, mesh, params, spec, sources)
+    nb, ns = mesh.n_bulk, mesh.n_surf
+    x = np.concatenate([st.u_hat, st.w_hat, st.z_hat])
+    for iteration in range(26):
+        resid, scaled = residual(x)
+        if scaled < tol:
+            return State(st.t + dt, x[:nb], x[nb:nb + ns], x[nb + ns:]), iteration
+        x = x - spla.spsolve(jacobian(x).tocsc(), resid)
     raise AssertionError("reference Newton did not converge")
 
 
@@ -576,7 +600,7 @@ class TestFourierSolve:
         st1 = step_imex(st0, dt, geom, mesh, params, spec)
         assert_same_state(st1, superlu_step(st0, dt, geom, mesh, params, spec))
         # one backward-Euler step of the same size, from the same state
-        st2 = step_implicit(st0, dt, geom, mesh, params, spec)
+        st2 = step_implicit(st0, dt, geom, mesh, params, spec, newton_tol=TIGHT)
         assert_same_state(st2, superlu_newton_step(st0, dt, geom, mesh, params, spec)[0])
         for st in (st1, st2):
             for before, after in zip(conserved_masses(st0, geom, mesh),
@@ -635,7 +659,8 @@ class TestFourierSolve:
             for spec in (MassAction(params), reaction_spec("saturating_binding", params)):
                 assert_same_state(step_imex(st, 0.02, geom, mesh, params, spec),
                                   superlu_step(st, 0.02, geom, mesh, params, spec))
-                assert_same_state(step_implicit(st, 0.02, geom, mesh, params, spec),
+                assert_same_state(step_implicit(st, 0.02, geom, mesh, params, spec,
+                                                newton_tol=TIGHT),
                                   superlu_newton_step(st, 0.02, geom, mesh, params, spec)[0])
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
@@ -695,15 +720,17 @@ class TestNewtonFourier:
         st = random_state(mesh, seed=4)
         for _ in range(3):
             ref, ref_iters = superlu_newton_step(st, 0.02, geom, mesh, params, spec)
-            st, info = step_implicit(st, 0.02, geom, mesh, params, spec, return_info=True)
+            st, info = step_implicit(st, 0.02, geom, mesh, params, spec, newton_tol=TIGHT,
+                                     return_info=True)
             assert_same_state(st, ref)
-            assert info["iterations"] == ref_iters >= 1
+            assert 1 <= ref_iters <= info["iterations"] <= ref_iters + 1
         for _ in range(3):
             dt = min(0.05, 0.9 * cfl_bound(geom, mesh, params, st))
             ref, ref_iters = superlu_newton_step(st, dt, geom, mesh, params, spec)
-            st, info = step_implicit(st, dt, geom, mesh, params, spec, return_info=True)
+            st, info = step_implicit(st, dt, geom, mesh, params, spec, newton_tol=TIGHT,
+                                     return_info=True)
             assert_same_state(st, ref)
-            assert info["iterations"] == ref_iters >= 1
+            assert 1 <= ref_iters <= info["iterations"] <= ref_iters + 1
             assert newest_solve().dt == dt
 
 
@@ -724,9 +751,9 @@ class TestSlotNewton:
             ref, ref_iters = superlu_newton_step(st, 0.02, geom, mesh, params, spec,
                                                  sources=sources)
             st, info = step_implicit(st, 0.02, geom, mesh, params, spec, sources=sources,
-                                     return_info=True)
+                                     newton_tol=TIGHT, return_info=True)
             assert_same_state(st, ref)
-            assert info["iterations"] == ref_iters >= 1
+            assert 1 <= ref_iters <= info["iterations"] <= ref_iters + 1
 
     def test_implicit_manufactured_solutions(self):
         errs = manufactured_solution_error("constant", 8, 16, 0.01, 0.1, stepper="implicit")
@@ -745,9 +772,9 @@ class TestSlotNewton:
         response."""
         shapes, capacitance = [], solver._FourierSolve._capacitance
 
-        def recording(self, r, coeffs, what):
+        def recording(self, r, coeffs, what, rtol=None):
             shapes.append((r.shape, self.response.dtype))
-            return capacitance(self, r, coeffs, what)
+            return capacitance(self, r, coeffs, what, rtol)
 
         monkeypatch.setattr(solver._FourierSolve, "_capacitance", recording)
         geom = preset_geometry(kind)
@@ -756,9 +783,11 @@ class TestSlotNewton:
         spec = reaction_spec(reaction, params)
         st = random_state(mesh, seed=8)
         ref, ref_iters = superlu_newton_step(st, 0.02, geom, mesh, params, spec)
-        got, info = step_implicit(st, 0.02, geom, mesh, params, spec, return_info=True)
+        got, info = step_implicit(st, 0.02, geom, mesh, params, spec, newton_tol=TIGHT,
+                                  return_info=True)
         assert_same_state(got, ref)
-        assert info["iterations"] == ref_iters == len(shapes)
+        assert ref_iters <= info["iterations"] <= ref_iters + 1
+        assert info["iterations"] == len(shapes) == len(info["gmres"])
         assert set(shapes) == {((17,), np.dtype(dtype))}
 
     def test_failed_full_check_takes_another_iteration(self, monkeypatch):
@@ -778,21 +807,31 @@ class TestSlotNewton:
             return x
 
         monkeypatch.setattr(solver._FourierSolve, "_field", spoiled)
-        got, info = step_implicit(st, 0.02, geom, mesh, params, spec, return_info=True)
+        got, info = step_implicit(st, 0.02, geom, mesh, params, spec, newton_tol=TIGHT,
+                                  return_info=True)
         assert_same_state(got, ref)
         assert info["iterations"] == ref_iters + 1 and len(calls) == 3
 
     @pytest.mark.parametrize("reaction,cap", [("mass_action", 12), ("saturating_binding", 12)])
     def test_capacitance_failure_names_its_iterations(self, reaction, cap, monkeypatch):
-        """A capacitance GMRES that fails inside Newton raises, naming its cap
-        of one iteration per slot (n_theta = 12)."""
+        """A capacitance GMRES that fails inside Newton raises, naming the
+        forcing term it was asked for and its cap of one iteration per slot
+        (n_theta = 12)."""
         geom, mesh, params, _ = make(n=6)
         spec = reaction_spec(reaction, params)
+        asked, forcing = [], solver._forcing
+
+        def recorded(*args):
+            asked.append(forcing(*args))
+            return asked[-1]
+
+        monkeypatch.setattr(solver, "_forcing", recorded)
         monkeypatch.setattr(solver, "_gmres", lambda apply, rhs, target, cap: (None, cap))
-        with pytest.raises(LinearSolveFailure, match=f"Newton step: capacitance GMRES did not "
-                                                     f"reach relative residual 1e-12 in {cap} "
-                                                     "iterations"):
+        with pytest.raises(LinearSolveFailure) as exc:
             step_implicit(random_state(mesh, seed=5), 0.01, geom, mesh, params, spec)
+        assert len(asked) == 1 and asked[0] != solver._CAPACITANCE_RTOL
+        assert str(exc.value) == (f"Newton step: capacitance GMRES did not reach relative "
+                                  f"residual {asked[0]:g} in {cap} iterations")
 
     def test_reaction_not_of_exchange_form_is_refused(self, tmp_path, monkeypatch, capsys):
         """A reaction whose rows are not one exchange flux (receptors turn
@@ -852,6 +891,58 @@ class TestSlotNewton:
             st = step_implicit(st, 0.01, geom, mesh, params, spec)
         after = conserved_masses(st, geom, mesh)
         assert abs(after[1] - before[1]) <= 1e-12 * before[1]
+
+
+class TestInexactNewton:
+    """Newton's capacitance solves stop at their forcing terms: the steps
+    still pass the full-residual acceptance and do less GMRES work."""
+
+    @pytest.mark.parametrize("reaction", sorted(REACTIONS))
+    @pytest.mark.parametrize("kind", sorted(PRESETS))
+    def test_default_tolerance_meets_the_full_residual(self, kind, reaction):
+        """At the default newton_tol (1e-11) every step's state has a full
+        residual, by the assembled matrix and the three reaction rows, below
+        newton_tol, and lies within 1e-9 relative of the tight reference (the
+        largest seen on these cases is 5.2e-11)."""
+        geom = preset_geometry(kind)
+        mesh = build_mesh(6, 16, 1.0, 2.0)
+        params = ModelParams(1.0, 0.7, 1.3, *REACTIONS[reaction])
+        spec = reaction_spec(reaction, params)
+        st = random_state(mesh, seed=4)
+        for _ in range(3):
+            ref = superlu_newton_step(st, 0.02, geom, mesh, params, spec)[0]
+            got, info = step_implicit(st, 0.02, geom, mesh, params, spec, return_info=True)
+            residual = reference_system(st, 0.02, geom, mesh, params, spec)[0]
+            assert residual(np.concatenate([got.u_hat, got.w_hat, got.z_hat]))[1] < 1e-11
+            assert_same_state(got, ref, rtol=1e-9)
+            assert len(info["gmres"]) == info["iterations"]
+            st = got
+
+    def test_stiff_binding_takes_fewer_gmres_iterations(self, monkeypatch):
+        """Stiff binding (delta_K = delta_K' = 0.01) on the fixed preset at
+        16 x 32, ten steps of dt 0.01 from a smooth state: the forcing terms
+        take at most 60 % of the GMRES iterations of the same steps with every
+        capacitance solve at _CAPACITANCE_RTOL (about 40 % here), with the
+        same Newton solves and the same states to 1e-12."""
+        geom, mesh, params, spec = make("fixed", n=16, dk=0.01, dkp=0.01)
+        th, psi = mesh.theta_centers, np.cos(np.pi * (mesh.cell_r - 1.0))
+        start = State(0.0, 2.0 * (1.0 + 0.2 * psi * np.cos(mesh.cell_theta)),
+                      3.0 * (1.0 + 0.2 * np.cos(2.0 * th + 0.5)), 1.0 + 0.2 * np.cos(th + 2.5))
+
+        def steps():
+            st, newton, gmres = start, [], []
+            for _ in range(10):
+                st, info = step_implicit(st, 0.01, geom, mesh, params, spec, return_info=True)
+                newton.append(info["iterations"])
+                gmres += info["gmres"]
+            return st, newton, gmres
+
+        got, newton, gmres = steps()
+        monkeypatch.setattr(solver, "_FORCING_MAX", solver._CAPACITANCE_RTOL)
+        tight, tight_newton, tight_gmres = steps()
+        assert newton == tight_newton and len(gmres) == sum(newton)
+        assert set(tight_gmres) != {0} and sum(gmres) <= 0.6 * sum(tight_gmres)
+        assert_same_state(got, tight)
 
 
 @pytest.mark.parametrize("stepper", ["imex", "implicit"])
@@ -1149,9 +1240,12 @@ class TestErrorPaths:
         assert cli.main(["run", str(cfg)]) == 2
         assert "singular in Fourier mode 0" in capsys.readouterr().err
         # a capacitance solve that does not converge fails the same way, after
-        # its cap of one iteration per slot
+        # its cap of one iteration per slot: IMEX's at _CAPACITANCE_RTOL,
+        # Newton's at its forcing term
         monkeypatch.setattr(solver, "assemble_operators", assemble)
         monkeypatch.setattr(solver, "_CAPACITANCE_RTOL", 0.0)
+        monkeypatch.setattr(solver, "_FORCING_MIN", 0.0)
+        monkeypatch.setattr(solver, "_FORCING_MAX", 0.0)
         solver._kept.clear()
         for step in (step_imex, step_implicit):
             with pytest.raises(LinearSolveFailure, match="capacitance GMRES .* in 12 iterations"):
