@@ -237,12 +237,17 @@ def _check_step(state: State, dt: float, geom, mesh, params, spec, check_cfl: bo
     return q
 
 
+def _max_abs(a) -> float:
+    """max|a| without the array |a|; NaN when a holds one."""
+    return max(float(a.max()), -float(a.min()))
+
+
 def _check_backward_error(residual, x, rhs, row_norm: float, what: str):
     """Normwise backward error max|A x - b| / (||A|| max|x| + max|b|) of a
     solve, given its residual and the row-sum norm of A; never silent on a
     bad solve or a step matrix the Fourier solve does not fit."""
-    scale = row_norm * float(np.max(np.abs(x))) + float(np.max(np.abs(rhs)))
-    err = float(np.max(np.abs(residual))) / max(scale, 1e-300)
+    scale = row_norm * _max_abs(x) + _max_abs(rhs)
+    err = _max_abs(residual) / max(scale, 1e-300)
     if not math.isfinite(err) or err > _RESIDUAL_TOL:
         raise LinearSolveFailure(f"{what} backward error {err:.3e} exceeds {_RESIDUAL_TOL:g}")
 
@@ -270,12 +275,15 @@ def _mass_rhs(state: State, dt: float, mesh: ReferenceMesh, m0, m1,
     """Cell masses at t plus dt times the injected sources at t + dt; m0 and
     m1 are the (bulk, surface) measures at t and t + dt."""
     (m0b, m0s), (m1b, m1s) = m0, m1
-    rhs = np.concatenate([m0b * state.u_hat, m0s * state.w_hat, m0s * state.z_hat])
+    trace, at_w, at_z = _slot_slices(mesh)
+    rhs = np.empty(mesh.n_bulk + 2 * mesh.n_surf)
+    np.multiply(m0b, state.u_hat, out=rhs[: mesh.n_bulk])
+    np.multiply(m0s, state.w_hat, out=rhs[at_w])
+    np.multiply(m0s, state.z_hat, out=rhs[at_z])
     if sources is None:
         return rhs
     t1 = state.t + dt
     th = mesh.theta_centers
-    trace, at_w, at_z = _slot_slices(mesh)
     for density, at, args, measure in (
             (sources.bulk, slice(0, mesh.n_bulk), (t1, mesh.cell_r, mesh.cell_theta), m1b),
             (sources.surface_w, at_w, (t1, th), m1s),
@@ -457,11 +465,16 @@ class _FourierSolve:
 
     def _modes(self, b):
         """A0^{-1} b as its modes, (n_theta // 2 + 1, rings) as in _solve_modes."""
-        return self._solve_modes(np.fft.rfft(b.reshape(-1, self.mesh.n_theta), axis=1).T.copy())
+        nt = self.mesh.n_theta
+        modes = np.empty((nt // 2 + 1, self.mesh.n_r + 2), complex)
+        np.fft.rfft(b.reshape(-1, nt), axis=1, out=modes.T)
+        return self._solve_modes(modes)
 
     def _field(self, modes):
         """The stacked vector of the given modes."""
-        return np.fft.irfft(modes.T, n=self.mesh.n_theta, axis=1).ravel()
+        field = np.empty((self.mesh.n_r + 2, self.mesh.n_theta))
+        np.fft.irfft(modes.T, n=self.mesh.n_theta, axis=1, out=field)
+        return field.ravel()
 
     @functools.cached_property
     def response(self):
@@ -481,35 +494,43 @@ class _FourierSolve:
         solves D^{-1} C M^{-1} v = D^{-1} r, xi = M^{-1} v.  The right
         preconditioner M is C with each c_j replaced by its mean over the
         slots (T. F. Chan): a scalar per Fourier mode, and exact when the c_j
-        are uniform.  The left one, D = 1 + (c - mean c) . rho per slot, is
-        C M^{-1} with each convolution W_j M^{-1} replaced by rho_j, the
-        midrange over the modes of its real part.  The operator is then
-        I + E S, with E = (c - mean c) / D per slot and the convolutions
-        S_j = W_j M^{-1} - rho_j: one rFFT and one irFFT.
+        are uniform; a c_j the same in every slot enters M alone.  The left
+        one, D = 1 + (c - mean c) . rho per slot, is C M^{-1} with each
+        convolution W_j M^{-1} replaced by rho_j, the Rayleigh quotient of
+        its symmetric part at r: the mean over the modes of its real part,
+        weighted by the power spectrum of r.  S_j = W_j M^{-1} - rho_j then
+        nearly vanishes on the modes the slot data occupy (the lowest, for
+        smooth data).  The operator is I + E S, with E = (c - mean c) / D
+        per slot and the convolutions S_j of the c_j that vary: one rFFT and
+        one irFFT.
         """
         nt = self.mesh.n_theta
         at = [j for j, c in enumerate(coeffs) if c is not None and c.any()]
-        if not at:   # C = I
+        r_max = float(np.abs(r).max())
+        if not at or r_max == 0.0:   # C = I, or xi = 0
             return np.fft.rfft(r), 0
-        g = self.response[:, [_SLOT_RINGS[j] for j in at]]   # W_j per mode
-        coef = np.stack([coeffs[j] for j in at], axis=1)     # c_j of each slot
-        mean = coef.mean(axis=0)
-        dev = coef - mean
-        m = 1.0 + g @ mean
+        coef = np.stack([coeffs[j] for j in at])             # c_j of each slot
+        vary = (coef != coef[:, :1]).any(axis=1)
+        mean = np.where(vary, coef.mean(axis=1), coef[:, 0])
+        g = self.response.T[[_SLOT_RINGS[j] for j in at]]    # W_j per mode
+        m = 1.0 + mean @ g
+        dev = coef[vary] - mean[vary, None]
         with np.errstate(divide="ignore", invalid="ignore"):   # a zero is refused below
-            wm = g / m[:, None]
-            rho = 0.5 * (wm.real.max(axis=0) + wm.real.min(axis=0))
-            d = 1.0 + dev @ rho
-        if not (np.all(m) and np.all(d)):
+            power = np.abs(np.fft.rfft(r / r_max)) ** 2
+            power[1:(nt + 1) // 2] *= 2.0   # the modes a full spectrum holds twice
+            wm = g[vary] / m
+            rho = wm.real @ power / power.sum()
+            d = 1.0 + rho @ dev
+        if not (m.all() and d.all()):
             raise LinearSolveFailure(f"{what}: capacitance preconditioner singular")
-        e, s = dev / d[:, None], wm - rho
+        e, s = dev / d, wm - rho[:, None]
 
         def apply(v):   # E S v
-            return np.sum(e * np.fft.irfft(s * np.fft.rfft(v)[:, None], n=nt, axis=0), axis=1)
+            return (e * np.fft.irfft(s * np.fft.rfft(v), n=nt)).sum(axis=0)
 
         rtol = _CAPACITANCE_RTOL if rtol is None else rtol
         # max|r - C xi| <= max|D| ||D^{-1} (r - C xi)||_2, the norm GMRES minimizes
-        target = rtol * float(np.max(np.abs(r))) / float(np.max(np.abs(d)))
+        target = rtol * r_max / float(np.abs(d).max())
         v, iterations = _gmres(apply, r / d, target, nt)
         if v is None:
             raise LinearSolveFailure(f"{what}: capacitance GMRES did not reach relative residual "
@@ -522,24 +543,27 @@ class _FourierSolve:
         return self.response[:, rings] * xi[:, None]
 
     def solve_slots(self, b, coeffs, what: str):
-        """x with (A0 + the exchange term of coeffs) x = b."""
+        """(x, GMRES iterations) with (A0 + the exchange term of coeffs) x = b,
+        the iterations those of its capacitance solve (0 without one)."""
         slots = _slot_slices(self.mesh)
         coeffs = [c if c is not None and c.any() else None for c in coeffs]
         active = any(c is not None for c in coeffs)
-        modes = self._modes(b)
+        modes, iterations = self._modes(b), 0
         if active:   # Woodbury: the correction's modes are the response times xi's
             parts = np.fft.irfft(modes[:, _SLOT_RINGS], n=self.mesh.n_theta, axis=0).T
-            modes -= self.correction(self._capacitance(_flux(coeffs, parts), coeffs, what)[0])
+            xi, iterations = self._capacitance(_flux(coeffs, parts), coeffs, what)
+            modes -= self.correction(xi)
         x = self._field(modes)
         # backward error by the stencil; the slot rows' absolute sums grow by |c|
-        residual, slot_abs = self.apply(x) - b, self.slot_abs
+        residual, slot_abs = self.apply(x), self.slot_abs
+        residual -= b
         if active:
             fx = _flux(coeffs, [x[at] for at in slots])
             for at, sign in zip(slots, _EXCHANGE):
                 residual[at] += sign * fx
             slot_abs = slot_abs[:, None] + sum(np.abs(c) for c in coeffs if c is not None)
         _check_backward_error(residual, x, b, max(self.norm, float(np.max(slot_abs))), what)
-        return x
+        return x, iterations
 
 
 def _flux(coeffs, parts):
@@ -568,7 +592,7 @@ def _solve_for(geom: EvolvingGeometry, mesh: ReferenceMesh, params: ModelParams,
 
 def step_imex(state: State, dt: float, geom: EvolvingGeometry, mesh: ReferenceMesh,
               params: ModelParams, spec, sources: Sources | None = None,
-              check_cfl: bool = True, q=None) -> State:
+              check_cfl: bool = True, q=None, return_info: bool = False):
     """One IMEX step: implicit diffusion and linearized reaction losses,
     explicit upwind advection, dilation absorbed by the moving measures.
 
@@ -576,7 +600,10 @@ def step_imex(state: State, dt: float, geom: EvolvingGeometry, mesh: ReferenceMe
     trace, and the unbinding flux, implicit in z, enter all three equations
     with identical values, as one exchange term, so m1 and m2 are conserved
     to the linear-solver residual.  A custom reaction's exchange flux f1 is
-    explicit.  q is as in cfl_bound.
+    explicit.  q is as in cfl_bound.  With return_info=True the result is
+    (state, {"gmres": [n]}), n the GMRES iterations of the step's one
+    capacitance solve (0 when no exchange term is implicit), as in
+    step_implicit.
     """
     q = _check_step(state, dt, geom, mesh, params, spec, check_cfl, q)
     system = _solve_for(geom, mesh, params, state.t + dt, dt)
@@ -593,20 +620,25 @@ def step_imex(state: State, dt: float, geom: EvolvingGeometry, mesh: ReferenceMe
         fx = dt * np.asarray(spec.f1(state.u_hat[:ns], state.w_hat, state.z_hat)) * arcs
         for at, sign in zip(slots, _EXCHANGE):
             rhs[at] += sign * fx
-    x = system.solve_slots(rhs, exchange, "IMEX step")
-    return State(state.t + dt, x[: mesh.n_bulk], x[slots[1]], x[slots[2]])
+    x, iterations = system.solve_slots(rhs, exchange, "IMEX step")
+    out = State(state.t + dt, x[: mesh.n_bulk], x[slots[1]], x[slots[2]])
+    return (out, {"gmres": [iterations]}) if return_info else out
 
 
 class ImexStepper:
     """IMEX stepping at a fixed dt: step_imex, whose Fourier solve is set up
-    once for all steps on static metrics (see _solve_for)."""
+    once for all steps on static metrics (see _solve_for); gmres adds up the
+    GMRES iterations of the steps' capacitance solves."""
 
     def __init__(self, geom, mesh, params, spec, dt):
         self.geom, self.mesh, self.params, self.spec, self.dt = geom, mesh, params, spec, dt
+        self.gmres = 0
 
     def step(self, state, check_cfl=True, sources=None):
-        return step_imex(state, self.dt, self.geom, self.mesh, self.params, self.spec,
-                         sources=sources, check_cfl=check_cfl)
+        state, info = step_imex(state, self.dt, self.geom, self.mesh, self.params, self.spec,
+                                sources=sources, check_cfl=check_cfl, return_info=True)
+        self.gmres += sum(info["gmres"])
+        return state
 
 
 def _reaction_terms(spec, u_tr, w, z, scale, eps=1e-7):
@@ -676,7 +708,7 @@ def step_implicit(state: State, dt: float, geom: EvolvingGeometry, mesh: Referen
     def flux(parts):   # scale times the exchange rate of each slot
         return scale * np.asarray(spec.f1(*parts), dtype=float)
 
-    y = system.solve_slots(base, (), "Newton step")
+    y = system.solve_slots(base, (), "Newton step")[0]
     s_y = np.stack([y[at] for at in slots])
     s = np.stack([state.u_hat[: mesh.n_surf], state.w_hat, state.z_hat])   # at t
     coeffs = _reaction_terms(spec, *s, scale)
@@ -943,7 +975,7 @@ class RunResult:
     steps: int = 0
     newton_total: int = 0   # Newton solves over the run, 0 for IMEX
     newton_max: int = 0     # the most in one step
-    gmres_total: int = 0    # GMRES iterations of Newton's capacitance solves over the run
+    gmres_total: int = 0    # GMRES iterations of every capacitance solve over the run
 
 
 def relative_drift(first, record):
@@ -1081,8 +1113,10 @@ def run(cfg, on_record=None, on_snapshot=None) -> RunResult:
     if not tcfg.cfl:
         # fixed dt: counted sub-steps (config guarantees divisibility)
         per_interval = int(round(tcfg.output_interval / tcfg.dt))
+        stepper = None
         if tcfg.stepper == "imex":
-            advance = ImexStepper(geom, mesh, params, spec, tcfg.dt).step
+            stepper = ImexStepper(geom, mesh, params, spec, tcfg.dt)
+            advance = stepper.step
         else:
             advance = functools.partial(implicit, dt=tcfg.dt)
         for out_idx in range(1, n_out + 1):
@@ -1091,6 +1125,8 @@ def run(cfg, on_record=None, on_snapshot=None) -> RunResult:
                 steps += 1
             state.t = out_idx * tcfg.output_interval  # kill time roundoff
             emit(out_idx)
+        if stepper is not None:
+            newton[2] = stepper.gmres
         return result()
 
     for out_idx in range(1, n_out + 1):
@@ -1108,7 +1144,9 @@ def run(cfg, on_record=None, on_snapshot=None) -> RunResult:
                 raise CflViolation(f"step {steps + 1} at t = {state.t:g}, dt = {dt:g}: over the "
                                    f"budget of MAX_STEPS = {MAX_STEPS} steps")
             if tcfg.stepper == "imex":
-                state = step_imex(state, dt, geom, mesh, params, spec, check_cfl=False, q=q)
+                state, info = step_imex(state, dt, geom, mesh, params, spec, check_cfl=False,
+                                        q=q, return_info=True)
+                newton[2] += sum(info["gmres"])
             else:
                 state = implicit(state, dt)
             steps += 1

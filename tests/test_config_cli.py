@@ -241,8 +241,18 @@ class TestRunDriver:
         assert (res.newton_total, res.newton_max) == (sum(solves), max(solves))
         assert res.gmres_total == sum(gmres) >= 1
         assert min(solves) >= 1
+        imex, step_imex = [], solver_mod.step_imex
+
+        def counted_imex(*args, **kwargs):
+            state, info = step_imex(*args, **kwargs)
+            imex.append(info["gmres"])
+            return state, info
+
+        monkeypatch.setattr(solver_mod, "step_imex", counted_imex)
         res = run(parse_config(text))
-        assert res.steps >= 10 and (res.newton_total, res.newton_max, res.gmres_total) == (0, 0, 0)
+        assert res.steps == len(imex) >= 10 and {len(g) for g in imex} == {1}
+        assert (res.newton_total, res.newton_max) == (0, 0)
+        assert res.gmres_total == sum(sum(g) for g in imex) >= 1
 
     def test_drift_past_the_guard_stops_the_run(self, tmp_path, capsys, monkeypatch):
         """An IMEX stepper that leaks 1e-8 of the bulk per step drifts m1 by
@@ -505,16 +515,19 @@ class TestCli:
         assert first.startswith("# t=0.1") and "n_r=8" in first
 
     def test_report_counts_steps_and_newton_solves(self, tmp_path):
-        cfg_path = tmp_path / "c.cfg"
-        cfg_path.write_text(SMALL_RUN + "time.stepper = implicit\noutput.snapshots = false\n"
-                            f"output.directory = {tmp_path}/out\n")
-        assert cli.main(["run", str(cfg_path)]) == 0
-        res = run(parse_config(cfg_path.read_text()))
-        report = (tmp_path / "out" / "report.txt").read_text().splitlines()
-        assert report[1] == (f"steps: 10, Newton solves: {res.newton_total} "
-                             f"(at most {res.newton_max} in a step), capacitance GMRES "
-                             f"iterations: {res.gmres_total}")
-        assert res.newton_total >= 10 and res.gmres_total >= 1
+        """Line 2 of report.txt counts the steps, the Newton solves and the
+        GMRES iterations of every capacitance solve, IMEX ones included."""
+        for stepper in ("implicit", "imex"):
+            cfg_path = tmp_path / f"{stepper}.cfg"
+            cfg_path.write_text(SMALL_RUN + f"time.stepper = {stepper}\noutput.snapshots = false\n"
+                                f"output.directory = {tmp_path}/{stepper}\n")
+            assert cli.main(["run", str(cfg_path)]) == 0
+            res = run(parse_config(cfg_path.read_text()))
+            report = (tmp_path / stepper / "report.txt").read_text().splitlines()
+            assert report[1] == (f"steps: 10, Newton solves: {res.newton_total} "
+                                 f"(at most {res.newton_max} in a step), capacitance GMRES "
+                                 f"iterations: {res.gmres_total}")
+            assert res.gmres_total >= 1 and (res.newton_total >= 10) == (stepper == "implicit")
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg_path = tmp_path / "c.cfg"
