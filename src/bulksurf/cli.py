@@ -159,7 +159,7 @@ def _cmd_run(args) -> int:
         f"steps to t = {last.t:g} with {cfg.time.stepper} stepper",
         f"steps: {result.steps}, Newton solves: {result.newton_total} "
         f"(at most {result.newton_max} in a step), capacitance GMRES iterations: "
-        f"{result.gmres_total}",
+        f"{result.gmres_total}, preconditioner builds: {result.setups_total}",
         f"masses: m1 = {last.m1:.12g} (rel drift {drift1:.3e}), "
         f"m2 = {last.m2:.12g} (rel drift {drift2:.3e})",
         f"equilibrium ({eq.mode.value}): u = {eq.u_inf:.12g}, w = {eq.w_inf:.12g}, "

@@ -26,6 +26,10 @@ leading batch shape: a single state is the case with no batch axis, and the
 Monte-Carlo probe evaluates its samples in blocks, as (block, cells) arrays
 held in reused buffers.  The measures and metric factors of one time are
 evaluated once (`_Frame`) and shared by every state evaluated there.
+Integrals against the measures are np.vecdot, one dot product per state:
+a state's value then does not depend on how many states share its block,
+where a (block, cells) @ measures product (BLAS gemv) sums rows in groups
+and the rows outside a whole group in another order.
 """
 
 from __future__ import annotations
@@ -155,9 +159,9 @@ def _boltzmann(s, s_inf, out=None):
 
 
 def _entropy(u, w, z, eq: Equilibrium, fr: _Frame, scratch=None):
-    e = _boltzmann(u, eq.u_inf, scratch) @ fr.bulk
-    e += _boltzmann(w, eq.w_inf) @ fr.surf
-    e += _boltzmann(z, eq.z_inf) @ fr.surf
+    e = np.vecdot(_boltzmann(u, eq.u_inf, scratch), fr.bulk)
+    e += np.vecdot(_boltzmann(w, eq.w_inf), fr.surf)
+    e += np.vecdot(_boltzmann(z, eq.z_inf), fr.surf)
     return e
 
 
@@ -217,7 +221,7 @@ def _surface_fisher(field, fr: _Frame):
 
 def _fisher(grad_sq, s, measures, scratch=None):
     grad_sq /= np.maximum(s, FLOOR_EPS, out=scratch)
-    return grad_sq @ measures
+    return np.vecdot(grad_sq, measures)
 
 
 def _dissipation_parts(u, w, z, fr: _Frame, params: ModelParams, scratch=None) -> DissipationParts:
@@ -229,7 +233,7 @@ def _dissipation_parts(u, w, z, fr: _Frame, params: ModelParams, scratch=None) -
     fz = 0.5 * params.delta_gamma_prime * _surface_fisher(z, fr)
     uw = u[..., : fr.mesh.n_theta] * w
     logratio = np.log(np.maximum(z, FLOOR_EPS) / np.maximum(uw, FLOOR_EPS))
-    reaction = ((z - uw) * logratio) @ fr.surf
+    reaction = np.vecdot((z - uw) * logratio, fr.surf)
     return DissipationParts(fu, fw, fz, reaction)
 
 
@@ -403,9 +407,9 @@ def _smooth_surface(f, out):
 
 
 def _project(u, w, z, m1, m2, fr: _Frame, out=(None, None, None)):
-    iu = u @ fr.bulk
-    iw = w @ fr.surf
-    iz = z @ fr.surf
+    iu = np.vecdot(u, fr.bulk)
+    iw = np.vecdot(w, fr.surf)
+    iz = np.vecdot(z, fr.surf)
     if np.any((iu <= 0.0) | (iw <= 0.0) | (iz <= 0.0)):
         raise ValueError("projection requires positive sampled masses")
     # non-finite draws pass through here and are rejected by the entropy
@@ -504,9 +508,7 @@ def probe_functional_inequality(eq: Equilibrium, geom: EvolvingGeometry, mesh: R
     block re-keys one generator from sample to sample.  Sample i draws from
     its own stream (seed, i) and the worst sample is the least (ratio,
     index), so the samples do not depend on the block size or on the number
-    of workers, nor does the result, up to rounding in the last bits (BLAS
-    sums the rows of a block in groups, and a row outside a whole group is
-    summed in another order).
+    of workers, nor, bit for bit, does the result.
     """
     check_samples(n_samples)
     check_seed(rng_seed)

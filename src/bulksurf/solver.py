@@ -368,7 +368,7 @@ class _FourierSolve:
     pivoting) for the upwind ones.  The exchange term enters by Woodbury
     (Buzbee, Dorr, George and Golub): the capacitance system, convolutions
     times per-slot coefficients, is solved by GMRES through the slot
-    response, never formed (see _capacitance).  Every solve is checked by
+    response, never formed (see _Capacitance).  Every solve is checked by
     apply, a matrix-free stencil apart from the Fourier path.
     """
 
@@ -484,75 +484,25 @@ class _FourierSolve:
         modes[:, _SLOT_RINGS] = _EXCHANGE
         return self._solve_modes(modes)
 
-    def _capacitance(self, r, coeffs, what, rtol=None):
-        """(modes of xi, GMRES iterations), xi the slot exchange fluxes with
-        C xi = r to the relative residual rtol (_CAPACITANCE_RTOL when None),
-        r one value per slot.
-
-        With W_j the convolution by the response to a unit slot flux, read at
-        ring j of (u trace, w, z), C xi = xi + sum_j diag(c_j) W_j xi.  GMRES
-        solves D^{-1} C M^{-1} v = D^{-1} r, xi = M^{-1} v.  The right
-        preconditioner M is C with each c_j replaced by its mean over the
-        slots (T. F. Chan): a scalar per Fourier mode, and exact when the c_j
-        are uniform; a c_j the same in every slot enters M alone.  The left
-        one, D = 1 + (c - mean c) . rho per slot, is C M^{-1} with each
-        convolution W_j M^{-1} replaced by rho_j, the Rayleigh quotient of
-        its symmetric part at r: the mean over the modes of its real part,
-        weighted by the power spectrum of r.  S_j = W_j M^{-1} - rho_j then
-        nearly vanishes on the modes the slot data occupy (the lowest, for
-        smooth data).  The operator is I + E S, with E = (c - mean c) / D
-        per slot and the convolutions S_j of the c_j that vary: one rFFT and
-        one irFFT.
-        """
-        nt = self.mesh.n_theta
-        at = [j for j, c in enumerate(coeffs) if c is not None and c.any()]
-        r_max = float(np.abs(r).max())
-        if not at or r_max == 0.0:   # C = I, or xi = 0
-            return np.fft.rfft(r), 0
-        coef = np.stack([coeffs[j] for j in at])             # c_j of each slot
-        vary = (coef != coef[:, :1]).any(axis=1)
-        mean = np.where(vary, coef.mean(axis=1), coef[:, 0])
-        g = self.response.T[[_SLOT_RINGS[j] for j in at]]    # W_j per mode
-        m = 1.0 + mean @ g
-        dev = coef[vary] - mean[vary, None]
-        with np.errstate(divide="ignore", invalid="ignore"):   # a zero is refused below
-            power = np.abs(np.fft.rfft(r / r_max)) ** 2
-            power[1:(nt + 1) // 2] *= 2.0   # the modes a full spectrum holds twice
-            wm = g[vary] / m
-            rho = wm.real @ power / power.sum()
-            d = 1.0 + rho @ dev
-        if not (m.all() and d.all()):
-            raise LinearSolveFailure(f"{what}: capacitance preconditioner singular")
-        e, s = dev / d, wm - rho[:, None]
-
-        def apply(v):   # E S v
-            return (e * np.fft.irfft(s * np.fft.rfft(v), n=nt)).sum(axis=0)
-
-        rtol = _CAPACITANCE_RTOL if rtol is None else rtol
-        # max|r - C xi| <= max|D| ||D^{-1} (r - C xi)||_2, the norm GMRES minimizes
-        target = rtol * r_max / float(np.abs(d).max())
-        v, iterations = _gmres(apply, r / d, target, nt)
-        if v is None:
-            raise LinearSolveFailure(f"{what}: capacitance GMRES did not reach relative residual "
-                                     f"{rtol:g} in {iterations} iterations")
-        return np.fft.rfft(v) / m, iterations
-
     def correction(self, xi, rings=slice(None)):
         """Modes of G xi on the given rings, G the response to the slot
         exchange flux, from the modes of xi."""
         return self.response[:, rings] * xi[:, None]
 
     def solve_slots(self, b, coeffs, what: str):
-        """(x, GMRES iterations) with (A0 + the exchange term of coeffs) x = b,
-        the iterations those of its capacitance solve (0 without one)."""
+        """(x, GMRES iterations, preconditioner builds) with (A0 + the
+        exchange term of coeffs) x = b, the counts those of its one
+        capacitance solve (0 without one)."""
         slots = _slot_slices(self.mesh)
         coeffs = [c if c is not None and c.any() else None for c in coeffs]
         active = any(c is not None for c in coeffs)
-        modes, iterations = self._modes(b), 0
+        modes, iterations, builds = self._modes(b), 0, 0
         if active:   # Woodbury: the correction's modes are the response times xi's
             parts = np.fft.irfft(modes[:, _SLOT_RINGS], n=self.mesh.n_theta, axis=0).T
-            xi, iterations = self._capacitance(_flux(coeffs, parts), coeffs, what)
+            capacitance = _Capacitance(self, what)
+            xi, iterations = capacitance.solve(_flux(coeffs, parts), coeffs)
             modes -= self.correction(xi)
+            builds = capacitance.builds
         x = self._field(modes)
         # backward error by the stencil; the slot rows' absolute sums grow by |c|
         residual, slot_abs = self.apply(x), self.slot_abs
@@ -563,7 +513,91 @@ class _FourierSolve:
                 residual[at] += sign * fx
             slot_abs = slot_abs[:, None] + sum(np.abs(c) for c in coeffs if c is not None)
         _check_backward_error(residual, x, b, max(self.norm, float(np.max(slot_abs))), what)
-        return x, iterations
+        return x, iterations, builds
+
+
+class _Capacitance:
+    """The capacitance solves C xi = r of one Fourier solve's exchange term,
+    xi the slot exchange fluxes, r one value per slot; the coefficients may
+    change from solve to solve.
+
+    With W_j the convolution by the response to a unit slot flux, read at
+    ring j of (u trace, w, z), C xi = xi + sum_j diag(c_j) W_j xi.  GMRES
+    solves D^{-1} C M^{-1} v = D^{-1} r, xi = M^{-1} v.  The right
+    preconditioner M is C with each c_j replaced by its mean over the slots
+    (T. F. Chan): a scalar per Fourier mode, and exact when the c_j are
+    uniform; a c_j the same in every slot enters M alone.  The left one,
+    D = 1 + (c - mean c) . rho per slot, is C M^{-1} with each convolution
+    W_j M^{-1} replaced by rho_j, the Rayleigh quotient of its symmetric part
+    at r: the mean over the modes of its real part, weighted by the power
+    spectrum of r.  S_j = W_j M^{-1} - rho_j then nearly vanishes on the
+    modes the slot data occupy (the lowest, for smooth data).  The operator
+    is I + E S, with E = (c - mean c) / D per slot and the convolutions S_j
+    of the c_j that vary: one rFFT and one irFFT.
+
+    The means, M, rho and S are built at the first solve with a nonzero r,
+    from its coefficients and r, and kept for the later solves (builds
+    counts them).  C = M + sum_j diag(c_j - mean_j) W_j holds for any means
+    and any rho, so a later solve, which forms c - mean, D and E from its own
+    coefficients, still solves the exact C; only the preconditioners lag.
+    A solve rebuilds them when a coefficient row is switched on or off, or a
+    row uniform at the build has changed, since S holds no convolution for
+    it.  Kept: at, the coefficient rows of (u trace, w, z) present (None
+    before the first build); vary and uniform, masks over at of the rows
+    that differ between the slots and of those that do not; mean, the slot
+    means as a column; m, M per Fourier mode; rho and s, the shifts and the
+    S_j of the rows that vary.
+    """
+
+    def __init__(self, system: _FourierSolve, what: str):
+        self.system, self.what = system, what
+        self.builds, self.at = 0, None
+
+    def _build(self, at, coef, r, r_max):   # under the errstate of solve
+        nt = self.system.mesh.n_theta
+        vary = (coef != coef[:, :1]).any(axis=1)
+        mean = np.where(vary, coef.mean(axis=1), coef[:, 0])
+        g = self.system.response.T[[_SLOT_RINGS[j] for j in at]]   # W_j per mode
+        m = 1.0 + mean @ g
+        power = np.abs(np.fft.rfft(r / r_max)) ** 2
+        power[1:(nt + 1) // 2] *= 2.0   # the modes a full spectrum holds twice
+        wm = g[vary] / m
+        rho = wm.real @ power / power.sum()
+        if not m.all():
+            raise LinearSolveFailure(f"{self.what}: capacitance preconditioner singular")
+        self.builds += 1
+        self.at, self.vary, self.uniform, self.mean = at, vary, ~vary, mean[:, None]
+        self.m, self.rho, self.s = m, rho, wm - rho[:, None]
+
+    def solve(self, r, coeffs, rtol=None):
+        """(modes of xi, GMRES iterations) with C xi = r to the relative
+        residual rtol (_CAPACITANCE_RTOL when None)."""
+        nt = self.system.mesh.n_theta
+        at = [j for j, c in enumerate(coeffs) if c is not None and c.any()]
+        r_max = float(np.abs(r).max())
+        if not at or r_max == 0.0:   # C = I, or xi = 0
+            return np.fft.rfft(r), 0
+        coef = np.stack([coeffs[j] for j in at])             # c_j of each slot
+        rebuild = self.at != at or not (coef[self.uniform] == self.mean[self.uniform]).all()
+        with np.errstate(divide="ignore", invalid="ignore"):   # a zero is refused below
+            if rebuild:
+                self._build(at, coef, r, r_max)
+            dev = coef[self.vary] - self.mean[self.vary]
+            d = 1.0 + self.rho @ dev
+        if not d.all():
+            raise LinearSolveFailure(f"{self.what}: capacitance preconditioner singular")
+        e, s = dev / d, self.s
+
+        def apply(v):   # E S v
+            return (e * np.fft.irfft(s * np.fft.rfft(v), n=nt)).sum(axis=0)
+
+        rtol = _CAPACITANCE_RTOL if rtol is None else rtol
+        # max|r - C xi| <= max|D| ||D^{-1} (r - C xi)||_2, the norm GMRES minimizes
+        v, iterations = _gmres(apply, r / d, rtol * r_max / float(np.abs(d).max()), nt)
+        if v is None:
+            raise LinearSolveFailure(f"{self.what}: capacitance GMRES did not reach relative "
+                                     f"residual {rtol:g} in {iterations} iterations")
+        return np.fft.rfft(v) / self.m, iterations
 
 
 def _flux(coeffs, parts):
@@ -601,9 +635,9 @@ def step_imex(state: State, dt: float, geom: EvolvingGeometry, mesh: ReferenceMe
     with identical values, as one exchange term, so m1 and m2 are conserved
     to the linear-solver residual.  A custom reaction's exchange flux f1 is
     explicit.  q is as in cfl_bound.  With return_info=True the result is
-    (state, {"gmres": [n]}), n the GMRES iterations of the step's one
-    capacitance solve (0 when no exchange term is implicit), as in
-    step_implicit.
+    (state, {"gmres": [n], "setups": k}), n the GMRES iterations of the
+    step's one capacitance solve and k its preconditioner builds (both 0
+    when no exchange term is implicit, k 1 otherwise), as in step_implicit.
     """
     q = _check_step(state, dt, geom, mesh, params, spec, check_cfl, q)
     system = _solve_for(geom, mesh, params, state.t + dt, dt)
@@ -620,24 +654,26 @@ def step_imex(state: State, dt: float, geom: EvolvingGeometry, mesh: ReferenceMe
         fx = dt * np.asarray(spec.f1(state.u_hat[:ns], state.w_hat, state.z_hat)) * arcs
         for at, sign in zip(slots, _EXCHANGE):
             rhs[at] += sign * fx
-    x, iterations = system.solve_slots(rhs, exchange, "IMEX step")
+    x, iterations, builds = system.solve_slots(rhs, exchange, "IMEX step")
     out = State(state.t + dt, x[: mesh.n_bulk], x[slots[1]], x[slots[2]])
-    return (out, {"gmres": [iterations]}) if return_info else out
+    return (out, {"gmres": [iterations], "setups": builds}) if return_info else out
 
 
 class ImexStepper:
     """IMEX stepping at a fixed dt: step_imex, whose Fourier solve is set up
-    once for all steps on static metrics (see _solve_for); gmres adds up the
-    GMRES iterations of the steps' capacitance solves."""
+    once for all steps on static metrics (see _solve_for); gmres and setups
+    add up the GMRES iterations and preconditioner builds of the steps'
+    capacitance solves."""
 
     def __init__(self, geom, mesh, params, spec, dt):
         self.geom, self.mesh, self.params, self.spec, self.dt = geom, mesh, params, spec, dt
-        self.gmres = 0
+        self.gmres = self.setups = 0
 
     def step(self, state, check_cfl=True, sources=None):
         state, info = step_imex(state, self.dt, self.geom, self.mesh, self.params, self.spec,
                                 sources=sources, check_cfl=check_cfl, return_info=True)
         self.gmres += sum(info["gmres"])
+        self.setups += info["setups"]
         return state
 
 
@@ -656,12 +692,17 @@ def _reaction_terms(spec, u_tr, w, z, scale, eps=1e-7):
 def _forcing(residual: float, newton_tol: float) -> float:
     """eta, the relative residual at which the capacitance solve of a Newton
     update stops, from F, the scaled slot residual of the iterate it starts
-    at (Eisenstat and Walker): eta = F, quadratic forcing (Dembo, Eisenstat
-    and Steihaug), but no tighter than _FORCING_FLOOR newton_tol / F, at
-    which the update's linear part leaves a residual F eta far below
-    newton_tol, and within [_FORCING_MIN, _FORCING_MAX]."""
-    floor = _FORCING_FLOOR * newton_tol / residual if residual > 0.0 else math.inf
-    return max(_FORCING_MIN, min(_FORCING_MAX, max(residual, floor)))
+    at (Eisenstat and Walker), within [_FORCING_MIN, _FORCING_MAX]: eta = F,
+    quadratic forcing (Dembo, Eisenstat and Steihaug), while F^2 is above
+    the rebuild threshold 2 newton_tol of step_implicit.  Below it the update
+    is expected to be the last, and its linear part, up to F eta, stays in
+    the state Newton returns: eta = _FORCING_FLOOR newton_tol / F, at which
+    that part is far below newton_tol, and no tighter."""
+    if residual * residual > 2.0 * newton_tol:
+        eta = residual
+    else:
+        eta = _FORCING_FLOOR * newton_tol / residual if residual > 0.0 else math.inf
+    return max(_FORCING_MIN, min(_FORCING_MAX, eta))
 
 
 def step_implicit(state: State, dt: float, geom: EvolvingGeometry, mesh: ReferenceMesh,
@@ -677,16 +718,23 @@ def step_implicit(state: State, dt: float, geom: EvolvingGeometry, mesh: Referen
     response to the slot exchange flux xi.  Newton iterates on
     xi = scale f1(s_y - W xi), n_theta values, each update one capacitance
     solve with the coefficients of _reaction_terms, linearized first at the
-    state at t, with m1 and m2 held by construction.  The updates are
-    inexact: the GMRES of each stops at the relative residual of _forcing,
-    eta = max(1e-12, min(1e-2, max(F, 1e-3 newton_tol / F))), F the scaled
-    slot residual of the iterate it starts from, so the iterates are near
-    those of Newton on the whole field, not equal to them.  x is rebuilt when the slot residual is at most
-    2 newton_tol and returned only when its full residual, by the stencil,
-    is below newton_tol, both scaled by max(1, max|b|, ||A0|| max|values|).
-    With return_info=True the result is (state, {"iterations", "residuals",
-    "gmres"}): the capacitance solves, the scaled slot residual after each
-    and the GMRES iterations of each.
+    state at t, with m1 and m2 held by construction.  The capacitance
+    preconditioners are built at the first update, from its coefficients and
+    right-hand side, and kept for the later updates of the step (see
+    _Capacitance): each update still solves its own exact linearization.
+    The updates are inexact: the GMRES of each stops at the relative
+    residual of _forcing, F (the scaled slot residual of the iterate it
+    starts from) within [1e-12, 1e-2], or 1e-3 newton_tol / F once
+    F^2 <= 2 newton_tol, so the iterates are near those of Newton on the
+    whole field, not equal to them.
+    x is rebuilt when the slot residual is at most 2 newton_tol and returned
+    only when its full residual, by the stencil, is below newton_tol, both
+    scaled by max(1, max|b|, ||A0|| max|values|).  With return_info=True the
+    result is (state, {"iterations", "residuals", "gmres", "setups"}): the
+    capacitance solves, the scaled slot residual after each, the GMRES
+    iterations of each and the preconditioner builds of the step (one,
+    unless a coefficient row is switched on or off or a row uniform at the
+    build changes).
     """
     _check_step(state, dt, geom, mesh, params, spec, check_cfl=False)
     t1 = state.t + dt
@@ -696,11 +744,10 @@ def step_implicit(state: State, dt: float, geom: EvolvingGeometry, mesh: Referen
     scale = -dt * system.measures[1]
     slots = _slot_slices(mesh)
     base = _mass_rhs(state, dt, mesh, m0, system.measures, sources)
-    history = []
+    history, floor = [], max(1.0, _max_abs(base))
 
     def scaled(residual, values):   # max|residual| / max(1, max|b|, ||A0|| max|values|)
-        norm = float(np.max(np.abs(residual))) / max(
-            1.0, float(np.max(np.abs(base))), system.norm * float(np.max(np.abs(values))))
+        norm = _max_abs(residual) / max(floor, system.norm * _max_abs(values))
         if not math.isfinite(norm):
             raise NewtonDivergence(f"non-finite Newton residual at t = {t1:g}", history + [norm])
         return norm
@@ -716,9 +763,9 @@ def step_implicit(state: State, dt: float, geom: EvolvingGeometry, mesh: Referen
     rho = -flux(s) - _flux(coeffs, s_y - s)
     slot_residual, gmres = scaled(rho, s), []
     xi = np.zeros(mesh.n_theta // 2 + 1, complex)
+    capacitance = _Capacitance(system, "Newton step")
     for iteration in range(1, max_newton + 1):
-        update, used = system._capacitance(rho, coeffs, "Newton step",
-                                           _forcing(slot_residual, newton_tol))
+        update, used = capacitance.solve(rho, coeffs, _forcing(slot_residual, newton_tol))
         xi -= update
         gmres.append(used)
         # W xi on the slot rings and xi itself, by one inverse FFT
@@ -736,7 +783,8 @@ def step_implicit(state: State, dt: float, geom: EvolvingGeometry, mesh: Referen
                 resid[at] += sign * fx
             if scaled(resid, x) < newton_tol:
                 out = State(t1, x[: mesh.n_bulk], parts[1], parts[2])
-                info = {"iterations": iteration, "residuals": history, "gmres": gmres}
+                info = {"iterations": iteration, "residuals": history, "gmres": gmres,
+                        "setups": capacitance.builds}
                 return (out, info) if return_info else out
         coeffs = _reaction_terms(spec, *s, scale)
     raise NewtonDivergence(
@@ -976,6 +1024,7 @@ class RunResult:
     newton_total: int = 0   # Newton solves over the run, 0 for IMEX
     newton_max: int = 0     # the most in one step
     gmres_total: int = 0    # GMRES iterations of every capacitance solve over the run
+    setups_total: int = 0   # capacitance preconditioner builds over the run
 
 
 def relative_drift(first, record):
@@ -1067,7 +1116,8 @@ def run(cfg, on_record=None, on_snapshot=None) -> RunResult:
     # retained on the result (if enabled at all)
     retain = cfg.output.snapshots and on_snapshot is None
     tcfg = cfg.time
-    steps, newton = 0, [0, 0, 0]   # Newton solves: total, most in one step; GMRES iterations
+    # Newton solves: total, most in one step; GMRES iterations; preconditioner builds
+    steps, newton = 0, [0, 0, 0, 0]
 
     def result():
         return RunResult(state, records, eq, snapshots, steps, *newton)
@@ -1077,6 +1127,7 @@ def run(cfg, on_record=None, on_snapshot=None) -> RunResult:
         newton[0] += info["iterations"]
         newton[1] = max(newton[1], info["iterations"])
         newton[2] += sum(info["gmres"])
+        newton[3] += info["setups"]
         return state
 
     def emit(index):
@@ -1126,7 +1177,7 @@ def run(cfg, on_record=None, on_snapshot=None) -> RunResult:
             state.t = out_idx * tcfg.output_interval  # kill time roundoff
             emit(out_idx)
         if stepper is not None:
-            newton[2] = stepper.gmres
+            newton[2:] = stepper.gmres, stepper.setups
         return result()
 
     for out_idx in range(1, n_out + 1):
@@ -1147,6 +1198,7 @@ def run(cfg, on_record=None, on_snapshot=None) -> RunResult:
                 state, info = step_imex(state, dt, geom, mesh, params, spec, check_cfl=False,
                                         q=q, return_info=True)
                 newton[2] += sum(info["gmres"])
+                newton[3] += info["setups"]
             else:
                 state = implicit(state, dt)
             steps += 1

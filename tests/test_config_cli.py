@@ -515,8 +515,10 @@ class TestCli:
         assert first.startswith("# t=0.1") and "n_r=8" in first
 
     def test_report_counts_steps_and_newton_solves(self, tmp_path):
-        """Line 2 of report.txt counts the steps, the Newton solves and the
-        GMRES iterations of every capacitance solve, IMEX ones included."""
+        """Line 2 of report.txt counts the steps, the Newton solves, the
+        GMRES iterations of every capacitance solve, IMEX ones included, and
+        the capacitance preconditioner builds: one per step with either
+        stepper (per Newton step, and per IMEX solve)."""
         for stepper in ("implicit", "imex"):
             cfg_path = tmp_path / f"{stepper}.cfg"
             cfg_path.write_text(SMALL_RUN + f"time.stepper = {stepper}\noutput.snapshots = false\n"
@@ -526,8 +528,9 @@ class TestCli:
             report = (tmp_path / stepper / "report.txt").read_text().splitlines()
             assert report[1] == (f"steps: 10, Newton solves: {res.newton_total} "
                                  f"(at most {res.newton_max} in a step), capacitance GMRES "
-                                 f"iterations: {res.gmres_total}")
+                                 f"iterations: {res.gmres_total}, preconditioner builds: 10")
             assert res.gmres_total >= 1 and (res.newton_total >= 10) == (stepper == "implicit")
+            assert res.setups_total == 10
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg_path = tmp_path / "c.cfg"
