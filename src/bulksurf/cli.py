@@ -25,7 +25,7 @@ from . import solver as solver_mod
 from .equilibrium import EquilibriumMode, closure_kappa, solve_equilibrium
 from .errors import BulkSurfError, ParseError, ValidationError, rekeyed
 from .geometry import GeometryKind, GeometryPreset, build_geometry
-from .mesh import build_mesh
+from .mesh import build_mesh, check_resolution
 from .model import ModelParams, check_assumptions, make_nonlinearity
 
 
@@ -177,19 +177,21 @@ def _cmd_run(args) -> int:
 def _cmd_mms(args) -> int:
     preset = GeometryPreset(GeometryKind(args.preset), r_inner0=1.0, r_outer0=2.0,
                             omega=1.0 if args.preset == "rotation" else 0.0)
-    rows = []
-    errs = []
-    hs = []
-    for level in range(args.levels):
+    levels = []  # every level is checked before the first one runs
+    for level in range(args.levels):  # a huge --levels passes MAX_CELLS within ~20 levels
         n_r = args.n0 * (2 ** level)
-        n_theta = 2 * n_r
         dt = args.dt0 / (4.0 ** level)  # first-order time: dt ~ h^2 keeps space dominant
+        with rekeyed(lambda key: "levels" if level else key):
+            check_resolution(n_r, 2 * n_r)
+            solver_mod.check_steps(dt, args.t_final)
+        levels.append((n_r, dt))
+    rows, errs, hs = [], [], []
+    for level, (n_r, dt) in enumerate(levels):
         eu, ew, ez = solver_mod.manufactured_solution_error(
-            args.case, n_r, n_theta, dt, args.t_final, preset=preset)
-        err = max(eu, ew, ez)
-        rows.append(f"level {level}: n_r={n_r} n_theta={n_theta} dt={dt:g} "
+            args.case, n_r, 2 * n_r, dt, args.t_final, preset=preset)
+        rows.append(f"level {level}: n_r={n_r} n_theta={2 * n_r} dt={dt:g} "
                     f"err_u={eu:.6e} err_w={ew:.6e} err_z={ez:.6e}")
-        errs.append(err)
+        errs.append(max(eu, ew, ez))
         hs.append(1.0 / n_r)
     order = float(np.polyfit(np.log(hs), np.log(errs), 1)[0]) if len(errs) > 1 else float("nan")
     rows.append(f"fitted spatial order: {order:.3f}")

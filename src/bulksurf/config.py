@@ -299,7 +299,7 @@ def parse_config(text: str) -> RunConfig:
 # '%.17g' prints v in fixed notation where 1e-4 <= |v| < 1e17: 17 significant
 # digits N, 10^16 <= N < 10^17, at a decimal exponent e10 in [-4, 16], less
 # the trailing zeros of the fraction.
-_POW10 = 10.0 ** np.arange(21)  # each an exact double, as are all up to 10^22
+_POW10 = 10.0 ** np.arange(23)  # each an exact double, up to 10^22
 _ROW = 25        # the longest '%.17g', '-2.2250738585072014e-308', and a separator
 _CHUNK = 8192    # values per pass, so that temporaries stay small and cached
 
@@ -478,22 +478,22 @@ def _rows_one_by_one(lines, i, n_r):
     return np.array(rows, dtype=float)
 
 
-# A value in the fast grammar, -?D+(.D*)?([eE][+-]?D{1,8})? with at most 23
-# mantissa digits, is read as M 10^q with the M of its digits below 10^19.
-# The digits sit right-aligned in a window of three little-endian uint64
-# words, the integer digits moved one byte right over the point; a word
-# of 8 ASCII digits becomes its value in three multiply-shift steps (SWAR).
-# M 10^q is then rounded to the nearest double by Clinger's fast path (M <=
-# 2^53, |q| <= 22: one IEEE multiply or divide by an exact power of ten) or by
-# Eisel-Lemire's truncated 128-bit product, which for M < 10^19 always decides
-# (Mushtak and Lemire, Softw. Pract. Exp. 2023) but for subnormal or
-# overflowing results, left to float().  So is every token outside the grammar.
+# A value in the fast grammar, D+(.D*)? with at most 23 digits, f of them
+# after the point, is read as M / 10^f with the M of its digits below 10^19:
+# the form in which repr() and '%.17g' write 1e-4 <= v < 1e16.  The digits
+# sit right-aligned in a window of three little-endian uint64 words, the
+# integer digits moved one byte right over the point; a word of 8 ASCII
+# digits becomes its value in three multiply-shift steps (SWAR).  M / 10^f
+# is then rounded to the nearest double by Clinger's fast path (M <= 2^53:
+# one IEEE division by an exact power of ten) or by Eisel-Lemire's truncated
+# 128-bit product, which for M < 10^19 always decides (Mushtak and Lemire,
+# Softw. Pract. Exp. 2023).  Every other token -- signed, with an exponent,
+# longer -- is left to float(), as the writer leaves every value outside
+# fixed notation to '%.17g'.
 _PASS = 4096      # tokens per pass: its (n, 3) word arrays, 96 KB, stay in cache
 _PAD = b"\0" * 24  # before and after the tokens, so that every window is in bounds
 # Tables from Python arithmetic, not numpy's: numpy operations at import
 # raised the peak memory of runs that read no field file by about 0.3 MB.
-_DOWN = np.array([10.0 ** max(-q, 0) for q in range(-22, 23)])  # 10^-q for q in [-22, 0), else 1
-_UP = np.array([10.0 ** max(q, 0) for q in range(-22, 23)])     # 10^q for q in (0, 22], else 1
 # row a: the three words with the bytes of columns a..23 set, for 0 <= a <= 24
 _BYTE_ROWS = [[sum(0xFF << 8 * b for b in range(8) if 8 * k + b >= a) for k in range(3)]
               for a in range(25)]
@@ -505,18 +505,12 @@ _U64 = np.uint64
 
 @functools.cache  # built on first use: runs without a field file never pay for it
 def _powers_of_five():
-    """(high, low) uint64 words of 5^q, q in [-342, 308], normalized to 128
-    bits and truncated; negative powers rounded up first (fast_float's table)."""
+    """(high, low) uint64 words of 5^-f, f in [0, 22], normalized to 128 bits
+    and truncated, rounded up first where inexact (fast_float's table)."""
     table = []
-    for q in range(-342, 309):
-        p = 5 ** abs(q)
-        if q >= 0:
-            c = p << 128 >> p.bit_length()
-        elif q >= -27:
-            c = (1 << (p.bit_length() + 127)) // p + 1
-        else:
-            c = (1 << (2 * p.bit_length() + 128)) // p + 1
-            c >>= c.bit_length() - 128
+    for f in range(23):
+        p = 5 ** f
+        c = (1 << (p.bit_length() + 127)) // p + 1 if f else 1 << 127
         table.append((c >> 64, c & (2**64 - 1)))
     return np.array(table, np.uint64).T.copy()
 
@@ -534,16 +528,15 @@ def _read_grids(blocks):
     seps = np.flatnonzero(buf == ord(","))
     row_ends = np.searchsorted(seps, np.cumsum([len(_PAD)] + [len(row) + 1 for row in rows]))
     windows = np.lib.stride_tricks.sliding_window_view(buf, 24)
-    exponents = b"e" in data or b"E" in data
     values = np.empty(seps.size - 1)  # value j lies between separators j and j + 1
     for k in range(0, values.size, _PASS):
         at = seps[k:k + _PASS + 1]
-        values[k:k + _PASS], undecided = _read_pass(buf, windows, at[:-1] + 1, at[1:], exponents)
-        for j in k + np.flatnonzero(undecided):
-            try:
-                values[j] = float(data[seps[j] + 1:seps[j + 1]])
-            except ValueError:
-                return None
+        values[k:k + _PASS], undecided = _read_pass(buf, windows, at[:-1] + 1, at[1:])
+        j = k + np.flatnonzero(undecided)
+        try:
+            values[j] = [float(data[a + 1:b]) for a, b in zip(seps[j].tolist(), seps[j + 1].tolist())]
+        except ValueError:
+            return None
     grids, first = [], 0
     for block in blocks:
         ends_here = row_ends[first:first + len(block) + 1]
@@ -555,33 +548,21 @@ def _read_grids(blocks):
     return grids
 
 
-def _read_pass(buf, windows, starts, ends, exponents):
-    """Doubles of the tokens buf[starts:ends] and a mask of those left to
-    float(); `exponents` says whether an 'e' or 'E' may occur."""
+def _read_pass(buf, windows, starts, ends):
+    """Doubles of the tokens buf[starts:ends] and a mask of those left to float()."""
     n = starts.size
-    seg = buf[starts[0]:ends[-1]]
-    odd = np.zeros(n, bool)  # outside the fast grammar, or undecided
-    mant_end, exp10 = ends, np.zeros(n, np.int64)
-    e_at = starts[0] + np.flatnonzero((seg | 0x20) == ord("e")) if exponents else ends[:0]
-    if e_at.size:
-        tok = np.searchsorted(starts, e_at, "right") - 1
-        odd |= np.bincount(tok, minlength=n) > 1
-        mant_end = ends.copy()
-        mant_end[tok] = e_at
-        exp10[tok], odd_exp = _exponents(buf, windows, e_at, ends[tok])
-        odd[tok] |= odd_exp
-    dot_at = starts[0] + np.flatnonzero(seg == ord("."))
+    odd = np.zeros(n, bool)  # outside the fast grammar
+    dot_at = starts[0] + np.flatnonzero(buf[starts[0]:ends[-1]] == ord("."))
     if dot_at.size == n and np.all((dot_at >= starts) & (dot_at < ends)):
         dot = dot_at  # one point in every token
     else:
         tok = np.searchsorted(starts, dot_at, "right") - 1
         odd |= np.bincount(tok, minlength=n) > 1
-        dot = mant_end.copy()  # no point: as if one followed the digits
+        dot = ends.copy()  # no point: as if one followed the digits
         dot[tok] = dot_at
-    neg = buf[starts] == ord("-")
-    n_int = dot - starts - neg
-    n_frac = np.maximum(mant_end - dot - 1, 0)
-    odd |= (n_int < 1) | (n_int + n_frac > 23) | (dot > mant_end)
+    n_int = dot - starts
+    n_frac = np.maximum(ends - dot - 1, 0)
+    odd |= (n_int < 1) | (n_int + n_frac > 23)
 
     # the 24 bytes up to the last digit: the fraction in place, the integer
     # digits taken one byte further left, so that the point drops out
@@ -594,30 +575,13 @@ def _read_pass(buf, windows, starts, ends, exponents):
     v, not_digits = _digits(words, np.where(odd, 24, 24 - n_frac - n_int))
     odd |= ((not_digits[:, 0] | not_digits[:, 1] | not_digits[:, 2]) != 0) | (v[:, 0] >= 1000)
     m = v[:, 0] * _U64(10**16) + v[:, 1] * _U64(10**8) + v[:, 2]
-    q = exp10 - n_frac
 
     values = m.astype(float)  # exact where m <= 2^53; one rounding below
-    values /= _DOWN.take(q + 22, mode="clip")
-    if e_at.size:
-        values *= _UP.take(q + 22, mode="clip")
-        odd |= (q < -342) | (q > 308)  # 0 or inf
-    slow = np.flatnonzero(((m > _U64(2**53)) | (q < -22) | (q > 22)) & (m != 0) & ~odd)
+    values /= _POW10.take(n_frac, mode="clip")
+    slow = np.flatnonzero((m > _U64(2**53)) & ~odd)
     if slow.size:
-        bits, undecided = _eisel_lemire(m[slow], q[slow])
-        values[slow] = bits.view(float)
-        odd[slow] |= undecided
-    np.negative(values, out=values, where=neg)
+        values[slow] = _eisel_lemire(m[slow], n_frac[slow]).view(float)
     return values, odd
-
-
-def _exponents(buf, windows, e_at, ends):
-    """Decimal exponents after the 'e' at e_at, and a mask of malformed ones."""
-    sign = buf[e_at + 1]
-    n_digits = ends - e_at - 1 - ((sign == ord("+")) | (sign == ord("-")))
-    ok = (n_digits >= 1) & (n_digits <= 8)
-    v, not_digits = _digits(windows[ends - 24].view("<u8"), np.where(ok, 24 - n_digits, 24))
-    v = v[:, 2].astype(np.int64)
-    return np.where(sign == ord("-"), -v, v), ~ok | (not_digits[:, 2] != 0)
 
 
 def _digits(words, first):
@@ -649,43 +613,35 @@ def _mul_high(a, b):
     return a1 * b1 + (t >> _U64(32)) + ((a0 * b1 + (t & _U64(0xFFFFFFFF))) >> _U64(32))
 
 
-def _eisel_lemire(w, q):
-    """Bits of the doubles nearest w 10^q, for 0 < w < 10^19 and -342 <= q <=
-    308, and a mask of those left undecided: subnormal or infinite results.
+def _eisel_lemire(w, f):
+    """Bits of the doubles nearest w / 10^f, for 0 < w < 10^19 and 0 <= f <= 22:
+    all normal, so every one is decided.
 
     fast_float's compute_float (Lemire, Softw. Pract. Exp. 51, 2021): the
-    normalized w times the truncated 128-bit 5^q, the second limb only where
+    normalized w times the truncated 128-bit 5^-f, the second limb only where
     the first leaves the low nine bits of the top word all ones, and ties to
-    even only where 5^q is exact (-4 <= q <= 23) and the dropped bits are zero.
+    even only where 5^-f is exact (f <= 4) and the dropped bits are zero.
     """
     e = np.frexp(w.astype(float))[1]  # bit length, or one more where w rounds up
     lz = 64 - e + ((w >> (e - 1).astype(np.uint64)) == 0)
     w = w << lz.astype(np.uint64)
     hi5, lo5 = _powers_of_five()
-    k = q + 342
-    p = hi5[k]
-    hi, lo = _mul_high(w, p), w * p
+    hi, lo = _mul_high(w, hi5[f]), w * hi5[f]
     wide = np.flatnonzero((hi & _U64(0x1FF)) == _U64(0x1FF))
     if wide.size:
-        low = lo[wide] + _mul_high(w[wide], lo5[k[wide]])
+        low = lo[wide] + _mul_high(w[wide], lo5[f[wide]])
         hi[wide] += low < lo[wide]
         lo[wide] = low
     upper = hi >> _U64(63)
-    m = hi >> (upper + _U64(9))  # 54 or 55 bits: the mantissa and a rounding bit
-    power2 = ((217706 * q) >> 16) + 1086 - lz + upper.astype(np.int64)
-    tie = np.flatnonzero(lo <= _U64(1))
+    m = hi >> (upper + _U64(9))  # 54 bits: the mantissa and a rounding bit
+    power2 = ((-217706 * f) >> 16) + 1086 - lz + upper.astype(np.int64)
+    tie = np.flatnonzero((lo <= _U64(1)) & (f <= 4))
     if tie.size:
-        mt, qt = m[tie], q[tie]
-        exact = (qt >= -4) & (qt <= 23) & ((mt & _U64(3)) == _U64(1))
-        mt &= ~(exact & ((mt << (upper[tie] + _U64(9))) == hi[tie])).astype(np.uint64)
-        m[tie] = mt
-    undecided = power2 <= 0
-    m = (m + (m & _U64(1))) >> _U64(1)
-    carry = m >> _U64(53)
-    power2 += carry.astype(np.int64)
-    m >>= carry
-    undecided |= power2 >= 0x7FF
-    return (power2.astype(np.uint64) << _U64(52)) | (m & _U64(2**52 - 1)), undecided
+        mt = m[tie]
+        exact = ((mt & _U64(3)) == _U64(1)) & ((mt << (upper[tie] + _U64(9))) == hi[tie])
+        m[tie] = mt & ~exact.astype(np.uint64)
+    m = (m + (m & _U64(1))) >> _U64(1)  # in [2^52, 2^53]: 2^53 carries into the exponent
+    return ((power2 - 1).astype(np.uint64) << _U64(52)) + m
 
 
 def load_fields_file(path: str, n_r: int, n_theta: int):

@@ -662,3 +662,19 @@ class TestCli:
                         "--dt0", "0.01", "--t-final", "0.02", "--out", str(tmp_path)])
         assert code == 0
         assert "err_u=" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--levels", "8"], "--levels"),                      # level 7: 2048 x 4096 cells
+        (["--levels", "1000000000"], "--levels"),
+        (["--levels", "4", "--dt0", "1e-7"], "--levels"),     # level 3: above MAX_STEPS
+        (["--levels", "3", "--n0", "4096"], "--n0"),          # level 0 already too large
+    ])
+    def test_mms_checks_every_level_before_the_first_runs(self, argv, flag, tmp_path,
+                                                          capsys, monkeypatch):
+        ran = []
+        monkeypatch.setattr(solver_mod, "manufactured_solution_error",
+                            lambda *args, **kw: ran.append(args) or (1.0, 1.0, 1.0))
+        start = time.perf_counter()
+        assert cli.main(["mms", *argv, "--out", str(tmp_path)]) == 1
+        assert time.perf_counter() - start < 1.0 and ran == []
+        assert f"config error (ValidationError): {flag}: " in capsys.readouterr().err

@@ -157,13 +157,18 @@ def test_edges_second_limb_and_fallback_tokens():
     assert_same_blocks("".join(block_text([t], name=f"b{k}") for k, t in enumerate(tokens)))
 
 
-def test_fast_grammar_is_read_without_float(monkeypatch):
-    """Values in the fast grammar with up to 19 significant digits and a
-    normal result are all decided by the vectorized passes."""
-    values = [v for v in random_doubles(20000, seed=11) if abs(v) >= 2.2250738585072014e-308]
-    tokens = [repr(v) for v in values] + ["%.17g" % v for v in values] + SECOND_LIMB + [
-        "9007199254740993", "4503599627370497.5", "0.0000000000000000000001", "5.", "-0",
-        "0.00012345678901234567", "1E5", "1e-05", "1.5e00000005", "9999999999999999999"]
+def fixed_notation_doubles(n, seed):
+    """Positive doubles of every binade from 1e-4 up to 1e17, random bits."""
+    rng = np.random.default_rng(seed)
+    bits = (rng.integers(1009, 1080, n).astype(np.uint64) << np.uint64(52)) | rng.integers(
+        0, 2**52, n, dtype=np.uint64)
+    values = bits.view(float)
+    return values[(values >= 1e-4) & (values < 1e17)].tolist()
+
+
+def float_calls(monkeypatch, tokens):
+    """How many of the tokens the reader leaves to float(); each must read
+    bit for bit as float() reads it."""
     left, read_pass = [], config._read_pass
 
     def counted(*args):
@@ -171,9 +176,26 @@ def test_fast_grammar_is_read_without_float(monkeypatch):
         left.append(int(to_float.sum()))
         return values, to_float
 
-    monkeypatch.setattr(config, "_read_pass", counted)
-    assert_reads_like_float(tokens)
-    assert left and sum(left) == 0
+    with monkeypatch.context() as patch:
+        patch.setattr(config, "_read_pass", counted)
+        assert_reads_like_float(tokens)
+    assert left
+    return sum(left)
+
+
+def test_fast_grammar_is_read_without_float(monkeypatch):
+    """Unsigned plain decimals with up to 23 digits, 19 of them significant,
+    are all decided by the vectorized passes; signed and exponent tokens are
+    left to float()."""
+    values = fixed_notation_doubles(20000, seed=11)
+    plain = [repr(v) for v in values if v < 1e16] + ["%.17g" % v for v in values] + [
+        "9007199254740993", "4503599627370497.5",  # ties
+        "18663267059808478.0", "5386793161697013.5", "8843013378312549.5",  # second limb
+        "0.0000000000000000000001", "5.", "0.00012345678901234567", "9999999999999999999"]
+    assert all("e" not in t for t in plain)
+    assert float_calls(monkeypatch, plain) == 0
+    signed_or_exponent = ["-0", "-2.5", "1E5", "1e-05", *SECOND_LIMB]
+    assert float_calls(monkeypatch, signed_or_exponent) == len(signed_or_exponent)
 
 
 def test_fallback_tokens_in_every_pass_keep_their_place():

@@ -478,15 +478,17 @@ def reference_system(st, dt, geom, mesh, params, spec, sources=None):
 def superlu_newton_step(st, dt, geom, mesh, params, spec, tol=TIGHT, sources=None):
     """The plain backward-Euler step: Newton on the whole field with every
     linear system solved exactly by SuperLU (see reference_system).  Returns
-    the state and the Newton iteration count."""
+    the state one Newton update after the scaled residual first falls below
+    tol, and the iteration count at which it did: a state just below tol can
+    still sit more than the 1e-12 of assert_same_state from the solution."""
     residual, jacobian = reference_system(st, dt, geom, mesh, params, spec, sources)
     nb, ns = mesh.n_bulk, mesh.n_surf
     x = np.concatenate([st.u_hat, st.w_hat, st.z_hat])
     for iteration in range(26):
         resid, scaled = residual(x)
+        x = x - spla.spsolve(jacobian(x).tocsc(), resid)
         if scaled < tol:
             return State(st.t + dt, x[:nb], x[nb:nb + ns], x[nb + ns:]), iteration
-        x = x - spla.spsolve(jacobian(x).tocsc(), resid)
     raise AssertionError("reference Newton did not converge")
 
 
@@ -675,8 +677,10 @@ class TestFourierSolve:
         dt = min(dt, 0.9 * cfl_bound(geom, mesh, params, st0))
         st1 = step_imex(st0, dt, geom, mesh, params, spec)
         assert_same_state(st1, superlu_step(st0, dt, geom, mesh, params, spec))
-        # one backward-Euler step of the same size, from the same state
-        st2 = step_implicit(st0, dt, geom, mesh, params, spec, newton_tol=TIGHT)
+        # one backward-Euler step of the same size, from the same state, with
+        # the slot Newton too converged far below TIGHT: a state whose scaled
+        # residual is just below TIGHT can sit up to 7.7e-12 from the solution
+        st2 = step_implicit(st0, dt, geom, mesh, params, spec, newton_tol=TIGHT / 100)
         assert_same_state(st2, superlu_newton_step(st0, dt, geom, mesh, params, spec)[0])
         for st in (st1, st2):
             for before, after in zip(conserved_masses(st0, geom, mesh),
@@ -1241,19 +1245,22 @@ class TestComparisonPrinciples:
 
 class TestFrameInvariance:
     def test_rotation_matches_fixed_trajectories(self):
-        geomF, mesh, params, spec = make("fixed")
-        geomR, _, _, _ = make("rotation", omega=1.0, delta=0.5)
-        # rotationally symmetric data: radial profile only
-        u = 1.0 + 0.3 * np.cos(np.pi * (mesh.cell_r - 1.0))
-        stF = State(0.0, u.copy(), np.full(mesh.n_surf, 0.8), np.full(mesh.n_surf, 1.1))
-        stR = State(0.0, u.copy(), np.full(mesh.n_surf, 0.8), np.full(mesh.n_surf, 1.1))
-        for _ in range(50):
-            stF = step_imex(stF, 0.01, geomF, mesh, params, spec)
-            stR = step_imex(stR, 0.01, geomR, mesh, params, spec)
-        m1F, m2F = conserved_masses(stF, geomF, mesh)
-        m1R, m2R = conserved_masses(stR, geomR, mesh)
-        assert abs(m1F - m1R) < 1e-10 and abs(m2F - m2R) < 1e-10
-        assert np.max(np.abs(stF.u_hat - stR.u_hat)) < 1e-10
+        """A rigid rotation of the annulus, decaying (delta 0.5) or steady
+        (delta 0), leaves the reference frame as it is: for both steppers every
+        record and the final u are the same doubles as on the fixed annulus."""
+        for stepper in ("imex", "implicit"):
+            base = ("mesh.n_r = 16\nmesh.n_theta = 32\nic.profile = perturbed_equilibrium\n"
+                    f"time.t_final = 2\ntime.stepper = {stepper}\noutput.snapshots = false\n")
+            fixed, *rotations = [solver.run(parse_config(base + kind)) for kind in (
+                "geometry.kind = fixed\n",
+                "geometry.kind = rotation\ngeometry.omega = 1\ngeometry.delta = 0.5\n",
+                "geometry.kind = rotation\ngeometry.omega = 5\n")]
+            want = np.array([dataclasses.astuple(rec) for rec in fixed.records])
+            assert want.shape == (21, 16)
+            for rotated in rotations:
+                got = np.array([dataclasses.astuple(rec) for rec in rotated.records])
+                assert got.tobytes() == want.tobytes()
+                assert rotated.final_state.u_hat.tobytes() == fixed.final_state.u_hat.tobytes()
 
 
 class TestManufacturedSolutions:
