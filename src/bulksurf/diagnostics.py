@@ -174,12 +174,17 @@ def relative_entropy(state: State, eq: Equilibrium, geom: EvolvingGeometry,
     return _entropy(*fields, eq, _frame(geom, mesh, state.t))
 
 
-def _centered(f, out=None):
-    """f[k+1] - f[k-1] along the periodic last axis."""
-    d = np.empty_like(f) if out is None else out
+def _centered(f, n, out=None):
+    """f[k+1] - f[k-1] around each ring of n cells of the flat last axis
+    (out, if given, C-contiguous).  One contiguous pass takes every cell,
+    those at a ring's seam across the seam; the two seam cells of each ring
+    are then written again."""
+    d = np.empty(f.shape, f.dtype) if out is None else out
     np.subtract(f[..., 2:], f[..., :-2], out=d[..., 1:-1])
-    np.subtract(f[..., 1], f[..., -1], out=d[..., 0])
-    np.subtract(f[..., 0], f[..., -2], out=d[..., -1])
+    rings = f.shape[:-1] + (-1, n)
+    f, dr = f.reshape(rings), d.reshape(rings)
+    np.subtract(f[..., 1], f[..., -1], out=dr[..., 0])
+    np.subtract(f[..., 0], f[..., -2], out=dr[..., -1])
     return d
 
 
@@ -188,6 +193,7 @@ def _bulk_gradient_sq(u, fr: _Frame, out, scratch):
     written to out; scratch is overwritten."""
     mesh = fr.mesh
     grid = u.shape[:-1] + (mesh.n_r, mesh.n_theta)
+    dtan = _centered(u, mesh.n_theta, scratch).reshape(grid)
     u = u.reshape(grid)
     g = out.reshape(grid)
     h = fr.slope * mesh.dr
@@ -196,7 +202,6 @@ def _bulk_gradient_sq(u, fr: _Frame, out, scratch):
     g[..., 0, :] = (u[..., 1, :] - u[..., 0, :]) / h
     g[..., -1, :] = (u[..., -1, :] - u[..., -2, :]) / h
     np.square(g, out=g)
-    dtan = _centered(u, scratch.reshape(grid))
     dtan /= 2.0 * mesh.dtheta
     dtan /= fr.rho_c[:, None]
     g += np.square(dtan, out=dtan)
@@ -209,7 +214,7 @@ def _surface_fisher(field, fr: _Frame):
     is taken of (d_s f sqrt(length / f))^2 instead, which stays finite
     wherever the sum does (tiny inner radii: f near 1e100, lengths near
     1e-100); elsewhere the plain form is kept, bit for bit."""
-    ds = _centered(field)
+    ds = _centered(field, fr.mesh.n_theta)
     ds /= 2.0 * fr.mesh.dtheta * fr.stretch
     if np.abs(ds).max() < 1e150 * math.sqrt(FLOOR_EPS):  # every square / f below 1e300
         return _fisher(np.square(ds, out=ds), field, fr.surf)
@@ -363,8 +368,9 @@ def _streams(seed, indices):
     """(index, generator) for each index in turn, one generator re-keyed to
     the Philox stream (seed, index) each time: counter 0, key (seed, index)
     and an empty buffer, the state a fresh Generator(Philox(key=[seed,
-    index])) starts in.  Building that generator takes about 8 us a sample
-    on a 2-core VM, re-keying it under 1 us."""
+    index])) starts in.  On a 2-core VM (timeit minima, which swing by up to
+    half between runs) building that generator takes 9-10.5 us a sample,
+    re-keying it 1.0-1.9 us."""
     bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     rng, state = np.random.Generator(bits), bits.state
     for index in indices:
@@ -376,20 +382,27 @@ def _streams(seed, indices):
 def _smooth_bulk(u, mesh, out, scratch):
     """One conservative diffusion application (explicit, positivity-safe),
     written to out; scratch is overwritten.  Each neighbour exchange
-    0.2 (u_j - u_i) enters one cell as computed and its neighbour negated."""
+    0.2 (u_j - u_i) enters one cell as computed and its neighbour negated:
+    the radial exchanges first, then the angular ones, cell by cell in the
+    order of the per-state formula.  The angular exchanges are contiguous
+    passes over the flat cells of the whole block, which at a ring's seam
+    take the neighbouring ring's cell; the seam cells are written again with
+    the ring's own neighbour."""
     grid = u.shape[:-1] + (mesh.n_r, mesh.n_theta)
+    flat = u
     u, s, t = u.reshape(grid), out.reshape(grid), scratch.reshape(grid)
     flux = np.subtract(u[..., :-1, :], u[..., 1:, :], out=t[..., 1:, :])
     flux *= 0.2
     np.add(u[..., 1:, :], flux, out=s[..., 1:, :])
     np.subtract(u[..., 0, :], flux[..., 0, :], out=s[..., 0, :])
     s[..., 1:-1, :] -= flux[..., 1:, :]
-    np.subtract(u[..., :-1], u[..., 1:], out=t[..., 1:])
+    np.subtract(flat[..., :-1], flat[..., 1:], out=scratch[..., 1:])
     np.subtract(u[..., -1], u[..., 0], out=t[..., 0])
     t *= 0.2
     s += t
-    s[..., :-1] -= t[..., 1:]
-    s[..., -1] -= t[..., 0]
+    seam = s[..., -1] - t[..., 0]
+    out[..., :-1] -= scratch[..., 1:]
+    s[..., -1] = seam
     return out
 
 
@@ -483,9 +496,10 @@ def sample_conservative_state(index, seed, eq, geom, mesh, t=0.0):
 # Bulk cell values per block of probe samples: blocks of 8 at 64 x 128 and of
 # 128 at 16 x 32.  Larger blocks share numpy's per-call cost among more
 # samples; a block's three bulk arrays take 512 kB each.  1,000 samples at
-# 64 x 128 on a 2-core VM (two processes) took 103-113 ms in blocks of 4,
-# 95-101 ms in blocks of 8 and 105-113 ms in blocks of 16, which also held
-# 1.5 MB more memory per process than blocks of 8.
+# 64 x 128 on a 2-core VM (two processes; perfbench `probe` run_s, five 20-s
+# runs each) took 0.184-0.196 reference s in blocks of 4, 0.172-0.182 in
+# blocks of 8 and 0.175-0.184 in blocks of 16, which also peaked 2 MB higher
+# (70.4 against 68.4 MB, medians).
 PROBE_BLOCK_CELLS = 1 << 16
 
 

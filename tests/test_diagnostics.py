@@ -507,6 +507,66 @@ class TestSampleDraws:
         assert np.array_equal(diag_mod._smooth_surface(f, np.empty_like(f)), rolled)
 
 
+def _roll_gradient_sq(u, mesh, slope, rho):
+    """|grad u|^2 of one state with np.roll, in the reference's operation order."""
+    grid = u.reshape(mesh.n_r, mesh.n_theta)
+    dudr = np.empty_like(grid)
+    dudr[1:-1] = (grid[2:] - grid[:-2]) / (2.0 * slope * mesh.dr)
+    dudr[0] = (grid[1] - grid[0]) / (slope * mesh.dr)
+    dudr[-1] = (grid[-1] - grid[-2]) / (slope * mesh.dr)
+    dtan = (np.roll(grid, -1, axis=1) - np.roll(grid, 1, axis=1)) / (2.0 * mesh.dtheta)
+    dtan /= rho[:, None]
+    return (dudr ** 2 + dtan ** 2).ravel()
+
+
+def _roll_smooth(u, mesh):
+    """One diffusion application to one state with np.roll, in the
+    reference's operation order."""
+    grid = u.reshape(mesh.n_r, mesh.n_theta)
+    out = grid.copy()
+    out[1:] += 0.2 * (grid[:-1] - grid[1:])
+    out[:-1] += 0.2 * (grid[1:] - grid[:-1])
+    out += 0.2 * (np.roll(grid, 1, axis=1) - grid)
+    out += 0.2 * (np.roll(grid, -1, axis=1) - grid)
+    return out.ravel()
+
+
+class TestFlatKernels:
+    """The bulk gradient and smoothing run their angular differences over the
+    flat cells of a whole block and write the ring seams apart: bit for bit
+    the per-state roll forms, for one state and for every row of a batch,
+    on meshes where the seams are a large share of the cells."""
+
+    @pytest.mark.parametrize("n_theta", [8, 17, 128])
+    @pytest.mark.parametrize("n_r", [4, 64])
+    @pytest.mark.parametrize("batch", [(), (1,), (5,), (2, 3)])
+    def test_bulk_kernels_match_the_roll_forms(self, n_r, n_theta, batch):
+        geom = build_geometry(PRESETS["breathing"])
+        mesh = build_mesh(n_r, n_theta, 1.0, 2.0)
+        fr = diag_mod._frame(geom, mesh, 0.4)
+        u = np.exp(np.random.default_rng(n_r * n_theta).uniform(-2.3, 2.3,
+                                                                batch + (mesh.n_bulk,)))
+        rows = u.reshape(-1, mesh.n_bulk)
+        out, scratch = np.full((2,) + u.shape, np.nan)
+        grad = diag_mod._bulk_gradient_sq(u, fr, out, scratch)
+        rho = geom.radius_map(0.4, mesh.r_centers)
+        expected = [_roll_gradient_sq(row, mesh, geom.radial_slope(0.4), rho) for row in rows]
+        assert np.array_equal(grad.reshape(rows.shape), np.array(expected))
+        out, scratch = np.full((2,) + u.shape, np.nan)
+        smooth = diag_mod._smooth_bulk(u, mesh, out, scratch)
+        assert np.array_equal(smooth.reshape(rows.shape),
+                              np.array([_roll_smooth(row, mesh) for row in rows]))
+
+    @pytest.mark.parametrize("n", [3, 8, 17])
+    @pytest.mark.parametrize("shape", [(1,), (4,), (3, 2)])
+    def test_centered_around_each_ring(self, n, shape):
+        f = np.random.default_rng(n).uniform(-1.0, 1.0, shape + (n,))
+        rolled = np.roll(f, -1, axis=-1) - np.roll(f, 1, axis=-1)
+        flat = f.reshape(f.shape[:-2] + (-1,))
+        assert np.array_equal(diag_mod._centered(flat, n), rolled.reshape(flat.shape))
+        assert np.array_equal(diag_mod._centered(f, n), rolled)
+
+
 class TestBatchedProbe:
     """The block evaluation against the per-sample reference loop above."""
 
