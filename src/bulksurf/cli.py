@@ -5,8 +5,11 @@ transport-check.  Each writes its artifacts under the output directory and
 prints a one-line summary; exit codes are 0 (success), 1 (usage or config
 error, or an output path that cannot be written), 2 (numerical failure).
 Output files are truncated at start so reruns are reproducible byte for
-byte.  `run` hands its snapshots to one forked writer process, which formats
-and writes them while the parent keeps stepping; the files are the same.
+byte.  `run` copies each snapshot grid into a slot of a memory region
+shared with one forked writer process, which formats and writes the file
+while the parent keeps stepping.  The run waits only when all six slots, two
+records, are in flight; the slots it fills count in its resident memory; the
+files are byte for byte those of `config.format_snapshot` in-process.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import math
 import os
 import sys
 
@@ -72,53 +76,87 @@ def _load_config(path):
     return config_mod.parse_config(text)
 
 
-def _write_snapshots(items, failures, parent_end):
-    """Body of the writer process: write each (path, name, t, grid) received
-    until the sentinel None, or until EOF if the parent is gone.  A failed
-    write goes back on `failures` and ends the writer."""
+# Shared slots between `bulksurf run` and its snapshot writer: two records of
+# (u, w, z).  Grid k goes to slot k % _SLOTS, so with records of three grids
+# u lands in slots 0 and 3 only, and w and z touch one page of theirs.
+_SLOTS = 6
+
+
+def _write_snapshots(slots, items, replies, parent_end):
+    """Body of the writer process: for each (slot, path, name, t, shape)
+    received until the sentinel None, or until EOF if the parent is gone,
+    format the grid in that row of `slots`, hand the slot back with a None
+    on `replies`, and write the file.  A failed write goes back on `replies`
+    and ends the writer."""
     parent_end.close()  # else the writer's own copy would keep EOF from coming
     try:
         while (item := items.recv()) is not None:
-            path, name, t, grid = item
+            slot, path, name, t, shape = item
+            grid = slots[slot, :math.prod(shape)].reshape(shape)
+            text = config_mod.format_snapshot(name, t, grid)
+            replies.send(None)
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(config_mod.format_snapshot(name, t, grid))
+                fh.write(text)
     except EOFError:
         pass
     except OSError as exc:
-        failures.send(exc)
+        replies.send(exc)
 
 
 @contextlib.contextmanager
-def _snapshot_writer(snap_dir):
-    """Yield an `on_snapshot` that hands each grid to one forked writer
-    process, so that formatting runs beside the time steps.  A blocking send
-    into the pipe keeps the writer at most about one grid behind.  On exit
-    the writer finishes every file handed to it; a write that failed is
-    raised here as its OSError, unless the body itself raised."""
+def _snapshot_writer(snap_dir, cells=64 * 128):
+    """Yield an `on_snapshot` that hands each grid of at most `cells` values
+    to one forked writer process, so that formatting runs beside the time
+    steps.  The grids pass through `_SLOTS` slots of one anonymous shared
+    mapping, made before the fork: `on_snapshot` copies the grid into the
+    next slot and sends only (slot, path, name, t, shape); the writer hands
+    the slot back once it has formatted the grid.  The run waits only when
+    every slot is in flight, so the writer is at most `_SLOTS` grids, two
+    records, behind.  The slot pages the run fills count in its resident
+    memory (two u grids, 0.5 MB at 128 x 256).  The files are byte for byte
+    those `config.format_snapshot` gives in-process.  On exit the writer
+    finishes every file handed to it; a write that failed is raised here as
+    its OSError, unless the body itself raised."""
+    import mmap
     import multiprocessing  # here, so that runs without snapshots never load it
 
+    buffer = mmap.mmap(-1, 8 * cells * _SLOTS)  # MAP_SHARED: the writer sees the copies
+    slots = np.frombuffer(buffer, float).reshape(_SLOTS, cells)
     ctx = multiprocessing.get_context("fork")  # fork: numpy is not imported again
     items_in, items = ctx.Pipe(duplex=False)
-    failures, failures_out = ctx.Pipe(duplex=False)
-    writer = ctx.Process(target=_write_snapshots, args=(items_in, failures_out, items))
+    replies, replies_out = ctx.Pipe(duplex=False)
+    writer = ctx.Process(target=_write_snapshots, args=(slots, items_in, replies_out, items))
     writer.start()
     items_in.close()
-    failures_out.close()
+    replies_out.close()
+    handed = returned = 0
 
     def failure():
         writer.join()  # after which `recv` cannot block: no write end is open
         try:
-            return failures.recv()
+            while (reply := replies.recv()) is None:  # slots handed back
+                pass
+            return reply
         except EOFError:  # the writer reported nothing
             if writer.exitcode:
                 return OSError(f"the snapshot writer exited with code {writer.exitcode}")
             return None
 
     def on_snapshot(name, index, t, grid):
+        nonlocal handed, returned
+        grid = np.asarray(grid, dtype=float)
         try:
-            items.send((os.path.join(snap_dir, f"{name}_{index:06d}.txt"), name, t, grid))
-        except BrokenPipeError as exc:  # the writer has ended
+            if handed - returned == _SLOTS:  # wait until the writer hands the oldest back
+                if (reply := replies.recv()) is not None:
+                    raise reply
+                returned += 1
+            slot = handed % _SLOTS
+            slots[slot, :grid.size] = grid.ravel()
+            items.send((slot, os.path.join(snap_dir, f"{name}_{index:06d}.txt"), name, t,
+                        grid.shape))
+        except (BrokenPipeError, EOFError) as exc:  # the writer has ended
             raise (failure() or exc) from None
+        handed += 1
 
     try:
         yield on_snapshot
@@ -127,7 +165,9 @@ def _snapshot_writer(snap_dir):
             items.send(None)
         items.close()
         exc = failure()
-        failures.close()
+        replies.close()
+        del slots
+        buffer.close()
     if exc is not None:
         raise exc
 
@@ -138,7 +178,8 @@ def _cmd_run(args) -> int:
     csv_path = os.path.join(out_dir, "diagnostics.csv")
     with _output_errors(f"output.directory = {out_dir}"):
         _ensure_dir(out_dir)
-        snapshots = (_snapshot_writer(_ensure_dir(os.path.join(out_dir, "snapshots")))
+        snapshots = (_snapshot_writer(_ensure_dir(os.path.join(out_dir, "snapshots")),
+                                      cfg.mesh.n_r * cfg.mesh.n_theta)
                      if cfg.output.snapshots else contextlib.nullcontext())
         with snapshots as on_snapshot, open(csv_path, "w", encoding="utf-8") as csv_fh:
             csv_fh.write(diag_mod.CSV_HEADER + "\n")

@@ -3,6 +3,7 @@
 import math
 import multiprocessing
 import os
+import threading
 import time
 
 import numpy as np
@@ -408,6 +409,54 @@ class TestSnapshotWriter:
         assert cli.main(["run", str(_config_file(tmp_path, text))]) == 0
         assert started == []
         assert not (tmp_path / "out" / "snapshots").exists()
+
+    def test_grid_overwritten_after_the_call_is_written_as_handed(self, tmp_path):
+        grid = np.full((3, 4), 0.5)
+        expected = []
+        with cli._snapshot_writer(str(tmp_path)) as on_snapshot:
+            for k in range(cli._SLOTS + 3):
+                grid[...] = np.arange(12.0).reshape(3, 4) + k / 7
+                on_snapshot("u", k, k / 10, grid)
+                expected.append(format_snapshot("u", k / 10, grid).encode())
+                grid[...] = -1.0
+        for k, want in enumerate(expected):
+            assert (tmp_path / f"u_{k:06d}.txt").read_bytes() == want
+
+    def test_slot_is_not_reused_before_the_writer_hands_it_back(self, tmp_path, monkeypatch):
+        """A writer slower than the run: the run waits for a slot instead of
+        overwriting one whose grid is not yet formatted."""
+        original = cli.config_mod.format_snapshot
+
+        def slow_format(*args):
+            time.sleep(0.02)
+            return original(*args)
+
+        monkeypatch.setattr(cli.config_mod, "format_snapshot", slow_format)
+        handed = [(name, k, k / 3, np.full((3 if name == "u" else 1, 4), k + 0.25))
+                  for k in range(2 * cli._SLOTS) for name in "uwz"]
+        with cli._snapshot_writer(str(tmp_path)) as on_snapshot:
+            for name, k, t, grid in handed:
+                on_snapshot(name, k, t, grid)
+        for name, k, t, grid in handed:
+            got = (tmp_path / f"{name}_{k:06d}.txt").read_bytes()
+            assert got == original(name, t, grid).encode()
+
+    def test_writer_failure_in_a_long_run_exits_one_promptly(self, tmp_path, capsys):
+        """The writer fails at the fourth of 60 grids; the run, which keeps
+        handing grids over, must not wait for a slot from a writer that has
+        ended.  A daemon thread turns a hang into a failure."""
+        (tmp_path / "out" / "snapshots" / "u_000001.txt").mkdir(parents=True)
+        text = (SMALL_RUN.replace("time.t_final = 0.2", "time.t_final = 0.38")
+                .replace("time.output_interval = 0.1", "time.output_interval = 0.02"))
+        assert len(run(parse_config(text)).records) == 20
+        codes = []
+        main = threading.Thread(daemon=True, target=lambda: codes.append(
+            cli.main(["run", str(_config_file(tmp_path, text))])))
+        main.start()
+        main.join(timeout=10)
+        assert codes == [1]
+        assert "output.directory" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("code", [0, 1, 2])
     def test_no_process_left_after_main(self, code, tmp_path, capsys):
