@@ -1,17 +1,19 @@
 """Analytic flow maps and velocity fields for an evolving annulus.
 
 The computational domain is an annulus whose inner boundary is the active
-surface; the outer wall never moves.  Four closed-form motions are supported:
+surface; the outer wall never moves.  Every preset is one map: a radial map,
+linear in r, that carries the inner circle to radius R(t) and keeps the
+outer wall, then a rigid turn by a(t); on top of it the surface material
+slips along the circle with a wind s(t).  Only the five scalar laws a, a',
+R, R' and s read the kind, and every other quantity is one formula in them.
+A kind makes its laws live and leaves the rest at rest (a = 0, R = r_inner0,
+s = 0):
 
-  fixed         identity map, all velocities zero
-  rotation      rigid rotation, angle theta(t) = (omega/delta)(1 - e^{-delta t})
-                (omega*t when delta = 0); rigid-body velocity decays at rate
-                delta, areas and lengths are preserved exactly
-  breathing     inner radius R(t) = r_inner0 (1 + amplitude sin(omega t)
-                e^{-delta t}), outer radius fixed; points map linearly in
-                radius between the two walls; purely radial velocity
-  surface_wind  the domain itself is fixed but the surface material velocity
-                is a decaying tangential wind, V = wind e^{-delta t} tau
+  fixed         none: the identity map, all velocities zero
+  rotation      a(t) = (omega/delta)(1 - e^{-delta t}) (omega*t when delta = 0);
+                areas and lengths are preserved exactly
+  breathing     R(t) = r_inner0 (1 + amplitude sin(omega t) e^{-delta t})
+  surface_wind  s(t) = wind e^{-delta t}; the domain itself is fixed
 
 Conventions used throughout the package:
 
@@ -19,12 +21,12 @@ Conventions used throughout the package:
   * the outward normal of the bulk on the inner circle points toward the
     origin (into the hole); all boundary-flux signs follow from this,
   * V_p is the coordinate (parametrization) velocity that moves the grid,
-    V_Omega / V_Gamma are the material velocities of the bulk and surface
-    species, and the relative fluxes are J_Omega = V_Omega - V_p,
-    J_Gamma = V_Gamma - V_p, j = (V_Omega - V_Gamma) . nu on the surface.
+    V_Omega = V_p and V_Gamma = V_p + s(t) tau are the material velocities of
+    the bulk and surface species (tau = e_theta), and the relative fluxes are
+    J_Omega = V_Omega - V_p, J_Gamma = V_Gamma - V_p, j = (V_Omega - V_Gamma) . nu.
 
-All evaluators are pure functions of (t, x) and vectorize over trailing
-point batches; geometries are immutable and safe to share.
+All evaluators are pure functions of (t, x) at a scalar t and vectorize over
+trailing point batches; geometries are immutable and safe to share.
 """
 
 from __future__ import annotations
@@ -85,6 +87,11 @@ class KinematicsReport:
     times: tuple
 
 
+def _perp(y):
+    """y turned by a quarter counterclockwise: |y| e_theta."""
+    return np.stack([-y[..., 1], y[..., 0]], axis=-1)
+
+
 class EvolvingGeometry:
     """Closed-form evolving annulus built from a validated preset."""
 
@@ -94,7 +101,7 @@ class EvolvingGeometry:
         self.r_inner0 = float(preset.r_inner0)
         self.r_outer0 = float(preset.r_outer0)
 
-    # -- scalar motion laws ------------------------------------------------
+    # -- scalar motion laws: the only evaluators that read the kind --------
 
     def rotation_angle(self, t):
         p = self.preset
@@ -125,108 +132,77 @@ class EvolvingGeometry:
             p.omega * np.cos(p.omega * t) - p.delta * np.sin(p.omega * t)
         )
 
+    def wind_speed(self, t):
+        """Speed s(t) of the surface material along the unit tangent tau,
+        relative to the grid: J_Gamma = s(t) tau."""
+        p = self.preset
+        if self.kind is not GeometryKind.SURFACE_WIND:
+            return 0.0
+        return p.wind_speed * math.exp(-p.delta * t)
+
+    # -- the radial map and its turn ---------------------------------------
+
     def radial_slope(self, t):
-        """d rho / d r of the radial map; 1 except for breathing."""
-        if self.kind is GeometryKind.BREATHING:
-            return (self.r_outer0 - self.inner_radius(t)) / (self.r_outer0 - self.r_inner0)
-        return 1.0
+        """d rho / d r of the radial map."""
+        return (self.r_outer0 - self.inner_radius(t)) / (self.r_outer0 - self.r_inner0)
 
     def radius_map(self, t, r):
         """Physical radius of a point at reference radius r."""
         r = np.asarray(r, dtype=float)
-        if self.kind is GeometryKind.BREATHING:
-            return self.inner_radius(t) + (r - self.r_inner0) * self.radial_slope(t)
-        return r
+        # r_inner0 + (r - r_inner0) is not r bit for bit on every annulus
+        if self.kind is not GeometryKind.BREATHING:
+            return r
+        return self.inner_radius(t) + (r - self.r_inner0) * self.radial_slope(t)
 
-    # -- flow map and Jacobian ---------------------------------------------
+    def _turn(self, t):
+        """The rigid turn by a(t), a 2 x 2 matrix."""
+        a = float(self.rotation_angle(t))
+        return np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
 
     def flow_map(self, t, x):
         """Phi_t applied to reference points x, shape (..., 2)."""
         x = np.asarray(x, dtype=float)
-        if self.kind in (GeometryKind.FIXED, GeometryKind.SURFACE_WIND):
-            return x.copy()
-        if self.kind is GeometryKind.ROTATION:
-            a = self.rotation_angle(t)
-            c, s = math.cos(float(a)), math.sin(float(a))
-            out = np.empty_like(x)
-            out[..., 0] = c * x[..., 0] - s * x[..., 1]
-            out[..., 1] = s * x[..., 0] + c * x[..., 1]
-            return out
         r = np.sqrt(x[..., 0] ** 2 + x[..., 1] ** 2)
-        rho = self.radius_map(t, r)
-        scale = np.where(r > 0, rho / np.maximum(r, 1e-300), 0.0)
-        return x * scale[..., None]
+        y = x * np.where(r > 0, self.radius_map(t, r) / np.maximum(r, 1e-300), 0.0)[..., None]
+        return (self._turn(t) @ y[..., None])[..., 0]
 
     def flow_map_jacobian(self, t, x):
-        """D Phi_t at reference points x, shape (..., 2, 2)."""
+        """D Phi_t at reference points x, shape (..., 2, 2): the turn times
+        the radial Jacobian, rho'(r) along e_r and rho / r along e_theta."""
         x = np.asarray(x, dtype=float)
-        base = np.zeros(x.shape[:-1] + (2, 2))
-        if self.kind in (GeometryKind.FIXED, GeometryKind.SURFACE_WIND):
-            base[..., 0, 0] = 1.0
-            base[..., 1, 1] = 1.0
-            return base
-        if self.kind is GeometryKind.ROTATION:
-            a = float(self.rotation_angle(t))
-            c, s = math.cos(a), math.sin(a)
-            base[..., 0, 0] = c
-            base[..., 0, 1] = -s
-            base[..., 1, 0] = s
-            base[..., 1, 1] = c
-            return base
-        # breathing: rho'(r) along e_r, rho/r along e_theta
-        r = np.sqrt(x[..., 0] ** 2 + x[..., 1] ** 2)
-        er = x / np.maximum(r, 1e-300)[..., None]
-        slope = self.radial_slope(t)
-        tangential = self.radius_map(t, r) / np.maximum(r, 1e-300)
-        eye = np.zeros_like(base)
-        eye[..., 0, 0] = 1.0
-        eye[..., 1, 1] = 1.0
+        r = np.maximum(np.sqrt(x[..., 0] ** 2 + x[..., 1] ** 2), 1e-300)
+        er = x / r[..., None]
+        tangential = (self.radius_map(t, r) / r)[..., None, None]
         outer = er[..., :, None] * er[..., None, :]
-        return slope * outer + tangential[..., None, None] * (eye - outer)
+        radial = tangential * np.eye(2) + (self.radial_slope(t) - tangential) * outer
+        return self._turn(t) @ radial
 
     def jacobian_det_ref(self, t, r):
         """det D Phi_t as a function of the reference radius."""
         r = np.asarray(r, dtype=float)
-        if self.kind is GeometryKind.BREATHING:
-            return self.radius_map(t, r) * self.radial_slope(t) / r
-        return np.ones_like(r)
+        return self.radius_map(t, r) * self.radial_slope(t) / r
 
     # -- velocities ----------------------------------------------------------
 
     def v_parametrization(self, t, y):
-        """V_p at physical points y."""
+        """V_p at physical points y: the wall's rate R'(t) shared out
+        linearly in radius, plus the rigid turn at rate a'(t)."""
         y = np.asarray(y, dtype=float)
-        out = np.zeros_like(y)
-        if self.kind is GeometryKind.ROTATION:
-            rate = self.rotation_rate(t)
-            out[..., 0] = -rate * y[..., 1]
-            out[..., 1] = rate * y[..., 0]
-        elif self.kind is GeometryKind.BREATHING:
-            rho = np.sqrt(y[..., 0] ** 2 + y[..., 1] ** 2)
-            rad = self.inner_radius_rate(t) * (self.r_outer0 - rho) / (self.r_outer0 - self.inner_radius(t))
-            out = y * (rad / np.maximum(rho, 1e-300))[..., None]
-        return out
+        rho = np.sqrt(y[..., 0] ** 2 + y[..., 1] ** 2)
+        rad = self.inner_radius_rate(t) * (self.r_outer0 - rho) / (self.r_outer0 - self.inner_radius(t))
+        return y * (rad / np.maximum(rho, 1e-300))[..., None] + self.rotation_rate(t) * _perp(y)
 
     def v_bulk(self, t, y):
-        """Material velocity of the bulk species."""
-        if self.kind in (GeometryKind.ROTATION, GeometryKind.BREATHING):
-            return self.v_parametrization(t, y)
-        return np.zeros_like(np.asarray(y, dtype=float))
+        """Material velocity of the bulk species: it rides with the grid."""
+        return self.v_parametrization(t, y)
 
     def v_surface(self, t, y):
-        """Material velocity of the surface species (points y on the surface)."""
+        """Material velocity of the surface species (points y on the surface):
+        V_p plus the wind s(t) along tau = e_theta."""
         y = np.asarray(y, dtype=float)
-        if self.kind in (GeometryKind.ROTATION, GeometryKind.BREATHING):
-            return self.v_parametrization(t, y)
-        if self.kind is GeometryKind.SURFACE_WIND:
-            p = self.preset
-            speed = p.wind_speed * math.exp(-p.delta * t)
-            rho = np.sqrt(y[..., 0] ** 2 + y[..., 1] ** 2)
-            tau = np.empty_like(y)
-            tau[..., 0] = -y[..., 1]
-            tau[..., 1] = y[..., 0]
-            return tau * (speed / np.maximum(rho, 1e-300))[..., None]
-        return np.zeros_like(y)
+        rho = np.sqrt(y[..., 0] ** 2 + y[..., 1] ** 2)
+        wind = self.wind_speed(t) / np.maximum(rho, 1e-300)
+        return self.v_parametrization(t, y) + _perp(y) * wind[..., None]
 
     def normal(self, t, y):
         """Outward normal of the bulk on the surface: points into the hole."""
@@ -236,27 +212,19 @@ class EvolvingGeometry:
 
     def surface_stretch(self, t, theta):
         """|d/dtheta Phi_t(gamma0(theta))| on the reference circle."""
-        theta = np.asarray(theta, dtype=float)
-        if self.kind is GeometryKind.BREATHING:
-            return np.full_like(theta, self.inner_radius(t))
-        return np.full_like(theta, self.r_inner0)
+        return np.full_like(np.asarray(theta, dtype=float), self.inner_radius(t))
 
-    # -- divergences and deformation (closed form per preset) ----------------
+    # -- divergences and deformation ---------------------------------------
 
     def div_vp_bulk(self, t, rho_phys):
-        """div V_p at physical radius rho_phys."""
+        """div V_p at physical radius rho_phys; the turn is divergence-free."""
         rho_phys = np.asarray(rho_phys, dtype=float)
-        if self.kind is GeometryKind.BREATHING:
-            rate = self.inner_radius_rate(t)
-            inner = self.inner_radius(t)
-            return rate * (self.r_outer0 - 2.0 * rho_phys) / (rho_phys * (self.r_outer0 - inner))
-        return np.zeros_like(rho_phys)
+        return self.inner_radius_rate(t) * (self.r_outer0 - 2.0 * rho_phys) / (
+            rho_phys * (self.r_outer0 - self.inner_radius(t)))
 
     def div_vp_surface(self, t):
         """Tangential divergence of V_p on the surface circle."""
-        if self.kind is GeometryKind.BREATHING:
-            return self.inner_radius_rate(t) / self.inner_radius(t)
-        return 0.0
+        return self.inner_radius_rate(t) / self.inner_radius(t)
 
     def b_tensor_tangential(self, t):
         """Quadratic form of B(V_p) = (div_G V_p) I - 2 D(V_p) on unit tangents.

@@ -145,9 +145,12 @@ class DiscreteOperators:
 def assemble_operators(geom: EvolvingGeometry, mesh: ReferenceMesh,
                        params: ModelParams, t: float) -> DiscreteOperators:
     """Ring coefficients and moving measures at time t."""
-    rings = moving_ring_measures(mesh, geom, t)
-    if np.min(rings) <= 0.0 or geom.inner_radius(t) <= 0.0:
-        raise SingularJacobian(f"det D Phi_t <= 0 at t = {t:g} (min cell area {np.min(rings):g})")
+    with np.errstate(invalid="ignore"):  # a motion law past the float range is named below
+        rings = moving_ring_measures(mesh, geom, t)
+        low, inner = np.min(rings), geom.inner_radius(t)
+    if not (low > 0.0 and inner > 0.0):  # NaN fails too
+        raise SingularJacobian(f"det D Phi_t is not a positive number at t = {t:g} (min cell "
+                               f"area {low:g}, inner radius {inner:g})")
     slope = geom.radial_slope(t)
     arc = float(moving_surface_measures(mesh, geom, t)[0])
     return DiscreteOperators(
@@ -166,11 +169,8 @@ def assemble_operators(geom: EvolvingGeometry, mesh: ReferenceMesh,
 
 
 def _surface_face_speed(geom, mesh, t):
-    """Tangential J_Gamma speed through the surface faces: the same at every
-    face, since every preset is rotationally symmetric."""
-    y = geom.flow_map(t, np.array([mesh.r_inner0, 0.0]))
-    jg = geom.v_surface(t, y) - geom.v_parametrization(t, y)
-    return float(jg[1] * y[0] - jg[0] * y[1]) / math.hypot(y[0], y[1])
+    """Tangential J_Gamma speed through every surface face: the wind."""
+    return geom.wind_speed(t)
 
 
 def surface_advection(geom, mesh, t, field, q=None):
@@ -1090,7 +1090,7 @@ def run(cfg, on_record=None, on_snapshot=None) -> RunResult:
     the configured dt); every output time is hit exactly.  A record whose
     m1 or m2 drifts from the first by more than MAX_DRIFT, relative, ends
     the run with ConservationDrift, and one whose smallest u, w or z is
-    below MIN_FIELD with NegativeField, after it is emitted.
+    below MIN_FIELD with NegativeField, after it is emitted; NaN fails both.
     """
     from .diagnostics import make_record
     from .equilibrium import conserved_masses, solve_equilibrium
@@ -1147,12 +1147,13 @@ def run(cfg, on_record=None, on_snapshot=None) -> RunResult:
                 else:
                     snapshots.append(Snapshot(name, index, state.t, grid))
         drift = relative_drift(records[0], rec)
-        if max(drift) > MAX_DRIFT:
+        if not all(d <= MAX_DRIFT for d in drift):  # NaN fails this and the next check
             raise ConservationDrift(
                 f"step {steps} at t = {state.t:g}: relative drift of m1 {drift[0]:.3e}, "
                 f"m2 {drift[1]:.3e}, above {MAX_DRIFT:g}")
-        low, name = min((rec.min_u, "u"), (rec.min_w, "w"), (rec.min_z, "z"))
-        if low < MIN_FIELD:
+        low, name = min((rec.min_u, "u"), (rec.min_w, "w"), (rec.min_z, "z"),
+                        key=lambda f: (f[0] == f[0], f[0]))  # NaN first
+        if not low >= MIN_FIELD:
             raise NegativeField(f"step {steps} at t = {state.t:g}: min of {name} {low:.3e}, "
                                 f"below {MIN_FIELD:g}")
 

@@ -1,5 +1,6 @@
 """Config parsing strictness, run determinism, CLI subcommands and exit codes."""
 
+import dataclasses
 import math
 import multiprocessing
 import os
@@ -319,6 +320,28 @@ class TestRunDriver:
         monkeypatch.setattr(solver_mod, "MAX_DRIFT", -1.0)
         with pytest.raises(ConservationDrift, match="step 0 at t = 0: "):
             run(parse_config(SMALL_RUN))
+
+    @pytest.mark.parametrize("column,message", [
+        ("m1", "ConservationDrift): step 10 at t = 0.1: relative drift of m1 nan, m2 "),
+        ("min_u", "NegativeField): step 10 at t = 0.1: min of u nan, below -1e-12")],
+        ids=["m1", "min_u"])
+    def test_nan_record_stops_the_run(self, column, message, tmp_path, capsys, monkeypatch):
+        """A record holding NaN fails both checks, as a drift above MAX_DRIFT
+        or a field below MIN_FIELD does (both were NaN-blind and the run
+        exited 0)."""
+        make_record = diag_mod.make_record
+
+        def nan_at_01(state, *args):
+            rec = make_record(state, *args)
+            return dataclasses.replace(rec, **{column: math.nan}) if state.t == 0.1 else rec
+
+        monkeypatch.setattr(diag_mod, "make_record", nan_at_01)
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text("mesh.n_r = 8\nmesh.n_theta = 16\ntime.dt = 0.01\n"
+                            "time.t_final = 0.2\noutput.snapshots = false\n"
+                            f"output.directory = {tmp_path}/out\n")
+        assert cli.main(["run", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"numerical failure ({message}")
 
 
 def field_file_text(fault):

@@ -9,6 +9,8 @@ from scipy.integrate import solve_ivp
 from bulksurf.errors import InvalidPreset, PointOutsideDomain
 from bulksurf.geometry import (GeometryKind, GeometryPreset, build_geometry,
                                check_kinematics, measures, velocities_at)
+from bulksurf.mesh import build_mesh, moving_bulk_measures
+from bulksurf.solver import _surface_face_speed
 
 
 def preset(kind, **kw):
@@ -212,3 +214,58 @@ class TestFlowOdeResidual:
                 errs.append(np.linalg.norm(fd - geom.v_parametrization(t, geom.flow_map(t, x))))
             order = math.log10(errs[0] / errs[1])
             assert order >= 0.9
+
+
+# one member of each kind with every law it makes live switched on
+LIVE = [("fixed", {}), ("rotation", dict(omega=1.3, delta=0.4)),
+        ("breathing", dict(amplitude=0.2, omega=1.0, delta=0.3)),
+        ("surface_wind", dict(wind_speed=0.5, delta=0.2))]
+
+
+class TestOneMap:
+    """What the single map of every preset must keep: the direction of the
+    wind, exact identity where the domain does not move, and a Jacobian that
+    is the derivative of the map."""
+
+    @pytest.mark.parametrize("r_inner0", [1.0, 0.3])
+    @pytest.mark.parametrize("wind", [0.5, -0.5])
+    def test_wind_points_along_the_tangent(self, wind, r_inner0):
+        """tau = e_theta, counterclockwise: at (r_inner0, 0) it is (0, 1); the
+        solver's face speed is s(t) itself."""
+        geom = build_geometry(GeometryPreset(GeometryKind.SURFACE_WIND, r_inner0, 3 * r_inner0,
+                                             wind_speed=wind, delta=0.3))
+        mesh = build_mesh(4, 8, r_inner0, 3 * r_inner0)
+        for t in (0.0, 0.7, 2.0):
+            s_t = wind * math.exp(-0.3 * t)
+            v_gamma = velocities_at(geom, t, np.array([r_inner0, 0.0])).v_gamma
+            assert v_gamma[0] == 0.0
+            assert v_gamma[1] == pytest.approx(s_t, rel=1e-15)
+            assert _surface_face_speed(geom, mesh, t) == s_t
+
+    @pytest.mark.parametrize("kind,kw", [LIVE[0], LIVE[1], LIVE[3]])
+    def test_static_presets_exact_on_a_wide_annulus(self, kind, kw):
+        # r_inner0 + (r - r_inner0) is not r bit for bit once r_outer0 > 2 r_inner0
+        geom = build_geometry(GeometryPreset(GeometryKind(kind), r_inner0=0.3, r_outer0=2.7, **kw))
+        mesh = build_mesh(16, 32, 0.3, 2.7)
+        r = np.concatenate([mesh.r_centers, mesh.r_faces])
+        for t in (0.0, 0.45, 1.7, 6.0):
+            assert np.array_equal(geom.radius_map(t, r), r)
+            assert np.array_equal(moving_bulk_measures(mesh, geom, t), mesh.bulk_ref_measures)
+
+    @pytest.mark.parametrize("kind,kw", LIVE)
+    def test_jacobian_is_the_derivative_of_the_map(self, kind, kw):
+        """det D Phi_t equals jacobian_det_ref to 1e-13, relative, and D Phi_t
+        equals central differences of Phi_t (step 1e-6, error O(1e-10)) to 1e-8."""
+        geom = build_geometry(preset(kind, **kw))
+        r = np.array([1.05, 1.3, 1.6, 1.95])
+        th = np.array([0.2, 2.5, 4.4])
+        x = np.stack([np.outer(r, np.cos(th)), np.outer(r, np.sin(th))], axis=-1)
+        h = 1e-6
+        for t in (0.45, 1.7, 6.0):
+            jac = geom.flow_map_jacobian(t, x)
+            det = np.linalg.det(jac)
+            ref = geom.jacobian_det_ref(t, r)[:, None]
+            assert np.max(np.abs(det - ref) / ref) < 1e-13
+            for j, e in enumerate(np.eye(2)):
+                fd = (geom.flow_map(t, x + h * e) - geom.flow_map(t, x - h * e)) / (2.0 * h)
+                assert np.max(np.abs(fd - jac[..., :, j])) < 1e-8
