@@ -215,9 +215,18 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _check_levels(levels: int) -> None:
+    """A refinement study runs at least one level."""
+    if levels < 1:
+        raise ValidationError(f"must be >= 1, got {levels}", key="levels")
+
+
 def _cmd_mms(args) -> int:
     preset = GeometryPreset(GeometryKind(args.preset), r_inner0=1.0, r_outer0=2.0,
                             omega=1.0 if args.preset == "rotation" else 0.0)
+    _check_levels(args.levels)
+    if not args.t_final > 0.0:  # at t = 0 every error is that of the exact start
+        raise ValidationError(f"must be > 0, got {args.t_final}", key="t_final")
     levels = []  # every level is checked before the first one runs
     for level in range(args.levels):  # a huge --levels passes MAX_CELLS within ~20 levels
         n_r = args.n0 * (2 ** level)
@@ -234,8 +243,10 @@ def _cmd_mms(args) -> int:
                     f"err_u={eu:.6e} err_w={ew:.6e} err_z={ez:.6e}")
         errs.append(max(eu, ew, ez))
         hs.append(1.0 / n_r)
-    order = float(np.polyfit(np.log(hs), np.log(errs), 1)[0]) if len(errs) > 1 else float("nan")
-    rows.append(f"fitted spatial order: {order:.3f}")
+    fit = [(h, e) for h, e in zip(hs, errs) if 0.0 < e < math.inf]
+    order = (f"{np.polyfit(*np.log(fit).T, 1)[0]:.3f}" if len(fit) > 1 else f"none, {len(fit)} "
+             f"of {len(errs)} levels have a positive finite error and a fit needs two")
+    rows.append(f"fitted spatial order: {order}")
     _write("--out", args.out, "mms.txt", rows)
     for row in rows:
         print(row)
@@ -318,6 +329,7 @@ def _cmd_transport_check(args) -> int:
     bulk = (lambda rr, th: 1.0 + 0.3 * np.cos(th) * rr, lambda rr, th: 1.0 + 0.2 * np.sin(2 * th))
     surface = (lambda th: 1.0 + 0.3 * np.cos(th),
                lambda th: 1.0 + 0.2 * np.cos(th) + 0.1 * np.sin(2 * th))
+    _check_levels(args.levels)
     lines = []
     for level in range(args.levels):
         n_r = 16 * (2 ** level)

@@ -485,11 +485,11 @@ def _rows_one_by_one(lines, i, n_r):
 # integer digits moved one byte right over the point; a word of 8 ASCII
 # digits becomes its value in three multiply-shift steps (SWAR).  M / 10^f
 # is then rounded to the nearest double by Clinger's fast path (M <= 2^53:
-# one IEEE division by an exact power of ten) or by Eisel-Lemire's truncated
-# 128-bit product, which for M < 10^19 always decides (Mushtak and Lemire,
-# Softw. Pract. Exp. 2023).  Every other token -- signed, with an exponent,
-# longer -- is left to float(), as the writer leaves every value outside
-# fixed notation to '%.17g'.
+# one IEEE division by an exact power of ten) or by Eisel-Lemire's product
+# with the high word of 5^-f, which on smooth field data decides all but
+# about one in 500 (see _eisel_lemire).  Those, and every other token --
+# signed, with an exponent, longer -- are left to float(), as the writer
+# leaves every value outside fixed notation to '%.17g'.
 _PASS = 4096      # tokens per pass: its (n, 3) word arrays, 96 KB, stay in cache
 _PAD = b"\0" * 24  # before and after the tokens, so that every window is in bounds
 # Tables from Python arithmetic, not numpy's: numpy operations at import
@@ -505,14 +505,14 @@ _U64 = np.uint64
 
 @functools.cache  # built on first use: runs without a field file never pay for it
 def _powers_of_five():
-    """(high, low) uint64 words of 5^-f, f in [0, 22], normalized to 128 bits
+    """The high uint64 words of 5^-f, f in [0, 22], normalized to 128 bits
     and truncated, rounded up first where inexact (fast_float's table)."""
     table = []
     for f in range(23):
         p = 5 ** f
         c = (1 << (p.bit_length() + 127)) // p + 1 if f else 1 << 127
-        table.append((c >> 64, c & (2**64 - 1)))
-    return np.array(table, np.uint64).T.copy()
+        table.append(c >> 64)
+    return np.array(table, np.uint64)
 
 
 def _read_grids(blocks):
@@ -580,7 +580,9 @@ def _read_pass(buf, windows, starts, ends):
     values /= _POW10.take(n_frac, mode="clip")
     slow = np.flatnonzero((m > _U64(2**53)) & ~odd)
     if slow.size:
-        values[slow] = _eisel_lemire(m[slow], n_frac[slow]).view(float)
+        bits, undecided = _eisel_lemire(m[slow], n_frac[slow])
+        values[slow] = bits.view(float)
+        odd[slow[undecided]] = True
     return values, odd
 
 
@@ -614,34 +616,30 @@ def _mul_high(a, b):
 
 
 def _eisel_lemire(w, f):
-    """Bits of the doubles nearest w / 10^f, for 0 < w < 10^19 and 0 <= f <= 22:
-    all normal, so every one is decided.
+    """Bits of the doubles nearest w / 10^f, for 0 < w < 10^19 and 0 <= f <= 22
+    (all normal), and a mask of those left undecided.
 
-    fast_float's compute_float (Lemire, Softw. Pract. Exp. 51, 2021): the
-    normalized w times the truncated 128-bit 5^-f, the second limb only where
-    the first leaves the low nine bits of the top word all ones, and ties to
-    even only where 5^-f is exact (f <= 4) and the dropped bits are zero.
+    fast_float's compute_float (Lemire, Softw. Pract. Exp. 51, 2021) on the
+    first limb alone: the normalized w times the high word of the truncated
+    128-bit 5^-f.  It decides every value but two kinds, which are left to
+    float(): those whose product leaves the low nine bits of the top word all
+    ones, where the second limb could carry into the mantissa (as it mostly
+    does for an exact quotient with f >= 1, whose product falls just short),
+    and the candidates of fast_float's ties-to-even rule: f <= 4, a low word
+    of at most 1, and the rounding bit set on an even mantissa.
     """
     e = np.frexp(w.astype(float))[1]  # bit length, or one more where w rounds up
     lz = 64 - e + ((w >> (e - 1).astype(np.uint64)) == 0)
     w = w << lz.astype(np.uint64)
-    hi5, lo5 = _powers_of_five()
-    hi, lo = _mul_high(w, hi5[f]), w * hi5[f]
-    wide = np.flatnonzero((hi & _U64(0x1FF)) == _U64(0x1FF))
-    if wide.size:
-        low = lo[wide] + _mul_high(w[wide], lo5[f[wide]])
-        hi[wide] += low < lo[wide]
-        lo[wide] = low
+    hi5 = _powers_of_five()[f]
+    hi, lo = _mul_high(w, hi5), w * hi5
     upper = hi >> _U64(63)
     m = hi >> (upper + _U64(9))  # 54 bits: the mantissa and a rounding bit
+    undecided = (((hi & _U64(0x1FF)) == _U64(0x1FF))
+                 | ((lo <= _U64(1)) & (f <= 4) & ((m & _U64(3)) == _U64(1))))
     power2 = ((-217706 * f) >> 16) + 1086 - lz + upper.astype(np.int64)
-    tie = np.flatnonzero((lo <= _U64(1)) & (f <= 4))
-    if tie.size:
-        mt = m[tie]
-        exact = ((mt & _U64(3)) == _U64(1)) & ((mt << (upper[tie] + _U64(9))) == hi[tie])
-        m[tie] = mt & ~exact.astype(np.uint64)
     m = (m + (m & _U64(1))) >> _U64(1)  # in [2^52, 2^53]: 2^53 carries into the exponent
-    return ((power2 - 1).astype(np.uint64) << _U64(52)) + m
+    return ((power2 - 1).astype(np.uint64) << _U64(52)) + m, undecided
 
 
 def load_fields_file(path: str, n_r: int, n_theta: int):

@@ -189,11 +189,14 @@ def check_assumptions(spec, sample_box, n_samples: int, rng_seed: int, tol: floa
 
     sample_box is ((u_lo, u_hi), (w_lo, w_hi), (z_lo, z_hi)) inside [0, inf)^3.
     Growth bounds are reported with the smallest constant fitted over the
-    cloud rather than pass/fail against an unknown constant.
+    cloud rather than pass/fail against an unknown constant.  tol, the
+    slack of the sign conditions A1-A3, must be finite and >= 0.
     """
     check_samples(n_samples)
     if not rng_seed >= 0:
         raise ValidationError(f"must be >= 0, got {rng_seed}", key="seed")
+    if not 0.0 <= tol < math.inf:
+        raise ValidationError(f"must be finite and >= 0, got {tol}", key="tol")
     (ulo, uhi), (wlo, whi), (zlo, zhi) = sample_box
     if not all(0.0 <= lo <= hi < math.inf for lo, hi in sample_box):
         raise ValidationError(f"must lie in [0, inf)^3, got {sample_box}", key="sample_box")

@@ -168,15 +168,11 @@ def assemble_operators(geom: EvolvingGeometry, mesh: ReferenceMesh,
 # -- advection ----------------------------------------------------------------
 
 
-def _surface_face_speed(geom, mesh, t):
-    """Tangential J_Gamma speed through every surface face: the wind."""
-    return geom.wind_speed(t)
-
-
-def surface_advection(geom, mesh, t, field, q=None):
-    """Net upwind J_Gamma inflow per surface cell (of each row of field)."""
+def surface_advection(geom, t, field):
+    """Net upwind J_Gamma inflow per surface cell (of each row of field) at
+    time t: every surface face moves at the wind s(t), geom.wind_speed."""
     w = np.asarray(field, dtype=float)
-    q = _surface_face_speed(geom, mesh, t) if q is None else q
+    q = geom.wind_speed(t)
     flux = q * (w if q >= 0.0 else np.roll(w, -1, axis=-1))
     return np.roll(flux, 1, axis=-1) - flux
 
@@ -185,10 +181,10 @@ def surface_advection(geom, mesh, t, field, q=None):
 
 
 def cfl_bound(geom: EvolvingGeometry, mesh: ReferenceMesh, params: ModelParams,
-              state: State, q=None) -> float:
+              state: State) -> float:
     """Largest dt the IMEX stepper accepts at this state.
 
-    Advective part: surface cell arc length / |J_Gamma . tau|.  Reaction part
+    Advective part: surface cell arc length / |geom.wind_speed(t)|.  Reaction part
     (mass action): dt <= delta_K / max trace of u at t.  The receptor update
     is nonnegative when dt u(t + dt) / delta_K <= m0 / m1 in every slot, with
     the u trace at t + dt, where the binding flux is implicit, and m0 / m1
@@ -196,12 +192,12 @@ def cfl_bound(geom: EvolvingGeometry, mesh: ReferenceMesh, params: ModelParams,
     notes).  The bound covers that only while the trace does not grow over
     the step and the surface cells do not grow; elsewhere run's NegativeField
     check on each record is the backstop.  Infinite when nothing constrains
-    the step.  q, the surface face speed at t, may be passed in.
+    the step.
     """
     t = state.t
     bound = math.inf
     if geom.surface_slip_active:
-        speed = abs(_surface_face_speed(geom, mesh, t) if q is None else q)
+        speed = abs(geom.wind_speed(t))
         if speed > 0:
             bound = min(bound, float(geom.surface_stretch(t, 0.0)) * mesh.dtheta / speed)
     if math.isfinite(params.delta_k):
@@ -211,11 +207,10 @@ def cfl_bound(geom: EvolvingGeometry, mesh: ReferenceMesh, params: ModelParams,
     return bound
 
 
-def _check_step(state: State, dt: float, geom, mesh, params, spec, check_cfl: bool, q=None):
+def _check_step(state: State, dt: float, geom, mesh, params, spec, check_cfl: bool):
     """Preconditions of every step: positive dt, a finite state, a reaction
     of exchange form at it (f2 = f1 and f3 = -f1, bit for bit; mass action
-    is by construction) and, when check_cfl is set, dt within cfl_bound;
-    returns q as used for the bound."""
+    is by construction) and, when check_cfl is set, dt within cfl_bound."""
     check_steps(dt)
     if not (np.all(np.isfinite(state.u_hat)) and np.all(np.isfinite(state.w_hat))
             and np.all(np.isfinite(state.z_hat))):
@@ -229,12 +224,9 @@ def _check_step(state: State, dt: float, geom, mesh, params, spec, check_cfl: bo
                 f"{getattr(spec, 'name', 'the reaction')!r} differs at t = {state.t:g}",
                 key="model.nonlinearity")
     if check_cfl:
-        if q is None and geom.surface_slip_active:
-            q = _surface_face_speed(geom, mesh, state.t)
-        bound = cfl_bound(geom, mesh, params, state, q)
+        bound = cfl_bound(geom, mesh, params, state)
         if dt > bound:
             raise CflViolation(f"dt = {dt:g} exceeds stability bound {bound:g} at t = {state.t:g}")
-    return q
 
 
 def _max_abs(a) -> float:
@@ -295,12 +287,12 @@ def _mass_rhs(state: State, dt: float, mesh: ReferenceMesh, m0, m1,
 
 
 def _imex_rhs(state: State, dt: float, geom: EvolvingGeometry, mesh: ReferenceMesh,
-              m0, m1, sources: Sources | None, q=None):
-    """_mass_rhs plus the explicit upwind surface advection at t (q as in cfl_bound)."""
+              m0, m1, sources: Sources | None):
+    """_mass_rhs plus the explicit upwind surface advection at t."""
     rhs = _mass_rhs(state, dt, mesh, m0, m1, sources)
     if geom.surface_slip_active:
         fields = np.stack([state.w_hat, state.z_hat])
-        rhs[mesh.n_bulk:] += dt * surface_advection(geom, mesh, state.t, fields, q).ravel()
+        rhs[mesh.n_bulk:] += dt * surface_advection(geom, state.t, fields).ravel()
     return rhs
 
 
@@ -618,7 +610,7 @@ def _solve_for(geom: EvolvingGeometry, mesh: ReferenceMesh, params: ModelParams,
     key = (id(geom), id(mesh), params, t1 if moving else None, dt, advect)
     if key not in _kept:
         _kept.clear()
-        q = _surface_face_speed(geom, mesh, t1) if advect else 0.0
+        q = geom.wind_speed(t1) if advect else 0.0
         _kept[key] = (geom, mesh, _FourierSolve(assemble_operators(geom, mesh, params, t1),
                                                 dt, mesh, q))
     return _kept[key][2]
@@ -626,7 +618,7 @@ def _solve_for(geom: EvolvingGeometry, mesh: ReferenceMesh, params: ModelParams,
 
 def step_imex(state: State, dt: float, geom: EvolvingGeometry, mesh: ReferenceMesh,
               params: ModelParams, spec, sources: Sources | None = None,
-              check_cfl: bool = True, q=None, return_info: bool = False):
+              check_cfl: bool = True, return_info: bool = False):
     """One IMEX step: implicit diffusion and linearized reaction losses,
     explicit upwind advection, dilation absorbed by the moving measures.
 
@@ -634,16 +626,16 @@ def step_imex(state: State, dt: float, geom: EvolvingGeometry, mesh: ReferenceMe
     trace, and the unbinding flux, implicit in z, enter all three equations
     with identical values, as one exchange term, so m1 and m2 are conserved
     to the linear-solver residual.  A custom reaction's exchange flux f1 is
-    explicit.  q is as in cfl_bound.  With return_info=True the result is
-    (state, {"gmres": [n], "setups": k}), n the GMRES iterations of the
-    step's one capacitance solve and k its preconditioner builds (both 0
-    when no exchange term is implicit, k 1 otherwise), as in step_implicit.
+    explicit, and so is the advection, by the wind at t.  With return_info
+    the result is (state, {"gmres": [n], "setups": k}), n the GMRES
+    iterations of the step's one capacitance solve and k its preconditioner
+    builds (both 0 when no exchange term is implicit, k 1 otherwise).
     """
-    q = _check_step(state, dt, geom, mesh, params, spec, check_cfl, q)
+    _check_step(state, dt, geom, mesh, params, spec, check_cfl)
     system = _solve_for(geom, mesh, params, state.t + dt, dt)
     m0 = system.measures if geom.metric_is_static else (
         moving_bulk_measures(mesh, geom, state.t), moving_surface_measures(mesh, geom, state.t))
-    rhs = _imex_rhs(state, dt, geom, mesh, m0, system.measures, sources, q)
+    rhs = _imex_rhs(state, dt, geom, mesh, m0, system.measures, sources)
     arcs, ns = system.measures[1], mesh.n_surf
     slots = _slot_slices(mesh)
     exchange = ()
@@ -669,9 +661,9 @@ class ImexStepper:
         self.geom, self.mesh, self.params, self.spec, self.dt = geom, mesh, params, spec, dt
         self.gmres = self.setups = 0
 
-    def step(self, state, check_cfl=True, sources=None):
+    def step(self, state):
         state, info = step_imex(state, self.dt, self.geom, self.mesh, self.params, self.spec,
-                                sources=sources, check_cfl=check_cfl, return_info=True)
+                                return_info=True)
         self.gmres += sum(info["gmres"])
         self.setups += info["setups"]
         return state
@@ -1091,6 +1083,8 @@ def run(cfg, on_record=None, on_snapshot=None) -> RunResult:
     m1 or m2 drifts from the first by more than MAX_DRIFT, relative, ends
     the run with ConservationDrift, and one whose smallest u, w or z is
     below MIN_FIELD with NegativeField, after it is emitted; NaN fails both.
+    on_snapshot(name, index, t, grid) gets a copy of the u, w and z grids
+    of each record; without it, the result keeps them if output.snapshots.
     """
     from .diagnostics import make_record
     from .equilibrium import conserved_masses, solve_equilibrium
@@ -1110,11 +1104,10 @@ def run(cfg, on_record=None, on_snapshot=None) -> RunResult:
     with rekeyed(lambda key: sources.get(key, key)):
         eq = solve_equilibrium(m1, m2, area0, len0, params, cfg.model.equilibrium_mode)
 
-    records = []
-    snapshots = []
-    # snapshots go to the callback when one is given; otherwise they are
-    # retained on the result (if enabled at all)
-    retain = cfg.output.snapshots and on_snapshot is None
+    records, snapshots = [], []
+    if on_snapshot is None and cfg.output.snapshots:
+        def on_snapshot(name, index, t, grid):
+            snapshots.append(Snapshot(name, index, t, grid))
     tcfg = cfg.time
     # Newton solves: total, most in one step; GMRES iterations; preconditioner builds
     steps, newton = 0, [0, 0, 0, 0]
@@ -1135,17 +1128,10 @@ def run(cfg, on_record=None, on_snapshot=None) -> RunResult:
         records.append(rec)
         if on_record is not None:
             on_record(rec)
-        if on_snapshot is not None or retain:
-            grids = {
-                "u": state.u_hat.reshape(mesh.n_r, mesh.n_theta).copy(),
-                "w": state.w_hat.reshape(1, mesh.n_theta).copy(),
-                "z": state.z_hat.reshape(1, mesh.n_theta).copy(),
-            }
-            for name, grid in grids.items():
-                if on_snapshot is not None:
-                    on_snapshot(name, index, state.t, grid)
-                else:
-                    snapshots.append(Snapshot(name, index, state.t, grid))
+        if on_snapshot is not None:
+            for name, field, rows in (("u", state.u_hat, mesh.n_r), ("w", state.w_hat, 1),
+                                      ("z", state.z_hat, 1)):
+                on_snapshot(name, index, state.t, field.reshape(rows, mesh.n_theta).copy())
         drift = relative_drift(records[0], rec)
         if not all(d <= MAX_DRIFT for d in drift):  # NaN fails this and the next check
             raise ConservationDrift(
@@ -1184,8 +1170,7 @@ def run(cfg, on_record=None, on_snapshot=None) -> RunResult:
     for out_idx in range(1, n_out + 1):
         t_target = out_idx * tcfg.output_interval
         while state.t < t_target - 1e-12:
-            q = _surface_face_speed(geom, mesh, state.t) if geom.surface_slip_active else None
-            bound = cfl_bound(geom, mesh, params, state, q)
+            bound = cfl_bound(geom, mesh, params, state)
             if 0.9 * bound < _MIN_CFL_STEP * tcfg.dt:
                 raise CflViolation(
                     f"step {steps + 1} at t = {state.t:g}: stability bound {bound:g} leaves "
@@ -1197,7 +1182,7 @@ def run(cfg, on_record=None, on_snapshot=None) -> RunResult:
                                    f"budget of MAX_STEPS = {MAX_STEPS} steps")
             if tcfg.stepper == "imex":
                 state, info = step_imex(state, dt, geom, mesh, params, spec, check_cfl=False,
-                                        q=q, return_info=True)
+                                        return_info=True)
                 newton[2] += sum(info["gmres"])
                 newton[3] += info["setups"]
             else:

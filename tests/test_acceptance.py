@@ -156,7 +156,7 @@ class TestCriterion2Positivity:
         lu = spla.splu(a)
         hi = -math.inf
         for k in range(2000):
-            b = ms * y + DT * surface_advection(geom, mesh, k * DT, y) + DT * src * ms
+            b = ms * y + DT * surface_advection(geom, k * DT, y) + DT * src * ms
             y = lu.solve(b)
             hi = max(hi, float(np.max(y)))
         assert hi <= 1e-12

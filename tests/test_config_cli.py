@@ -167,6 +167,13 @@ class TestRunDriver:
         off = run(parse_config(SMALL_RUN + "output.snapshots = false\n"))
         assert off.snapshots == []
 
+    def test_kept_snapshots_are_copies(self):
+        result = run(parse_config(SMALL_RUN))
+        u_last = next(s for s in result.snapshots if s.field == "u" and s.index == 2)
+        kept = u_last.grid.copy()
+        result.final_state.u_hat[:] = -1.0
+        assert np.array_equal(u_last.grid, kept)
+
     def test_entropy_stays_zero_from_equilibrium(self):
         cfg = parse_config(SMALL_RUN.replace("ic.amplitude = 0.1", "ic.amplitude = 0"))
         result = run(cfg)
@@ -733,7 +740,9 @@ class TestCli:
         code = cli.main(["mms", "--case", "constant", "--levels", "1", "--n0", "8",
                         "--dt0", "0.01", "--t-final", "0.02", "--out", str(tmp_path)])
         assert code == 0
-        assert "err_u=" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "err_u=" in out and "nan" not in out
+        assert "fitted spatial order: none, 1 of 1 levels" in out  # one level fits no order
 
     @pytest.mark.parametrize("argv, flag", [
         (["--levels", "8"], "--levels"),                      # level 7: 2048 x 4096 cells

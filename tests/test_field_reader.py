@@ -185,17 +185,26 @@ def float_calls(monkeypatch, tokens):
 
 def test_fast_grammar_is_read_without_float(monkeypatch):
     """Unsigned plain decimals with up to 23 digits, 19 of them significant,
-    are all decided by the vectorized passes; signed and exponent tokens are
-    left to float()."""
+    are decided by the vectorized passes: all whose digits M are at most 2^53
+    (Clinger), and of the others all but a few in 1,000 with five or more
+    fraction digits (Eisel-Lemire's first limb).  The first limb falls short
+    of an exact quotient's low bits, which few fraction digits often make.
+    Tie candidates, products that would need the second limb, and signed and
+    exponent tokens are left to float()."""
     values = fixed_notation_doubles(20000, seed=11)
     plain = [repr(v) for v in values if v < 1e16] + ["%.17g" % v for v in values] + [
-        "9007199254740993", "4503599627370497.5",  # ties
-        "18663267059808478.0", "5386793161697013.5", "8843013378312549.5",  # second limb
         "0.0000000000000000000001", "5.", "0.00012345678901234567", "9999999999999999999"]
     assert all("e" not in t for t in plain)
-    assert float_calls(monkeypatch, plain) == 0
-    signed_or_exponent = ["-0", "-2.5", "1E5", "1e-05", *SECOND_LIMB]
-    assert float_calls(monkeypatch, signed_or_exponent) == len(signed_or_exponent)
+    clinger = [t for t in plain if int(t.replace(".", "")) <= 2**53]
+    assert float_calls(monkeypatch, clinger) == 0
+    past = [t for t in plain if int(t.replace(".", "")) > 2**53]
+    assert float_calls(monkeypatch, past) <= len(past) // 10
+    long = [t for t in past if len(t.partition(".")[2]) >= 5]
+    assert len(long) > 10000 and float_calls(monkeypatch, long) <= len(long) // 100
+    undecided = ["-0", "-2.5", "1E5", "1e-05", *SECOND_LIMB,
+                 "9007199254740993", "4503599627370497.5",  # ties
+                 "18663267059808478.0", "5386793161697013.5", "8843013378312549.5"]  # second limb
+    assert float_calls(monkeypatch, undecided) == len(undecided)
 
 
 def test_fallback_tokens_in_every_pass_keep_their_place():

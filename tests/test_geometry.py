@@ -10,7 +10,8 @@ from bulksurf.errors import InvalidPreset, PointOutsideDomain
 from bulksurf.geometry import (GeometryKind, GeometryPreset, build_geometry,
                                check_kinematics, measures, velocities_at)
 from bulksurf.mesh import build_mesh, moving_bulk_measures
-from bulksurf.solver import _surface_face_speed
+from bulksurf.model import ModelParams
+from bulksurf.solver import State, cfl_bound, surface_advection
 
 
 def preset(kind, **kw):
@@ -230,17 +231,26 @@ class TestOneMap:
     @pytest.mark.parametrize("r_inner0", [1.0, 0.3])
     @pytest.mark.parametrize("wind", [0.5, -0.5])
     def test_wind_points_along_the_tangent(self, wind, r_inner0):
-        """tau = e_theta, counterclockwise: at (r_inner0, 0) it is (0, 1); the
-        solver's face speed is s(t) itself."""
+        """tau = e_theta, counterclockwise: at (r_inner0, 0) it is (0, 1).  The
+        solver's face speed is s(t) itself: the upwind advection of a one-hot
+        field moves s(t) into the downwind cell, and with the reaction off
+        the CFL bound is the surface cell arc over |s(t)|."""
         geom = build_geometry(GeometryPreset(GeometryKind.SURFACE_WIND, r_inner0, 3 * r_inner0,
                                              wind_speed=wind, delta=0.3))
         mesh = build_mesh(4, 8, r_inner0, 3 * r_inner0)
+        params = ModelParams(1.0, 1.0, 1.0, math.inf, math.inf)
+        k, downwind = 3, 4 if wind > 0 else 2
         for t in (0.0, 0.7, 2.0):
             s_t = wind * math.exp(-0.3 * t)
             v_gamma = velocities_at(geom, t, np.array([r_inner0, 0.0])).v_gamma
             assert v_gamma[0] == 0.0
             assert v_gamma[1] == pytest.approx(s_t, rel=1e-15)
-            assert _surface_face_speed(geom, mesh, t) == s_t
+            moved = np.zeros(mesh.n_theta)
+            moved[[k, downwind]] = -abs(s_t), abs(s_t)
+            assert np.array_equal(surface_advection(geom, t, np.eye(mesh.n_theta)[k]), moved)
+            state = State(t, np.ones(mesh.n_bulk), np.ones(mesh.n_surf), np.ones(mesh.n_surf))
+            assert cfl_bound(geom, mesh, params, state) == pytest.approx(
+                r_inner0 * mesh.dtheta / abs(s_t), rel=1e-15)
 
     @pytest.mark.parametrize("kind,kw", [LIVE[0], LIVE[1], LIVE[3]])
     def test_static_presets_exact_on_a_wide_annulus(self, kind, kw):

@@ -239,7 +239,7 @@ class TestOperators:
     def test_surface_wind_upwind_is_conservative(self):
         geom, mesh, _, _ = make("surface_wind", wind_speed=0.5, delta=0.0)
         field = 1.0 + 0.5 * np.sin(mesh.theta_centers)
-        net = surface_advection(geom, mesh, 0.3, field)
+        net = surface_advection(geom, 0.3, field)
         assert abs(np.sum(net)) < 1e-14
         assert np.max(np.abs(net)) > 0.0
 
@@ -314,45 +314,20 @@ class TestStepImex:
             lo = min(lo, st.u_hat.min(), st.w_hat.min(), st.z_hat.min())
         assert lo >= -1e-12
 
-    def test_one_face_velocity_evaluation_per_step(self, monkeypatch):
-        for speed in (0.4, -0.4):  # anticlockwise and clockwise wind
-            self.check_face_speed_evaluations(speed, monkeypatch)
-            monkeypatch.undo()
-
-    @staticmethod
-    def check_face_speed_evaluations(speed, monkeypatch):
+    @pytest.mark.parametrize("speed", [0.4, -0.4])  # anticlockwise and clockwise wind
+    def test_stacked_advection_at_the_wind(self, speed):
+        """The wind is every face's speed, and the stacked advection of w and
+        z at t is the one of each field, bit for bit."""
         geom, mesh, params, spec = make("surface_wind", n=6, wind_speed=speed, delta=0.5)
         st = random_state(mesh, seed=6)
-        # the one speed is every face's, and the stacked advection of w and z is
-        # the one of each field, bit for bit
         for t in (0.0, 0.7):
             faces = face_velocities(geom, mesh, t)
-            assert np.max(np.abs(faces - solver._surface_face_speed(geom, mesh, t))) <= 1e-15
+            assert np.max(np.abs(faces - geom.wind_speed(t))) <= 1e-15
         m = (moving_bulk_measures(mesh, geom, 0.0), moving_surface_measures(mesh, geom, 0.0))
         ref = _mass_rhs(st, 0.01, mesh, m, m, None)
-        ref[mesh.n_bulk:] += np.concatenate([0.01 * surface_advection(geom, mesh, 0.0, f)
+        ref[mesh.n_bulk:] += np.concatenate([0.01 * surface_advection(geom, 0.0, f)
                                              for f in (st.w_hat, st.z_hat)])
         assert np.array_equal(_imex_rhs(st, 0.01, geom, mesh, m, m, None), ref)
-        calls = []
-        speed_at = solver._surface_face_speed
-        monkeypatch.setattr(solver, "_surface_face_speed",
-                            lambda *args: calls.append(args[2]) or speed_at(*args))
-        stepper = ImexStepper(geom, mesh, params, spec, 0.01)
-        for _ in range(3):
-            st = stepper.step(st)
-        step_imex(st, 0.01, geom, mesh, params, spec)
-        assert calls == [0.0, 0.01, 0.02, 0.03]
-        calls.clear()
-        text = "\n".join(["geometry.kind = surface_wind", f"geometry.wind_speed = {speed}",
-                          "geometry.delta = 0.5", "mesh.n_r = 4", "mesh.n_theta = 8",
-                          "model.delta_k = 0.05", "time.cfl = true", "time.t_final = 0.1",
-                          "time.dt = 0.05", "time.output_interval = 0.05"])
-        steps = []
-        imex = solver.step_imex
-        monkeypatch.setattr(solver, "step_imex",
-                            lambda state, *args, **kw: steps.append(state.t) or imex(state, *args, **kw))
-        solver.run(parse_config(text))
-        assert len(steps) > 2 and calls == steps
 
     def test_cfl_violation_raised(self):
         geom, mesh, params, spec = make("surface_wind", wind_speed=2.0, delta=0.0)
@@ -1218,7 +1193,7 @@ class TestComparisonPrinciples:
             t1 = (k + 1) * dt
             ms = moving_surface_measures(mesh, geom, t1)
             a = sp.diags(ms) - dt * stiffness(assemble_operators(geom, mesh, params, t1))[1]
-            b = ms * y + dt * surface_advection(geom, mesh, k * dt, y) + dt * src * ms
+            b = ms * y + dt * surface_advection(geom, k * dt, y) + dt * src * ms
             y = spla.spsolve(a.tocsc(), b)
             hi = max(hi, float(np.max(y)))
         assert hi <= 1e-12

@@ -137,6 +137,13 @@ BAD_FLAGS = [
     (["eig", "--n-r", "2"], "--n-r"),
     (["eig", "--r-inner", "3"], "--r-inner"),
     (["eig", "--r-outer", "1e300"], "--r-outer"),
+    (["mms", "--levels", "0"], "--levels"),
+    (["mms", "--levels", "-1"], "--levels"),
+    (["mms", "--t-final", "0"], "--t-final"),
+    (["transport-check", "--levels", "0"], "--levels"),
+    (["check-assumptions", "--tol", "nan"], "--tol"),
+    (["check-assumptions", "--tol", "-1"], "--tol"),
+    (["check-assumptions", "--tol", "inf"], "--tol"),
 ]
 
 
