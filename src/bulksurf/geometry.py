@@ -142,17 +142,29 @@ class EvolvingGeometry:
 
     # -- the radial map and its turn ---------------------------------------
 
+    def _slope(self, inner):
+        return (self.r_outer0 - inner) / (self.r_outer0 - self.r_inner0)
+
     def radial_slope(self, t):
         """d rho / d r of the radial map."""
-        return (self.r_outer0 - self.inner_radius(t)) / (self.r_outer0 - self.r_inner0)
+        return self._slope(self.inner_radius(t))
+
+    def radial_map(self, t, r):
+        """(radius_map(t, r), radial_slope(t), inner_radius(t)), from one
+        reading of the inner-radius law."""
+        r = np.asarray(r, dtype=float)
+        inner = self.inner_radius(t)
+        slope = self._slope(inner)
+        # r_inner0 + (r - r_inner0) is not r bit for bit on every annulus
+        if self.kind is not GeometryKind.BREATHING:
+            return r, slope, inner
+        return inner + (r - self.r_inner0) * slope, slope, inner
 
     def radius_map(self, t, r):
         """Physical radius of a point at reference radius r."""
-        r = np.asarray(r, dtype=float)
-        # r_inner0 + (r - r_inner0) is not r bit for bit on every annulus
         if self.kind is not GeometryKind.BREATHING:
-            return r
-        return self.inner_radius(t) + (r - self.r_inner0) * self.radial_slope(t)
+            return np.asarray(r, dtype=float)
+        return self.radial_map(t, r)[0]
 
     def _turn(self, t):
         """The rigid turn by a(t), a 2 x 2 matrix."""
@@ -179,8 +191,8 @@ class EvolvingGeometry:
 
     def jacobian_det_ref(self, t, r):
         """det D Phi_t as a function of the reference radius."""
-        r = np.asarray(r, dtype=float)
-        return self.radius_map(t, r) * self.radial_slope(t) / r
+        rho, slope, _ = self.radial_map(t, r)
+        return rho * slope / np.asarray(r, dtype=float)
 
     # -- velocities ----------------------------------------------------------
 

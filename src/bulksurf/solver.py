@@ -144,23 +144,24 @@ class DiscreteOperators:
 
 def assemble_operators(geom: EvolvingGeometry, mesh: ReferenceMesh,
                        params: ModelParams, t: float) -> DiscreteOperators:
-    """Ring coefficients and moving measures at time t."""
+    """Ring coefficients and moving measures at time t, the radial map read
+    once for the ring centres and the faces between rings."""
+    nr = mesh.n_r
     with np.errstate(invalid="ignore"):  # a motion law past the float range is named below
         rings = moving_ring_measures(mesh, geom, t)
-        low, inner = np.min(rings), geom.inner_radius(t)
+        rho, slope, inner = geom.radial_map(t, np.concatenate((mesh.r_centers,
+                                                                mesh.r_faces[1:-1])))
+        low = rings.min()
     if not (low > 0.0 and inner > 0.0):  # NaN fails too
         raise SingularJacobian(f"det D Phi_t is not a positive number at t = {t:g} (min cell "
                                f"area {low:g}, inner radius {inner:g})")
-    slope = geom.radial_slope(t)
     arc = float(moving_surface_measures(mesh, geom, t)[0])
     return DiscreteOperators(
         t=t, n_theta=mesh.n_theta,
         # radial faces: arc of length rho_f * dtheta, centers slope*dr apart
-        radial=params.delta_omega * (geom.radius_map(t, mesh.r_faces[1:-1]) * mesh.dtheta)
-        / (slope * mesh.dr),
+        radial=params.delta_omega * (rho[nr:] * mesh.dtheta) / (slope * mesh.dr),
         # angular faces: radial extent slope*dr, centers rho_c*dtheta apart
-        angular=params.delta_omega * (slope * mesh.dr) / (geom.radius_map(t, mesh.r_centers)
-                                                          * mesh.dtheta),
+        angular=params.delta_omega * (slope * mesh.dr) / (rho[:nr] * mesh.dtheta),
         surface=(params.delta_gamma / arc, params.delta_gamma_prime / arc),
         ring_measures=rings, surf_measure=arc)
 
@@ -262,6 +263,20 @@ _EXCHANGE = (1.0, 1.0, -1.0)
 _SLOT_RINGS = [0, -2, -1]
 
 
+def _slot_parts(x, mesh: ReferenceMesh):
+    """The (u trace, w, z) rows of the stacked vector x, as views."""
+    return tuple(x[at] for at in _slot_slices(mesh))
+
+
+def _add_exchange(vector, flux, mesh: ReferenceMesh):
+    """Adds the exchange flux to the u trace and w rows of the stacked vector
+    and takes it from its z row, the signs of _EXCHANGE."""
+    trace, at_w, at_z = _slot_slices(mesh)
+    vector[trace] += flux
+    vector[at_w] += flux
+    vector[at_z] -= flux
+
+
 def _mass_rhs(state: State, dt: float, mesh: ReferenceMesh, m0, m1,
               sources: Sources | None):
     """Cell masses at t plus dt times the injected sources at t + dt; m0 and
@@ -298,28 +313,29 @@ def _imex_rhs(state: State, dt: float, geom: EvolvingGeometry, mesh: ReferenceMe
 
 def _gmres(apply, rhs, target: float, max_iter: int):
     """(x, iterations) with ||rhs - x - apply(x)||_2 <= target, by GMRES
-    (Saad and Schultz) for (I + K) x = rhs from x = 0, where apply(x) is K x.
-    The Arnoldi basis is built on K, whose Krylov spaces are those of I + K,
-    so a small K loses no digits to cancellation; it is orthogonalized by
+    (Saad and Schultz) for (I + K) x = rhs from x = 0: rhs is a 1-D vector,
+    and apply(x) returns K x as a 1-D array that _gmres may overwrite.  The
+    Arnoldi basis is built on K, whose Krylov spaces are those of I + K, so
+    a small K loses no digits to cancellation; it is orthogonalized by
     classical Gram-Schmidt twice and grows as the iterations run, with no
     restart.  Givens rotations track the least-squares residual.  x is None
     when max_iter iterations do not reach target or the residual is not
     finite."""
-    beta = math.sqrt(float(np.sum(rhs * rhs)))
+    beta = math.sqrt(float(np.add.reduce(rhs * rhs)))
     if beta <= target:
         return np.zeros_like(rhs), 0
     basis = np.empty((min(max_iter, 8) + 1, rhs.size))
-    basis[0] = rhs.ravel() / beta
+    np.divide(rhs, beta, out=basis[0])
     cols, rotations, g = [], [], [beta]
     for j in range(max_iter):
-        w, v = apply(basis[j].reshape(rhs.shape)).ravel(), basis[: j + 1]
-        h = v @ w
-        w -= h @ v
-        again = v @ w
-        w -= again @ v
+        w, v = apply(basis[j]), basis[: j + 1]
+        h = v.dot(w)
+        w -= h.dot(v)
+        again = v.dot(w)
+        w -= again.dot(v)
         h = (h + again).tolist()
         h[j] += 1.0   # the column of I
-        h_next = math.sqrt(float(w @ w))
+        h_next = math.sqrt(float(w.dot(w)))
         for i, (c, s) in enumerate(rotations):
             h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
         r = math.hypot(h[j], h_next)
@@ -331,16 +347,25 @@ def _gmres(apply, rhs, target: float, max_iter: int):
         cols.append(h)
         g.append(-s * g[j])
         g[j] *= c
-        if abs(g[-1]) <= target:
-            upper = np.zeros((j + 1, j + 1))
-            for i, col in enumerate(cols):
-                upper[: i + 1, i] = col
-            return (sla.lapack.dtrtrs(upper, g[:-1])[0] @ v).reshape(rhs.shape), j + 1
+        if abs(g[-1]) <= target:   # the triangle's rows are its columns, padded
+            upper = np.array([col + [0.0] * (j - i) for i, col in enumerate(cols)]).T
+            return sla.lapack.dtrtrs(upper, g[:-1])[0] @ v, j + 1
         if j + 1 == len(basis):
             basis = np.concatenate([basis, np.empty((min(len(basis), max_iter + 1 - len(basis)),
                                                      rhs.size))])
-        basis[j + 1] = w / h_next
+        np.divide(w, h_next, out=basis[j + 1])
     return None, max_iter
+
+
+@functools.lru_cache(maxsize=16)
+def _mode_symbols(n_theta: int):
+    """(phi, the symbol of the cyclic second difference as a column) of the
+    rFFT modes p of n_theta cells: phi = 2 pi p / n_theta and
+    2 (1 - cos phi); read-only, shared by every Fourier solve of the mesh."""
+    phi = 2.0 * np.pi * np.arange(n_theta // 2 + 1) / n_theta
+    cyclic = 2.0 * (1.0 - np.cos(phi))[:, None]
+    phi.flags.writeable = cyclic.flags.writeable = False
+    return phi, cyclic
 
 
 class _FourierSolve:
@@ -357,45 +382,53 @@ class _FourierSolve:
     for the cyclic second difference, a shift for the upwind flux), factored
     once by LAPACK and solved by the factors: pttrf/pttrs (L D L^T) for the
     real modes, which are symmetric positive definite, gttrf/gttrs (LU with
-    pivoting) for the upwind ones.  The exchange term enters by Woodbury
-    (Buzbee, Dorr, George and Golub): the capacitance system, convolutions
-    times per-slot coefficients, is solved by GMRES through the slot
-    response, never formed (see _Capacitance).  Every solve is checked by
-    apply, a matrix-free stencil apart from the Fourier path.
+    pivoting) for the upwind ones.  The couplings between rings are the same
+    below and above the diagonal, so bands holds one array for both.  The
+    exchange term enters by Woodbury (Buzbee, Dorr, George and Golub): the
+    capacitance system, convolutions times per-slot coefficients, is solved
+    by GMRES through the slot response, never formed (see _Capacitance).
+    Every solve is checked by apply, a matrix-free stencil apart from the
+    Fourier path.  t1 is the time of ops, whose measures are kept.
     """
 
     def __init__(self, ops: DiscreteOperators, dt: float, mesh: ReferenceMesh, q: float = 0.0):
-        self.dt, self.mesh, self.rings = dt, mesh, ops.ring_measures
-        self.ring_total = float(np.sum(ops.ring_measures))
+        self.dt, self.mesh, self.rings, self.t1 = dt, mesh, ops.ring_measures, ops.t
+        self.ring_total = float(ops.ring_measures.sum())
         self.measures = (ops.bulk_measures, ops.surf_measures)
-        nr, nt = mesh.n_r, mesh.n_theta
+        nr, nt, arc = mesh.n_r, mesh.n_theta, ops.surf_measure
         # dt times the couplings: faces around and between rings, surface faces
         # of (w, z) and the advective face flux
         self.ang, self.rad = ang, rad = dt * ops.angular, dt * ops.radial
-        self.srf, self.q = dt * np.array(ops.surface), dt * q
-        radial_sum = np.concatenate([rad, [0.0]]) + np.concatenate([[0.0], rad])
+        srf, self.q = [dt * delta for delta in ops.surface], dt * q
+        radial_sum = np.zeros(nr)   # the faces below and above each ring
+        radial_sum[:-1] = rad
+        radial_sum[1:] += rad
         self.ring_diag = (ops.ring_measures + 2.0 * ang)[:, None]   # radial part by fluxes
-        self.surf_diag = (ops.surf_measure + 2.0 * self.srf + abs(self.q))[:, None]
-        self.behind = (self.srf + max(self.q, 0.0))[:, None]    # surface coupling to k - 1
-        self.ahead = (self.srf + max(-self.q, 0.0))[:, None]    # and to k + 1
+        # a column each, rows (w, z): the surface diagonal and the couplings
+        # to k - 1 and k + 1
+        self.surf_diag, self.behind, self.ahead = np.array(
+            [(arc + 2.0 * f + abs(self.q), f + max(self.q, 0.0), f + max(-self.q, 0.0))
+             for f in srf]).T[:, :, None]
         self.scratch = np.empty((nr, nt))
-        # absolute row sums of A0: rings outward, then (u trace, w, z) of a slot
+        # the largest absolute row sums of A0: of a slot's rows (u trace, w,
+        # z), and of all
         ring_abs = ops.ring_measures + 2.0 * (radial_sum + 2.0 * ang)
-        self.slot_abs = np.concatenate([ring_abs[:1], ops.surf_measure + 4.0 * self.srf
-                                        + 2.0 * abs(self.q)])
-        self.norm = max(float(np.max(ring_abs)), float(np.max(self.slot_abs)))
+        self.slot_norm = max(float(ring_abs[0]), *(arc + 4.0 * f + 2.0 * abs(self.q) for f in srf))
+        self.norm = max(float(ring_abs.max()), self.slot_norm)
 
-        phi = 2.0 * np.pi * np.arange(nt // 2 + 1) / nt
-        cyclic = 2.0 * (1.0 - np.cos(phi))[:, None]
+        phi, cyclic = _mode_symbols(nt)
+        # per ring (u outward, w, z): the coupling around it, times the
+        # symbol, plus its measure and the faces to the rings beside it
         diag = np.empty((len(phi), nr + 2), complex if q else float)
-        diag[:, :nr] = ops.ring_measures + radial_sum + cyclic * ang
-        diag[:, nr:] = ops.surf_measure + cyclic * self.srf
+        np.multiply(cyclic, np.concatenate((ang, srf)), out=diag)
+        diag += np.concatenate((ops.ring_measures + radial_sum, (arc, arc)))
         if q:  # upwind: the donor neighbour sits at k - sign(q)
             diag[:, nr:] += abs(self.q) * (1.0 - np.exp(-1j * math.copysign(1.0, q) * phi))[:, None]
         # couplings to the rings before and after, the same in every mode
-        lower, upper = np.zeros((2, len(phi), nr + 2), diag.dtype)
-        lower[:, 1:nr] = upper[:, :nr - 1] = -rad
-        self.bands = (lower.ravel()[1:], diag.ravel(), upper.ravel()[:-1])
+        off = np.zeros((len(phi), nr + 2))
+        off[:, :nr - 1] = -rad
+        off = off.ravel()[:-1]
+        self.bands = (off, diag.ravel(), off)
         if q:   # the upwind shift makes the modes complex and unsymmetric
             *self.lu, info = sla.lapack.zgttrf(*self.bands)
         else:   # real, symmetric and diagonally dominant: L D L^T, no pivoting
@@ -446,7 +479,7 @@ class _FourierSolve:
         mass = modes[0, :nr].sum()
         if self.q:
             y = sla.lapack.zgttrs(*self.lu, modes.reshape(-1, 1), overwrite_b=1)[0]
-        elif np.iscomplexobj(modes):  # the real factors, U^H D U = L D L^T
+        elif modes.dtype.kind == "c":  # the real factors, U^H D U = L D L^T
             y = sla.lapack.zpttrs(self.lu[0], self.e_complex, modes.reshape(-1, 1),
                                   overwrite_b=1)[0]
         else:
@@ -476,35 +509,38 @@ class _FourierSolve:
         modes[:, _SLOT_RINGS] = _EXCHANGE
         return self._solve_modes(modes)
 
-    def correction(self, xi, rings=slice(None)):
-        """Modes of G xi on the given rings, G the response to the slot
-        exchange flux, from the modes of xi."""
-        return self.response[:, rings] * xi[:, None]
+    @functools.cached_property
+    def slot_response(self):
+        """The response on the rings of (u trace, w, z), a row of modes each:
+        the convolutions W_j of _Capacitance."""
+        return self.response.T[_SLOT_RINGS]
+
+    def correction(self, xi):
+        """Modes of G xi, G the response to the slot exchange flux, from the
+        modes of xi."""
+        return self.response * xi[:, None]
 
     def solve_slots(self, b, coeffs, what: str):
         """(x, GMRES iterations, preconditioner builds) with (A0 + the
         exchange term of coeffs) x = b, the counts those of its one
         capacitance solve (0 without one)."""
-        slots = _slot_slices(self.mesh)
-        coeffs = [c if c is not None and c.any() else None for c in coeffs]
-        active = any(c is not None for c in coeffs)
+        coeffs = _present(coeffs)
         modes, iterations, builds = self._modes(b), 0, 0
-        if active:   # Woodbury: the correction's modes are the response times xi's
-            parts = np.fft.irfft(modes[:, _SLOT_RINGS], n=self.mesh.n_theta, axis=0).T
+        if coeffs:   # Woodbury: the correction's modes are the response times xi's
+            parts = np.fft.irfft(modes.T[_SLOT_RINGS], n=self.mesh.n_theta)
             capacitance = _Capacitance(self, what)
             xi, iterations = capacitance.solve(_flux(coeffs, parts), coeffs)
             modes -= self.correction(xi)
             builds = capacitance.builds
         x = self._field(modes)
         # backward error by the stencil; the slot rows' absolute sums grow by |c|
-        residual, slot_abs = self.apply(x), self.slot_abs
+        residual, norm = self.apply(x), self.norm
         residual -= b
-        if active:
-            fx = _flux(coeffs, [x[at] for at in slots])
-            for at, sign in zip(slots, _EXCHANGE):
-                residual[at] += sign * fx
-            slot_abs = slot_abs[:, None] + sum(np.abs(c) for c in coeffs if c is not None)
-        _check_backward_error(residual, x, b, max(self.norm, float(np.max(slot_abs))), what)
+        if coeffs:   # rounding is monotone: the largest sum is that of the largest terms
+            _add_exchange(residual, _flux(coeffs, _slot_parts(x, self.mesh)), self.mesh)
+            norm = max(norm, self.slot_norm + float(sum(np.abs(c) for c in coeffs
+                                                        if c is not None).max()))
+        _check_backward_error(residual, x, b, norm, what)
         return x, iterations, builds
 
 
@@ -514,18 +550,20 @@ class _Capacitance:
     change from solve to solve.
 
     With W_j the convolution by the response to a unit slot flux, read at
-    ring j of (u trace, w, z), C xi = xi + sum_j diag(c_j) W_j xi.  GMRES
-    solves D^{-1} C M^{-1} v = D^{-1} r, xi = M^{-1} v.  The right
-    preconditioner M is C with each c_j replaced by its mean over the slots
-    (T. F. Chan): a scalar per Fourier mode, and exact when the c_j are
-    uniform; a c_j the same in every slot enters M alone.  The left one,
+    ring j of (u trace, w, z) (the rows of slot_response),
+    C xi = xi + sum_j diag(c_j) W_j xi.  GMRES solves
+    D^{-1} C M^{-1} v = D^{-1} r, xi = M^{-1} v.  The right preconditioner M
+    is C with each c_j replaced by its mean over the slots (T. F. Chan): a
+    scalar per Fourier mode, and exact when the c_j are uniform; a c_j the
+    same in every slot enters M alone.  The left one,
     D = 1 + (c - mean c) . rho per slot, is C M^{-1} with each convolution
     W_j M^{-1} replaced by rho_j, the Rayleigh quotient of its symmetric part
     at r: the mean over the modes of its real part, weighted by the power
     spectrum of r.  S_j = W_j M^{-1} - rho_j then nearly vanishes on the
     modes the slot data occupy (the lowest, for smooth data).  The operator
     is I + E S, with E = (c - mean c) / D per slot and the convolutions S_j
-    of the c_j that vary: one rFFT and one irFFT.
+    of the c_j that vary: one rFFT and one irFFT, into buffers kept for the
+    solve.
 
     The means, M, rho and S are built at the first solve with a nonzero r,
     from its coefficients and r, and kept for the later solves (builds
@@ -536,52 +574,55 @@ class _Capacitance:
     row uniform at the build has changed, since S holds no convolution for
     it.  Kept: at, the coefficient rows of (u trace, w, z) present (None
     before the first build); vary and uniform, masks over at of the rows
-    that differ between the slots and of those that do not; mean, the slot
-    means as a column; m, M per Fourier mode; rho and s, the shifts and the
-    S_j of the rows that vary.
+    that differ between the slots and of those that do not; mean_vary and
+    mean_uniform, the slot means of those rows as columns; m, M per Fourier
+    mode; rho and s, the shifts and the S_j of the rows that vary.
+    A zero M or D is refused as singular before anything divides by it.
     """
 
     def __init__(self, system: _FourierSolve, what: str):
         self.system, self.what = system, what
         self.builds, self.at = 0, None
 
-    def _build(self, at, coef, r, r_max):   # under the errstate of solve
+    def _build(self, at, coef, r, r_max):
         nt = self.system.mesh.n_theta
-        vary = (coef != coef[:, :1]).any(axis=1)
-        mean = np.where(vary, coef.mean(axis=1), coef[:, 0])
-        g = self.system.response.T[[_SLOT_RINGS[j] for j in at]]   # W_j per mode
+        vary = np.logical_or.reduce(coef != coef[:, :1], axis=1)
+        mean = np.where(vary, np.add.reduce(coef, axis=1) / nt, coef[:, 0])
+        g = self.system.slot_response[at]   # W_j per mode
         m = 1.0 + mean @ g
+        if not m.all():
+            raise LinearSolveFailure(f"{self.what}: capacitance preconditioner singular")
         power = np.abs(np.fft.rfft(r / r_max)) ** 2
         power[1:(nt + 1) // 2] *= 2.0   # the modes a full spectrum holds twice
         wm = g[vary] / m
         rho = wm.real @ power / power.sum()
-        if not m.all():
-            raise LinearSolveFailure(f"{self.what}: capacitance preconditioner singular")
         self.builds += 1
-        self.at, self.vary, self.uniform, self.mean = at, vary, ~vary, mean[:, None]
+        self.at, self.vary, self.uniform = at, vary, ~vary
+        self.mean_vary, self.mean_uniform = mean[vary][:, None], mean[self.uniform][:, None]
         self.m, self.rho, self.s = m, rho, wm - rho[:, None]
 
     def solve(self, r, coeffs, rtol=None):
         """(modes of xi, GMRES iterations) with C xi = r to the relative
-        residual rtol (_CAPACITANCE_RTOL when None)."""
+        residual rtol (_CAPACITANCE_RTOL when None); coeffs as _present
+        leaves them, a row absent or zero None."""
         nt = self.system.mesh.n_theta
-        at = [j for j, c in enumerate(coeffs) if c is not None and c.any()]
+        at = [j for j, c in enumerate(coeffs) if c is not None]
         r_max = float(np.abs(r).max())
         if not at or r_max == 0.0:   # C = I, or xi = 0
             return np.fft.rfft(r), 0
-        coef = np.stack([coeffs[j] for j in at])             # c_j of each slot
-        rebuild = self.at != at or not (coef[self.uniform] == self.mean[self.uniform]).all()
-        with np.errstate(divide="ignore", invalid="ignore"):   # a zero is refused below
-            if rebuild:
-                self._build(at, coef, r, r_max)
-            dev = coef[self.vary] - self.mean[self.vary]
-            d = 1.0 + self.rho @ dev
+        coef = np.array([coeffs[j] for j in at])             # c_j of each slot
+        if self.at != at or not (coef[self.uniform] == self.mean_uniform).all():
+            self._build(at, coef, r, r_max)
+        dev = coef[self.vary] - self.mean_vary
+        d = 1.0 + self.rho @ dev
         if not d.all():
             raise LinearSolveFailure(f"{self.what}: capacitance preconditioner singular")
         e, s = dev / d, self.s
+        spectrum, values = np.empty(s.shape, complex), np.empty(e.shape)
 
         def apply(v):   # E S v
-            return (e * np.fft.irfft(s * np.fft.rfft(v), n=nt)).sum(axis=0)
+            np.multiply(s, np.fft.rfft(v), out=spectrum)
+            return (e * np.fft.irfft(spectrum, n=nt, out=values)).sum(axis=0)
 
         rtol = _CAPACITANCE_RTOL if rtol is None else rtol
         # max|r - C xi| <= max|D| ||D^{-1} (r - C xi)||_2, the norm GMRES minimizes
@@ -590,6 +631,13 @@ class _Capacitance:
             raise LinearSolveFailure(f"{self.what}: capacitance GMRES did not reach relative "
                                      f"residual {rtol:g} in {iterations} iterations")
         return np.fft.rfft(v) / self.m, iterations
+
+
+def _present(coeffs):
+    """coeffs with each row that is None or zero as None, or () when no row
+    is left: the exchange term's coefficients, filtered once per solve."""
+    coeffs = tuple(c if c is not None and c.any() else None for c in coeffs)
+    return coeffs if any(c is not None for c in coeffs) else ()
 
 
 def _flux(coeffs, parts):
@@ -608,12 +656,29 @@ def _solve_for(geom: EvolvingGeometry, mesh: ReferenceMesh, params: ModelParams,
     depend on it (static metric, no advection)."""
     moving = advect or not geom.metric_is_static
     key = (id(geom), id(mesh), params, t1 if moving else None, dt, advect)
-    if key not in _kept:
+    kept = _kept.get(key)
+    if kept is None:
         _kept.clear()
         q = geom.wind_speed(t1) if advect else 0.0
-        _kept[key] = (geom, mesh, _FourierSolve(assemble_operators(geom, mesh, params, t1),
-                                                dt, mesh, q))
-    return _kept[key][2]
+        kept = _kept[key] = (geom, mesh, _FourierSolve(
+            assemble_operators(geom, mesh, params, t1), dt, mesh, q))
+    return kept[2]
+
+
+def _step_solve(geom: EvolvingGeometry, mesh: ReferenceMesh, params: ModelParams, t: float,
+                dt: float, advect: bool = False):
+    """(the Fourier solve of the step from t, the (bulk, surface) measures at
+    t): on a moving metric those of the kept solve when its step ended at t,
+    bit for bit the same as moving_bulk_measures and moving_surface_measures
+    at t, which give them otherwise."""
+    if geom.metric_is_static:
+        system = _solve_for(geom, mesh, params, t + dt, dt, advect)
+        return system, system.measures
+    m0 = next((kept.measures for g, m, kept in _kept.values()
+               if g is geom and m is mesh and kept.t1 == t), None)
+    if m0 is None:
+        m0 = moving_bulk_measures(mesh, geom, t), moving_surface_measures(mesh, geom, t)
+    return _solve_for(geom, mesh, params, t + dt, dt, advect), m0
 
 
 def step_imex(state: State, dt: float, geom: EvolvingGeometry, mesh: ReferenceMesh,
@@ -632,22 +697,19 @@ def step_imex(state: State, dt: float, geom: EvolvingGeometry, mesh: ReferenceMe
     builds (both 0 when no exchange term is implicit, k 1 otherwise).
     """
     _check_step(state, dt, geom, mesh, params, spec, check_cfl)
-    system = _solve_for(geom, mesh, params, state.t + dt, dt)
-    m0 = system.measures if geom.metric_is_static else (
-        moving_bulk_measures(mesh, geom, state.t), moving_surface_measures(mesh, geom, state.t))
+    system, m0 = _step_solve(geom, mesh, params, state.t, dt)
     rhs = _imex_rhs(state, dt, geom, mesh, m0, system.measures, sources)
     arcs, ns = system.measures[1], mesh.n_surf
-    slots = _slot_slices(mesh)
     exchange = ()
     if getattr(spec, "is_mass_action", False):  # 1 / inf = 0 switches a flux off
         exchange = (dt * arcs * state.w_hat / params.delta_k, None,
                     -dt * arcs / params.delta_k_prime)
     else:
-        fx = dt * np.asarray(spec.f1(state.u_hat[:ns], state.w_hat, state.z_hat)) * arcs
-        for at, sign in zip(slots, _EXCHANGE):
-            rhs[at] += sign * fx
+        _add_exchange(rhs, dt * np.asarray(spec.f1(state.u_hat[:ns], state.w_hat,
+                                                   state.z_hat)) * arcs, mesh)
     x, iterations, builds = system.solve_slots(rhs, exchange, "IMEX step")
-    out = State(state.t + dt, x[: mesh.n_bulk], x[slots[1]], x[slots[2]])
+    _, w, z = _slot_parts(x, mesh)
+    out = State(state.t + dt, x[: mesh.n_bulk], w, z)
     return (out, {"gmres": [iterations], "setups": builds}) if return_info else out
 
 
@@ -675,7 +737,7 @@ def _reaction_terms(spec, u_tr, w, z, scale, eps=1e-7):
     action and by forward differences for a custom reaction."""
     if getattr(spec, "is_mass_action", False):
         dk, dkp = spec.params.delta_k, spec.params.delta_k_prime   # 1 / inf = 0
-        return scale * (-w / dk), scale * (-u_tr / dk), scale * np.full_like(w, 1.0 / dkp)
+        return scale * (-w / dk), scale * (-u_tr / dk), scale * (1.0 / dkp)
     value = np.asarray(spec.f1(u_tr, w, z), dtype=float)
     return tuple(scale * ((np.asarray(spec.f1(*args)) - value) / eps) for args in
                  ((u_tr + eps, w, z), (u_tr, w + eps, z), (u_tr, w, z + eps)))
@@ -730,11 +792,9 @@ def step_implicit(state: State, dt: float, geom: EvolvingGeometry, mesh: Referen
     """
     _check_step(state, dt, geom, mesh, params, spec, check_cfl=False)
     t1 = state.t + dt
-    system = _solve_for(geom, mesh, params, t1, dt, advect=geom.surface_slip_active)
-    m0 = system.measures if geom.metric_is_static else (
-        moving_bulk_measures(mesh, geom, state.t), moving_surface_measures(mesh, geom, state.t))
+    system, m0 = _step_solve(geom, mesh, params, state.t, dt, advect=geom.surface_slip_active)
+    nt = mesh.n_theta
     scale = -dt * system.measures[1]
-    slots = _slot_slices(mesh)
     base = _mass_rhs(state, dt, mesh, m0, system.measures, sources)
     history, floor = [], max(1.0, _max_abs(base))
 
@@ -748,37 +808,38 @@ def step_implicit(state: State, dt: float, geom: EvolvingGeometry, mesh: Referen
         return scale * np.asarray(spec.f1(*parts), dtype=float)
 
     y = system.solve_slots(base, (), "Newton step")[0]
-    s_y = np.stack([y[at] for at in slots])
+    s_y = np.stack(_slot_parts(y, mesh))
     s = np.stack([state.u_hat[: mesh.n_surf], state.w_hat, state.z_hat])   # at t
-    coeffs = _reaction_terms(spec, *s, scale)
+    coeffs = _present(_reaction_terms(spec, *s, scale))
     # the first update, from the state at t, solves C xi = scale f1(s) + c . (s_y - s)
     rho = -flux(s) - _flux(coeffs, s_y - s)
     slot_residual, gmres = scaled(rho, s), []
-    xi = np.zeros(mesh.n_theta // 2 + 1, complex)
+    xi = np.zeros(nt // 2 + 1, complex)
+    # W xi on the slot rings, then xi itself: their values by one inverse FFT
+    both = np.empty((4, len(xi)), complex)
     capacitance = _Capacitance(system, "Newton step")
     for iteration in range(1, max_newton + 1):
         update, used = capacitance.solve(rho, coeffs, _forcing(slot_residual, newton_tol))
         xi -= update
         gmres.append(used)
-        # W xi on the slot rings and xi itself, by one inverse FFT
-        both = np.fft.irfft(np.column_stack([system.correction(xi, _SLOT_RINGS), xi]),
-                            n=mesh.n_theta, axis=0)
-        s = s_y - both[:, :3].T
-        rho = both[:, 3] - flux(s)
+        np.multiply(system.slot_response, xi, out=both[:3])
+        both[3] = xi
+        values = np.fft.irfft(both, n=nt)
+        s = s_y - values[:3]
+        rho = values[3] - flux(s)
         slot_residual = scaled(rho, s)
         history.append(slot_residual)
         if slot_residual <= 2.0 * newton_tol:   # rebuild x and test its full residual
             x = y - system._field(system.correction(xi))
-            resid, parts = system.apply(x) - base, [x[at] for at in slots]
-            fx = flux(parts)
-            for at, sign in zip(slots, _EXCHANGE):
-                resid[at] += sign * fx
+            resid, parts = system.apply(x), _slot_parts(x, mesh)
+            resid -= base
+            _add_exchange(resid, flux(parts), mesh)
             if scaled(resid, x) < newton_tol:
                 out = State(t1, x[: mesh.n_bulk], parts[1], parts[2])
                 info = {"iterations": iteration, "residuals": history, "gmres": gmres,
                         "setups": capacitance.builds}
                 return (out, info) if return_info else out
-        coeffs = _reaction_terms(spec, *s, scale)
+        coeffs = _present(_reaction_terms(spec, *s, scale))
     raise NewtonDivergence(
         f"Newton did not reach {newton_tol:g} in {max_newton} iterations at t = {t1:g} "
         f"(last residual {history[-1]:.3e})", history)
