@@ -26,10 +26,14 @@ leading batch shape: a single state is the case with no batch axis, and the
 Monte-Carlo probe evaluates its samples in blocks, as (block, cells) arrays
 held in reused buffers.  The measures and metric factors of one time are
 evaluated once (`_Frame`) and shared by every state evaluated there.
-Integrals against the measures are np.vecdot, one dot product per state:
-a state's value then does not depend on how many states share its block,
-where a (block, cells) @ measures product (BLAS gemv) sums rows in groups
-and the rows outside a whole group in another order.
+Integrals against the measures are fixed-order sums that do not go through
+BLAS (`mesh.bulk_integral`, `mesh.surface_integral`): each bulk ring is
+summed along theta and the ring sums are weighted by the ring measures, so
+no bulk-sized measure array is formed.  A state's value
+then does not depend on how many states share its block, where a
+(block, cells) @ measures product (BLAS gemv) sums rows in groups and the
+rows outside a whole group in another order, nor on the number of BLAS
+threads, where a long dot product (np.dot, np.vecdot) is split among them.
 """
 
 from __future__ import annotations
@@ -45,7 +49,8 @@ from .errors import (DegenerateSampler, EigenFailure, InsufficientData, MassMism
                      NonfiniteField, NonpositiveEntropy, ValidationError, WorkerFailure)
 from .equilibrium import Equilibrium
 from .geometry import EvolvingGeometry
-from .mesh import ReferenceMesh, moving_bulk_measures, moving_surface_measures
+from .mesh import (ReferenceMesh, bulk_integral, moving_ring_measures, moving_surface_measures,
+                   surface_integral)
 from .model import ModelParams, check_samples
 from .solver import State, assemble_operators
 
@@ -125,7 +130,7 @@ class _Frame:
     """The moving-mesh data that integrals and gradients at one time need,
     evaluated once and shared by every state (or block of states) there."""
     mesh: ReferenceMesh
-    bulk: np.ndarray      # moving cell areas, (n_bulk,)
+    rings: np.ndarray     # moving cell area of each ring, (n_r,)
     surf: np.ndarray      # moving surface cell lengths, (n_theta,)
     slope: float          # d rho / d r of the radial map
     rho_c: np.ndarray     # physical radius of each ring, (n_r,)
@@ -133,14 +138,14 @@ class _Frame:
 
 
 def _frame(geom: EvolvingGeometry, mesh: ReferenceMesh, t: float) -> _Frame:
-    return _Frame(mesh, moving_bulk_measures(mesh, geom, t),
+    return _Frame(mesh, moving_ring_measures(mesh, geom, t),
                   moving_surface_measures(mesh, geom, t), geom.radial_slope(t),
                   geom.radius_map(t, mesh.r_centers),
                   geom.surface_stretch(t, mesh.theta_centers))
 
 
 def _require_finite(fields, what):
-    if not all(np.all(np.isfinite(f)) for f in fields):
+    if not all(np.isfinite(f).all() for f in fields):
         raise NonfiniteField(f"{what} evaluation on non-finite state")
 
 
@@ -159,9 +164,9 @@ def _boltzmann(s, s_inf, out=None):
 
 
 def _entropy(u, w, z, eq: Equilibrium, fr: _Frame, scratch=None):
-    e = np.vecdot(_boltzmann(u, eq.u_inf, scratch), fr.bulk)
-    e += np.vecdot(_boltzmann(w, eq.w_inf), fr.surf)
-    e += np.vecdot(_boltzmann(z, eq.z_inf), fr.surf)
+    e = bulk_integral(_boltzmann(u, eq.u_inf, scratch), fr.rings)
+    e += surface_integral(_boltzmann(w, eq.w_inf), fr.surf)
+    e += surface_integral(_boltzmann(z, eq.z_inf), fr.surf)
     return e
 
 
@@ -217,28 +222,30 @@ def _surface_fisher(field, fr: _Frame):
     ds = _centered(field, fr.mesh.n_theta)
     ds /= 2.0 * fr.mesh.dtheta * fr.stretch
     if np.abs(ds).max() < 1e150 * math.sqrt(FLOOR_EPS):  # every square / f below 1e300
-        return _fisher(np.square(ds, out=ds), field, fr.surf)
+        return surface_integral(_fisher(np.square(ds, out=ds), field), fr.surf)
     with np.errstate(over="ignore"):
-        total = _fisher(np.square(ds), field, fr.surf)
+        total = surface_integral(_fisher(np.square(ds), field), fr.surf)
     scaled = ds * (np.sqrt(fr.surf) / np.sqrt(np.maximum(field, FLOOR_EPS)))
     return np.where(np.isfinite(total), total, np.sum(scaled * scaled, axis=-1))
 
 
-def _fisher(grad_sq, s, measures, scratch=None):
+def _fisher(grad_sq, s, scratch=None):
+    """The Fisher density grad_sq / s, s floored at FLOOR_EPS, in grad_sq."""
     grad_sq /= np.maximum(s, FLOOR_EPS, out=scratch)
-    return np.vecdot(grad_sq, measures)
+    return grad_sq
 
 
 def _dissipation_parts(u, w, z, fr: _Frame, params: ModelParams, scratch=None) -> DissipationParts:
     """The dissipation terms of fields with any leading batch shape; scratch,
     if given, holds two arrays shaped like u and is overwritten."""
     grad, tmp = np.empty((2,) + u.shape) if scratch is None else scratch
-    fu = 0.5 * params.delta_omega * _fisher(_bulk_gradient_sq(u, fr, grad, tmp), u, fr.bulk, tmp)
+    fu = 0.5 * params.delta_omega * bulk_integral(
+        _fisher(_bulk_gradient_sq(u, fr, grad, tmp), u, tmp), fr.rings)
     fw = 0.5 * params.delta_gamma * _surface_fisher(w, fr)
     fz = 0.5 * params.delta_gamma_prime * _surface_fisher(z, fr)
     uw = u[..., : fr.mesh.n_theta] * w
     logratio = np.log(np.maximum(z, FLOOR_EPS) / np.maximum(uw, FLOOR_EPS))
-    reaction = np.vecdot((z - uw) * logratio, fr.surf)
+    reaction = surface_integral((z - uw) * logratio, fr.surf)
     return DissipationParts(fu, fw, fz, reaction)
 
 
@@ -258,15 +265,20 @@ def entropy_dissipation(state: State, geom: EvolvingGeometry, mesh: ReferenceMes
 
 def _masses(state: State, fr: _Frame):
     """(m1, m2) of a state, as conserved_masses gives them."""
-    ms = fr.surf
-    return (float(np.dot(state.u_hat, fr.bulk)) + float(np.dot(state.z_hat, ms)),
-            float(np.dot(state.w_hat, ms)) + float(np.dot(state.z_hat, ms)))
+    mz = float(surface_integral(state.z_hat, fr.surf))
+    return (float(bulk_integral(state.u_hat, fr.rings)) + mz,
+            float(surface_integral(state.w_hat, fr.surf)) + mz)
+
+
+def _area(fr: _Frame) -> float:
+    """The bulk area: n_theta cells of each ring's measure."""
+    return float(np.add.reduce(fr.mesh.n_theta * fr.rings))
 
 
 def l1_distances(state: State, eq: Equilibrium, fr: _Frame):
-    return (float(np.dot(np.abs(state.u_hat - eq.u_inf), fr.bulk)),
-            float(np.dot(np.abs(state.w_hat - eq.w_inf), fr.surf)),
-            float(np.dot(np.abs(state.z_hat - eq.z_inf), fr.surf)))
+    return (float(bulk_integral(np.abs(state.u_hat - eq.u_inf), fr.rings)),
+            float(surface_integral(np.abs(state.w_hat - eq.w_inf), fr.surf)),
+            float(surface_integral(np.abs(state.z_hat - eq.z_inf), fr.surf)))
 
 
 def make_record(state: State, geom: EvolvingGeometry, mesh: ReferenceMesh,
@@ -281,12 +293,12 @@ def make_record(state: State, geom: EvolvingGeometry, mesh: ReferenceMesh,
         t=state.t, m1=m1, m2=m2,
         entropy=_entropy(*fields, eq, fr),
         dissipation=_dissipation_parts(*fields, fr, params).total,
-        min_u=float(np.min(state.u_hat)), min_w=float(np.min(state.w_hat)),
-        min_z=float(np.min(state.z_hat)),
-        max_u=float(np.max(state.u_hat)), max_w=float(np.max(state.w_hat)),
-        max_z=float(np.max(state.z_hat)),
+        min_u=float(state.u_hat.min()), min_w=float(state.w_hat.min()),
+        min_z=float(state.z_hat.min()),
+        max_u=float(state.u_hat.max()), max_w=float(state.w_hat.max()),
+        max_z=float(state.z_hat.max()),
         l1_u=l1u, l1_w=l1w, l1_z=l1z,
-        area_omega=float(np.sum(fr.bulk)), length_gamma=float(np.sum(fr.surf)),
+        area_omega=_area(fr), length_gamma=float(np.sum(fr.surf)),
     )
 
 
@@ -322,7 +334,7 @@ def ckp_lower_bound(state: State, eq: Equilibrium, geom: EvolvingGeometry,
     fields = (state.u_hat, state.w_hat, state.z_hat)
     _require_finite(fields, "entropy")
     lhs = _entropy(*fields, eq, fr)
-    c = ckp_constant(eq, float(np.sum(fr.bulk)), float(np.sum(fr.surf)))
+    c = ckp_constant(eq, _area(fr), float(np.sum(fr.surf)))
     l1u, l1w, l1z = l1_distances(state, eq, fr)
     rhs = c * (l1u ** 2 + l1w ** 2 + l1z ** 2)
     return lhs, rhs, c
@@ -420,9 +432,9 @@ def _smooth_surface(f, out):
 
 
 def _project(u, w, z, m1, m2, fr: _Frame, out=(None, None, None)):
-    iu = np.vecdot(u, fr.bulk)
-    iw = np.vecdot(w, fr.surf)
-    iz = np.vecdot(z, fr.surf)
+    iu = bulk_integral(u, fr.rings)
+    iw = surface_integral(w, fr.surf)
+    iz = surface_integral(z, fr.surf)
     if np.any((iu <= 0.0) | (iw <= 0.0) | (iz <= 0.0)):
         raise ValueError("projection requires positive sampled masses")
     # non-finite draws pass through here and are rejected by the entropy

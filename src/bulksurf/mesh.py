@@ -109,15 +109,34 @@ def moving_surface_measures(mesh: ReferenceMesh, geom: EvolvingGeometry, t: floa
     return geom.surface_stretch(t, mesh.theta_centers) * mesh.dtheta
 
 
+def bulk_integral(field, rings):
+    """The sum over the cells of field times their measure, rings the
+    measure of each ring's cells, over the flat last axis of field (n_r
+    rings of n_theta cells, any leading batch shape): each ring summed along
+    theta, weighted by its measure and added ring by ring, in np.einsum's
+    own loops (optimize=False), not BLAS.  The order of the sums is fixed by
+    the mesh alone, so the value is the same on any number of BLAS threads
+    (a long np.dot or np.vecdot is split among them), and that of each state
+    of a batch is the one it has alone.  No bulk-sized measure array is
+    formed."""
+    return np.einsum("...ij,i->...", field.reshape(field.shape[:-1] + (len(rings), -1)), rings)
+
+
+def surface_integral(field, measures):
+    """The sum over the surface cells of field times measures along the last
+    axis, in np.einsum's own loops, as bulk_integral."""
+    return np.einsum("...j,j->...", field, measures)
+
+
 def integrate_bulk(mesh: ReferenceMesh, geom: EvolvingGeometry, t: float, field) -> float:
     field = np.asarray(field, dtype=float)
     if field.shape != (mesh.n_bulk,):
         raise LengthMismatch(f"bulk field has shape {field.shape}, expected ({mesh.n_bulk},)")
-    return float(np.dot(field, moving_bulk_measures(mesh, geom, t)))
+    return float(bulk_integral(field, moving_ring_measures(mesh, geom, t)))
 
 
 def integrate_surface(mesh: ReferenceMesh, geom: EvolvingGeometry, t: float, field) -> float:
     field = np.asarray(field, dtype=float)
     if field.shape != (mesh.n_surf,):
         raise LengthMismatch(f"surface field has shape {field.shape}, expected ({mesh.n_surf},)")
-    return float(np.dot(field, moving_surface_measures(mesh, geom, t)))
+    return float(surface_integral(field, moving_surface_measures(mesh, geom, t)))

@@ -47,7 +47,9 @@ Scheme summary (both steppers are first order in time):
     backward-Euler stepper's Newton iterates on the one exchange flux per
     slot alone, through the same solve, each update an inexact Newton step
     whose GMRES stops at an Eisenstat-Walker forcing term (see
-    step_implicit); its acceptance test is the full residual.
+    step_implicit); its base solve stays in Fourier modes, and the one full
+    field a step forms is the state it returns, whose full residual is its
+    acceptance test.
 
 The outer-boundary condition is homogeneous no-flux: the only choice
 consistent with conservation of m1 when the outer wall is fixed.
@@ -213,8 +215,8 @@ def _check_step(state: State, dt: float, geom, mesh, params, spec, check_cfl: bo
     of exchange form at it (f2 = f1 and f3 = -f1, bit for bit; mass action
     is by construction) and, when check_cfl is set, dt within cfl_bound."""
     check_steps(dt)
-    if not (np.all(np.isfinite(state.u_hat)) and np.all(np.isfinite(state.w_hat))
-            and np.all(np.isfinite(state.z_hat))):
+    if not (np.isfinite(state.u_hat).all() and np.isfinite(state.w_hat).all()
+            and np.isfinite(state.z_hat).all()):
         raise NonfiniteField(f"state at t = {state.t:g} contains non-finite values")
     if not getattr(spec, "is_mass_action", False):
         parts = (state.u_hat[: mesh.n_surf], state.w_hat, state.z_hat)
@@ -636,7 +638,7 @@ class _Capacitance:
 def _present(coeffs):
     """coeffs with each row that is None or zero as None, or () when no row
     is left: the exchange term's coefficients, filtered once per solve."""
-    coeffs = tuple(c if c is not None and c.any() else None for c in coeffs)
+    coeffs = tuple([c if c is not None and np.count_nonzero(c) else None for c in coeffs])
     return coeffs if any(c is not None for c in coeffs) else ()
 
 
@@ -768,35 +770,50 @@ def step_implicit(state: State, dt: float, geom: EvolvingGeometry, mesh: Referen
     Everything is evaluated at the new time level, and the exchange flux
     enters all equations with identical values, as in the IMEX stepper.  The
     bulk is linear and is eliminated (Lanzkron, Rose and Wilkes): the state
-    is x = y - G xi, y = A0^{-1} b the step's one full solve and G the
-    response to the slot exchange flux xi.  Newton iterates on
-    xi = scale f1(s_y - W xi), n_theta values, each update one capacitance
-    solve with the coefficients of _reaction_terms, linearized first at the
-    state at t, with m1 and m2 held by construction.  The capacitance
-    preconditioners are built at the first update, from its coefficients and
-    right-hand side, and kept for the later updates of the step (see
-    _Capacitance): each update still solves its own exact linearization.
-    The updates are inexact: the GMRES of each stops at the relative
-    residual of _forcing, F (the scaled slot residual of the iterate it
-    starts from) within [1e-12, 1e-2], or 1e-3 newton_tol / F once
-    F^2 <= 2 newton_tol, so the iterates are near those of Newton on the
-    whole field, not equal to them.
-    x is rebuilt when the slot residual is at most 2 newton_tol and returned
-    only when its full residual, by the stencil, is below newton_tol, both
-    scaled by max(1, max|b|, ||A0|| max|values|).  With return_info=True the
-    result is (state, {"iterations", "residuals", "gmres", "setups"}): the
-    capacitance solves, the scaled slot residual after each, the GMRES
-    iterations of each and the preconditioner builds of the step (one,
-    unless a coefficient row is switched on or off or a row uniform at the
-    build changes).
+    is x = y - G xi, y = A0^{-1} b the base solve, kept as its Fourier modes,
+    and G the response to the slot exchange flux xi.  Newton iterates on
+    xi = scale f1(s_y - W xi), n_theta values, s_y the slot rows of y read
+    by one inverse FFT of three rings, each update one capacitance solve with
+    the coefficients of _reaction_terms, linearized first at the state at t,
+    with m1 and m2 held by construction.  The capacitance preconditioners
+    are built at the first update, from its coefficients and right-hand
+    side, and kept for the later updates of the step (see _Capacitance):
+    each update still solves its own exact linearization.  The updates are
+    inexact: the GMRES of each stops at the relative residual of _forcing, F
+    (the scaled slot residual of the iterate it starts from) within
+    [1e-12, 1e-2], or 1e-3 newton_tol / F once F^2 <= 2 newton_tol, so the
+    iterates are near those of Newton on the whole field, not equal to them.
+    The step forms one full field: x = the inverse FFT of the modes of
+    y - G xi, built when the slot residual is at most 2 newton_tol and
+    returned only when its full residual, by the stencil, is below
+    newton_tol, both scaled by max(1, max|b|, ||A0|| max|values|); that test
+    is the one check of the state returned.  The base solve's own backward
+    error is checked on every path that returns no state (a failed test, a
+    non-finite residual, a failed capacitance solve, NewtonDivergence),
+    before anything is raised, so a faulty solve raises LinearSolveFailure.
+    With return_info=True the result is (state, {"iterations", "residuals",
+    "gmres", "setups"}): the capacitance solves, the scaled slot residual
+    after each, the GMRES iterations of each and the preconditioner builds
+    of the step (one, unless a coefficient row is switched on or off or a
+    row uniform at the build changes).
     """
     _check_step(state, dt, geom, mesh, params, spec, check_cfl=False)
     t1 = state.t + dt
     system, m0 = _step_solve(geom, mesh, params, state.t, dt, advect=geom.surface_slip_active)
-    nt = mesh.n_theta
+    nt, ns = mesh.n_theta, mesh.n_surf
     scale = -dt * system.measures[1]
     base = _mass_rhs(state, dt, mesh, m0, system.measures, sources)
-    history, floor = [], max(1.0, _max_abs(base))
+    history, floor, checked = [], max(1.0, _max_abs(base)), False
+    y_modes = system._modes(base)
+
+    def check_base():   # the base solve's backward error, once, where no state returns
+        nonlocal checked
+        if not checked:
+            checked = True
+            y = system._field(y_modes)
+            residual = system.apply(y)
+            residual -= base
+            _check_backward_error(residual, y, base, system.norm, "Newton step")
 
     def scaled(residual, values):   # max|residual| / max(1, max|b|, ||A0|| max|values|)
         norm = _max_abs(residual) / max(floor, system.norm * _max_abs(values))
@@ -807,42 +824,48 @@ def step_implicit(state: State, dt: float, geom: EvolvingGeometry, mesh: Referen
     def flux(parts):   # scale times the exchange rate of each slot
         return scale * np.asarray(spec.f1(*parts), dtype=float)
 
-    y = system.solve_slots(base, (), "Newton step")[0]
-    s_y = np.stack(_slot_parts(y, mesh))
-    s = np.stack([state.u_hat[: mesh.n_surf], state.w_hat, state.z_hat])   # at t
-    coeffs = _present(_reaction_terms(spec, *s, scale))
-    # the first update, from the state at t, solves C xi = scale f1(s) + c . (s_y - s)
-    rho = -flux(s) - _flux(coeffs, s_y - s)
-    slot_residual, gmres = scaled(rho, s), []
-    xi = np.zeros(nt // 2 + 1, complex)
-    # W xi on the slot rings, then xi itself: their values by one inverse FFT
-    both = np.empty((4, len(xi)), complex)
-    capacitance = _Capacitance(system, "Newton step")
-    for iteration in range(1, max_newton + 1):
-        update, used = capacitance.solve(rho, coeffs, _forcing(slot_residual, newton_tol))
-        xi -= update
-        gmres.append(used)
-        np.multiply(system.slot_response, xi, out=both[:3])
-        both[3] = xi
-        values = np.fft.irfft(both, n=nt)
-        s = s_y - values[:3]
-        rho = values[3] - flux(s)
-        slot_residual = scaled(rho, s)
-        history.append(slot_residual)
-        if slot_residual <= 2.0 * newton_tol:   # rebuild x and test its full residual
-            x = y - system._field(system.correction(xi))
-            resid, parts = system.apply(x), _slot_parts(x, mesh)
-            resid -= base
-            _add_exchange(resid, flux(parts), mesh)
-            if scaled(resid, x) < newton_tol:
-                out = State(t1, x[: mesh.n_bulk], parts[1], parts[2])
-                info = {"iterations": iteration, "residuals": history, "gmres": gmres,
-                        "setups": capacitance.builds}
-                return (out, info) if return_info else out
+    try:
+        s_y = np.fft.irfft(y_modes.T[_SLOT_RINGS], n=nt)
+        s = np.empty((3, ns))   # the slot rows of the iterate: first the state at t
+        s[0], s[1], s[2] = state.u_hat[:ns], state.w_hat, state.z_hat
         coeffs = _present(_reaction_terms(spec, *s, scale))
-    raise NewtonDivergence(
-        f"Newton did not reach {newton_tol:g} in {max_newton} iterations at t = {t1:g} "
-        f"(last residual {history[-1]:.3e})", history)
+        # the first update, from the state at t, solves C xi = scale f1(s) + c . (s_y - s)
+        rho = -flux(s) - _flux(coeffs, s_y - s)
+        slot_residual, gmres = scaled(rho, s), []
+        xi = np.zeros(nt // 2 + 1, complex)
+        # W xi on the slot rings, then xi itself: their values by one inverse FFT
+        both, values = np.empty((4, len(xi)), complex), np.empty((4, nt))
+        capacitance = _Capacitance(system, "Newton step")
+        for iteration in range(1, max_newton + 1):
+            update, used = capacitance.solve(rho, coeffs, _forcing(slot_residual, newton_tol))
+            xi -= update
+            gmres.append(used)
+            np.multiply(system.slot_response, xi, out=both[:3])
+            both[3] = xi
+            np.fft.irfft(both, n=nt, out=values)
+            np.subtract(s_y, values[:3], out=s)
+            rho = values[3] - flux(s)
+            slot_residual = scaled(rho, s)
+            history.append(slot_residual)
+            if slot_residual <= 2.0 * newton_tol:   # form x and test its full residual
+                x_modes = system.correction(xi)
+                x = system._field(np.subtract(y_modes, x_modes, out=x_modes))
+                resid, parts = system.apply(x), _slot_parts(x, mesh)
+                resid -= base
+                _add_exchange(resid, flux(parts), mesh)
+                if scaled(resid, x) < newton_tol:
+                    out = State(t1, x[: mesh.n_bulk], parts[1], parts[2])
+                    info = {"iterations": iteration, "residuals": history, "gmres": gmres,
+                            "setups": capacitance.builds}
+                    return (out, info) if return_info else out
+                check_base()
+            coeffs = _present(_reaction_terms(spec, *s, scale))
+        raise NewtonDivergence(
+            f"Newton did not reach {newton_tol:g} in {max_newton} iterations at t = {t1:g} "
+            f"(last residual {history[-1]:.3e})", history)
+    except (NewtonDivergence, LinearSolveFailure):
+        check_base()
+        raise
 
 
 # -- manufactured solutions -------------------------------------------------------

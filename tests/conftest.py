@@ -4,9 +4,20 @@ import atexit
 import multiprocessing
 import shutil
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import configuration, settings
+
+# A failing @given test makes hypothesis import hypothesis.extra._patching,
+# whose imports (libcst, mypy_extensions) warn with a DeprecationWarning that
+# the filters of pyproject.toml turn into an error; raised inside hypothesis's
+# reporting, it would end the session with INTERNALERROR and hide every later
+# test.  Importing the module once here, with that warning ignored, lets the
+# failure be reported like any other.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 # One profile for every property test: the same examples on every run, no
 # deadline and no example database.  Hypothesis still caches the constants

@@ -4,6 +4,8 @@ import dataclasses
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 import threading
 import time
 
@@ -619,6 +621,34 @@ class TestCli:
         first = (tmp_path / "out" / "diagnostics.csv").read_bytes()
         assert cli.main(["run", str(cfg_path)]) == 0
         assert (tmp_path / "out" / "diagnostics.csv").read_bytes() == first
+
+    def test_byte_identical_across_blas_threads(self, tmp_path):
+        """A 128 x 256 run, with either stepper, writes the same
+        diagnostics.csv and report.txt bytes with BLAS on one thread and on
+        two: no reduction that reaches them goes through BLAS, which splits a
+        long dot product among its threads (with the records' sums as BLAS
+        dot products, the rows at 1 and 2 threads differed in their last
+        bits)."""
+        code = "import sys\nfrom bulksurf import cli\nsys.exit(cli.main(sys.argv[1:]))\n"
+        package_root = os.path.dirname(os.path.dirname(cli.__file__))
+        outputs = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=package_root, OPENBLAS_NUM_THREADS=threads)
+            for stepper in ("imex", "implicit"):
+                out = tmp_path / f"{stepper}-{threads}"
+                cfg_path = tmp_path / f"{stepper}-{threads}.cfg"
+                cfg_path.write_text(
+                    "geometry.kind = rotation\ngeometry.omega = 1\ngeometry.delta = 0.5\n"
+                    "mesh.n_r = 128\nmesh.n_theta = 256\nic.profile = perturbed_equilibrium\n"
+                    "ic.amplitude = 0.25\nic.mode = 3\ntime.dt = 0.2\ntime.t_final = 0.6\n"
+                    f"time.output_interval = 0.2\ntime.stepper = {stepper}\n"
+                    f"output.snapshots = false\noutput.directory = {out}\n")
+                subprocess.run([sys.executable, "-c", code, "run", str(cfg_path)], env=env,
+                               check=True, capture_output=True, timeout=300)
+                outputs[threads, stepper] = [(out / name).read_bytes()
+                                             for name in ("diagnostics.csv", "report.txt")]
+        for stepper in ("imex", "implicit"):
+            assert outputs["1", stepper] == outputs["2", stepper], stepper
 
     def test_usage_error_exit_one(self, capsys):
         assert cli.main(["frobnicate"]) == 1

@@ -25,7 +25,8 @@ from bulksurf.equilibrium import EquilibriumMode, solve_equilibrium
 from bulksurf.errors import (DegenerateSampler, InsufficientData, MassMismatch,
                              NonfiniteField, NonpositiveEntropy, ValidationError, WorkerFailure)
 from bulksurf.geometry import GeometryKind, GeometryPreset, build_geometry
-from bulksurf.mesh import build_mesh, moving_bulk_measures, moving_surface_measures
+from bulksurf.mesh import (build_mesh, bulk_integral, moving_bulk_measures, moving_ring_measures,
+                           moving_surface_measures, surface_integral)
 from bulksurf.model import ModelParams
 from bulksurf.solver import State, assemble_operators
 from test_solver import stiffness
@@ -54,6 +55,9 @@ def block_size(mesh, n_samples=None, cpus=1):
 
 
 # -- per-sample reference: the probe one state at a time, with np.roll -----------
+# Its integrals are the program's fixed-order sums (mesh.bulk_integral and
+# mesh.surface_integral, tested in TestFixedOrderIntegrals), so that every
+# other operation can be compared bit for bit.
 
 
 def _ref_boltzmann(s, s_inf):
@@ -81,9 +85,10 @@ def _ref_state(index, seed, eq, geom, mesh, t, raw_sampler=None):
         z = z + 0.25 * (np.roll(z, 1) - 2.0 * z + np.roll(z, -1))
     else:
         u, w, z = (np.asarray(f, dtype=float) for f in raw_sampler(index, rng))
-    mb = moving_bulk_measures(mesh, geom, t)
+    rings = moving_ring_measures(mesh, geom, t)
     ms = moving_surface_measures(mesh, geom, t)
-    iu, iw, iz = float(np.dot(u, mb)), float(np.dot(w, ms)), float(np.dot(z, ms))
+    iu = float(bulk_integral(u, rings))
+    iw, iz = float(surface_integral(w, ms)), float(surface_integral(z, ms))
     beta = iu * iw + iz * (eq.m1 - eq.m2)
     disc = beta * beta + 4.0 * iw * iz * eq.m2 * iu
     b = 2.0 * eq.m2 * iu / (beta + math.sqrt(disc)) if beta >= 0.0 \
@@ -93,11 +98,11 @@ def _ref_state(index, seed, eq, geom, mesh, t, raw_sampler=None):
 
 
 def _ref_entropy_dissipation(u, w, z, eq, geom, mesh, params, t, floor_eps=1e-30):
-    mb = moving_bulk_measures(mesh, geom, t)
+    rings = moving_ring_measures(mesh, geom, t)
     ms = moving_surface_measures(mesh, geom, t)
-    e = float(np.dot(_ref_boltzmann(u, eq.u_inf), mb))
-    e += float(np.dot(_ref_boltzmann(w, eq.w_inf), ms))
-    e += float(np.dot(_ref_boltzmann(z, eq.z_inf), ms))
+    e = float(bulk_integral(_ref_boltzmann(u, eq.u_inf), rings))
+    e += float(surface_integral(_ref_boltzmann(w, eq.w_inf), ms))
+    e += float(surface_integral(_ref_boltzmann(z, eq.z_inf), ms))
     grid = u.reshape(mesh.n_r, mesh.n_theta)
     slope = geom.radial_slope(t)
     dudr = np.empty_like(grid)
@@ -112,13 +117,15 @@ def _ref_entropy_dissipation(u, w, z, eq, geom, mesh, params, t, floor_eps=1e-30
     def grad_s(f):
         return ((np.roll(f, -1) - np.roll(f, 1)) / (2.0 * mesh.dtheta * stretch)) ** 2
 
-    d = 0.5 * params.delta_omega * float(np.dot(grad_u / np.maximum(u, floor_eps), mb))
-    d += 0.5 * params.delta_gamma * float(np.dot(grad_s(w) / np.maximum(w, floor_eps), ms))
+    d = 0.5 * params.delta_omega * float(
+        bulk_integral(grad_u / np.maximum(u, floor_eps), rings))
+    d += 0.5 * params.delta_gamma * float(
+        surface_integral(grad_s(w) / np.maximum(w, floor_eps), ms))
     d += 0.5 * params.delta_gamma_prime * float(
-        np.dot(grad_s(z) / np.maximum(z, floor_eps), ms))
+        surface_integral(grad_s(z) / np.maximum(z, floor_eps), ms))
     uw = u[: mesh.n_theta] * w
     logratio = np.log(np.maximum(z, floor_eps) / np.maximum(uw, floor_eps))
-    d += float(np.dot((z - uw) * logratio, ms))
+    d += float(surface_integral((z - uw) * logratio, ms))
     return e, d
 
 

@@ -7,7 +7,8 @@ import pytest
 
 from bulksurf.errors import InvalidResolution, LengthMismatch
 from bulksurf.geometry import GeometryKind, GeometryPreset, build_geometry
-from bulksurf.mesh import build_mesh, integrate_bulk, integrate_surface
+from bulksurf.mesh import (build_mesh, bulk_integral, integrate_bulk, integrate_surface,
+                           surface_integral)
 
 
 def geom_of(kind, **kw):
@@ -118,3 +119,33 @@ class TestIntegrateSurface:
         mesh = build_mesh(4, 8, 1.0, 2.0)
         with pytest.raises(LengthMismatch):
             integrate_surface(mesh, geom_of("fixed"), 0.0, np.ones(9))
+
+
+class TestFixedOrderIntegrals:
+    """bulk_integral and surface_integral, the sums behind every record and
+    the probe, against math.fsum of the same products: within n eps times
+    the sum of their magnitudes (the bound of any order of summation), and,
+    bit for bit, the value of a state alone is that of its row in a batch
+    of any shape, also where the rows start at odd addresses."""
+
+    @pytest.mark.parametrize("n_r, n_theta", [(4, 8), (5, 17), (64, 128)])
+    @pytest.mark.parametrize("batch", [(1,), (5,), (2, 3)])
+    def test_against_fsum_and_alone(self, n_r, n_theta, batch):
+        rng = np.random.default_rng(n_r * n_theta)
+        eps = np.finfo(float).eps
+        rings, arcs = rng.uniform(0.5, 2.0, n_r), rng.uniform(0.5, 2.0, n_theta)
+        cells = np.repeat(rings, n_theta)
+        for field, measures, integral, weights in (
+                (rng.standard_normal(batch + (n_r * n_theta,)), rings, bulk_integral, cells),
+                (rng.standard_normal(batch + (n_theta,)), arcs, surface_integral, arcs)):
+            got = integral(field, measures)
+            assert got.shape == batch
+            for index in np.ndindex(*batch):
+                row = field[index]
+                terms = row * weights
+                bound = len(terms) * eps * math.fsum(np.abs(terms))
+                assert abs(got[index] - math.fsum(terms)) <= bound
+                odd = np.empty(row.size + 1)[1:]   # a row starting 8 bytes off
+                odd[:] = row
+                assert integral(row.copy(), measures) == got[index] == integral(odd, measures)
+

@@ -4,7 +4,10 @@ GMRES on 1-D vectors, the capacitance solve with its preconditioner build,
 the band assembly of the Fourier solve, the measures of assemble_operators
 and of the kept solve, and the radial map of the geometry are each compared
 with a test-local copy of their plain form: the same bytes, the same GMRES
-iterations and the same preconditioner builds.
+iterations and the same preconditioner builds.  The Newton step, which now
+keeps its base solve in Fourier modes and forms one full field, is compared
+with its plain form too: the same slot iterates bit for bit, and states
+that agree within both their residuals.
 """
 
 import math
@@ -15,12 +18,13 @@ import pytest
 import scipy.linalg as sla
 
 from bulksurf import solver
-from bulksurf.errors import LinearSolveFailure
+from bulksurf.errors import LinearSolveFailure, NewtonDivergence
 from bulksurf.geometry import GeometryKind, GeometryPreset, build_geometry
 from bulksurf.mesh import (build_mesh, moving_bulk_measures, moving_ring_measures,
                            moving_surface_measures)
 from bulksurf.model import MassAction, ModelParams
 from bulksurf.solver import _EXCHANGE, _SLOT_RINGS, State, assemble_operators
+from test_solver import REACTIONS, TIGHT, assert_newton_agrees, random_state, reaction_spec
 
 PRESETS = {"fixed": ("fixed", {}), "rotation": ("rotation", dict(omega=1.0, delta=0.5)),
            "breathing": ("breathing", dict(amplitude=0.15, omega=1.0, delta=0.2)),
@@ -169,6 +173,65 @@ def plain_response(system):
     modes = np.zeros((system.mesh.n_theta // 2 + 1, system.mesh.n_r + 2))
     modes[:, _SLOT_RINGS] = _EXCHANGE
     return system._solve_modes(modes)
+
+
+def plain_step_implicit(state, dt, geom, mesh, params, spec, newton_tol=1e-11, max_newton=25,
+                        sources=None, return_info=False):
+    """step_implicit as it was written: y = A0^{-1} b formed as a full field
+    by solve_slots, with its backward error checked at every step, its slot
+    rows and the state at t stacked, and the state rebuilt as y - G xi."""
+    solver._check_step(state, dt, geom, mesh, params, spec, check_cfl=False)
+    t1 = state.t + dt
+    system, m0 = solver._step_solve(geom, mesh, params, state.t, dt,
+                                    advect=geom.surface_slip_active)
+    nt = mesh.n_theta
+    scale = -dt * system.measures[1]
+    base = solver._mass_rhs(state, dt, mesh, m0, system.measures, sources)
+    history, floor = [], max(1.0, solver._max_abs(base))
+
+    def scaled(residual, values):
+        norm = solver._max_abs(residual) / max(floor, system.norm * solver._max_abs(values))
+        if not math.isfinite(norm):
+            raise NewtonDivergence(f"non-finite Newton residual at t = {t1:g}", history + [norm])
+        return norm
+
+    def flux(parts):
+        return scale * np.asarray(spec.f1(*parts), dtype=float)
+
+    y = system.solve_slots(base, (), "Newton step")[0]
+    s_y = np.stack(solver._slot_parts(y, mesh))
+    s = np.stack([state.u_hat[: mesh.n_surf], state.w_hat, state.z_hat])
+    coeffs = solver._present(solver._reaction_terms(spec, *s, scale))
+    rho = -flux(s) - solver._flux(coeffs, s_y - s)
+    slot_residual, gmres = scaled(rho, s), []
+    xi = np.zeros(nt // 2 + 1, complex)
+    both = np.empty((4, len(xi)), complex)
+    capacitance = solver._Capacitance(system, "Newton step")
+    for iteration in range(1, max_newton + 1):
+        update, used = capacitance.solve(rho, coeffs, solver._forcing(slot_residual, newton_tol))
+        xi -= update
+        gmres.append(used)
+        np.multiply(system.slot_response, xi, out=both[:3])
+        both[3] = xi
+        values = np.fft.irfft(both, n=nt)
+        s = s_y - values[:3]
+        rho = values[3] - flux(s)
+        slot_residual = scaled(rho, s)
+        history.append(slot_residual)
+        if slot_residual <= 2.0 * newton_tol:
+            x = y - system._field(system.correction(xi))
+            resid, parts = system.apply(x), solver._slot_parts(x, mesh)
+            resid -= base
+            solver._add_exchange(resid, flux(parts), mesh)
+            if scaled(resid, x) < newton_tol:
+                out = solver.State(t1, x[: mesh.n_bulk], parts[1], parts[2])
+                info = {"iterations": iteration, "residuals": history, "gmres": gmres,
+                        "setups": capacitance.builds}
+                return (out, info) if return_info else out
+        coeffs = solver._present(solver._reaction_terms(spec, *s, scale))
+    raise NewtonDivergence(
+        f"Newton did not reach {newton_tol:g} in {max_newton} iterations at t = {t1:g} "
+        f"(last residual {history[-1]:.3e})", history)
 
 
 # -- the comparisons -----------------------------------------------------------------
@@ -380,3 +443,27 @@ def test_measures_at_t_come_from_the_kept_solve(stepper, monkeypatch):
     assert system.t1 == st1.t
     assert same(system.measures[0], moving_bulk_measures(mesh, geom, st1.t))
     assert same(system.measures[1], moving_surface_measures(mesh, geom, st1.t))
+
+
+@pytest.mark.parametrize("reaction", ["mass_action", "saturating_binding"])
+@pytest.mark.parametrize("kind", sorted(PRESETS))
+def test_newton_step_matches_the_plain_step(kind, reaction):
+    """Three backward-Euler steps, each from the plain step's state: the
+    slot iterates are the plain step's bit for bit (the same Newton solves,
+    slot residuals, GMRES iterations and builds), and the states, x formed
+    as the inverse FFT of the modes of y - G xi against y - G xi formed
+    from two fields, agree within both their residuals (assert_newton_agrees
+    asserts each residual first)."""
+    geom = geometry(kind)
+    mesh = build_mesh(6, 16, 1.0, 2.0)
+    params = ModelParams(1.0, 0.7, 1.3, *REACTIONS[reaction])
+    spec = reaction_spec(reaction, params)
+    st = random_state(mesh, seed=11)
+    for _ in range(3):
+        got, info = solver.step_implicit(st, 0.02, geom, mesh, params, spec,
+                                         newton_tol=TIGHT / 100, return_info=True)
+        ref, ref_info = plain_step_implicit(st, 0.02, geom, mesh, params, spec,
+                                            newton_tol=TIGHT / 100, return_info=True)
+        assert info == ref_info
+        assert_newton_agrees(got, ref, TIGHT / 100, st, 0.02, geom, mesh, params, spec)
+        st = ref

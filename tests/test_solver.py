@@ -918,18 +918,20 @@ class TestSlotNewton:
         assert set(shapes) == {((17,), np.dtype(dtype))}
 
     def test_failed_full_check_takes_another_iteration(self, monkeypatch):
-        """A rebuilt state whose full residual fails is not returned: the
+        """A formed state whose full residual fails is not returned: the
         iteration goes on, and the state it returns agrees with the plain
-        Newton, one iteration later."""
+        Newton, one iteration later.  Call 1 of _field is the first formed
+        state, call 2 the base solve y, whose backward error the failed test
+        checks, and call 3 the state of the next iteration."""
         geom, mesh, params, spec = make("rotation", omega=1.0, delta=0.5)
         st = random_state(mesh, seed=9)
         ref, ref_iters = superlu_newton_step(st, 0.02, geom, mesh, params, spec)
         calls, field = [], solver._FourierSolve._field
 
-        def spoiled(self, modes):   # call 1 is y, call 2 the first rebuilt state
+        def spoiled(self, modes):
             x = field(self, modes)
             calls.append(1)
-            if len(calls) == 2:
+            if len(calls) == 1:
                 x[0] += 1e-6
             return x
 
@@ -938,6 +940,95 @@ class TestSlotNewton:
                                   return_info=True)
         assert_newton_agrees(got, ref, TIGHT / 100, st, 0.02, geom, mesh, params, spec)
         assert info["iterations"] == ref_iters + 1 and len(calls) == 3
+
+    @pytest.mark.parametrize("kind", ["rotation", "breathing", "clockwise_wind"])
+    def test_accepted_step_forms_one_field(self, kind, monkeypatch):
+        """A step whose first formed state passes the full-residual test
+        forms one full field (_field) and applies the stencil once, to that
+        state; the base solve stays in Fourier modes and its backward error
+        is not checked.  A state is formed at each iteration whose slot
+        residual is at most 2 newton_tol; when a formed state fails its test,
+        the base solve is formed and checked once more (both cases occur on
+        rotation and clockwise_wind)."""
+        counts = {"_field": 0, "apply": 0, "check": 0}
+        for name in ("_field", "apply"):
+            original = getattr(solver._FourierSolve, name)
+
+            def counted(self, arg, name=name, original=original):
+                counts[name] += 1
+                return original(self, arg)
+
+            monkeypatch.setattr(solver._FourierSolve, name, counted)
+        check = solver._check_backward_error
+        monkeypatch.setattr(solver, "_check_backward_error",
+                            lambda *args: counts.__setitem__("check", counts["check"] + 1)
+                            or check(*args))
+        geom = preset_geometry(kind)
+        mesh = build_mesh(6, 16, 1.0, 2.0)
+        params = ModelParams(1.0, 0.7, 1.3, 1.0, 0.5)
+        st, formed = random_state(mesh, seed=3), []
+        for _ in range(4):
+            st, info = step_implicit(st, 0.02, geom, mesh, params, MassAction(params),
+                                     return_info=True)
+            formed.append(sum(r <= 2e-11 for r in info["residuals"]))
+            failed = formed[-1] > 1
+            assert counts == {"_field": formed[-1] + failed, "apply": formed[-1] + failed,
+                              "check": int(failed)}, info
+            counts.update(_field=0, apply=0, check=0)
+        assert 1 in formed
+
+    @pytest.mark.parametrize("kind", ["rotation", "surface_wind"])
+    def test_faulty_base_solve_raises_on_every_exit_path(self, kind, monkeypatch):
+        """A base solve A0^{-1} b that is wrong (its modes perturbed, or one
+        of them NaN) raises LinearSolveFailure "Newton step backward error"
+        on each path that returns no state, before that path's own error: a
+        failed full-residual test, a non-finite slot or full residual,
+        NewtonDivergence past max_newton, and a failed capacitance solve.
+        Without the fault the same steps return, or raise their own errors.
+        The slot response is a solve of a real right-hand side, and is left
+        alone."""
+        geom = preset_geometry(kind)
+        mesh = build_mesh(6, 16, 1.0, 2.0)
+        params = ModelParams(1.0, 0.7, 1.3, 1.0, 0.5)
+        spec = MassAction(params)
+        st = random_state(mesh, seed=2)
+        solve_modes, fault = solver._FourierSolve._solve_modes, {}
+
+        def faulty(self, modes):
+            y = solve_modes(self, modes)
+            if fault and modes.dtype.kind == "c":   # the base solve
+                ring, value = fault["at"]
+                y[1, ring] = value if value is not None else y[1, ring] + 1e-6 * abs(y).max()
+            return y
+
+        monkeypatch.setattr(solver._FourierSolve, "_solve_modes", faulty)
+
+        def step(**kw):
+            return step_implicit(st, 0.02, geom, mesh, params, spec, **kw)
+
+        never = dict(newton_tol=1e-30, max_newton=1)   # ends in NewtonDivergence
+        step()
+        with pytest.raises(NewtonDivergence):
+            step(**never)
+        # (fault, step options, the error the path raises without the check)
+        paths = [((2, None), {}, None),                        # the full test fails
+                 ((0, math.nan), {}, NewtonDivergence),        # non-finite slot residual
+                 ((2, math.nan), {}, NewtonDivergence),        # non-finite full residual
+                 ((2, None), never, NewtonDivergence)]         # past max_newton
+        for at, options, context in paths:
+            fault["at"] = at
+            with pytest.raises(LinearSolveFailure, match="^Newton step backward error") as exc:
+                step(**options)
+            assert type(exc.value.__context__) is (context or type(None)), at
+            assert ("nan" in str(exc.value)) == (at[1] is not None)
+        fault.clear()
+        monkeypatch.setattr(solver, "_gmres", lambda apply, rhs, target, cap: (None, cap))
+        with pytest.raises(LinearSolveFailure, match="capacitance GMRES"):
+            step()
+        fault["at"] = (2, None)
+        with pytest.raises(LinearSolveFailure, match="^Newton step backward error") as exc:
+            step()
+        assert "capacitance GMRES" in str(exc.value.__context__)
 
     @pytest.mark.parametrize("reaction,cap", [("mass_action", 12), ("saturating_binding", 12)])
     def test_capacitance_failure_names_its_iterations(self, reaction, cap, monkeypatch):
